@@ -144,8 +144,7 @@ ParResult run_parallel(size_t workers, const StealTuning& tuning, int rounds,
   r.split_depth = tuning.chain_split_depth;
   Engine e;
   settle_rhs(e, values);
-  ParallelMatcher matcher(e.net(), workers, TaskQueueSet::Policy::Steal,
-                          nullptr, tuning);
+  ParallelMatcher matcher(e.net(), workers, nullptr, tuning);
   matcher.register_agent(e.state());
   const auto heads = head_texts(values);
   r.cs_ok = true;
@@ -154,7 +153,7 @@ ParResult run_parallel(size_t workers, const StealTuning& tuning, int rounds,
     for (const auto& h : heads) added.push_back(e.add_wme_text(h));
     SeedCollector sc;
     for (const Wme* w : added) e.net().inject(w, true, sc);
-    r.stats.accumulate(matcher.run_cycle(std::move(sc.seeds)));
+    r.stats.accumulate(matcher.run_cycle(sc.seeds));
     e.wm().end_cycle();
     r.cs_peak = e.cs().size();
     r.cs_ok = r.cs_ok && r.cs_peak == expect_cs_peak;
@@ -164,7 +163,7 @@ ParResult run_parallel(size_t workers, const StealTuning& tuning, int rounds,
       e.net().inject(w, false, del);
       e.wm().remove(w);
     }
-    matcher.run_cycle(std::move(del.seeds));
+    matcher.run_cycle(del.seeds);
     e.wm().end_cycle();
   }
   return r;

@@ -1,11 +1,10 @@
-// Microbenchmarks (google-benchmark) of the core operations: join probes,
-// token operations, queue push/pop, spinlock acquire, wme injection, and
-// run-time production addition.
+// Microbenchmarks (google-benchmark) of the core operations: symbol
+// interning, value hashing, token extension, spinlock acquire, wme
+// add/remove matching, run-time production addition, and psim scheduling.
 #include <benchmark/benchmark.h>
 
 #include "engine/engine.h"
 #include "lang/parser.h"
-#include "par/task_queue.h"
 #include "psim/sim.h"
 #include "tasks/registry.h"
 
@@ -28,11 +27,26 @@ void BM_ValueHash(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueHash);
 
+// Arg = length of the extended token: 4 stays inline, 16 and 43 spill into
+// the arena. The arena runs an empty drain every 1024 extends so the sealed
+// chunks are reclaimed, as a real match's quiescence points would.
 void BM_TokenExtend(benchmark::State& state) {
   Wme w;
-  TokenData t;
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) t.push_back(&w);
-  for (auto _ : state) benchmark::DoNotOptimize(token_extend(t, &w));
+  TokenArena arena;
+  Token t;
+  for (int i = 1; i < static_cast<int>(state.range(0)); ++i) {
+    t = token_extend(t, &w, arena, 0);
+  }
+  t.pin();  // the base token outlives every reclamation below
+  uint32_t n = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(token_extend(t, &w, arena, 0));
+    if (++n % 1024 == 0) {
+      arena.begin_drain(1);
+      arena.reclaim_at_quiescence();
+    }
+  }
+  t.unpin();
 }
 BENCHMARK(BM_TokenExtend)->Arg(4)->Arg(16)->Arg(43);
 
@@ -44,18 +58,6 @@ void BM_SpinlockUncontended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpinlockUncontended);
-
-void BM_QueuePushPop(benchmark::State& state) {
-  const auto policy = state.range(0) == 0 ? TaskQueueSet::Policy::Single
-                                          : TaskQueueSet::Policy::Multi;
-  TaskQueueSet q(policy, 8);
-  Activation a;
-  for (auto _ : state) {
-    q.push(0, Activation{});
-    benchmark::DoNotOptimize(q.pop(0, a));
-  }
-}
-BENCHMARK(BM_QueuePushPop)->Arg(0)->Arg(1);
 
 void BM_WmeAddRemoveMatch(benchmark::State& state) {
   Engine e;

@@ -92,7 +92,6 @@ Record run_config(size_t agents, size_t workers, int rounds, int wave,
                   int profile_shift = -1) {
   AgentGroupOptions gopts;
   gopts.workers = workers;
-  gopts.policy = TaskQueueSet::Policy::Steal;
   if (profile_shift >= 0) {
     gopts.profile = true;
     gopts.profile_sample_shift = static_cast<uint32_t>(profile_shift);
@@ -220,8 +219,7 @@ int main(int argc, char** argv) {
   {
     const Task task = make_task("eight-puzzle");
     auto cnet = std::make_shared<CompiledNetwork>();
-    ParallelMatcher matcher(cnet->net(), workers,
-                            TaskQueueSet::Policy::Steal);
+    ParallelMatcher matcher(cnet->net(), workers);
     std::vector<std::unique_ptr<SoarKernel>> kernels;  // sessions stay attached
     for (int a = 0; a < soar_sessions; ++a) {
       SoarOptions sopts;

@@ -90,7 +90,6 @@ double us_since(std::chrono::steady_clock::time_point t0) {
 Record run_config(size_t workers, size_t agents, int cycles_per_agent) {
   AgentGroupOptions gopts;
   gopts.workers = workers;
-  gopts.policy = TaskQueueSet::Policy::Steal;
   AgentGroup group(gopts);
   for (size_t a = 0; a < agents; ++a) group.add_agent();
   group.load(resident_productions());
@@ -230,7 +229,6 @@ int main(int argc, char** argv) {
   {
     AgentGroupOptions gopts;
     gopts.workers = 8;
-    gopts.policy = TaskQueueSet::Policy::Steal;
     gopts.profile = true;
     gopts.profile_sample_shift = 0;
     AgentGroup group(gopts);

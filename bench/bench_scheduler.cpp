@@ -1,19 +1,20 @@
-// Real-thread scheduler shootout: the same live-network match workload (a
+// Real-thread scheduler sweep: the same live-network match workload (a
 // Figure 6-4-style wme-wave drain over the four-production stress set)
-// executed by the ParallelMatcher under every queue policy at 1..13 workers,
-// measured in wall-clock time. This is the one bench that times the actual
-// scheduler implementations (spinlocked queues vs the lock-free work-stealing
-// core) rather than the virtual multiprocessor.
+// executed by the ParallelMatcher's work-stealing scheduler at 1..13
+// workers, measured in wall-clock time. This is the one bench that times the
+// actual scheduler rather than the virtual multiprocessor. The paper's
+// spinlocked queue policies are modeled by psim (bench_fig_6_1 and
+// friends); the last real-thread comparison against them is recorded in
+// EXPERIMENTS.md.
 //
 // Output: a BENCH_scheduler.json document on stdout (captured by
 // tools/bench_json.sh), human-readable tables on stderr. One record per
-// (policy, workers): wall seconds, tasks, tasks/sec, steals, failed steals,
-// failed pops, parks, lock acquires.
+// worker count: wall seconds, tasks, tasks/sec, steals, failed steals,
+// failed sweeps, parks, chain links.
 //
-// On this container's single CPU the workers interleave, which is exactly
-// the regime where scheduler overhead shows: the locked policies burn their
-// timeslices spinning and lock-stepping through queue locks while the Steal
-// scheduler's idle workers park and stay off the run queue.
+// On a host with fewer cores than workers the threads interleave, which is
+// exactly the regime where scheduler overhead shows: idle workers park and
+// stay off the run queue instead of spinning on locks.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -57,37 +58,26 @@ void add_wave(Engine& e, int n, int salt) {
 }
 
 struct Record {
-  std::string policy;
   size_t workers = 0;
   ParallelStats stats;  // accumulated over all cycles
   size_t cs_size = 0;   // final conflict-set size (cross-config check)
   analysis::ProfileReport prof;  // only filled by profiled runs
 };
 
-const char* policy_name(TaskQueueSet::Policy p) {
-  switch (p) {
-    case TaskQueueSet::Policy::Single: return "single";
-    case TaskQueueSet::Policy::Multi: return "multi";
-    case TaskQueueSet::Policy::Steal: return "steal";
-  }
-  return "?";
-}
-
 /// Runs the full wave script on a fresh engine through one persistent
 /// matcher; every configuration sees the identical workload. A non-null
 /// `tracer` records per-worker task/steal/park events (the PSME_TRACE run);
 /// a non-null `profiler` attributes per-node measured cost and the Record
 /// carries the per-production report built from its final snapshot.
-Record run_config(TaskQueueSet::Policy policy, size_t workers, int rounds,
-                  int wave, obs::Tracer* tracer = nullptr,
+Record run_config(size_t workers, int rounds, int wave,
+                  obs::Tracer* tracer = nullptr,
                   obs::MatchProfiler* profiler = nullptr) {
   Record r;
-  r.policy = policy_name(policy);
   r.workers = workers;
 
   Engine e;
   e.load(bench_productions());
-  ParallelMatcher matcher(e.net(), workers, policy, tracer, {}, profiler);
+  ParallelMatcher matcher(e.net(), workers, tracer, {}, profiler);
   matcher.register_agent(e.state());
 
   auto accumulate = [&r](const ParallelStats& st) { r.stats.accumulate(st); };
@@ -106,7 +96,7 @@ Record run_config(TaskQueueSet::Policy policy, size_t workers, int rounds,
       }
       if (is_new) e.net().inject(w, true, sc);
     }
-    accumulate(matcher.run_cycle(std::move(sc.seeds)));
+    accumulate(matcher.run_cycle(sc.seeds));
     e.wm().end_cycle();
 
     // Every third round also retracts a slice of a-wmes as its own cycle
@@ -121,7 +111,7 @@ Record run_config(TaskQueueSet::Policy policy, size_t workers, int rounds,
           e.wm().remove(w);
         }
       }
-      accumulate(matcher.run_cycle(std::move(del.seeds)));
+      accumulate(matcher.run_cycle(del.seeds));
       e.wm().end_cycle();
     }
   }
@@ -140,70 +130,54 @@ int main(int argc, char** argv) {
   const int wave = argc > 2 ? std::atoi(argv[2]) : 24;
   const int reps = argc > 3 ? std::atoi(argv[3]) : 3;
 
-  const std::vector<TaskQueueSet::Policy> policies = {
-      TaskQueueSet::Policy::Single, TaskQueueSet::Policy::Multi,
-      TaskQueueSet::Policy::Steal};
   const std::vector<size_t> worker_counts = {1, 2, 4, 8, 13};
 
-  std::fprintf(
-      stderr,
-      "bench_scheduler: %d rounds, wave %d, best of %d, policies x workers\n",
-      rounds, wave, reps);
-  std::fprintf(stderr, "%-8s %7s %10s %12s %9s %11s %11s %8s\n", "policy",
-               "workers", "wall_ms", "tasks/sec", "steals", "fail_steal",
-               "fail_pop", "parks");
+  std::fprintf(stderr,
+               "bench_scheduler: %d rounds, wave %d, best of %d, by workers\n",
+               rounds, wave, reps);
+  std::fprintf(stderr, "%7s %10s %12s %9s %11s %11s %8s\n", "workers",
+               "wall_ms", "tasks/sec", "steals", "fail_steal", "fail_sweep",
+               "parks");
 
   std::vector<Record> records;
   size_t oracle_cs = 0;
   bool cs_mismatch = false;
-  for (const auto policy : policies) {
-    for (const size_t w : worker_counts) {
-      // Best-of-N: the minimum wall time is the least-noise estimate on a
-      // shared host; every repetition's final CS is still checked.
-      Record r;
-      for (int rep = 0; rep < reps; ++rep) {
-        Record one = run_config(policy, w, rounds, wave);
-        if (records.empty() && rep == 0) {
-          oracle_cs = one.cs_size;
-        } else if (one.cs_size != oracle_cs) {
-          cs_mismatch = true;
-          std::fprintf(stderr, "!! %s/%zu rep %d final CS size %zu != %zu\n",
-                       one.policy.c_str(), w, rep, one.cs_size, oracle_cs);
-        }
-        if (rep == 0 || one.stats.wall_seconds < r.stats.wall_seconds) {
-          r = std::move(one);
-        }
+  for (const size_t w : worker_counts) {
+    // Best-of-N: the minimum wall time is the least-noise estimate on a
+    // shared host; every repetition's final CS is still checked.
+    Record r;
+    for (int rep = 0; rep < reps; ++rep) {
+      Record one = run_config(w, rounds, wave);
+      if (records.empty() && rep == 0) {
+        oracle_cs = one.cs_size;
+      } else if (one.cs_size != oracle_cs) {
+        cs_mismatch = true;
+        std::fprintf(stderr, "!! %zu workers rep %d final CS size %zu != %zu\n",
+                     w, rep, one.cs_size, oracle_cs);
       }
-      const double tps =
-          r.stats.wall_seconds > 0 ? r.stats.tasks / r.stats.wall_seconds : 0;
-      std::fprintf(stderr,
-                   "%-8s %7zu %10.2f %12.0f %9llu %11llu %11llu %8llu\n",
-                   r.policy.c_str(), w, r.stats.wall_seconds * 1e3, tps,
-                   static_cast<unsigned long long>(r.stats.steals),
-                   static_cast<unsigned long long>(r.stats.failed_steals),
-                   static_cast<unsigned long long>(r.stats.failed_pops),
-                   static_cast<unsigned long long>(r.stats.parks));
-      records.push_back(std::move(r));
+      if (rep == 0 || one.stats.wall_seconds < r.stats.wall_seconds) {
+        r = std::move(one);
+      }
     }
+    const double tps =
+        r.stats.wall_seconds > 0 ? r.stats.tasks / r.stats.wall_seconds : 0;
+    std::fprintf(stderr, "%7zu %10.2f %12.0f %9llu %11llu %11llu %8llu\n", w,
+                 r.stats.wall_seconds * 1e3, tps,
+                 static_cast<unsigned long long>(r.stats.steals),
+                 static_cast<unsigned long long>(r.stats.failed_steals),
+                 static_cast<unsigned long long>(r.stats.failed_sweeps),
+                 static_cast<unsigned long long>(r.stats.parks));
+    records.push_back(std::move(r));
   }
 
-  // Headline comparison: Steal vs Multi wall time at the wide end.
-  auto wall_of = [&](const char* policy, size_t w) {
+  auto wall_of = [&](size_t w) {
     for (const Record& r : records) {
-      if (r.policy == policy && r.workers == w) return r.stats.wall_seconds;
+      if (r.workers == w) return r.stats.wall_seconds;
     }
     return 0.0;
   };
-  std::fprintf(stderr, "\nSteal vs Multi wall time:\n");
-  for (const size_t w : {size_t{8}, size_t{13}}) {
-    const double multi = wall_of("multi", w);
-    const double steal = wall_of("steal", w);
-    std::fprintf(stderr, "  %2zu workers: multi %.2f ms, steal %.2f ms (%s)\n",
-                 w, multi * 1e3, steal * 1e3,
-                 steal < multi ? "steal wins" : "multi wins");
-  }
 
-  // Optional traced run (PSME_TRACE=<path>): one extra 8-worker Steal config
+  // Optional traced run (PSME_TRACE=<path>): one extra 8-worker config
   // with per-worker event rings, exported as Chrome trace JSON, plus an
   // idle-time accounting table on stderr. Stdout's JSON document is
   // unaffected, so bench_json.sh captures the same schema either way.
@@ -221,9 +195,8 @@ int main(int argc, char** argv) {
     // accounting again.
     topt.ring_events = 1u << 17;
     obs::Tracer tracer(topt);
-    std::fprintf(stderr, "\ntraced run: steal policy, 8 workers\n");
-    const Record tr =
-        run_config(TaskQueueSet::Policy::Steal, 8, rounds, wave, &tracer);
+    std::fprintf(stderr, "\ntraced run: 8 workers\n");
+    const Record tr = run_config(8, rounds, wave, &tracer);
     obs::export_env_trace(tracer);
     obs::print_trace_summary(tracer, stderr);
 
@@ -285,25 +258,24 @@ int main(int argc, char** argv) {
                  any_dropped ? "  (!: ring dropped events)" : "");
   }
 
-  // Profiled runs: the same 8-worker Steal workload with the match profiler
+  // Profiled runs: the same 8-worker workload with the match profiler
   // on, full-rate (shift 0) and 1-in-64 sampled (shift 6), against the
   // profiler-off best from the sweep above. The wall-time delta is THE
   // overhead number EXPERIMENTS.md records (target: sampled under 2%);
   // the top-5 hottest productions go into the JSON for bench_json.sh to
   // archive. Fresh profiler per repetition so the kept report covers
   // exactly the kept (best-wall) run.
-  const double wall_off = wall_of("steal", 8);
+  const double wall_off = wall_of(8);
   Record prof_full, prof_sampled;
   for (const uint32_t shift : {0u, 6u}) {
     Record best;
     for (int rep = 0; rep < reps; ++rep) {
       obs::MatchProfiler profiler(shift);
-      Record one = run_config(TaskQueueSet::Policy::Steal, 8, rounds, wave,
-                              nullptr, &profiler);
+      Record one = run_config(8, rounds, wave, nullptr, &profiler);
       if (one.cs_size != oracle_cs) {
         cs_mismatch = true;
         std::fprintf(stderr,
-                     "!! profiled steal/8 shift %u rep %d final CS size "
+                     "!! profiled 8-worker shift %u rep %d final CS size "
                      "%zu != %zu\n",
                      shift, rep, one.cs_size, oracle_cs);
       }
@@ -319,7 +291,7 @@ int main(int argc, char** argv) {
                : 0.0;
   };
   std::fprintf(stderr,
-               "\nprofiler overhead (steal, 8 workers, best of %d): off "
+               "\nprofiler overhead (8 workers, best of %d): off "
                "%.2f ms, full %.2f ms (%+.1f%%), sampled 1/64 %.2f ms "
                "(%+.1f%%)\n",
                reps, wall_off * 1e3, prof_full.stats.wall_seconds * 1e3,
@@ -353,7 +325,6 @@ int main(int argc, char** argv) {
   j.begin_array("records");
   for (const Record& r : records) {
     j.begin_object();
-    j.field("policy", r.policy);
     j.field("workers", static_cast<uint64_t>(r.workers));
     j.field("wall_seconds", r.stats.wall_seconds);
     j.field("tasks", r.stats.tasks);
@@ -364,12 +335,9 @@ int main(int argc, char** argv) {
     j.field("failed_steals", r.stats.failed_steals);
     j.field("failed_sweeps", r.stats.failed_sweeps);
     j.field("sweep_backoff_ns", r.stats.sweep_backoff_ns);
-    j.field("failed_pops", r.stats.failed_pops);
     j.field("parks", r.stats.parks);
     j.field("chain_inline", r.stats.chain_inline);
     j.field("chain_splits", r.stats.chain_splits);
-    j.field("lock_acquires", r.stats.queue_lock_acquires);
-    j.field("lock_spins", r.stats.queue_lock_spins);
     j.field("pool_slabs", r.stats.pool_slabs);
     j.field("arena_spill_allocs", r.stats.arena.spill_allocs);
     j.field("arena_spill_bytes", r.stats.arena.spill_bytes);
@@ -385,10 +353,9 @@ int main(int argc, char** argv) {
     j.end_object();
   }
   j.end_array();
-  // The profiled steal/8 runs: overhead-vs-off deltas plus the top-5
+  // The profiled 8-worker runs: overhead-vs-off deltas plus the top-5
   // hottest productions at each sampling rate.
   j.begin_object("profile");
-  j.field("policy", "steal");
   j.field("workers", static_cast<uint64_t>(8));
   j.field("wall_off_seconds", wall_off);
   j.field("wall_full_seconds", prof_full.stats.wall_seconds);

@@ -1,12 +1,13 @@
 // The threaded matcher on a synthetic workload: N match processes pull node
-// activations under each scheduler policy — the paper's single shared queue
-// and per-process spinlocked queues, plus the modern lock-free work-stealing
-// core. Verifies that every configuration produces the same conflict set and
-// prints the scheduler statistics.
+// activations through the lock-free work-stealing scheduler at 1..13
+// workers. Verifies that every worker count produces the serial executor's
+// conflict set and prints the scheduler statistics.
 //
-// On a single-core host the threads interleave; the *correctness* of the
-// parallel path is what this example demonstrates. For speedup curves on a
-// virtual 13-processor Encore, see bench/bench_fig_6_1 and friends.
+// On a host with fewer cores than workers the threads interleave; the
+// *correctness* of the parallel path is what this example demonstrates. For
+// speedup curves on a virtual 13-processor Encore — including the paper's
+// shared and per-process spinlocked queues — see bench/bench_fig_6_1 and
+// friends.
 //
 // The steal scheduler's tuning knobs are exposed on the command line:
 //
@@ -158,32 +159,23 @@ int main(int argc, char** argv) {
   const size_t expected = serial.cs().size();
   std::printf("serial executor: %zu instantiations\n\n", expected);
 
-  std::printf("%-8s %-9s %10s %12s %12s %8s %10s  %s\n", "workers",
-              "scheduler", "tasks", "failed-pops", "lock-spins", "steals",
-              "wall(ms)", "CS ok?");
-  for (const auto policy :
-       {TaskQueueSet::Policy::Single, TaskQueueSet::Policy::Multi,
-        TaskQueueSet::Policy::Steal}) {
-    const char* name = policy == TaskQueueSet::Policy::Single ? "single"
-                       : policy == TaskQueueSet::Policy::Multi ? "multi"
-                                                               : "steal";
-    for (const size_t workers : {1u, 2u, 4u, 8u, 13u}) {
-      Engine par;
-      load_workload(par);
-      SeedCollector sc;
-      for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
-      ParallelMatcher matcher(par.net(), par.state(), workers, policy,
-                              nullptr, tuning);
-      const ParallelStats st = matcher.run_cycle(std::move(sc.seeds));
-      std::printf("%-8zu %-9s %10llu %12llu %12llu %8llu %10.2f  %s\n",
-                  workers, name,
-                  static_cast<unsigned long long>(st.tasks),
-                  static_cast<unsigned long long>(st.failed_pops),
-                  static_cast<unsigned long long>(st.queue_lock_spins),
-                  static_cast<unsigned long long>(st.steals),
-                  st.wall_seconds * 1e3,
-                  par.cs().size() == expected ? "yes" : "MISMATCH");
-    }
+  std::printf("%-8s %10s %8s %12s %8s %10s  %s\n", "workers", "tasks",
+              "steals", "fail-sweeps", "parks", "wall(ms)", "CS ok?");
+  for (const size_t workers : {1u, 2u, 4u, 8u, 13u}) {
+    Engine par;
+    load_workload(par);
+    SeedCollector sc;
+    for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+    ParallelMatcher matcher(par.net(), workers, nullptr, tuning);
+    matcher.register_agent(par.state());
+    const ParallelStats st = matcher.run_cycle(sc.seeds);
+    std::printf("%-8zu %10llu %8llu %12llu %8llu %10.2f  %s\n", workers,
+                static_cast<unsigned long long>(st.tasks),
+                static_cast<unsigned long long>(st.steals),
+                static_cast<unsigned long long>(st.failed_sweeps),
+                static_cast<unsigned long long>(st.parks),
+                st.wall_seconds * 1e3,
+                par.cs().size() == expected ? "yes" : "MISMATCH");
   }
   if (agents > 1) return run_agents_demo(agents, tuning);
   return 0;

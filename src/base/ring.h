@@ -1,13 +1,12 @@
 // Growable power-of-two ring buffer with retained capacity.
 //
-// The FIFO work queues of this system (locked task queues, the serial
-// executor, the §5.2 update drain) used `std::deque`, which allocates and
-// frees a block roughly every 64 activations of churn (~0.12 heap
-// allocs/activation measured in bench_scheduler). A RingBuffer grows by
-// doubling and never shrinks, so after warm-up every push/pop is a store
-// and an index bump — the property the zero-allocation engine-cycle gate
-// (tests/engine_alloc_test.cpp, DESIGN.md §10) requires of every queue on
-// the steady-state path.
+// The FIFO work queues of this system (the serial executor, the §5.2 update
+// drain) used `std::deque`, which allocates and frees a block roughly every
+// 64 activations of churn (~0.12 heap allocs/activation measured in
+// bench_scheduler). A RingBuffer grows by doubling and never shrinks, so
+// after warm-up every push/pop is a store and an index bump — the property
+// the zero-allocation engine-cycle gate (tests/engine_alloc_test.cpp,
+// DESIGN.md §10) requires of every queue on the steady-state path.
 //
 // T must be trivially copyable (elements are relocated with plain copies on
 // growth); the queues hold Activation and small pairs of it, which are.

@@ -18,7 +18,7 @@ AgentGroup::AgentGroup(AgentGroupOptions opts) : opts_(std::move(opts)) {
   // Agent-less matcher: sessions register as they are added. prewarm()
   // ensures worker tracks 1..W on the tracer; agent tracks follow.
   matcher_ = std::make_unique<ParallelMatcher>(
-      cnet_->net(), opts_.workers, opts_.policy, tracer_.get(), opts_.steal,
+      cnet_->net(), opts_.workers, tracer_.get(), opts_.steal,
       profiler_.get());
 }
 
@@ -72,13 +72,13 @@ ParallelStats AgentGroup::step_all() {
   }
   if (!seeds.empty() || !any_adds) {
     obs::Span span(tracer_.get(), 0, obs::EventKind::DrainRemoves);
-    total = matcher_->run_cycle_inplace(seeds);
+    total = matcher_->run_cycle(seeds);
     seeds.clear();
   }
   if (any_adds) {
     obs::Span span(tracer_.get(), 0, obs::EventKind::DrainAdds);
     for (auto& a : agents_) a->collect_seeds(true, seeds);
-    total.accumulate(matcher_->run_cycle_inplace(seeds));
+    total.accumulate(matcher_->run_cycle(seeds));
   }
   for (auto& a : agents_) {
     a->end_group_cycle();

@@ -30,14 +30,22 @@
 
 namespace psme {
 
+/// Source-compatibility shim, read by nothing: AgentGroupOptions::policy
+/// once chose between locked task queues and work stealing, and the
+/// benchmark still assigns `psme::TaskQueueSet::Policy::Steal` to it
+/// (perfbench/src/query_churn.cpp:199 and perfbench/src/group_wave.cpp:153).
+struct TaskQueueSet {
+  enum class Policy { Steal };
+};
+
 struct AgentGroupOptions {
   /// Worker threads of the shared matcher (>=1; the calling thread is
   /// worker 0, exactly as in a standalone parallel Engine).
   size_t workers = 4;
-  TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal;
+  TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal;  // unused
   StealTuning steal;
-  /// Per-agent engine options. match_workers/match_policy/steal/trace are
-  /// overridden by the group (shared matcher, shared tracer); hash_lines,
+  /// Per-agent engine options. match_workers/steal/trace are overridden by
+  /// the group (shared matcher, shared tracer); hash_lines,
   /// arena_chunk_bytes, record_traces and builder apply per agent.
   EngineOptions agent;
   /// Shared tracer (one ring per worker + one per agent). Disabled default.

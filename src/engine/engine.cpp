@@ -102,8 +102,9 @@ ParallelMatcher& Engine::matcher() {
   if (external_matcher_ != nullptr) return *external_matcher_;
   if (!matcher_) {
     matcher_ = std::make_unique<ParallelMatcher>(
-        net(), state_, opts_.match_workers, opts_.match_policy, tracer_.get(),
-        opts_.steal, profiler_.get());
+        net(), opts_.match_workers, tracer_.get(), opts_.steal,
+        profiler_.get());
+    matcher_->register_agent(state_);  // agent 0
   }
   return *matcher_;
 }
@@ -142,6 +143,7 @@ Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
 uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
                                       RuntimeAddResult* res) {
   const auto wm_snapshot = wm_.live();
+  std::vector<Activation> seeds;
   uint64_t tasks = 0;
   if (parallel()) {
     // The §5.2 state update with full match parallelism (Figure 6-9's
@@ -151,26 +153,20 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
                      cp.first_new_id);
-      const ParallelStats st =
-          m.run_update(update_alpha_seeds(net(), cp, wm_snapshot, agent_),
-                       {cp.first_new_id, true});
-      tasks += st.tasks;
+      seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
+      tasks += m.run_update(seeds, {cp.first_new_id, true}).tasks;
     }
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
                      cp.first_new_id);
-      const ParallelStats st =
-          m.run_update(update_right_seeds(net(), state_, cp, agent_),
-                       {cp.first_new_id, false});
-      tasks += st.tasks;
+      seeds = update_right_seeds(net(), state_, cp, agent_);
+      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
     }
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
                      cp.first_new_id);
-      const ParallelStats st =
-          m.run_update(update_left_seeds(net(), state_, cp, agent_),
-                       {cp.first_new_id, false});
-      tasks += st.tasks;
+      seeds = update_left_seeds(net(), state_, cp, agent_);
+      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
     }
   } else {
     TraceExecutor ex(net(), state_, opts_.record_traces);
@@ -187,20 +183,21 @@ uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
                      cp.first_new_id);
-      ab = ex.run_to_quiescence(
-          update_alpha_seeds(net(), cp, wm_snapshot, agent_));
+      seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
+      ab = ex.run_to_quiescence(seeds);
     }
     ex.suppress_alpha_left = false;
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
                      cp.first_new_id);
-      ab.append(ex.run_to_quiescence(
-          update_right_seeds(net(), state_, cp, agent_)));
+      seeds = update_right_seeds(net(), state_, cp, agent_);
+      ab.append(ex.run_to_quiescence(seeds));
     }
     {
       obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
                      cp.first_new_id);
-      c = ex.run_to_quiescence(update_left_seeds(net(), state_, cp, agent_));
+      seeds = update_left_seeds(net(), state_, cp, agent_);
+      c = ex.run_to_quiescence(seeds);
     }
     tasks = ex.executed();
     if (res != nullptr) {
@@ -352,14 +349,14 @@ CycleTrace Engine::match() {
     if (!seeds.empty() || pending_adds_.empty()) {
       obs::Span span(trace_sink_, trace_track_,
                      obs::EventKind::DrainRemoves);
-      total = matcher().run_cycle_inplace(seeds);
+      total = matcher().run_cycle(seeds);
       seeds.clear();
     }
     if (!pending_adds_.empty()) {
       obs::Span span(trace_sink_, trace_track_,
                      obs::EventKind::DrainAdds);
       for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-      total.accumulate(matcher().run_cycle_inplace(seeds));
+      total.accumulate(matcher().run_cycle(seeds));
     }
     last_parallel_stats_ = total;
   } else {
@@ -367,7 +364,7 @@ CycleTrace Engine::match() {
     for (const Wme* w : pending_removes_) net().inject(w, false, cc);
     for (const Wme* w : pending_adds_) net().inject(w, true, cc);
     state_.arena.begin_drain(1);
-    trace = serial_exec_.run_to_quiescence_inplace(seeds);
+    trace = serial_exec_.run_to_quiescence(seeds);
     state_.arena.reclaim_at_quiescence();
   }
   pending_removes_.clear();

@@ -53,13 +53,12 @@ struct EngineOptions {
   /// the serial default for psim trace collection. Ignored in attach mode
   /// (the shared matcher's worker count governs).
   size_t match_workers = 0;
-  TaskQueueSet::Policy match_policy = TaskQueueSet::Policy::Steal;
 
-  /// Steal-scheduler tuning: the idle path's sweep-backoff ladder
+  /// Scheduler tuning: the idle path's sweep-backoff ladder
   /// (steal.backoff_*) and the dependent-chain split depth
   /// (steal.chain_split_depth; 0 = never split, 1 = split every link).
-  /// Ignored by the locked policies. network_lint's cost table reports each
-  /// production's chain depth against this split depth as the tuning hint.
+  /// network_lint's cost table reports each production's chain depth
+  /// against this split depth as the tuning hint.
   StealTuning steal;
 
   /// Tracing (src/obs). When enabled the engine owns a Tracer: track 0
@@ -76,8 +75,8 @@ struct EngineOptions {
   /// MatchProfiler wired into both executors (serial and parallel): every
   /// executed task is attributed to its (node, agent) cell in the executing
   /// worker's shard. Shards are preallocated/grown only at quiescent drain
-  /// boundaries, so profiling preserves the §10 guarantee under all four
-  /// policies (engine_alloc_test proves it). Read via profiler()/snapshot
+  /// boundaries, so profiling preserves the §10 guarantee under both
+  /// executors (engine_alloc_test proves it). Read via profiler()/snapshot
   /// at quiescence; production attribution happens at reporting time
   /// (analysis/profile_report.h). In attach mode the group owns the shared
   /// profiler instead (AgentGroupOptions::profile) and this flag is ignored.

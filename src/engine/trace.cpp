@@ -17,12 +17,7 @@ void TraceExecutor::emit(Activation&& a) {
   queue_.push_back(QueuedTask{a, current_parent_});
 }
 
-CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation> seeds) {
-  return run_to_quiescence_inplace(seeds);
-}
-
-CycleTrace TraceExecutor::run_to_quiescence_inplace(
-    std::vector<Activation>& seeds) {
+CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation>& seeds) {
   trace_ = CycleTrace{};
   current_parent_ = UINT32_MAX;
   // Quiescent drain boundary: alpha state compiled since the last drain

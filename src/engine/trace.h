@@ -51,14 +51,11 @@ class TraceExecutor final : public ExecContext {
 
   /// Drains `seeds` and everything they spawn; returns the recorded trace
   /// (empty task list when recording is off — task_count is still correct
-  /// via executed()).
-  CycleTrace run_to_quiescence(std::vector<Activation> seeds);
-
-  /// In-place form: seeds are consumed but the vector's capacity stays with
-  /// the caller. With recording off, a whole drain is heap-free once the
-  /// ring and scratch buffers have reached their high-water capacity —
+  /// via executed()). Seeds are consumed but the vector's capacity stays
+  /// with the caller. With recording off, a whole drain is heap-free once
+  /// the ring and scratch buffers have reached their high-water capacity —
   /// Engine holds one TraceExecutor across all cycles for exactly this.
-  CycleTrace run_to_quiescence_inplace(std::vector<Activation>& seeds);
+  CycleTrace run_to_quiescence(std::vector<Activation>& seeds);
 
   [[nodiscard]] uint64_t executed() const { return executed_; }
 

@@ -65,9 +65,6 @@ MetricsRegistry MetricsRegistry::delta(const MetricsRegistry& base) const {
 
 void collect(MetricsRegistry& m, const ParallelStats& st) {
   m.counter("par.tasks", st.tasks);
-  m.counter("par.failed_pops", st.failed_pops);
-  m.counter("par.queue_lock_spins", st.queue_lock_spins);
-  m.counter("par.queue_lock_acquires", st.queue_lock_acquires);
   m.counter("par.steals", st.steals);
   m.counter("par.failed_steals", st.failed_steals);
   m.counter("par.failed_sweeps", st.failed_sweeps);

@@ -43,7 +43,6 @@ const char* rank_name(LockRank r) noexcept {
     case LockRank::Unranked: return "unranked";
     case LockRank::Bucket: return "bucket";
     case LockRank::SlabPool: return "slab-pool";
-    case LockRank::Queue: return "queue";
     case LockRank::ConflictSet: return "conflict-set";
     case LockRank::Park: return "park";
     case LockRank::Dispatch: return "dispatch";

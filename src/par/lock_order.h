@@ -10,10 +10,7 @@
 //                    or alpha-memory mutation holding its Bucket lock may
 //                    acquire/release a storage chunk; the pool lock nests
 //                    strictly inside and protects nothing that emits.
-//   Queue (3)        task-queue locks. May be taken while a Bucket lock is
-//                    held (a node execution emitting child tasks), never the
-//                    other way around.
-//   ConflictSet (4)  the CS lock. P-node activations take it with nothing
+//   ConflictSet (3)  the CS lock. P-node activations take it with nothing
 //                    else held; ranking it after the match locks keeps that
 //                    one-way.
 //
@@ -57,12 +54,11 @@ enum class LockRank : uint8_t {
   SlabPool = 2,     // chunk-pool free-list locks (base/chunk_list.h); above
                     // Bucket because a line/alpha mutation under its Bucket
                     // lock may acquire/release a storage chunk
-  Queue = 3,        // task-queue locks
-  ConflictSet = 4,  // the conflict-set lock
-  Park = 5,         // the ParkingLot mutex (worker_pool.h); last among the
+  ConflictSet = 3,  // the conflict-set lock
+  Park = 4,         // the ParkingLot mutex (worker_pool.h); last among the
                     // match-cycle locks, so a worker may park or unpark
                     // others no matter what match-state lock it still holds
-  Dispatch = 6,     // the WorkerPool dispatch mutex (worker_pool.h); taken
+  Dispatch = 5,     // the WorkerPool dispatch mutex (worker_pool.h); taken
                     // only at cycle boundaries with no match lock held, so
                     // it sits above the entire match hierarchy
 };

@@ -51,71 +51,32 @@ class BatchCtx final : public ExecContext {
   Network& net_;
 };
 
-/// The locked-policy worker context: pushes straight through to the shared
-/// queues, one lock acquisition per activation — the paper-faithful
-/// behavior the Figure 6-x configurations measure.
-class LockedCtx final : public ExecContext {
- public:
-  LockedCtx(Network& net, TaskQueueSet& queues,
-            std::atomic<int64_t>& outstanding, size_t worker,
-            const ParallelMatcher::UpdateFilter* filter)
-      : net_(net), queues_(queues), outstanding_(outstanding),
-        worker_(worker) {
-    this->worker = worker;  // arena pool index (ExecContext)
-    if (filter != nullptr) {
-      update_mode = true;
-      min_node_id = filter->min_node_id;
-      suppress_alpha_left = filter->suppress_alpha_left;
-    }
-  }
-
-  void emit(Activation&& a) override {
-    // Tasks that would be dropped are never counted as outstanding, so
-    // quiescence detection is unaffected; the count lands *before* the push
-    // so the counter can only reach zero at true quiescence.
-    if (!net_.should_execute(a, *this)) return;
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    queues_.push(worker_, std::move(a));
-  }
-
- private:
-  Network& net_;
-  TaskQueueSet& queues_;
-  std::atomic<int64_t>& outstanding_;
-  size_t worker_;
-};
-
 /// Swaps a worker's persistent scratch buffers into its cycle-local
-/// ExecContext (and the emit batch, when the context buffers emits) and back
-/// out on scope exit — exception-safe, so an aborted cycle still returns the
-/// buffers. This is what makes the per-cycle contexts allocation-free: the
-/// vectors live in the WorkerSlot and keep their high-water capacity for the
-/// matcher's whole lifetime.
+/// BatchCtx (emit batch included) and back out on scope exit —
+/// exception-safe, so an aborted cycle still returns the buffers. This is
+/// what makes the per-cycle contexts allocation-free: the vectors live in
+/// the WorkerSlot and keep their high-water capacity for the matcher's
+/// whole lifetime.
 template <typename Slot>
 class ScratchLease {
  public:
-  ScratchLease(ExecContext& ctx, Slot& slot,
-               std::vector<Activation>* batch = nullptr)
-      : ctx_(ctx), slot_(slot), batch_(batch) {
+  ScratchLease(BatchCtx& ctx, Slot& slot) : ctx_(ctx), slot_(slot) {
     ctx_.scratch_children.swap(slot_.scratch_children);
     ctx_.scratch_emissions.swap(slot_.scratch_emissions);
-    if (batch_ != nullptr) {
-      batch_->swap(slot_.emit_batch);
-      batch_->clear();  // a previously aborted cycle may have left residue
-    }
+    ctx_.batch.swap(slot_.emit_batch);
+    ctx_.batch.clear();  // a previously aborted cycle may have left residue
   }
   ~ScratchLease() {
     ctx_.scratch_children.swap(slot_.scratch_children);
     ctx_.scratch_emissions.swap(slot_.scratch_emissions);
-    if (batch_ != nullptr) batch_->swap(slot_.emit_batch);
+    ctx_.batch.swap(slot_.emit_batch);
   }
   ScratchLease(const ScratchLease&) = delete;
   ScratchLease& operator=(const ScratchLease&) = delete;
 
  private:
-  ExecContext& ctx_;
+  BatchCtx& ctx_;
   Slot& slot_;
-  std::vector<Activation>* batch_;
 };
 
 }  // namespace
@@ -176,40 +137,21 @@ uint64_t ActivationPool::slab_allocs() const {
   return total;
 }
 
-ParallelMatcher::ParallelMatcher(Network& net, MatchState& primary,
-                                 size_t n_workers,
-                                 TaskQueueSet::Policy policy,
-                                 obs::Tracer* tracer, StealTuning tuning,
-                                 obs::MatchProfiler* profiler)
-    : ParallelMatcher(net, n_workers, policy, tracer, tuning, profiler) {
-  // Agent 0 is the primary state (single-agent call sites).
-  register_agent(primary);
-}
-
 ParallelMatcher::ParallelMatcher(Network& net, size_t n_workers,
-                                 TaskQueueSet::Policy policy,
                                  obs::Tracer* tracer, StealTuning tuning,
                                  obs::MatchProfiler* profiler)
     : net_(net),
       n_workers_(n_workers == 0 ? 1 : n_workers),
-      policy_(policy),
       tuning_(tuning),
       tracer_(tracer),
       profiler_(profiler),
       pool_(n_workers == 0 ? 1 : n_workers),
       apool_(n_workers == 0 ? 1 : n_workers) {
-  // Slots exist under every policy: the locked policies use only the
-  // persistent scratch (the deque stays empty), the Steal policy uses all
-  // of it.
   slots_.reserve(n_workers_);
   for (size_t i = 0; i < n_workers_; ++i) {
     // Deterministic per-worker seeds: victim choice is randomized but
     // reproducible run to run.
     slots_.push_back(std::make_unique<WorkerSlot>(0x9e3779b9u + i));
-  }
-  if (policy_ != TaskQueueSet::Policy::Steal) {
-    queues_ = std::make_unique<TaskQueueSet>(policy_, n_workers_);
-    locked_parts_.resize(n_workers_);
   }
   prewarm();
 }
@@ -220,22 +162,18 @@ void ParallelMatcher::prewarm() {
   // cycle. Without this the allocation-free guarantee of DESIGN.md §10
   // would depend on which workers happened to win tasks during an
   // application's warm-up cycles: a worker that sat idle through warm-up —
-  // routine on a loaded machine — would charge its scratch-vector, queue-
-  // ring and pool-slab growth to the first steady-state cycle it joins.
-  // All the touches below are owner-only operations, legal here because no
-  // worker thread has been dispatched yet (same contract as the seed
-  // distribution in run_steal).
-  constexpr size_t kScratch = 64;  // matches the rings' initial capacity
+  // routine on a loaded machine — would charge its scratch-vector and
+  // pool-slab growth to the first steady-state cycle it joins. All the
+  // touches below are owner-only operations, legal here because no worker
+  // thread has been dispatched yet (same contract as the seed distribution
+  // in run_impl).
+  constexpr size_t kScratch = 64;
   for (size_t w = 0; w < n_workers_; ++w) {
     WorkerSlot& s = *slots_[w];
     s.emit_batch.reserve(kScratch);
     s.scratch_children.reserve(kScratch);
     s.scratch_emissions.reserve(kScratch);
     apool_.warm(w);
-  }
-  if (queues_ != nullptr) {
-    queues_->warm(kScratch);
-    for (auto& part : locked_parts_) part.reserve(kScratch);
   }
   if (tracer_ != nullptr) {
     // One ring per worker (tracks 1..n; track 0 is the engine thread),
@@ -284,22 +222,12 @@ void ParallelMatcher::reset_slots() {
   }
 }
 
-ParallelStats ParallelMatcher::run_cycle(std::vector<Activation> seeds) {
+ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds) {
   return run_impl(seeds, nullptr);
 }
 
-ParallelStats ParallelMatcher::run_update(std::vector<Activation> seeds,
+ParallelStats ParallelMatcher::run_update(std::vector<Activation>& seeds,
                                           const UpdateFilter& filter) {
-  return run_impl(seeds, &filter);
-}
-
-ParallelStats ParallelMatcher::run_cycle_inplace(
-    std::vector<Activation>& seeds) {
-  return run_impl(seeds, nullptr);
-}
-
-ParallelStats ParallelMatcher::run_update_inplace(
-    std::vector<Activation>& seeds, const UpdateFilter& filter) {
   return run_impl(seeds, &filter);
 }
 
@@ -324,9 +252,58 @@ ParallelStats ParallelMatcher::run_impl(std::vector<Activation>& seeds,
     profiler_->ensure_nodes(net_.node_count());
     profiler_->ensure_agents(states_.empty() ? 1 : states_.size());
   }
-  ParallelStats st = policy_ == TaskQueueSet::Policy::Steal
-                         ? run_steal(seeds, filter)
-                         : run_locked(seeds, filter);
+  reset_slots();
+
+  // Seed round-robin across the worker deques. Workers are not running yet,
+  // so the owner-only push is safe from this thread; the pool dispatch
+  // publishes everything before the first worker looks. Seeds pass through
+  // the same §5.2 filter as emitted tasks.
+  {
+    BatchCtx seed_ctx(net_, filter);
+    size_t w = 0;
+    for (Activation& s : seeds) {
+      if (!net_.should_execute(s, seed_ctx)) continue;
+      slots_[w]->created.fetch_add(1, std::memory_order_relaxed);
+      // Pre-dispatch, single-threaded: allocating from shard `w` on behalf
+      // of its future owner is safe here (workers are not running yet).
+      slots_[w]->deque.push(apool_.alloc(w, std::move(s)));
+      w = (w + 1) % n_workers_;
+    }
+  }
+
+  std::atomic<bool> abort{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  // Raw-pointer dispatch over a stack job: a capturing lambda through the
+  // std::function overload would heap-allocate its closure every cycle.
+  struct Job {
+    ParallelMatcher* self;
+    const UpdateFilter* filter;
+    std::atomic<bool>* abort;
+  } job{this, filter, &abort};
+  pool_.run(
+      [](void* arg, size_t worker) {
+        auto* j = static_cast<Job*>(arg);
+        j->self->steal_loop(worker, j->filter, *j->abort);
+      },
+      &job);
+
+  ParallelStats st;
+  st.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  for (const auto& s : slots_) {
+    st.tasks += s->done;
+    st.steals += s->steals;
+    st.failed_steals += s->failed_steals;
+    st.failed_sweeps += s->failed_sweeps;
+    st.sweep_backoff_ns += s->sweep_backoff_ns;
+    st.parks += s->parks;
+    st.chain_inline += s->chain_inline;
+    st.chain_splits += s->chain_splits;
+    for (size_t i = 0; i < ParallelStats::kSweepHistBuckets; ++i) {
+      st.sweep_hist[i] += s->sweep_hist[i];
+    }
+  }
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
   if (!states_.empty()) st.arena = states_[0]->arena.stats();
   st.pool_slabs = apool_.slab_allocs();
@@ -402,7 +379,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
       tracer_ != nullptr ? &tracer_->ring(1 + worker) : nullptr;
   BatchCtx ctx(net_, filter);
   ctx.worker = worker;  // child tokens spill into this worker's arena pool
-  ScratchLease lease(ctx, me, &ctx.batch);
+  ScratchLease lease(ctx, me);
   const uint32_t split_depth = tuning_.chain_split_depth;
   uint32_t idle = 0;  // consecutive failed whole-pool sweeps
   for (;;) {
@@ -562,166 +539,6 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
   if (idle != 0) ++me.sweep_hist[sweep_bucket(idle)];  // run ended at drain
   // Cascade the wake so every parked peer re-checks quiescence and exits.
   lot_.unpark_all();
-}
-
-ParallelStats ParallelMatcher::run_steal(std::vector<Activation>& seeds,
-                                         const UpdateFilter* filter) {
-  reset_slots();
-
-  // Seed round-robin across the worker deques. Workers are not running yet,
-  // so the owner-only push is safe from this thread; the pool dispatch
-  // publishes everything before the first worker looks. Seeds pass through
-  // the same §5.2 filter as emitted tasks.
-  {
-    BatchCtx seed_ctx(net_, filter);
-    size_t w = 0;
-    for (Activation& s : seeds) {
-      if (!net_.should_execute(s, seed_ctx)) continue;
-      slots_[w]->created.fetch_add(1, std::memory_order_relaxed);
-      // Pre-dispatch, single-threaded: allocating from shard `w` on behalf
-      // of its future owner is safe here (workers are not running yet).
-      slots_[w]->deque.push(apool_.alloc(w, std::move(s)));
-      w = (w + 1) % n_workers_;
-    }
-  }
-
-  std::atomic<bool> abort{false};
-  const auto t0 = std::chrono::steady_clock::now();
-  // Raw-pointer dispatch over a stack job: a capturing lambda through the
-  // std::function overload would heap-allocate its closure every cycle.
-  struct Job {
-    ParallelMatcher* self;
-    const UpdateFilter* filter;
-    std::atomic<bool>* abort;
-  } job{this, filter, &abort};
-  pool_.run(
-      [](void* arg, size_t worker) {
-        auto* j = static_cast<Job*>(arg);
-        j->self->steal_loop(worker, j->filter, *j->abort);
-      },
-      &job);
-
-  ParallelStats st;
-  st.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (const auto& s : slots_) {
-    st.tasks += s->done;
-    st.steals += s->steals;
-    st.failed_steals += s->failed_steals;
-    st.failed_sweeps += s->failed_sweeps;
-    st.sweep_backoff_ns += s->sweep_backoff_ns;
-    st.parks += s->parks;
-    st.chain_inline += s->chain_inline;
-    st.chain_splits += s->chain_splits;
-    for (size_t i = 0; i < ParallelStats::kSweepHistBuckets; ++i) {
-      st.sweep_hist[i] += s->sweep_hist[i];
-    }
-  }
-  return st;
-}
-
-void ParallelMatcher::locked_loop(size_t worker, const UpdateFilter* filter,
-                                  std::atomic<uint64_t>& executed) {
-  TaskQueueSet& queues = *queues_;
-  obs::EventRing* ring =
-      tracer_ != nullptr ? &tracer_->ring(1 + worker) : nullptr;
-  LockedCtx ctx(net_, queues, outstanding_, worker, filter);
-  ScratchLease lease(ctx, *slots_[worker]);
-  Activation a;
-  uint32_t idle = 0;
-  while (outstanding_.load(std::memory_order_acquire) > 0) {
-    if (queues.pop(worker, a)) {
-      idle = 0;
-      uint64_t t0 = 0;
-      if (ring != nullptr) {
-        t0 = tracer_->now_ns();
-        ctx.stats.reset();
-      }
-      uint64_t p0 = 0;
-      bool timed = false;
-      if (profiler_ != nullptr) {
-        if (ring == nullptr) ctx.stats.reset();  // emits must be a delta
-        timed = profiler_->sample(worker);
-        if (timed) p0 = obs::profile_now_ns();
-      }
-      ctx.state = states_[a.agent];
-      ctx.agent = a.agent;
-      try {
-        net_.execute(a, ctx);
-      } catch (...) {
-        // Zero the counter so the other workers exit instead of spinning
-        // on a count that can no longer drain, then fail the cycle.
-        outstanding_.store(0, std::memory_order_release);
-        throw;
-      }
-      if (profiler_ != nullptr) {
-        profiler_->record(worker, a.node, a.agent, timed,
-                          timed ? obs::profile_now_ns() - p0 : 0,
-                          ctx.stats.emits);
-      }
-      if (ring != nullptr) obs::record_task(*tracer_, *ring, t0, a, ctx.stats);
-      executed.fetch_add(1, std::memory_order_relaxed);
-      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-    } else {
-      // Nothing found anywhere: bounded exponential backoff instead of a
-      // raw yield loop, so an idle worker on an oversubscribed machine
-      // stops burning a full core (it still re-checks every few µs).
-      idle_backoff(idle++);
-    }
-  }
-}
-
-ParallelStats ParallelMatcher::run_locked(std::vector<Activation>& seeds,
-                                          const UpdateFilter* filter) {
-  TaskQueueSet& queues = *queues_;
-  queues.reset_stats();  // per-cycle numbers, like the pre-pool matcher
-  std::atomic<uint64_t> executed{0};
-
-  // Seed distribution: partition round-robin into the persistent member
-  // buffers, then one push_batch (one lock acquisition) per home queue
-  // instead of one per seed.
-  {
-    BatchCtx seed_ctx(net_, filter);
-    for (auto& part : locked_parts_) part.clear();
-    size_t w = 0;
-    int64_t kept = 0;
-    for (Activation& s : seeds) {
-      if (!net_.should_execute(s, seed_ctx)) continue;
-      locked_parts_[w].push_back(std::move(s));
-      w = (w + 1) % n_workers_;
-      ++kept;
-    }
-    // Counted before any push, preserving the invariant that the counter
-    // can only reach zero at true quiescence.
-    outstanding_.store(kept, std::memory_order_release);
-    for (size_t i = 0; i < n_workers_; ++i) {
-      queues.push_batch(i, std::move(locked_parts_[i]));
-    }
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  struct Job {
-    ParallelMatcher* self;
-    const UpdateFilter* filter;
-    std::atomic<uint64_t>* executed;
-  } job{this, filter, &executed};
-  pool_.run(
-      [](void* arg, size_t worker) {
-        auto* j = static_cast<Job*>(arg);
-        j->self->locked_loop(worker, j->filter, *j->executed);
-      },
-      &job);
-
-  ParallelStats st;
-  st.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  st.tasks = executed.load();
-  st.failed_pops = queues.failed_pops();
-  st.queue_lock_spins = queues.lock_spins();
-  st.queue_lock_acquires = queues.lock_acquires();
-  return st;
 }
 
 }  // namespace psme

@@ -1,32 +1,26 @@
 // The threaded match executor: N match processes pull node activations from
 // the scheduler and execute them against the shared network.
 //
-// Two scheduler generations live side by side:
-//
-//   * `Single`/`Multi` — the paper-faithful PSM-E organization (§2.3/§4):
-//     spinlocked task queues, shared outstanding-task counter, idle workers
-//     locking queues to find them empty (the counted "failed pops" whose
-//     traffic bends the Figure 6-1/6-4 curves). Kept selectable so the
-//     Figure 6-x reproductions keep measuring what the paper measured.
-//
-//   * `Steal` (the default) — the modern core: one lock-free Chase–Lev
-//     deque per worker (par/ws_deque.h), owner-side push/pop, randomized
-//     CAS-only stealing, per-worker cache-line-padded counters for
-//     termination detection and statistics, emit bursts published once per
-//     node execution, dependent activation chains executed inline up to a
-//     tunable split depth (long chains become stealable suffixes — see
-//     StealTuning), and idle workers that back off exponentially across
-//     failed whole-pool sweeps and then park on a condvar
-//     (par/worker_pool.h) instead of hammering locks.
+// The scheduler is a work-stealing core: one lock-free Chase–Lev deque per
+// worker (par/ws_deque.h), owner-side push/pop, randomized CAS-only
+// stealing, per-worker cache-line-padded counters for termination detection
+// and statistics, emit bursts published once per node execution, dependent
+// activation chains executed inline up to a tunable split depth (long chains
+// become stealable suffixes — see StealTuning), and idle workers that back
+// off exponentially across failed whole-pool sweeps and then park on a
+// condvar (par/worker_pool.h) instead of hammering locks. The paper's
+// spinlocked task queues (§2.3; one shared queue or one per process) are
+// modeled by the virtual multiprocessor's QueuePolicy (src/psim), which is
+// what the Figure 6-x reproductions measure.
 //
 // Worker threads are spawned once per ParallelMatcher lifetime (WorkerPool)
 // and parked between cycles, so a matcher held by an Engine runs thousands
 // of cycles without re-spawning threads or re-building queues.
 //
-// Termination detection (Steal): each worker owns a padded (created,
-// executed) counter pair; a creation is counted *before* the task is pushed
-// and an execution *after* it completes, and idle workers sweep executed
-// totals before created totals. Any observed equality therefore implies
+// Termination detection: each worker owns a padded (created, executed)
+// counter pair; a creation is counted *before* the task is pushed and an
+// execution *after* it completes, and idle workers sweep executed totals
+// before created totals. Any observed equality therefore implies
 // true quiescence for every task the observer can know about, and a task it
 // cannot know about yet keeps its creator (or its thief) active — so the
 // last worker standing always drains the residue. See DESIGN.md §8.
@@ -47,14 +41,13 @@
 #include "base/rng.h"
 #include "obs/profiler.h"
 #include "obs/tracer.h"
-#include "par/task_queue.h"
 #include "par/worker_pool.h"
 #include "par/ws_deque.h"
 #include "rete/network.h"
 
 namespace psme {
 
-/// Tunables for the Steal scheduler's idle path and chain execution.
+/// Tunables for the scheduler's idle path and chain execution.
 /// Exposed on EngineOptions (`steal`) and the demos' CLIs; the defaults are
 /// what every production caller gets.
 struct StealTuning {
@@ -92,17 +85,14 @@ struct ParallelStats {
   static constexpr size_t kSweepHistBuckets = 6;
 
   uint64_t tasks = 0;
-  uint64_t failed_pops = 0;          // locked policies: lock-and-look misses
-  uint64_t queue_lock_spins = 0;     // locked policies
-  uint64_t queue_lock_acquires = 0;  // locked policies
-  uint64_t steals = 0;               // Steal: successful cross-worker takes
-  uint64_t failed_steals = 0;        // Steal: empty/lost-race steal attempts
-  uint64_t failed_sweeps = 0;        // Steal: whole-pool sweeps finding nothing
-  uint64_t sweep_backoff_ns = 0;     // Steal: time spent in the backoff ladder
-  uint64_t parks = 0;                // Steal: times a worker parked
-  uint64_t chain_inline = 0;         // Steal: continuations executed inline
-  uint64_t chain_splits = 0;         // Steal: continuations split to the deque
-  uint64_t pool_slabs = 0;           // Steal: activation-pool slab mallocs
+  uint64_t steals = 0;            // successful cross-worker takes
+  uint64_t failed_steals = 0;     // empty/lost-race steal attempts
+  uint64_t failed_sweeps = 0;     // whole-pool sweeps finding nothing
+  uint64_t sweep_backoff_ns = 0;  // time spent in the backoff ladder
+  uint64_t parks = 0;             // times a worker parked
+  uint64_t chain_inline = 0;      // continuations executed inline
+  uint64_t chain_splits = 0;      // continuations split to the deque
+  uint64_t pool_slabs = 0;        // activation-pool slab mallocs
   uint64_t sweep_hist[kSweepHistBuckets] = {};  // failed-sweep run lengths
   double wall_seconds = 0;
   /// Token-arena snapshot taken at the end of the cycle (counters are
@@ -115,9 +105,6 @@ struct ParallelStats {
   /// (Engine::match, bench_scheduler, ...) instead of per-site field lists.
   void accumulate(const ParallelStats& st) {
     tasks += st.tasks;
-    failed_pops += st.failed_pops;
-    queue_lock_spins += st.queue_lock_spins;
-    queue_lock_acquires += st.queue_lock_acquires;
     steals += st.steals;
     failed_steals += st.failed_steals;
     failed_sweeps += st.failed_sweeps;
@@ -134,7 +121,7 @@ struct ParallelStats {
   }
 };
 
-/// Slab recycler for the heap Activations the Steal deques point at. Each
+/// Slab recycler for the heap Activations the worker deques point at. Each
 /// worker owns a shard: allocation is a local free-list pop (or a slab bump
 /// when cold), so the steady state does one slab malloc per kSlabNodes tasks
 /// at most — in practice zero once warm. A task is usually freed by a
@@ -142,7 +129,7 @@ struct ParallelStats {
 /// victims push), so release returns the node to its owner shard through a
 /// lock-free MPSC Treiber stack: push-only CAS (ABA-safe — the owner takes
 /// the whole list with one exchange and never CAS-pops). No locks anywhere,
-/// preserving the Steal path's lock-freedom.
+/// preserving the scheduler's lock-freedom.
 class ActivationPool {
  public:
   explicit ActivationPool(size_t n_workers);
@@ -184,36 +171,26 @@ class ActivationPool {
 
 class ParallelMatcher {
  public:
-  /// `primary` is registered as agent 0 — the single-agent call sites'
-  /// state. Additional agent sessions multiplex over the same workers and
-  /// network via register_agent(); every task carries its agent tag
+  /// No agent state is registered at construction: every agent session —
+  /// including agent 0 — joins via register_agent(). Sessions multiplex
+  /// over the same workers and network; every task carries its agent tag
   /// (Activation::agent) and is executed against exactly that agent's
-  /// MatchState, so one agent's drain cannot observe or stall another's.
+  /// MatchState, so one agent's drain cannot observe or stall another's. A
+  /// cycle run before any registration must carry no seeds.
   /// `tracer`, when non-null, turns on event recording: prewarm() sizes one
   /// ring per worker (tracks 1..n; track 0 belongs to the engine thread)
-  /// before any worker runs, and the scheduler loops record task spans,
+  /// before any worker runs, and the scheduler loop records task spans,
   /// steal attempts/outcomes, park intervals and queue-depth samples into
-  /// their own track. The tracer must outlive the matcher.
-  /// `tuning` parameterizes the Steal policy's idle backoff and chain
-  /// splitting (ignored by the locked policies).
+  /// its own track. The tracer must outlive the matcher.
+  /// `tuning` parameterizes the idle backoff and chain splitting.
   /// `profiler`, when non-null, attributes every executed task to its
   /// (node, agent) cell in the worker's shard (obs/profiler.h): prewarm()
   /// and the run_impl drain boundary grow the shards quiescently, the
-  /// scheduler loops call sample()/record() around each execute. The
+  /// scheduler loop calls sample()/record() around each execute. The
   /// profiler must outlive the matcher; it may be shared with the serial
   /// executor (worker indices line up: shard 0 is the engine thread only
   /// when the matcher is idle).
-  ParallelMatcher(Network& net, MatchState& primary, size_t n_workers,
-                  TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal,
-                  obs::Tracer* tracer = nullptr, StealTuning tuning = {},
-                  obs::MatchProfiler* profiler = nullptr);
-
-  /// Agent-less form for multi-agent serving (AgentGroup): no state is
-  /// registered at construction; every agent — including agent 0 — joins via
-  /// register_agent(). A cycle run before any registration must carry no
-  /// seeds.
   ParallelMatcher(Network& net, size_t n_workers,
-                  TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal,
                   obs::Tracer* tracer = nullptr, StealTuning tuning = {},
                   obs::MatchProfiler* profiler = nullptr);
   ~ParallelMatcher();
@@ -242,33 +219,27 @@ class ParallelMatcher {
   };
 
   /// Drains `seeds` and everything they spawn across all workers; returns
-  /// when the match is quiescent. Seeds must be homogeneous — all additions
-  /// or all deletions, not both: a delete token racing a sibling addition
-  /// through the same memories is order-dependent (the join can install a
-  /// fresh PI behind a delete token that already swept that line). Callers
-  /// with a mixed wme batch drain the removals as their own cycle first,
-  /// which yields the serial executor's final state (see Engine::match).
-  /// Seeds may mix *agents* freely (each tagged task only touches its own
-  /// agent's state; the homogeneity rule applies per agent and holds
-  /// trivially across agents) — this is how AgentGroup batches N agents'
-  /// cycles into one drain, amortizing the pool dispatch across sessions.
-  ParallelStats run_cycle(std::vector<Activation> seeds);
+  /// when the match is quiescent. The seed vector is caller-owned scratch
+  /// (elements are consumed, capacity is retained), so a persistent caller
+  /// (Engine) pays no per-cycle seed-vector allocation. Seeds must be
+  /// homogeneous — all additions or all deletions, not both: a delete token
+  /// racing a sibling addition through the same memories is
+  /// order-dependent (the join can install a fresh PI behind a delete token
+  /// that already swept that line). Callers with a mixed wme batch drain
+  /// the removals as their own cycle first, which yields the serial
+  /// executor's final state (see Engine::match). Seeds may mix *agents*
+  /// freely (each tagged task only touches its own agent's state; the
+  /// homogeneity rule applies per agent and holds trivially across agents)
+  /// — this is how AgentGroup batches N agents' cycles into one drain,
+  /// amortizing the pool dispatch across sessions.
+  ParallelStats run_cycle(std::vector<Activation>& seeds);
 
   /// Same, but with the update filter applied — the parallel form of
   /// run_update_serial's phases (what Figure 6-9 measures: the new
   /// production's state update enjoys the full parallelism of the match).
-  ParallelStats run_update(std::vector<Activation> seeds,
+  ParallelStats run_update(std::vector<Activation>& seeds,
                            const UpdateFilter& filter);
 
-  /// In-place primaries: the seed vector is caller-owned scratch (elements
-  /// are consumed, capacity is retained), so a persistent caller (Engine)
-  /// pays no per-cycle seed-vector allocation. The by-value forms above
-  /// delegate here.
-  ParallelStats run_cycle_inplace(std::vector<Activation>& seeds);
-  ParallelStats run_update_inplace(std::vector<Activation>& seeds,
-                                   const UpdateFilter& filter);
-
-  [[nodiscard]] TaskQueueSet::Policy policy() const { return policy_; }
   [[nodiscard]] size_t workers() const { return n_workers_; }
   [[nodiscard]] const StealTuning& tuning() const { return tuning_; }
 
@@ -279,13 +250,11 @@ class ParallelMatcher {
 
  private:
   /// Per-worker scheduler state, one cache line apart so the hot counters
-  /// of different workers never share a line (the shared `failed_pops_` /
-  /// `outstanding` atomics of the locked path are exactly such false-sharing
-  /// hot spots).
+  /// of different workers never share a line.
   struct alignas(64) WorkerSlot {
     explicit WorkerSlot(uint64_t seed) : rng(seed) {}
 
-    WsDeque<Activation> deque;  // Steal only
+    WsDeque<Activation> deque;
     // Termination counters: written by the owner, swept by idle workers.
     std::atomic<uint64_t> created{0};
     std::atomic<uint64_t> executed{0};
@@ -311,38 +280,25 @@ class ParallelMatcher {
 
   ParallelStats run_impl(std::vector<Activation>& seeds,
                          const UpdateFilter* filter);
-  ParallelStats run_steal(std::vector<Activation>& seeds,
-                          const UpdateFilter* filter);
-  ParallelStats run_locked(std::vector<Activation>& seeds,
-                           const UpdateFilter* filter);
-
   void steal_loop(size_t worker, const UpdateFilter* filter,
                   std::atomic<bool>& abort);
-  void locked_loop(size_t worker, const UpdateFilter* filter,
-                   std::atomic<uint64_t>& executed);
   Activation* take_task(size_t worker);
   [[nodiscard]] bool quiescent() const;
   void reset_slots();
   void prewarm();
 
   Network& net_;
-  // Registered agent states, indexed by agent id (0 = the primary). The
-  // worker loops re-bind their ExecContext from this table per task.
+  // Registered agent states, indexed by agent id. The worker loop re-binds
+  // its ExecContext from this table per task.
   std::vector<MatchState*> states_;
   size_t n_workers_;
-  TaskQueueSet::Policy policy_;
   StealTuning tuning_;
   obs::Tracer* tracer_;  // null = tracing off (one branch per event site)
   obs::MatchProfiler* profiler_;  // null = profiling off (same discipline)
   WorkerPool pool_;
   ParkingLot lot_;
   ActivationPool apool_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;  // all policies (scratch)
-  std::unique_ptr<TaskQueueSet> queues_;            // Single/Multi, persistent
-  std::atomic<int64_t> outstanding_{0};             // locked-policy counter
-  // Locked-policy seed partition, reused across cycles (inner vectors keep
-  // their capacity; Activation owns no heap so clear() frees nothing).
-  std::vector<std::vector<Activation>> locked_parts_;
+  std::vector<std::unique_ptr<WorkerSlot>> slots_;
   uint64_t lifetime_tasks_ = 0;
   uint64_t lifetime_cycles_ = 0;
 };

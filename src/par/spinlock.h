@@ -1,9 +1,10 @@
 // Instrumented test-and-test-and-set spinlock.
 //
 // The paper measures contention as "spins before the lock is acquired"
-// (spins/access for hash-bucket lines, spins/task for the task queue), so the
-// lock counts its own spins. Counters are relaxed atomics: they are
-// diagnostics, not synchronization.
+// (spins/access for hash-bucket lines), so lock() returns the number of
+// spins it took; node executions fold it into TaskStats::lock_spins. The
+// lock itself keeps no counters: an uncontended acquire is one RMW on the
+// flag.
 //
 // Every Spinlock carries a LockRank (see par/lock_order.h). In builds with
 // PSME_LOCKDEP=1 each acquire/release is checked against the global lock
@@ -56,8 +57,6 @@ class PSME_CAPABILITY("mutex") Spinlock {
 #endif
       }
     }
-    total_spins_.fetch_add(spins, std::memory_order_relaxed);
-    total_acquires_.fetch_add(1, std::memory_order_relaxed);
     return spins;
   }
 
@@ -79,21 +78,8 @@ class PSME_CAPABILITY("mutex") Spinlock {
 #endif
   }
 
-  [[nodiscard]] uint64_t total_spins() const {
-    return total_spins_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t total_acquires() const {
-    return total_acquires_.load(std::memory_order_relaxed);
-  }
-  void reset_stats() {
-    total_spins_.store(0, std::memory_order_relaxed);
-    total_acquires_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<bool> flag_{false};
-  std::atomic<uint64_t> total_spins_{0};
-  std::atomic<uint64_t> total_acquires_{0};
 #if PSME_LOCKDEP
   LockRank rank_ = LockRank::Unranked;
   const char* name_ = nullptr;

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -57,28 +56,12 @@ inline void cpu_pause() {
 #endif
 }
 
-/// Bounded spin-then-yield-then-sleep backoff for idle workers. `round` is
-/// the caller's consecutive-failure count: early rounds burn a few pause
-/// instructions, middle rounds yield the core, late rounds sleep with an
-/// exponentially growing but capped interval (max ~256 µs), so an idle
-/// worker on an oversubscribed machine costs microseconds, not a core.
-inline void idle_backoff(uint32_t round) {
-  if (round < 8) {
-    for (uint32_t i = 0; i < (1u << round); ++i) cpu_pause();
-  } else if (round < 16) {
-    std::this_thread::yield();
-  } else {
-    const uint32_t shift = round - 16 < 6 ? round - 16 : 6;
-    std::this_thread::sleep_for(std::chrono::microseconds(4u << shift));
-  }
-}
-
-/// Exponential backoff between failed whole-pool steal sweeps (the Steal
+/// Exponential backoff between failed whole-pool steal sweeps (the
 /// scheduler's pre-park ladder, StealTuning): round i spins
 /// `base_spins << i` pauses; once the doubled budget reaches `max_spins`
-/// the worker yields its core instead of spinning harder. Unlike
-/// idle_backoff this never sleeps — sleeping is the ParkingLot's job, which
-/// the caller reaches after its park threshold.
+/// the worker yields its core instead of spinning harder. It never sleeps —
+/// sleeping is the ParkingLot's job, which the caller reaches after its
+/// park threshold.
 inline void sweep_backoff(uint32_t round, uint32_t base_spins,
                           uint32_t max_spins) {
   const uint32_t shift = round < 16 ? round : 16;

@@ -2,11 +2,11 @@
 // orderings after Lê/Pop/Cocchi/Zappa Nardelli, PPoPP 2013).
 //
 // This is the scheduler core that replaces the paper's lock-and-look task
-// queues (src/par/task_queue.*) for the `Steal` policy: the owning worker
-// pushes and pops at the bottom with plain loads/stores, thieves take from
-// the top with a single CAS, and an idle worker never acquires a lock to
-// discover that a queue is empty — the §6 "failed pop" traffic that bends
-// the paper's 13-process curve simply does not exist here.
+// queues (§2.3, modeled in src/psim): the owning worker pushes and pops at
+// the bottom with plain loads/stores, thieves take from the top with a
+// single CAS, and an idle worker never acquires a lock to discover that a
+// queue is empty — the §6 "failed pop" traffic that bends the paper's
+// 13-process curve simply does not exist here.
 //
 // Properties relied on by the matcher:
 //   * single owner: push()/pop() are called only by the owning worker (or

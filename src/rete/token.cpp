@@ -3,31 +3,17 @@
 #include <sstream>
 
 namespace psme {
-namespace {
-
-std::string span_to_string(const Wme* const* p, size_t n,
-                           const SymbolTable& syms,
-                           const ClassSchemas& schemas) {
-  std::ostringstream os;
-  os << '(';
-  for (size_t i = 0; i < n; ++i) {
-    if (i) os << ' ';
-    os << p[i]->to_string(syms, schemas);
-  }
-  os << ')';
-  return os.str();
-}
-
-}  // namespace
 
 std::string token_to_string(const Token& t, const SymbolTable& syms,
                             const ClassSchemas& schemas) {
-  return span_to_string(t.begin(), t.size(), syms, schemas);
-}
-
-std::string token_to_string(const TokenData& t, const SymbolTable& syms,
-                            const ClassSchemas& schemas) {
-  return span_to_string(t.data(), t.size(), syms, schemas);
+  std::ostringstream os;
+  os << '(';
+  for (uint32_t i = 0; i < t.size(); ++i) {
+    if (i) os << ' ';
+    os << t[i]->to_string(syms, schemas);
+  }
+  os << ')';
+  return os.str();
 }
 
 }  // namespace psme

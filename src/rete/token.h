@@ -21,16 +21,12 @@
 // deferral). Structures that keep a token *across* drains (memory-node
 // entries, the conflict set, Soar provenance) pin()/unpin() it, which
 // ref-counts the underlying chunk. See DESIGN.md §9.
-//
-// `TokenData` (a plain wme-pointer vector) remains as the legacy
-// representation for the old-vs-new allocation benchmarks.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "base/arena.h"
 #include "rete/wme.h"
@@ -149,9 +145,8 @@ static_assert(std::is_trivially_copyable_v<Token>,
 /// Identity hash of a PI (combines the wme timetags). Used for NCC prefix
 /// keying and conflict-set indexing — NOT for join-memory placement, which
 /// hashes the *bindings* tested at the destination node instead (see
-/// JoinNode::hash_left/hash_right). Works on Token and legacy TokenData.
-template <typename Tok>
-[[nodiscard]] inline size_t token_identity_hash(const Tok& t) {
+/// JoinNode::hash_left/hash_right).
+[[nodiscard]] inline size_t token_identity_hash(const Token& t) {
   size_t h = 0x9e3779b97f4a7c15ull;
   for (const Wme* w : t) {
     h ^= static_cast<size_t>(w->timetag) + 0x9e3779b97f4a7c15ull + (h << 6) +
@@ -160,26 +155,7 @@ template <typename Tok>
   return h;
 }
 
-// ---- legacy vector representation (old-vs-new benchmarks) -----------------
-
-using TokenData = std::vector<const Wme*>;
-
-[[nodiscard]] inline TokenData token_extend(const TokenData& t, const Wme* w) {
-  // reserve-then-insert: copy-assignment after reserve() may shed the
-  // reserved capacity (capacity after assignment is unspecified), which made
-  // the push_back below a potential second allocation. insert into an empty
-  // reserved vector is guaranteed a single allocation total.
-  TokenData out;
-  out.reserve(t.size() + 1);
-  out.insert(out.end(), t.begin(), t.end());
-  out.push_back(w);
-  return out;
-}
-
 [[nodiscard]] std::string token_to_string(const Token& t,
-                                          const SymbolTable& syms,
-                                          const ClassSchemas& schemas);
-[[nodiscard]] std::string token_to_string(const TokenData& t,
                                           const SymbolTable& syms,
                                           const ClassSchemas& schemas);
 

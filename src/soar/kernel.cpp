@@ -7,33 +7,14 @@
 #include "soar/chunker.h"
 
 namespace psme {
-namespace {
 
-/// Applies the SoarOptions match-parallelism override before the engine is
-/// constructed, so the persistent matcher covers the kernel's whole
-/// lifetime — every elaboration cycle and chunk state update reuses the
-/// same worker pool instead of re-spawning threads per cycle.
-EngineOptions with_match_override(const SoarOptions& opts) {
-  EngineOptions eo = opts.engine;
-  if (opts.match_workers != 0) {
-    eo.match_workers = opts.match_workers;
-    eo.match_policy = opts.match_policy;
-    eo.record_traces = eo.record_traces && opts.match_workers <= 1;
-  }
-  return eo;
-}
-
-}  // namespace
-
-SoarKernel::SoarKernel(SoarOptions opts)
-    : opts_(opts), engine_(with_match_override(opts)) {
+SoarKernel::SoarKernel(SoarOptions opts) : opts_(opts), engine_(opts.engine) {
   init();
 }
 
 SoarKernel::SoarKernel(SoarOptions opts, std::shared_ptr<CompiledNetwork> cnet,
                        ParallelMatcher* shared_matcher)
-    : opts_(opts),
-      engine_(std::move(cnet), with_match_override(opts), shared_matcher) {
+    : opts_(opts), engine_(std::move(cnet), opts.engine, shared_matcher) {
   // Interning is idempotent, so N sessions sharing one symbol table all
   // resolve the same architectural symbols and slot layouts.
   init();

@@ -38,14 +38,10 @@ struct SoarOptions {
   bool learning = true;
   uint64_t max_decisions = 200;
   uint64_t max_elab_cycles = 100000;
+  /// engine.match_workers > 1 drains the whole Soar run (every elaboration
+  /// cycle plus every chunk's §5.2 state update) through one persistent
+  /// ParallelMatcher. Parallel cycles record no traces.
   EngineOptions engine;
-
-  /// Convenience override: when non-zero, forwarded into
-  /// engine.match_workers/match_policy so a whole Soar run (every
-  /// elaboration cycle plus every chunk's §5.2 state update) drains through
-  /// one persistent ParallelMatcher. Parallel cycles record no traces.
-  size_t match_workers = 0;
-  TaskQueueSet::Policy match_policy = TaskQueueSet::Policy::Steal;
 
   /// Flight recorder (obs/profiler.h): when non-zero, run() captures a
   /// (metrics + profile) snapshot into a preallocated ring every

@@ -1,6 +1,6 @@
 // Allocation-free engine cycle (DESIGN.md §10): after warm-up, the full
 // match → select → fire → apply loop performs ZERO heap allocations, for
-// every match policy. The workload is a ping-pong pair driven through the
+// both match executors. The workload is a ping-pong pair driven through the
 // network-retraction regime (fire in place, let the match retract the fired
 // instantiation), so every storage structure in the cycle is exercised:
 //
@@ -11,7 +11,7 @@
 //
 // Each iteration recycles: a WorkingMemory rec, alpha-memory chunk entries,
 // hash-line right entries, conflict-set slab nodes, the fire delta's add
-// slots, the seed/queue scratch, and (parallel policies) the per-worker
+// slots, the seed/queue scratch, and (parallel executor) the per-worker
 // batches. Timetags grow monotonically, so hash keys shift every cycle —
 // placement changes must not trigger growth once high-water capacity exists.
 #include <gtest/gtest.h>
@@ -40,14 +40,12 @@ void cycle(Engine& e) {
   e.match();
 }
 
-void expect_allocation_free_cycles(size_t workers, TaskQueueSet::Policy policy,
-                                   bool tracing = false,
+void expect_allocation_free_cycles(size_t workers, bool tracing = false,
                                    StealTuning tuning = {},
                                    bool profiling = false) {
   EngineOptions opts;
   opts.record_traces = false;  // trace recording allocates by design
   opts.match_workers = workers;
-  opts.match_policy = policy;
   opts.steal = tuning;
   // Event tracing, by contrast, must NOT allocate in steady state: rings
   // are preallocated (small here, so overflow's drop-and-count path is
@@ -64,7 +62,7 @@ void expect_allocation_free_cycles(size_t workers, TaskQueueSet::Policy policy,
   e.match();
 
   // Warm-up: reach high-water capacity in every pool, ring, and scratch
-  // buffer (and spin up the worker pool for parallel policies).
+  // buffer (and spin up the worker pool for the parallel executor).
   for (int i = 0; i < 32; ++i) cycle(e);
 
   const uint64_t before = heap_allocs();
@@ -96,19 +94,11 @@ void expect_allocation_free_cycles(size_t workers, TaskQueueSet::Policy policy,
 }
 
 TEST(EngineAlloc, SerialCycleIsAllocationFree) {
-  expect_allocation_free_cycles(0, TaskQueueSet::Policy::Steal);
-}
-
-TEST(EngineAlloc, SingleQueueCycleIsAllocationFree) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Single);
-}
-
-TEST(EngineAlloc, MultiQueueCycleIsAllocationFree) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Multi);
+  expect_allocation_free_cycles(0);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFree) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Steal);
+  expect_allocation_free_cycles(4);
 }
 
 // The chain-splitting corners must hold the guarantee too: split-every-link
@@ -119,55 +109,35 @@ TEST(EngineAlloc, StealSplitEveryLinkCycleIsAllocationFree) {
   StealTuning t;
   t.chain_split_depth = 1;
   t.backoff_park_sweeps = 0;
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Steal, false, t);
+  expect_allocation_free_cycles(4, false, t);
 }
 
 TEST(EngineAlloc, StealNeverSplitCycleIsAllocationFree) {
   StealTuning t;
   t.chain_split_depth = 0;
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Steal, false, t);
+  expect_allocation_free_cycles(4, false, t);
 }
 
-// Same four regimes with event tracing on: recording a span is a clock read
+// Both executors with event tracing on: recording a span is a clock read
 // plus a bump-and-store into a preallocated ring, so the §10 guarantee must
-// hold with the obs layer enabled (the ISSUE's hard constraint).
+// hold with the obs layer enabled.
 TEST(EngineAlloc, SerialCycleIsAllocationFreeWithTracing) {
-  expect_allocation_free_cycles(0, TaskQueueSet::Policy::Steal, true);
-}
-
-TEST(EngineAlloc, SingleQueueCycleIsAllocationFreeWithTracing) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Single, true);
-}
-
-TEST(EngineAlloc, MultiQueueCycleIsAllocationFreeWithTracing) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Multi, true);
+  expect_allocation_free_cycles(0, true);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFreeWithTracing) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Steal, true);
+  expect_allocation_free_cycles(4, true);
 }
 
-// Same four regimes with the match profiler on (ISSUE 10 acceptance): the
-// hot path is a shard-local tick, at most two clock reads, and writes into
-// preallocated cells — §10 must hold with profiling enabled.
+// Both executors with the match profiler on: the hot path is a shard-local
+// tick, at most two clock reads, and writes into preallocated cells — §10
+// must hold with profiling enabled.
 TEST(EngineAlloc, SerialCycleIsAllocationFreeWithProfiling) {
-  expect_allocation_free_cycles(0, TaskQueueSet::Policy::Steal, false, {},
-                                /*profiling=*/true);
-}
-
-TEST(EngineAlloc, SingleQueueCycleIsAllocationFreeWithProfiling) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Single, false, {},
-                                /*profiling=*/true);
-}
-
-TEST(EngineAlloc, MultiQueueCycleIsAllocationFreeWithProfiling) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Multi, false, {},
-                                /*profiling=*/true);
+  expect_allocation_free_cycles(0, false, {}, /*profiling=*/true);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFreeWithProfiling) {
-  expect_allocation_free_cycles(4, TaskQueueSet::Policy::Steal, false, {},
-                                /*profiling=*/true);
+  expect_allocation_free_cycles(4, false, {}, /*profiling=*/true);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// The lockdep checker: the rank discipline (bucket < queue < conflict-set)
-// is enforced, rank inversions and self-deadlocks are caught with the full
+// The lockdep checker: the rank discipline (bucket < slab-pool <
+// conflict-set < park < dispatch) is enforced, rank inversions and self-deadlocks are caught with the full
 // held-lock chain, and legal acquisition orders pass silently. The checker
 // core is exercised directly so these tests run in every build
 // configuration; the Spinlock integration (hooks active only when
@@ -45,32 +45,32 @@ void release_all(std::initializer_list<const void*> locks) {
 
 TEST(LockOrder, InOrderAcquisitionIsClean) {
   CaptureViolations cap;
-  int bucket = 0, queue = 0, cs = 0;
+  int bucket = 0, cs = 0, park = 0;
   lockdep::on_acquire(&bucket, LockRank::Bucket, "line");
-  lockdep::on_acquire(&queue, LockRank::Queue, "queue");
   lockdep::on_acquire(&cs, LockRank::ConflictSet, "cs");
+  lockdep::on_acquire(&park, LockRank::Park, "park");
   EXPECT_EQ(lockdep::held_count(), 3u);
   EXPECT_TRUE(CaptureViolations::captured().empty());
-  release_all({&cs, &queue, &bucket});
+  release_all({&park, &cs, &bucket});
   EXPECT_EQ(lockdep::held_count(), 0u);
   EXPECT_TRUE(CaptureViolations::captured().empty());
 }
 
 TEST(LockOrder, RankInversionIsCaught) {
   CaptureViolations cap;
-  int queue = 0, bucket = 0;
-  lockdep::on_acquire(&queue, LockRank::Queue, "queue");
+  int cs = 0, bucket = 0;
+  lockdep::on_acquire(&cs, LockRank::ConflictSet, "cs");
   lockdep::on_acquire(&bucket, LockRank::Bucket, "line");  // inversion
   ASSERT_EQ(CaptureViolations::captured().size(), 1u);
   const Violation& v = CaptureViolations::captured().front();
   EXPECT_EQ(v.kind, Violation::Kind::RankInversion);
   EXPECT_EQ(v.attempted.addr, &bucket);
   EXPECT_EQ(v.attempted.rank, LockRank::Bucket);
-  // The held chain names the already-held queue lock.
+  // The held chain names the already-held conflict-set lock.
   ASSERT_EQ(v.held.size(), 1u);
-  EXPECT_EQ(v.held[0].addr, &queue);
-  EXPECT_EQ(v.held[0].rank, LockRank::Queue);
-  release_all({&bucket, &queue});
+  EXPECT_EQ(v.held[0].addr, &cs);
+  EXPECT_EQ(v.held[0].rank, LockRank::ConflictSet);
+  release_all({&bucket, &cs});
 }
 
 TEST(LockOrder, EqualRankIsAnInversion) {
@@ -90,8 +90,8 @@ TEST(LockOrder, EqualRankIsAnInversion) {
 TEST(LockOrder, SelfDeadlockIsCaught) {
   CaptureViolations cap;
   int lock = 0;
-  lockdep::on_acquire(&lock, LockRank::Queue, "queue");
-  lockdep::on_acquire(&lock, LockRank::Queue, "queue");  // re-entry
+  lockdep::on_acquire(&lock, LockRank::ConflictSet, "cs");
+  lockdep::on_acquire(&lock, LockRank::ConflictSet, "cs");  // re-entry
   ASSERT_EQ(CaptureViolations::captured().size(), 1u);
   EXPECT_EQ(CaptureViolations::captured().front().kind,
             Violation::Kind::SelfDeadlock);
@@ -113,11 +113,11 @@ TEST(LockOrder, UnrankedLocksSkipRankChecksButNotSelfDeadlock) {
 
 TEST(LockOrder, OutOfOrderReleaseIsLegal) {
   CaptureViolations cap;
-  int bucket = 0, queue = 0;
+  int bucket = 0, cs = 0;
   lockdep::on_acquire(&bucket, LockRank::Bucket, "line");
-  lockdep::on_acquire(&queue, LockRank::Queue, "queue");
+  lockdep::on_acquire(&cs, LockRank::ConflictSet, "cs");
   lockdep::on_release(&bucket);  // not LIFO
-  lockdep::on_release(&queue);
+  lockdep::on_release(&cs);
   EXPECT_EQ(lockdep::held_count(), 0u);
   EXPECT_TRUE(CaptureViolations::captured().empty());
 }
@@ -150,20 +150,20 @@ TEST(LockOrder, ReportNamesChainAndAttempt) {
   Violation v;
   v.kind = Violation::Kind::RankInversion;
   int a = 0, b = 0;
-  v.held.push_back({&a, LockRank::Queue, "task-queue"});
+  v.held.push_back({&a, LockRank::ConflictSet, "conflict-set"});
   v.attempted = {&b, LockRank::Bucket, "rete-line"};
   const std::string text = lockdep::format_report(v);
   EXPECT_NE(text.find("rank inversion"), std::string::npos);
-  EXPECT_NE(text.find("task-queue"), std::string::npos);
+  EXPECT_NE(text.find("conflict-set"), std::string::npos);
   EXPECT_NE(text.find("rete-line"), std::string::npos);
   EXPECT_NE(text.find("held-lock chain (1"), std::string::npos);
 }
 
 #if defined(GTEST_HAS_DEATH_TEST) && !defined(__SANITIZE_THREAD__)
 void provoke_inversion() {
-  int queue = 0;
+  int cs = 0;
   int bucket = 0;
-  lockdep::on_acquire(&queue, LockRank::Queue, "task-queue");
+  lockdep::on_acquire(&cs, LockRank::ConflictSet, "conflict-set");
   lockdep::on_acquire(&bucket, LockRank::Bucket, "rete-line");
 }
 
@@ -177,28 +177,28 @@ TEST(LockOrderDeathTest, DefaultHandlerAbortsWithChain) {
 // Debug and sanitizer builds (the tsan preset sets PSME_LOCKDEP=ON).
 TEST(LockOrderIntegration, SpinlockHooksCatchInjectedInversion) {
   CaptureViolations cap;
-  Spinlock queue(LockRank::Queue, "task-queue");
+  Spinlock cs(LockRank::ConflictSet, "conflict-set");
   Spinlock line(LockRank::Bucket, "rete-line");
   {
-    SpinGuard gq(queue);
-    SpinGuard gl(line);  // injected rank inversion: queue held, bucket wanted
+    SpinGuard gc(cs);
+    SpinGuard gl(line);  // injected rank inversion: CS held, bucket wanted
   }
   ASSERT_EQ(CaptureViolations::captured().size(), 1u);
   const Violation& v = CaptureViolations::captured().front();
   EXPECT_EQ(v.kind, Violation::Kind::RankInversion);
   EXPECT_EQ(v.attempted.addr, &line);
   ASSERT_EQ(v.held.size(), 1u);
-  EXPECT_EQ(v.held[0].addr, &queue);
+  EXPECT_EQ(v.held[0].addr, &cs);
 }
 
 TEST(LockOrderIntegration, SpinlockHooksTrackNormalUse) {
   CaptureViolations cap;
   Spinlock line(LockRank::Bucket, "rete-line");
-  Spinlock queue(LockRank::Queue, "task-queue");
+  Spinlock cs(LockRank::ConflictSet, "conflict-set");
   {
     SpinGuard gl(line);
     EXPECT_EQ(lockdep::held_count(), 1u);
-    SpinGuard gq(queue);  // bucket -> queue is the legal order
+    SpinGuard gc(cs);  // bucket -> conflict-set is the legal order
     EXPECT_EQ(lockdep::held_count(), 2u);
   }
   EXPECT_EQ(lockdep::held_count(), 0u);

@@ -3,7 +3,7 @@
 // engine running the same per-agent script — per-agent task tagging means no
 // agent can observe (or stall on) another's tokens. Also covers run-time
 // chunk addition through the COW jumptable while sibling agents hold live
-// state, and a 2-agent race-stress parameterization for the TSan lane.
+// state, and a 2-agent race-stress run for the TSan lane.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -55,7 +55,6 @@ struct GroupCase {
   const char* name;
   size_t agents;
   size_t workers;
-  TaskQueueSet::Policy policy;
 };
 
 class MultiAgentDifferential : public ::testing::TestWithParam<GroupCase> {};
@@ -68,7 +67,6 @@ TEST_P(MultiAgentDifferential, AgreesWithIsolatedSerialEngines) {
 
   AgentGroupOptions gopts;
   gopts.workers = c.workers;
-  gopts.policy = c.policy;
   AgentGroup group(gopts);
   std::vector<std::unique_ptr<Engine>> oracles;
   for (size_t a = 0; a < c.agents; ++a) {
@@ -105,11 +103,10 @@ TEST_P(MultiAgentDifferential, AgreesWithIsolatedSerialEngines) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MultiAgentDifferential,
-    ::testing::Values(GroupCase{"steal2x4", 2, 4, TaskQueueSet::Policy::Steal},
-                      GroupCase{"steal4x4", 4, 4, TaskQueueSet::Policy::Steal},
-                      GroupCase{"multi3x2", 3, 2, TaskQueueSet::Policy::Multi},
-                      GroupCase{"steal5x1", 5, 1,
-                                TaskQueueSet::Policy::Steal}),
+    ::testing::Values(GroupCase{"steal2x4", 2, 4},
+                      GroupCase{"steal4x4", 4, 4},
+                      GroupCase{"steal3x2", 3, 2},
+                      GroupCase{"steal5x1", 5, 1}),
     [](const auto& info) { return std::string(info.param.name); });
 
 /// Run-time production addition (the chunking path) from ONE agent while
@@ -209,18 +206,9 @@ TEST(MultiAgentObservability, MetricsAreNamespacedPerAgent) {
 /// TSan lane: 2 agents × stealing workers × interleaved add/remove waves ×
 /// a mid-run COW production add. No assertions beyond the differential —
 /// the point is the interleavings TSan gets to watch.
-struct StressCase {
-  const char* name;
-  TaskQueueSet::Policy policy;
-};
-
-class MultiAgentRaceStress : public ::testing::TestWithParam<StressCase> {};
-
-TEST_P(MultiAgentRaceStress, TwoAgentsUnderFullWidthDrains) {
-  const StressCase c = GetParam();
+TEST(MultiAgentRaceStress, TwoAgentsUnderFullWidthDrains) {
   AgentGroupOptions gopts;
   gopts.workers = 8;
-  gopts.policy = c.policy;
   AgentGroup group(gopts);
   Engine& a0 = group.add_agent();
   Engine& a1 = group.add_agent();
@@ -264,12 +252,6 @@ TEST_P(MultiAgentRaceStress, TwoAgentsUnderFullWidthDrains) {
   EXPECT_EQ(cs_fingerprint(a0), cs_fingerprint(o0));
   EXPECT_EQ(cs_fingerprint(a1), cs_fingerprint(o1));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, MultiAgentRaceStress,
-    ::testing::Values(StressCase{"Steal", TaskQueueSet::Policy::Steal},
-                      StressCase{"Multi", TaskQueueSet::Policy::Multi}),
-    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace psme

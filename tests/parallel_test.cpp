@@ -1,6 +1,6 @@
-// Threaded matcher: final match state must equal the serial executor's,
-// under both queue policies and across worker counts; queue statistics are
-// plumbed through.
+// Threaded matcher: final match state must equal the serial executor's
+// across worker counts and chain-splitting tunings; scheduler statistics
+// are plumbed through.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,7 +45,6 @@ void add_workload_wmes(Engine& e, int n) {
 
 struct ParallelCase {
   size_t workers;
-  TaskQueueSet::Policy policy;
   StealTuning tuning = {};
 };
 
@@ -83,11 +82,11 @@ TEST_P(ParallelEquivalence, MatchesSerialResult) {
   // Engine::match().
   SeedCollector sc;
   for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
-  ParallelMatcher matcher(par.net(), par.state(), param.workers, param.policy, nullptr,
-                          param.tuning);
-  const ParallelStats st = matcher.run_cycle(std::move(sc.seeds));
+  ParallelMatcher matcher(par.net(), param.workers, nullptr, param.tuning);
+  matcher.register_agent(par.state());
+  const ParallelStats st = matcher.run_cycle(sc.seeds);
   EXPECT_GT(st.tasks, 0u);
-  if (param.policy == TaskQueueSet::Policy::Steal && param.workers > 1) {
+  if (param.workers > 1) {
     if (param.tuning.chain_split_depth == 1) {
       EXPECT_EQ(st.chain_inline, 0u);  // every link split to the deque
     } else if (param.tuning.chain_split_depth == 0) {
@@ -103,99 +102,14 @@ TEST_P(ParallelEquivalence, MatchesSerialResult) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    WorkersAndPolicies, ParallelEquivalence,
-    ::testing::Values(ParallelCase{1, TaskQueueSet::Policy::Single},
-                      ParallelCase{2, TaskQueueSet::Policy::Single},
-                      ParallelCase{4, TaskQueueSet::Policy::Single},
-                      ParallelCase{8, TaskQueueSet::Policy::Single},
-                      ParallelCase{2, TaskQueueSet::Policy::Multi},
-                      ParallelCase{4, TaskQueueSet::Policy::Multi},
-                      ParallelCase{8, TaskQueueSet::Policy::Multi},
-                      ParallelCase{13, TaskQueueSet::Policy::Multi},
-                      ParallelCase{1, TaskQueueSet::Policy::Steal},
-                      ParallelCase{2, TaskQueueSet::Policy::Steal},
-                      ParallelCase{4, TaskQueueSet::Policy::Steal},
-                      ParallelCase{8, TaskQueueSet::Policy::Steal},
-                      ParallelCase{13, TaskQueueSet::Policy::Steal},
-                      ParallelCase{2, TaskQueueSet::Policy::Steal,
-                                   split_heavy()},
-                      ParallelCase{4, TaskQueueSet::Policy::Steal,
-                                   split_heavy()},
-                      ParallelCase{8, TaskQueueSet::Policy::Steal,
-                                   split_heavy()},
-                      ParallelCase{4, TaskQueueSet::Policy::Steal,
-                                   never_split()},
-                      ParallelCase{8, TaskQueueSet::Policy::Steal,
-                                   never_split()}));
-
-TEST(TaskQueue, SinglePolicyUsesOneQueue) {
-  TaskQueueSet q(TaskQueueSet::Policy::Single, 8);
-  EXPECT_EQ(q.queue_count(), 1u);
-  q.push(3, Activation{});
-  Activation a;
-  EXPECT_TRUE(q.pop(5, a));
-  EXPECT_FALSE(q.pop(5, a));
-  EXPECT_GE(q.failed_pops(), 1u);
-}
-
-TEST(TaskQueue, MultiPolicyStealsAcrossQueues) {
-  TaskQueueSet q(TaskQueueSet::Policy::Multi, 4);
-  EXPECT_EQ(q.queue_count(), 4u);
-  q.push(0, Activation{});  // lands in queue 0
-  Activation a;
-  EXPECT_TRUE(q.pop(2, a));  // worker 2 scans and steals from queue 0
-}
-
-TEST(TaskQueue, FifoWithinAQueue) {
-  TaskQueueSet q(TaskQueueSet::Policy::Single, 1);
-  Activation a;
-  a.node = 1;
-  q.push(0, std::move(a));
-  Activation b;
-  b.node = 2;
-  q.push(0, std::move(b));
-  Activation out;
-  ASSERT_TRUE(q.pop(0, out));
-  EXPECT_EQ(out.node, 1u);
-  ASSERT_TRUE(q.pop(0, out));
-  EXPECT_EQ(out.node, 2u);
-}
-
-TEST(TaskQueue, PushBatchKeepsFifoUnderOneAcquire) {
-  TaskQueueSet q(TaskQueueSet::Policy::Multi, 4);
-  const uint64_t before = q.lock_acquires();
-  std::vector<Activation> batch(3);
-  batch[0].node = 10;
-  batch[1].node = 11;
-  batch[2].node = 12;
-  q.push_batch(2, std::move(batch));
-  // The whole batch went in under a single lock acquisition...
-  EXPECT_EQ(q.lock_acquires(), before + 1);
-  // ...and drains in FIFO order from the home queue.
-  Activation out;
-  ASSERT_TRUE(q.pop(2, out));
-  EXPECT_EQ(out.node, 10u);
-  ASSERT_TRUE(q.pop(2, out));
-  EXPECT_EQ(out.node, 11u);
-  ASSERT_TRUE(q.pop(2, out));
-  EXPECT_EQ(out.node, 12u);
-  EXPECT_FALSE(q.pop(2, out));
-
-  // Empty batches do not touch the lock.
-  const uint64_t mid = q.lock_acquires();
-  std::vector<Activation> empty;
-  q.push_batch(0, std::move(empty));
-  EXPECT_EQ(q.lock_acquires(), mid);
-}
-
-TEST(Spinlock, CountsAcquires) {
-  Spinlock l;
-  { SpinGuard g(l); }
-  { SpinGuard g(l); }
-  EXPECT_EQ(l.total_acquires(), 2u);
-  l.reset_stats();
-  EXPECT_EQ(l.total_acquires(), 0u);
-}
+    WorkersAndTunings, ParallelEquivalence,
+    ::testing::Values(ParallelCase{1}, ParallelCase{2}, ParallelCase{4},
+                      ParallelCase{8}, ParallelCase{13},
+                      ParallelCase{2, split_heavy()},
+                      ParallelCase{4, split_heavy()},
+                      ParallelCase{8, split_heavy()},
+                      ParallelCase{4, never_split()},
+                      ParallelCase{8, never_split()}));
 
 TEST(ParallelMatcher, DeleteHeavyCycleMatchesSerial) {
   // Adds followed by deletes in a single cycle: the delete-token path under
@@ -228,9 +142,9 @@ TEST(ParallelMatcher, DeleteHeavyCycleMatchesSerial) {
   for (const Wme* w : pr) {
     par.net().inject(w, false, sc);
   }
-  ParallelMatcher matcher(par.net(), par.state(), 4,
-                          TaskQueueSet::Policy::Multi);
-  matcher.run_cycle(std::move(sc.seeds));
+  ParallelMatcher matcher(par.net(), 4);
+  matcher.register_agent(par.state());
+  matcher.run_cycle(sc.seeds);
   for (const Wme* w : pr) par.wm().remove(w);
   par.wm().end_cycle();
 
@@ -244,8 +158,8 @@ TEST(ParallelMatcher, PersistentMatcherReusedAcrossCycles) {
   Engine serial, par;
   serial.load(workload_productions());
   par.load(workload_productions());
-  ParallelMatcher matcher(par.net(), par.state(), 4);  // policy defaults to Steal
-  EXPECT_EQ(matcher.policy(), TaskQueueSet::Policy::Steal);
+  ParallelMatcher matcher(par.net(), 4);
+  matcher.register_agent(par.state());
 
   for (int round = 0; round < 3; ++round) {
     add_workload_wmes(serial, 8);
@@ -264,7 +178,7 @@ TEST(ParallelMatcher, PersistentMatcherReusedAcrossCycles) {
       }
       if (is_new) par.net().inject(w, true, sc);
     }
-    const ParallelStats st = matcher.run_cycle(std::move(sc.seeds));
+    const ParallelStats st = matcher.run_cycle(sc.seeds);
     EXPECT_GT(st.tasks, 0u);
     ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(par))
         << "round " << round;
@@ -284,31 +198,32 @@ void runtime_add_through(Engine& e, ParallelMatcher& matcher, RhsArena& arena,
   owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
   const CompiledProduction cp = e.builder().add_production(*owned.back());
   const auto wm_snapshot = e.wm().live();
-  matcher.run_update(update_alpha_seeds(e.net(), cp, wm_snapshot),
-                     {cp.first_new_id, /*suppress_alpha_left=*/true});
-  matcher.run_update(update_right_seeds(e.net(), e.state(), cp), {cp.first_new_id, false});
-  matcher.run_update(update_left_seeds(e.net(), e.state(), cp), {cp.first_new_id, false});
+  std::vector<Activation> seeds = update_alpha_seeds(e.net(), cp, wm_snapshot);
+  matcher.run_update(seeds, {cp.first_new_id, /*suppress_alpha_left=*/true});
+  seeds = update_right_seeds(e.net(), e.state(), cp);
+  matcher.run_update(seeds, {cp.first_new_id, false});
+  seeds = update_left_seeds(e.net(), e.state(), cp);
+  matcher.run_update(seeds, {cp.first_new_id, false});
 }
 
-TEST(SchedulerEquivalence, StealEqualsMultiEqualsSerialThroughRuntimeAdd) {
-  // Five engines walk the same script — wme wave, §5.2 runtime production
-  // add, another wme wave — one drained serially (the oracle), one through a
-  // Multi matcher, and three through Steal matchers at the corners of the
-  // chain-splitting tuning space (default, split-every-link, never-split).
-  // All must agree on the conflict set and the memory-table entry counts at
-  // every checkpoint.
+TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
+  // Four engines walk the same script — wme wave, §5.2 runtime production
+  // add, another wme wave — one drained serially (the oracle) and three
+  // through matchers at the corners of the chain-splitting tuning space
+  // (default, split-every-link, never-split). All must agree on the
+  // conflict set and the memory-table entry counts at every checkpoint.
   const std::string late = "(p late-j2 (b ^v <x>) (c ^v <x>) --> (halt))";
 
-  Engine serial, multi, steal, split, nosplit;
-  for (Engine* e : {&serial, &multi, &steal, &split, &nosplit}) {
+  Engine serial, steal, split, nosplit;
+  for (Engine* e : {&serial, &steal, &split, &nosplit}) {
     e->load(workload_productions());
   }
-  ParallelMatcher m_multi(multi.net(), multi.state(), 8, TaskQueueSet::Policy::Multi);
-  ParallelMatcher m_steal(steal.net(), steal.state(), 8, TaskQueueSet::Policy::Steal);
-  ParallelMatcher m_split(split.net(), split.state(), 8, TaskQueueSet::Policy::Steal,
-                          nullptr, split_heavy());
-  ParallelMatcher m_nosplit(nosplit.net(), nosplit.state(), 8, TaskQueueSet::Policy::Steal,
-                            nullptr, never_split());
+  ParallelMatcher m_steal(steal.net(), 8);
+  ParallelMatcher m_split(split.net(), 8, nullptr, split_heavy());
+  ParallelMatcher m_nosplit(nosplit.net(), 8, nullptr, never_split());
+  m_steal.register_agent(steal.state());
+  m_split.register_agent(split.state());
+  m_nosplit.register_agent(nosplit.state());
 
   auto parallel_wave = [&](Engine& e, ParallelMatcher& m, int n) {
     std::vector<const Wme*> before = e.wm().live();
@@ -324,18 +239,16 @@ TEST(SchedulerEquivalence, StealEqualsMultiEqualsSerialThroughRuntimeAdd) {
       }
       if (is_new) e.net().inject(w, true, sc);
     }
-    return m.run_cycle(std::move(sc.seeds));
+    return m.run_cycle(sc.seeds);
   };
 
   // Wave 1.
   add_workload_wmes(serial, 15);
   serial.match();
-  parallel_wave(multi, m_multi, 15);
   const ParallelStats st1 = parallel_wave(steal, m_steal, 15);
   parallel_wave(split, m_split, 15);
   parallel_wave(nosplit, m_nosplit, 15);
   EXPECT_GT(st1.tasks, 0u);
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(multi));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(nosplit));
@@ -353,11 +266,9 @@ TEST(SchedulerEquivalence, StealEqualsMultiEqualsSerialThroughRuntimeAdd) {
     run_update_serial(serial.net(), serial.state(), cp,
                       serial.wm().live());
   }
-  runtime_add_through(multi, m_multi, arena, owned, late);
   runtime_add_through(steal, m_steal, arena, owned, late);
   runtime_add_through(split, m_split, arena, owned, late);
   runtime_add_through(nosplit, m_nosplit, arena, owned, late);
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(multi));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(nosplit));
@@ -365,11 +276,9 @@ TEST(SchedulerEquivalence, StealEqualsMultiEqualsSerialThroughRuntimeAdd) {
   // Wave 2 over the extended network.
   add_workload_wmes(serial, 9);
   serial.match();
-  parallel_wave(multi, m_multi, 9);
   parallel_wave(steal, m_steal, 9);
   parallel_wave(split, m_split, 9);
   parallel_wave(nosplit, m_nosplit, 9);
-  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(multi));
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(nosplit));
@@ -387,7 +296,6 @@ TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {
   // match() and §5.2 runtime-add onto the ParallelMatcher.
   EngineOptions popt;
   popt.match_workers = 4;
-  popt.match_policy = TaskQueueSet::Policy::Steal;
   popt.record_traces = false;
 
   Engine serial;
@@ -399,7 +307,6 @@ TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {
   }
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
   ASSERT_NE(par.parallel_matcher(), nullptr);
-  EXPECT_EQ(par.parallel_matcher()->policy(), TaskQueueSet::Policy::Steal);
   EXPECT_GT(par.last_parallel_stats().tasks, 0u);
   EXPECT_GT(par.parallel_matcher()->lifetime_cycles(), 0u);
 

@@ -1,8 +1,8 @@
-// Differential test across all match policies: a seeded, randomized stream
+// Differential test across the match executors: a seeded, randomized stream
 // of wme adds, wme removes, run-time production additions (the chunking
 // path's §5.2 state update), and run-time production REMOVALS (the COW
-// unsplice + drain path) is applied identically to six engines — serial,
-// Single, Multi, and three Steal tunings (2 workers each): the default,
+// unsplice + drain path) is applied identically to four engines — serial
+// and three scheduler tunings (2 workers each): the default,
 // split-every-link (chain_split_depth 1, with the backoff ladder disabled so
 // every failed sweep goes straight to the park ticket), and never-split
 // (chain_split_depth 0, unbounded inline chains). After every match the
@@ -55,19 +55,19 @@ constexpr const char* kBaseProductions =
     "(p base-neg (a ^v <x>) -(b ^v <x>) --> (halt))\n"
     "(p base-three (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))";
 
-constexpr std::array<const char*, 6> kEngineNames = {
-    "serial",      "single",          "multi",
-    "steal",       "steal-splitall",  "steal-nosplit"};
+constexpr std::array<const char*, 4> kEngineNames = {
+    "serial", "steal", "steal-splitall", "steal-nosplit"};
+using Engines = std::array<std::unique_ptr<Engine>, kEngineNames.size()>;
 
-/// Steal tuning for engine index 3..5: default, split-every-link with the
-/// backoff ladder off (parks immediately after one failed sweep — maximal
-/// park/unpark churn), never-split.
+/// Scheduler tuning for engine index 1..3: default, split-every-link with
+/// the backoff ladder off (parks immediately after one failed sweep —
+/// maximal park/unpark churn), never-split.
 StealTuning steal_tuning(size_t i) {
   StealTuning t;
-  if (i == 4) {
+  if (i == 2) {
     t.chain_split_depth = 1;
     t.backoff_park_sweeps = 0;
-  } else if (i == 5) {
+  } else if (i == 3) {
     t.chain_split_depth = 0;
   }
   return t;
@@ -96,8 +96,8 @@ std::multiset<std::string> wm_fingerprint(Engine& e) {
   return out;
 }
 
-/// Compares the six engines; empty string means they agree.
-std::string compare_engines(std::array<std::unique_ptr<Engine>, 6>& es) {
+/// Compares the engines; empty string means they agree.
+std::string compare_engines(Engines& es) {
   const auto cs0 = cs_fingerprint(*es[0]);
   const auto wm0 = wm_fingerprint(*es[0]);
   const size_t left0 = es[0]->state().tables.total_left_entries();
@@ -132,15 +132,12 @@ std::string compare_engines(std::array<std::unique_ptr<Engine>, 6>& es) {
 /// which the divergence was observed.
 std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
                      size_t* activity = nullptr) {
-  std::array<std::unique_ptr<Engine>, 6> es;
+  Engines es;
   for (size_t i = 0; i < es.size(); ++i) {
     EngineOptions opts;
     opts.record_traces = false;
     if (i > 0) {
       opts.match_workers = 2;
-      opts.match_policy = i == 1   ? TaskQueueSet::Policy::Single
-                          : i == 2 ? TaskQueueSet::Policy::Multi
-                                   : TaskQueueSet::Policy::Steal;
       opts.steal = steal_tuning(i);
     }
     es[i] = std::make_unique<Engine>(opts);
@@ -184,7 +181,7 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
     } else if (kind < 85) {
       // Run-time production removal: unsplice the k-th production (base and
       // run-time-added ones alike — productions() is in identical order on
-      // every engine). The drain must leave all six engines agreeing on CS,
+      // every engine). The drain must leave all engines agreeing on CS,
       // left-memory population, WM and production set.
       const size_t n_prods = es[0]->productions().size();
       if (n_prods == 0) continue;

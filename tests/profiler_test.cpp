@@ -58,7 +58,6 @@ void run_waves(Engine& e, int rounds, int wave) {
 obs::ProfileSnapshot profiled_run(size_t workers, uint32_t shift) {
   EngineOptions opts;
   opts.match_workers = workers;
-  opts.match_policy = TaskQueueSet::Policy::Steal;
   opts.profile = true;
   opts.profile_sample_shift = shift;
   Engine e(opts);
@@ -132,7 +131,6 @@ TEST(Profiler, ParallelSamplingIsBounded) {
 TEST(Profiler, IdleAgentAccumulatesNothing) {
   AgentGroupOptions gopts;
   gopts.workers = 4;
-  gopts.policy = TaskQueueSet::Policy::Steal;
   gopts.profile = true;
   AgentGroup group(gopts);
   Engine& busy = group.add_agent();

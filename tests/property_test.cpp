@@ -154,10 +154,9 @@ TEST_P(SerialParallelProperty, ParallelMatchesSerial) {
                                  w->fields);
     par.net().inject(nw, true, collector);
   }
-  ParallelMatcher matcher(par.net(), par.state(), 1 + seed % 6,
-                          seed % 2 == 0 ? TaskQueueSet::Policy::Multi
-                                        : TaskQueueSet::Policy::Single);
-  matcher.run_cycle(std::move(collector.seeds));
+  ParallelMatcher matcher(par.net(), 1 + seed % 6);
+  matcher.register_agent(par.state());
+  matcher.run_cycle(collector.seeds);
 
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par)) << "seed " << seed;
 }

@@ -53,7 +53,6 @@ const char* cue_for(int cycle) {
 TEST(QueryChurn, TenThousandCyclesStayFlat) {
   AgentGroupOptions gopts;
   gopts.workers = 2;
-  gopts.policy = TaskQueueSet::Policy::Steal;
   AgentGroup group(gopts);
   Engine& a0 = group.add_agent();
   Engine& a1 = group.add_agent();

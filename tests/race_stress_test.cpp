@@ -1,14 +1,13 @@
-// Sanitizer-targeted stress tests: many workers hammering the TaskQueueSet
-// (push/pop/steal), repeated parallel match cycles on a live network, and
-// run-time production addition whose §5.2 state update drains through the
-// ParallelMatcher at full width. These exist primarily to give
+// Sanitizer-targeted stress tests: repeated parallel match cycles on a live
+// network, run-time production addition whose §5.2 state update drains
+// through the ParallelMatcher at full width, park/unpark under uneven load,
+// and the conflict-set lock under direct many-thread fire. These exist primarily to give
 // ThreadSanitizer (the `tsan` preset) real interleavings to chew on; they
 // also assert serial-equivalence so they are meaningful correctness tests in
 // every build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "engine/engine.h"
 #include "lang/parser.h"
 #include "par/parallel_match.h"
-#include "par/task_queue.h"
 #include "par/worker_pool.h"
 #include "rete/update.h"
 #include "test_util.h"
@@ -49,60 +47,6 @@ class SeedCollector final : public ExecContext {
   std::vector<Activation> seeds;
 };
 
-TEST(RaceStress, TaskQueueSetPushPopSteal) {
-  // Every worker pushes to its home queue and pops with stealing; half the
-  // pops are issued under a *different* worker index to force cross-queue
-  // traffic. Conservation (pushed == popped + left over) proves no task was
-  // lost or duplicated under contention.
-  TaskQueueSet queues(TaskQueueSet::Policy::Multi, kWorkers);
-  std::atomic<uint64_t> pushed{0};
-  std::atomic<uint64_t> popped{0};
-
-  run_workers(kWorkers, [&](size_t worker) {
-    Activation out;
-    for (int i = 0; i < kIters; ++i) {
-      Activation a;
-      a.node = static_cast<uint32_t>(worker * kIters + i);
-      queues.push(worker, std::move(a));
-      pushed.fetch_add(1, std::memory_order_relaxed);
-      // Pop as self, then occasionally as a thief with a rotated identity.
-      if (queues.pop(worker, out)) popped.fetch_add(1, std::memory_order_relaxed);
-      if (i % 2 == 0) {
-        const size_t thief = (worker + 1 + static_cast<size_t>(i)) % kWorkers;
-        if (queues.pop(thief, out)) {
-          popped.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  });
-
-  uint64_t drained = 0;
-  Activation out;
-  while (queues.pop(0, out)) ++drained;
-  EXPECT_EQ(pushed.load(), popped.load() + drained);
-  EXPECT_EQ(pushed.load(), static_cast<uint64_t>(kIters) * kWorkers);
-  EXPECT_GT(queues.lock_acquires(), 0u);
-}
-
-TEST(RaceStress, SingleQueuePolicyUnderContention) {
-  // Policy::Single: every worker fights over one lock — the Figure 6-1
-  // configuration and the worst case for the queue spinlock.
-  TaskQueueSet queues(TaskQueueSet::Policy::Single, kWorkers);
-  std::atomic<uint64_t> balance{0};
-  run_workers(kWorkers, [&](size_t worker) {
-    Activation out;
-    for (int i = 0; i < kIters / 2; ++i) {
-      queues.push(worker, Activation{});
-      if (queues.pop(worker, out)) balance.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  Activation out;
-  uint64_t drained = 0;
-  while (queues.pop(0, out)) ++drained;
-  EXPECT_EQ(balance.load() + drained,
-            static_cast<uint64_t>(kIters / 2) * kWorkers);
-}
-
 std::string stress_productions() {
   // Same value-skew as the parallel_test workload (v mod 7) so many tokens
   // hash to the same lines, maximizing line-lock contention; plus a negation
@@ -123,11 +67,10 @@ void add_stress_wmes(Engine& e, int n, int salt) {
   }
 }
 
-// One stress configuration: a scheduler policy plus (for Steal) a corner of
-// the backoff/chain-splitting tuning space.
+// One stress configuration: a corner of the backoff/chain-splitting tuning
+// space.
 struct RaceCase {
   const char* name;
-  TaskQueueSet::Policy policy;
   StealTuning tuning = {};
 };
 
@@ -153,34 +96,32 @@ void parallel_cycle(Engine& e, const std::vector<const Wme*>& adds,
   for (const Wme* w : removes) e.net().inject(w, false, sc);
   for (const Wme* w : adds) e.net().inject(w, true, sc);
   if (matcher != nullptr) {
-    matcher->run_cycle(std::move(sc.seeds));
+    matcher->run_cycle(sc.seeds);
   } else {
-    ParallelMatcher local(e.net(), e.state(), kWorkers, c.policy, nullptr, c.tuning);
-    local.run_cycle(std::move(sc.seeds));
+    ParallelMatcher local(e.net(), kWorkers, nullptr, c.tuning);
+    local.register_agent(e.state());
+    local.run_cycle(sc.seeds);
   }
 }
 
-// Live-network stress runs under the paper's locked scheduler (Multi) and
-// the lock-free work-stealing scheduler at three tunings: default,
-// split-every-link with the backoff ladder disabled (maximal deque/park
-// churn), and never-split (unbounded inline chains). The tuned Steal cases
-// give TSan the new continuation-task and backoff interleavings.
-class RaceStressPolicy : public ::testing::TestWithParam<RaceCase> {};
+// Live-network stress runs under the work-stealing scheduler at three
+// tunings: default, split-every-link with the backoff ladder disabled
+// (maximal deque/park churn), and never-split (unbounded inline chains).
+// The tuned cases give TSan the continuation-task and backoff
+// interleavings.
+class RaceStressTuning : public ::testing::TestWithParam<RaceCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    Policies, RaceStressPolicy,
-    ::testing::Values(RaceCase{"Multi", TaskQueueSet::Policy::Multi},
-                      RaceCase{"Steal", TaskQueueSet::Policy::Steal},
-                      RaceCase{"StealSplitAll", TaskQueueSet::Policy::Steal,
-                               race_split_heavy()},
-                      RaceCase{"StealNoSplit", TaskQueueSet::Policy::Steal,
-                               race_never_split()}),
+    Tunings, RaceStressTuning,
+    ::testing::Values(RaceCase{"Steal"},
+                      RaceCase{"StealSplitAll", race_split_heavy()},
+                      RaceCase{"StealNoSplit", race_never_split()}),
     [](const auto& info) { return std::string(info.param.name); });
 
-TEST_P(RaceStressPolicy, RepeatedParallelCyclesMatchSerial) {
+TEST_P(RaceStressTuning, RepeatedParallelCyclesMatchSerial) {
   // Several add-then-delete cycles, each drained by 8 workers on the live
-  // network: line locks, alpha locks, the CS lock and the scheduler (queue
-  // locks or deque CASes) all contended in one run. The serial engine is the
+  // network: line locks, alpha locks, the CS lock and the scheduler's deque
+  // CASes all contended in one run. The serial engine is the
   // oracle after each cycle.
   const int rounds = PSME_SANITIZED_BUILD ? 2 : 4;
   const RaceCase c = GetParam();
@@ -227,14 +168,14 @@ TEST_P(RaceStressPolicy, RepeatedParallelCyclesMatchSerial) {
   }
 }
 
-TEST_P(RaceStressPolicy, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
+TEST_P(RaceStressTuning, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
   // The §5.2 scenario the paper's Figure 6-9 measures, with real threads:
   // productions added to a live network one at a time, each state update
   // drained through the ParallelMatcher at full width (phases A/B under the
   // task filter with alpha-left suppression, then the last-shared-node
   // replay). The oracle is an engine that knew every production up front.
   // One persistent matcher carries every wave and every update phase, so
-  // under Steal this also stresses pool reuse (park/unpark across cycles).
+  // this also stresses pool reuse (park/unpark across cycles).
   const int waves = PSME_SANITIZED_BUILD ? 2 : 3;
   const RaceCase c = GetParam();
 
@@ -253,7 +194,8 @@ TEST_P(RaceStressPolicy, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
   }
   Engine live;
   live.load(base);
-  ParallelMatcher matcher(live.net(), live.state(), kWorkers, c.policy, nullptr, c.tuning);
+  ParallelMatcher matcher(live.net(), kWorkers, nullptr, c.tuning);
+  matcher.register_agent(live.state());
 
   for (int wv = 0; wv < waves; ++wv) {
     add_stress_wmes(ref, 12, wv);
@@ -282,14 +224,15 @@ TEST_P(RaceStressPolicy, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
     const auto wm_snapshot = live.wm().live();
 
     // Phase A: alpha chains + right memories fed by new alpha memories.
-    matcher.run_update(update_alpha_seeds(live.net(), cp, wm_snapshot),
-                       {cp.first_new_id, /*suppress_alpha_left=*/true});
+    std::vector<Activation> seeds =
+        update_alpha_seeds(live.net(), cp, wm_snapshot);
+    matcher.run_update(seeds, {cp.first_new_id, /*suppress_alpha_left=*/true});
     // Phase B: right memories fed by shared (old) alpha memories.
-    matcher.run_update(update_right_seeds(live.net(), live.state(), cp),
-                       {cp.first_new_id, false});
+    seeds = update_right_seeds(live.net(), live.state(), cp);
+    matcher.run_update(seeds, {cp.first_new_id, false});
     // Phase C: last-shared-node replay, only after A and B drained.
-    matcher.run_update(update_left_seeds(live.net(), live.state(), cp),
-                       {cp.first_new_id, false});
+    seeds = update_left_seeds(live.net(), live.state(), cp);
+    matcher.run_update(seeds, {cp.first_new_id, false});
   }
 
   EXPECT_EQ(cs_fingerprint(ref), cs_fingerprint(live));
@@ -324,8 +267,8 @@ TEST(RaceStress, StealParkingUnderUnevenLoad) {
   par.load(stress_productions());
   StealTuning eager;
   eager.backoff_park_sweeps = 0;
-  ParallelMatcher matcher(par.net(), par.state(), kWorkers, TaskQueueSet::Policy::Steal,
-                          nullptr, eager);
+  ParallelMatcher matcher(par.net(), kWorkers, nullptr, eager);
+  matcher.register_agent(par.state());
 
   uint64_t parks = 0;
   for (int c = 0; c < cycles; ++c) {
@@ -340,7 +283,7 @@ TEST(RaceStress, StealParkingUnderUnevenLoad) {
         par.net().inject(w, true, sc);
       }
     }
-    const ParallelStats st = matcher.run_cycle(std::move(sc.seeds));
+    const ParallelStats st = matcher.run_cycle(sc.seeds);
     parks += st.parks;
     ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(par)) << "cycle " << c;
   }

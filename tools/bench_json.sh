@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Builds and runs the machine-readable benchmarks, capturing each one's
 # stdout into BENCH_<name>.json at the repo root (human tables stay on
-# stderr). Currently: bench_scheduler (the real-thread scheduler shootout),
-# bench_tokens (heap allocations per activation, old vs new token
-# representation), bench_longchain (deep linear join chains: chain
-# splitting vs split-every-link vs never-split, plus the VP sweep to 256),
+# stderr). Currently: bench_scheduler (the real-thread work-stealing
+# scheduler swept over worker counts), bench_tokens (heap allocations per
+# activation of the inline/arena token), bench_longchain (deep linear join
+# chains: chain splitting vs split-every-link vs never-split, plus the VP
+# sweep to 256),
 # and bench_multiagent (N agent sessions over one shared network and one
 # 8-worker pool: aggregate agent-cycles/sec and p99 step latency vs
 # session count), and bench_query (transient-query churn: add/match/remove
