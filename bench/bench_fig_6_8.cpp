@@ -56,7 +56,7 @@ struct Shape {
 };
 
 Shape measure(bool bilinear, int groups, int gsize, bool balanced) {
-  Engine e;
+  Engine e(recorded());
   const std::string src = long_chain_production(groups, gsize);
   if (bilinear) {
     RhsArena arena;

@@ -22,7 +22,7 @@ namespace {
 /// paper's scale ("the entire set of wmes is matched, providing a high
 /// opportunity for parallelism").
 void paper_scale_update() {
-  Engine e;
+  Engine e(recorded());
   e.load("(p base (c0 ^v <x>) (c1 ^v <x>) --> (halt))");
   const int kValues = 160, kDepth = 12;
   for (int level = 0; level < kDepth; ++level) {

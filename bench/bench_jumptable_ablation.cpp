@@ -27,6 +27,7 @@ int main() {
     SoarOptions opts;
     opts.learning = false;
     opts.max_decisions = task.max_decisions;
+    opts.engine = recorded();
     SoarKernel kernel(opts);
     kernel.load_productions(task.productions);
     task.init(kernel);

@@ -109,7 +109,7 @@ struct SerialResult {
 
 SerialResult run_serial(int rounds, int values) {
   SerialResult r;
-  Engine e;
+  Engine e(recorded());
   settle_rhs(e, values);
   const auto heads = head_texts(values);
   for (int round = 0; round < rounds; ++round) {

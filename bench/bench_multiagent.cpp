@@ -93,8 +93,8 @@ Record run_config(size_t agents, size_t workers, int rounds, int wave,
   AgentGroupOptions gopts;
   gopts.workers = workers;
   if (profile_shift >= 0) {
-    gopts.profile = true;
-    gopts.profile_sample_shift = static_cast<uint32_t>(profile_shift);
+    gopts.agent.profile = true;
+    gopts.agent.profile_sample_shift = static_cast<uint32_t>(profile_shift);
   }
   AgentGroup group(gopts);
   for (size_t a = 0; a < agents; ++a) group.add_agent();

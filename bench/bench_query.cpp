@@ -229,8 +229,8 @@ int main(int argc, char** argv) {
   {
     AgentGroupOptions gopts;
     gopts.workers = 8;
-    gopts.profile = true;
-    gopts.profile_sample_shift = 0;
+    gopts.agent.profile = true;
+    gopts.agent.profile_sample_shift = 0;
     AgentGroup group(gopts);
     group.add_agent();
     group.load(resident_productions());

@@ -17,7 +17,7 @@ struct Counts {
 };
 
 Counts run_mode(const Task& task, bool share_beta) {
-  EngineOptions opts;
+  EngineOptions opts = recorded();
   opts.builder.share_beta = share_beta;
   const auto during = run_task(task, /*learning=*/true, nullptr, opts);
   Counts c;

@@ -28,14 +28,23 @@ struct TaskData {
   TaskRunResult after;     // after chunking (chunks preloaded, learning off)
 };
 
+/// Engine options for the reproductions: serial, with every cycle's task
+/// DAG recorded (the virtual multiprocessor's input).
+inline EngineOptions recorded() {
+  EngineOptions opts;
+  opts.record_traces = true;
+  return opts;
+}
+
 /// Runs one task in all three regimes.
 inline TaskData collect(const std::string& name) {
   TaskData d;
   d.name = name;
   d.task = make_task(name);
-  d.nolearn = run_task(d.task, /*learning=*/false);
-  d.during = run_task(d.task, /*learning=*/true);
-  d.after = run_task(d.task, /*learning=*/false, &d.during.stats.chunk_texts);
+  d.nolearn = run_task(d.task, /*learning=*/false, nullptr, recorded());
+  d.during = run_task(d.task, /*learning=*/true, nullptr, recorded());
+  d.after = run_task(d.task, /*learning=*/false, &d.during.stats.chunk_texts,
+                     recorded());
   return d;
 }
 

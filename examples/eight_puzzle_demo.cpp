@@ -46,8 +46,6 @@ using namespace psme;
 namespace {
 
 void report(const char* label, const TaskRunResult& r) {
-  uint64_t tasks = 0;
-  for (const auto& t : r.stats.traces) tasks += t.task_count();
   std::printf(
       "%-18s decisions %3llu  elaboration cycles %3llu  impasses %2llu  "
       "chunks %2llu  match tasks %7llu  solved %s\n",
@@ -55,7 +53,7 @@ void report(const char* label, const TaskRunResult& r) {
       static_cast<unsigned long long>(r.stats.elab_cycles),
       static_cast<unsigned long long>(r.stats.impasses),
       static_cast<unsigned long long>(r.stats.chunks_built),
-      static_cast<unsigned long long>(tasks),
+      static_cast<unsigned long long>(r.stats.match_tasks),
       r.stats.goal_achieved ? "yes" : "NO");
 }
 

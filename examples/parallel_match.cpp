@@ -75,7 +75,7 @@ int run_agents_demo(size_t agents, const StealTuning& tuning) {
               agents);
   AgentGroupOptions gopts;
   gopts.workers = 8;
-  gopts.steal = tuning;
+  gopts.agent.steal = tuning;
   AgentGroup group(gopts);
   std::vector<std::unique_ptr<Engine>> oracles;
   for (size_t a = 0; a < agents; ++a) {

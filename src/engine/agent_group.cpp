@@ -8,18 +8,15 @@ AgentGroup::AgentGroup(AgentGroupOptions opts) : opts_(std::move(opts)) {
   if (opts_.workers == 0) opts_.workers = 1;
   cnet_ = std::make_shared<CompiledNetwork>(
       CompiledNetworkOptions{opts_.agent.builder});
-  if (opts_.trace.enabled) {
-    tracer_ = std::make_unique<obs::Tracer>(opts_.trace);
-  }
-  if (opts_.profile) {
-    profiler_ =
-        std::make_unique<obs::MatchProfiler>(opts_.profile_sample_shift);
+  const EngineOptions& eo = opts_.agent;
+  if (eo.trace.enabled) tracer_ = std::make_unique<obs::Tracer>(eo.trace);
+  if (eo.profile) {
+    profiler_ = std::make_unique<obs::MatchProfiler>(eo.profile_sample_shift);
   }
   // Agent-less matcher: sessions register as they are added. prewarm()
   // ensures worker tracks 1..W on the tracer; agent tracks follow.
   matcher_ = std::make_unique<ParallelMatcher>(
-      cnet_->net(), opts_.workers, tracer_.get(), opts_.steal,
-      profiler_.get());
+      cnet_->net(), opts_.workers, tracer_.get(), eo.steal, profiler_.get());
 }
 
 AgentGroup::~AgentGroup() {
@@ -29,27 +26,10 @@ AgentGroup::~AgentGroup() {
 }
 
 Engine& AgentGroup::add_agent() {
-  EngineOptions eo = opts_.agent;
-  // The group owns scheduling, tracing and profiling; per-agent knobs stay.
-  eo.match_workers = 0;
-  eo.trace.enabled = false;
-  eo.profile = false;
-  agents_.push_back(std::make_unique<Engine>(cnet_, eo, matcher_.get()));
-  Engine& e = *agents_.back();
-  if (tracer_ != nullptr) {
-    // Track layout: 0 = coordinator, 1..W = workers, W+1..W+N = agents.
-    const size_t track = 1 + opts_.workers + e.agent_id();
-    tracer_->ensure_tracks(track + 1);
-    e.set_trace_sink(tracer_.get(), track);
-  }
-  if (profiler_ != nullptr) {
-    // Quiescent (no cycle in flight during add_agent): grow the agent cells
-    // now so the next drain's ensure is a compare, and route the agent's
-    // serial drains (private match(), §5.2 updates) into the shared shards.
-    profiler_->ensure_agents(agents_.size());
-    e.set_profiler(profiler_.get());
-  }
-  return e;
+  // Attach mode: the engine takes the matcher's tracer, track and profiler.
+  agents_.push_back(
+      std::make_unique<Engine>(cnet_, opts_.agent, matcher_.get()));
+  return *agents_.back();
 }
 
 std::vector<const Production*> AgentGroup::load(std::string_view src) {

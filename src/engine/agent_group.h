@@ -16,9 +16,11 @@
 // jumptable (CompiledNetwork::compile_cow) followed by a §5.2 state update
 // per attached agent — a learning agent never blocks matching peers.
 //
-// Observability: collect_metrics() namespaces every agent's counters as
-// "agentN.*"; with tracing enabled the shared tracer lays tracks out as
-// 0 = coordinator, 1..W = workers, W+1..W+N = agents.
+// Observability: the group owns the one tracer and the one profiler (from
+// `agent.trace` / `agent.profile`); the shared matcher's workers and every
+// attached engine borrow them. collect_metrics() namespaces every agent's
+// counters as "agentN.*"; the tracer lays tracks out as 0 = coordinator,
+// 1..W = workers, W+1..W+N = agents (Engine::track()).
 #pragma once
 
 #include <cstdint>
@@ -43,19 +45,14 @@ struct AgentGroupOptions {
   /// worker 0, exactly as in a standalone parallel Engine).
   size_t workers = 4;
   TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal;  // unused
-  StealTuning steal;
-  /// Per-agent engine options. match_workers/steal/trace are overridden by
-  /// the group (shared matcher, shared tracer); hash_lines,
-  /// arena_chunk_bytes, record_traces and builder apply per agent.
+  /// Engine options for every agent session. hash_lines, arena_chunk_bytes
+  /// and builder apply per agent. steal, trace, profile and
+  /// profile_sample_shift configure the group's shared matcher, tracer (one
+  /// ring per worker + one per agent) and profiler (one shard per worker,
+  /// agent cells tagged per session). match_workers and record_traces have
+  /// no effect: attached engines always drain on the shared matcher, so
+  /// Engine::records_traces() is false.
   EngineOptions agent;
-  /// Shared tracer (one ring per worker + one per agent). Disabled default.
-  obs::TraceOptions trace;
-  /// Shared match profiler (obs/profiler.h): one shard per worker, agent
-  /// cells tagged per session, so per-agent attribution survives the batched
-  /// drains. Per-agent EngineOptions::profile is overridden off — a private
-  /// profiler can't observe the shared workers.
-  bool profile = false;
-  uint32_t profile_sample_shift = 0;
 };
 
 class AgentGroup {
@@ -76,10 +73,10 @@ class AgentGroup {
 
   CompiledNetwork& network() { return *cnet_; }
   ParallelMatcher& matcher() { return *matcher_; }
-  /// Null unless options().trace.enabled.
+  /// Null unless options().agent.trace.enabled.
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_.get(); }
-  /// Null unless options().profile. Snapshot/reset only between step_all
-  /// calls (quiescence); agent cells are indexed by agent_id().
+  /// Null unless options().agent.profile. Snapshot/reset only between
+  /// step_all calls (quiescence); agent cells are indexed by agent_id().
   [[nodiscard]] obs::MatchProfiler* profiler() const {
     return profiler_.get();
   }

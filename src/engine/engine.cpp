@@ -28,6 +28,9 @@ Engine::Engine(EngineOptions opts)
                  CompiledNetworkOptions{opts.builder}),
              opts, nullptr) {}
 
+// Attach mode never owns an instrument: the shared matcher's workers can't
+// write into a per-agent tracer or profiler without racing the other
+// sessions, so the engine borrows the matcher's and ignores its options.
 Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
                ParallelMatcher* shared_matcher)
     : opts_(opts),
@@ -35,34 +38,24 @@ Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
       state_(opts.hash_lines, opts.arena_chunk_bytes),
       rhs_(cnet_->syms(), cnet_->schemas()),
       external_matcher_(shared_matcher),
-      serial_exec_(cnet_->net(), state_, opts.record_traces) {
+      agent_(shared_matcher != nullptr ? shared_matcher->register_agent(state_)
+                                       : 0),
+      tracer_(shared_matcher == nullptr && opts.trace.enabled
+                  ? std::make_unique<obs::Tracer>(opts.trace)
+                  : nullptr),
+      profiler_(shared_matcher == nullptr && opts.profile
+                    ? std::make_unique<obs::MatchProfiler>(
+                          opts.profile_sample_shift)
+                    : nullptr),
+      serial_exec_(cnet_->net(), state_, opts.record_traces,
+                   obs::TaskObserver(tracer(), track(), profiler(), 0)) {
   state_.sink = &cs_;
   state_.ensure_alpha(net().alpha_mem_count());
-  if (opts_.trace.enabled) {
-    tracer_ = std::make_unique<obs::Tracer>(opts_.trace);
-    trace_sink_ = tracer_.get();
-    serial_exec_.set_tracer(trace_sink_, 0);
-  }
-  if (opts_.profile && external_matcher_ == nullptr) {
-    // Attach mode leaves profiling to the group's shared profiler
-    // (set_profiler): the shared matcher's workers can't write into a
-    // per-agent profiler's shards without racing the other sessions.
-    profiler_ = std::make_unique<obs::MatchProfiler>(opts_.profile_sample_shift);
-    serial_exec_.set_profiler(profiler_.get());
-  }
-  if (external_matcher_ != nullptr) {
-    agent_ = external_matcher_->register_agent(state_);
-  }
+  serial_exec_.agent = agent_;
   cnet_->attach(this);
 }
 
 Engine::~Engine() { cnet_->detach(this); }
-
-void Engine::set_trace_sink(obs::Tracer* t, size_t track) {
-  trace_sink_ = t != nullptr ? t : tracer_.get();
-  trace_track_ = t != nullptr ? static_cast<uint32_t>(track) : 0;
-  serial_exec_.set_tracer(trace_sink_, trace_track_);
-}
 
 std::vector<const Production*> Engine::load(std::string_view src) {
   auto out = cnet_->load(src);
@@ -71,11 +64,7 @@ std::vector<const Production*> Engine::load(std::string_view src) {
   for (const Production* p : out) {
     const CompiledProduction& cp = cnet_->record(p).compiled;
     for (Engine* agent : cnet_->agents()) {
-      const auto snapshot = agent->wm_.live();
-      if (snapshot.empty()) continue;
-      run_update_serial(net(), agent->state_, cp, snapshot,
-                        agent->update_scratch_, agent->trace_sink_,
-                        agent->trace_track_);
+      if (agent->wm_.size() != 0) agent->apply_runtime_update(cp, nullptr);
     }
 #if PSME_NET_VERIFY
     debug_verify_after_add(p);
@@ -112,8 +101,7 @@ ParallelMatcher& Engine::matcher() {
 Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
   RuntimeAddResult res;
   const Production* p = cnet_->adopt(std::move(ast));
-  obs::Span compile_span(trace_sink_, trace_track_,
-                          obs::EventKind::ChunkCompile);
+  obs::Span compile_span(tracer(), track(), obs::EventKind::ChunkCompile);
   // Copy-on-write splice + publish; the publish is this call's quiescent
   // safe point (no agent has a cycle in flight — quiescent-only contract).
   const CompiledProduction& cp = cnet_->compile_cow(p).compiled;
@@ -142,70 +130,22 @@ Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
 
 uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
                                       RuntimeAddResult* res) {
+  // The §5.2 state update drains through the same executor as this
+  // session's match cycles — with full match parallelism when threaded
+  // (Figure 6-9's regime).
   const auto wm_snapshot = wm_.live();
-  std::vector<Activation> seeds;
-  uint64_t tasks = 0;
-  if (parallel()) {
-    // The §5.2 state update with full match parallelism (Figure 6-9's
-    // regime): phases A and B under the task filter, then the
-    // last-shared-node replay once both have drained.
-    ParallelMatcher& m = matcher();
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
-                     cp.first_new_id);
-      seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
-      tasks += m.run_update(seeds, {cp.first_new_id, true}).tasks;
-    }
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
-                     cp.first_new_id);
-      seeds = update_right_seeds(net(), state_, cp, agent_);
-      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
-    }
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
-                     cp.first_new_id);
-      seeds = update_left_seeds(net(), state_, cp, agent_);
-      tasks += m.run_update(seeds, {cp.first_new_id, false}).tasks;
-    }
-  } else {
-    TraceExecutor ex(net(), state_, opts_.record_traces);
-    ex.set_tracer(trace_sink_, trace_track_);
-    // The §5.2 update IS the evaluation for a transient query: without the
-    // profiler, a cue's new-node activations would be invisible to the
-    // per-CE costing (query_demo --profile / bench_query).
-    ex.set_profiler(profiler());
-    ex.update_mode = true;
-    ex.min_node_id = cp.first_new_id;
-
-    ex.suppress_alpha_left = true;
-    CycleTrace ab, c;
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateA,
-                     cp.first_new_id);
-      seeds = update_alpha_seeds(net(), cp, wm_snapshot, agent_);
-      ab = ex.run_to_quiescence(seeds);
-    }
-    ex.suppress_alpha_left = false;
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateB,
-                     cp.first_new_id);
-      seeds = update_right_seeds(net(), state_, cp, agent_);
-      ab.append(ex.run_to_quiescence(seeds));
-    }
-    {
-      obs::Span span(trace_sink_, trace_track_, obs::EventKind::UpdateC,
-                     cp.first_new_id);
-      seeds = update_left_seeds(net(), state_, cp, agent_);
-      c = ex.run_to_quiescence(seeds);
-    }
-    tasks = ex.executed();
+  Drain& drain = parallel() ? static_cast<Drain&>(matcher()) : serial_exec_;
+  const UpdateTasks n = run_update(drain, net(), state_, cp, wm_snapshot,
+                                   agent_, update_scratch_, tracer(), track());
+  if (records_traces()) {
+    // Always taken, so a peer's update DAG never leaks into its next cycle.
+    CycleTrace dag = serial_exec_.take_trace();
     if (res != nullptr) {
-      res->ab = std::move(ab);
-      res->c = std::move(c);
+      res->c = dag.split_off(n.ab);
+      res->ab = std::move(dag);
     }
   }
-  return tasks;
+  return n.total();
 }
 
 Engine::RuntimeRemoveResult Engine::remove_production_runtime(
@@ -215,8 +155,7 @@ Engine::RuntimeRemoveResult Engine::remove_production_runtime(
   // The AST dies in finish_removal; keep the name for diagnostics.
   const std::string name(cnet_->syms().name(p->name));
 #endif
-  obs::Span remove_span(trace_sink_, trace_track_,
-                        obs::EventKind::ProdRemove);
+  obs::Span remove_span(tracer(), track(), obs::EventKind::ProdRemove);
   // Plan + unsplice under COW; the publish inside is the safe point. Past
   // it the victim can never fire, but its nodes are still alive — agents
   // drain their state against them before anything is freed.
@@ -332,8 +271,7 @@ void Engine::end_group_cycle() {
 
 CycleTrace Engine::match() {
   CycleTrace trace;
-  obs::Span cycle_span(trace_sink_, trace_track_,
-                       obs::EventKind::MatchCycle);
+  obs::Span cycle_span(tracer(), track(), obs::EventKind::MatchCycle);
   std::vector<Activation>& seeds = seed_scratch_;  // capacity reused per cycle
   seeds.clear();
   if (parallel()) {
@@ -347,25 +285,23 @@ CycleTrace Engine::match() {
     for (const Wme* w : pending_removes_) net().inject(w, false, cc);
     ParallelStats total;
     if (!seeds.empty() || pending_adds_.empty()) {
-      obs::Span span(trace_sink_, trace_track_,
-                     obs::EventKind::DrainRemoves);
+      obs::Span span(tracer(), track(), obs::EventKind::DrainRemoves);
       total = matcher().run_cycle(seeds);
       seeds.clear();
     }
     if (!pending_adds_.empty()) {
-      obs::Span span(trace_sink_, trace_track_,
-                     obs::EventKind::DrainAdds);
+      obs::Span span(tracer(), track(), obs::EventKind::DrainAdds);
       for (const Wme* w : pending_adds_) net().inject(w, true, cc);
       total.accumulate(matcher().run_cycle(seeds));
     }
     last_parallel_stats_ = total;
+    last_match_tasks_ = total.tasks;
   } else {
     CollectCtx cc(seeds, agent_);
     for (const Wme* w : pending_removes_) net().inject(w, false, cc);
     for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-    state_.arena.begin_drain(1);
-    trace = serial_exec_.run_to_quiescence(seeds);
-    state_.arena.reclaim_at_quiescence();
+    last_match_tasks_ = serial_exec_.drain(seeds, {});
+    trace = serial_exec_.take_trace();
   }
   pending_removes_.clear();
   pending_adds_.clear();

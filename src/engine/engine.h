@@ -39,7 +39,11 @@ struct VerifyReport;
 struct EngineOptions {
   size_t hash_lines = 4096;
   BuilderOptions builder;  // ignored in attach mode (the network exists)
-  bool record_traces = true;
+  /// Records every serial cycle's task DAG (CycleTrace) for the virtual
+  /// multiprocessor. Off by default: a recorded DAG allocates per task and
+  /// a Soar run keeps one per elaboration cycle. The figure benches, psim
+  /// and the tests that read traces turn it on.
+  bool record_traces = false;
 
   /// TokenArena spill-chunk size (bytes). Larger chunks amortize the mmap
   /// cost of deep token spills; smaller chunks waste less on quiet workers.
@@ -61,14 +65,14 @@ struct EngineOptions {
   /// against this split depth as the tuning hint.
   StealTuning steal;
 
-  /// Tracing (src/obs). When enabled the engine owns a Tracer: track 0
-  /// carries engine-level spans (match cycles, drain sub-phases, chunk
-  /// compiles, the §5.2 update phases, serial task spans) and tracks 1..N
-  /// the parallel workers' task/steal/park events. All rings are
+  /// Tracing (src/obs). When enabled a standalone engine owns a Tracer:
+  /// track 0 carries engine-level spans (match cycles, drain sub-phases,
+  /// chunk compiles, the §5.2 update phases, serial task spans) and tracks
+  /// 1..N the parallel workers' task/steal/park events. All rings are
   /// preallocated (at Engine construction and ParallelMatcher::prewarm),
   /// so tracing preserves the §10 zero-allocation guarantee. In attach mode
-  /// the group's tracer (if any) carries the worker tracks; this one only
-  /// carries the agent's own track-0 spans.
+  /// this flag is ignored: the engine records into the shared matcher's
+  /// tracer, if it has one, on track 1 + workers + agent id.
   obs::TraceOptions trace;
 
   /// Match profiling (obs/profiler.h). When enabled the engine owns a
@@ -78,8 +82,8 @@ struct EngineOptions {
   /// boundaries, so profiling preserves the §10 guarantee under both
   /// executors (engine_alloc_test proves it). Read via profiler()/snapshot
   /// at quiescence; production attribution happens at reporting time
-  /// (analysis/profile_report.h). In attach mode the group owns the shared
-  /// profiler instead (AgentGroupOptions::profile) and this flag is ignored.
+  /// (analysis/profile_report.h). In attach mode this flag is ignored: the
+  /// engine borrows the shared matcher's profiler, if it has one.
   bool profile = false;
   /// Power-of-two activation TIMING sampling: a worker times every
   /// 2^shift-th task it executes (0 = time all). Counts stay exact either
@@ -140,9 +144,10 @@ class Engine {
   /// Run-time addition (chunking path): compiles `ast` into the live network
   /// copy-on-write on the shared jumptable, then updates EVERY attached
   /// agent's memories from its own WM (§5.2) — this session first, so the
-  /// returned traces are the learning agent's. Returns the traces of the
-  /// update phases (`ab`: alpha+right fill, which may run concurrently;
-  /// `c`: the last-shared-node replay, which must follow).
+  /// returned traces are the learning agent's. Returns the recorded DAGs of
+  /// the update phases (`ab`: alpha+right fill, which may run concurrently;
+  /// `c`: the last-shared-node replay, which must follow) — empty unless
+  /// records_traces().
   struct RuntimeAddResult {
     const Production* prod = nullptr;
     CycleTrace ab, c;
@@ -189,8 +194,12 @@ class Engine {
 
   /// Injects all queued changes and runs the match to quiescence. One call
   /// is one "cycle" in the paper's corrected regime: all wme changes of the
-  /// cycle are complete before matching starts.
+  /// cycle are complete before matching starts. Returns the cycle's task
+  /// DAG when records_traces(), else an empty trace.
   CycleTrace match();
+
+  /// Tasks the most recent match() executed, whichever executor ran it.
+  [[nodiscard]] uint64_t last_match_tasks() const { return last_match_tasks_; }
 
   /// AgentGroup batching half of match(): injects this agent's pending
   /// removes (adds=false) or adds (adds=true) as agent-tagged seeds into
@@ -236,6 +245,12 @@ class Engine {
   [[nodiscard]] bool parallel() const {
     return external_matcher_ != nullptr || opts_.match_workers > 1;
   }
+  /// True when match() and the §5.2 update hand back a recorded task DAG:
+  /// options().record_traces on the serial executor. The threaded matcher
+  /// records none.
+  [[nodiscard]] bool records_traces() const {
+    return opts_.record_traces && !parallel();
+  }
 
   /// The persistent parallel matcher: the shared one in attach mode, else
   /// the privately owned one (created on first parallel match()); nullptr
@@ -249,32 +264,29 @@ class Engine {
     return last_parallel_stats_;
   }
 
-  /// Null unless options().trace.enabled. Read rings only at quiescence.
-  [[nodiscard]] obs::Tracer* tracer() const { return tracer_.get(); }
+  /// The tracer this session's spans go to: its own when standalone and
+  /// options().trace.enabled, the shared matcher's in attach mode; null when
+  /// tracing is off. Read rings only at quiescence.
+  [[nodiscard]] obs::Tracer* tracer() const {
+    return external_matcher_ != nullptr ? external_matcher_->tracer()
+                                        : tracer_.get();
+  }
+  /// This session's track on tracer(): 0 standalone; after the shared
+  /// matcher's workers in attach mode (AgentGroup's layout: 0 = group,
+  /// 1..W = workers, W+1+id = agent id).
+  [[nodiscard]] size_t track() const {
+    return external_matcher_ != nullptr
+               ? 1 + external_matcher_->workers() + agent_
+               : 0;
+  }
 
-  /// The active match profiler: the engine's own when options().profile,
-  /// else whatever set_profiler attached (AgentGroup's shared one); null
-  /// when profiling is off. Snapshot/reset only at quiescence.
+  /// The match profiler both executors record into: own when standalone and
+  /// options().profile, the shared matcher's in attach mode; null when
+  /// profiling is off. Snapshot/reset only at quiescence.
   [[nodiscard]] obs::MatchProfiler* profiler() const {
-    return external_profiler_ != nullptr ? external_profiler_
-                                         : profiler_.get();
+    return external_matcher_ != nullptr ? external_matcher_->profiler()
+                                        : profiler_.get();
   }
-
-  /// Routes this session's serial task profiling into `p` instead of an
-  /// owned profiler (AgentGroup shares one across agents and workers).
-  /// Quiescent-only; the profiler must outlive the engine. Null restores
-  /// the own-profiler default.
-  void set_profiler(obs::MatchProfiler* p) {
-    external_profiler_ = p;
-    serial_exec_.set_profiler(profiler());
-  }
-
-  /// Routes this session's engine-level spans (match cycles, §5.2 update
-  /// phases, chunk compiles, serial task spans) into `t`'s ring `track`
-  /// instead of the engine's own tracer — AgentGroup gives every agent its
-  /// own track on the shared tracer (tracks W+1..W+A, after the workers').
-  /// Quiescent-only. Null restores the own-tracer default.
-  void set_trace_sink(obs::Tracer* t, size_t track);
 
   /// Dumps the engine's current stats — last parallel cycle ("par.*"),
   /// token arena ("arena.*"), tracer accounting ("obs.*") — into `m`.
@@ -300,8 +312,9 @@ class Engine {
 
   void apply_delta(const WmeDelta& delta, bool dedup_adds);
   ParallelMatcher& matcher();
-  /// One agent's §5.2 state update after a runtime add. Returns executed
-  /// task count; fills `res` (traces) when non-null (the learning agent).
+  /// One agent's §5.2 state update after an add, through this session's
+  /// executor. Returns the executed task count; fills `res` (traces) when
+  /// non-null (the learning agent).
   uint64_t apply_runtime_update(const CompiledProduction& cp,
                                 RuntimeAddResult* res);
   /// PSME_NET_VERIFY hooks: abort with the full report on violation.
@@ -320,19 +333,19 @@ class Engine {
   ParallelMatcher* external_matcher_ = nullptr;  // attach mode (group-owned)
   std::unique_ptr<ParallelMatcher> matcher_;     // standalone, persistent
   ParallelStats last_parallel_stats_;
-  std::unique_ptr<obs::Tracer> tracer_;  // created at ctor when trace.enabled
-  obs::Tracer* trace_sink_ = nullptr;  // own tracer, or the group's
-  uint32_t trace_track_ = 0;           // this agent's track in trace_sink_
-  std::unique_ptr<obs::MatchProfiler> profiler_;  // created when opts.profile
-  obs::MatchProfiler* external_profiler_ = nullptr;  // group-owned (attach)
+  uint64_t last_match_tasks_ = 0;
+  uint32_t agent_ = 0;  // tag in the shared matcher (attach mode)
+  // Owned only standalone; attach mode borrows the shared matcher's.
+  std::unique_ptr<obs::Tracer> tracer_;           // when opts.trace.enabled
+  std::unique_ptr<obs::MatchProfiler> profiler_;  // when opts.profile
   // Steady-state scratch, alive for the Engine's lifetime so repeated
-  // cycles reuse high-water capacity (DESIGN.md §10): the serial executor
-  // (ring + trace state), the per-cycle seed vector, and the fire delta.
+  // cycles and §5.2 updates reuse high-water capacity (DESIGN.md §10): the
+  // serial executor (ring + trace state), the per-cycle seed vector, the
+  // update's seed buffers, and the fire delta.
   TraceExecutor serial_exec_;
   std::vector<Activation> seed_scratch_;
+  UpdateScratch update_scratch_;
   WmeDelta fire_delta_;
-  UpdateScratch update_scratch_;  // load()'s §5.2 drains, capacity reused
-  uint32_t agent_ = 0;  // tag in the shared matcher (attach mode)
 };
 
 }  // namespace psme

@@ -1,41 +1,47 @@
 #include "engine/trace.h"
 
-#include "obs/record.h"
+#include <utility>
 
 namespace psme {
 
-void CycleTrace::append(CycleTrace&& other) {
-  const uint32_t base = static_cast<uint32_t>(tasks.size());
-  for (TaskRecord& r : other.tasks) {
-    if (r.parent != UINT32_MAX) r.parent += base;
-    tasks.push_back(std::move(r));
+CycleTrace CycleTrace::split_off(size_t at) {
+  CycleTrace tail;
+  if (at >= tasks.size()) return tail;
+  const auto base = static_cast<uint32_t>(at);
+  tail.tasks.assign(tasks.begin() + static_cast<ptrdiff_t>(at), tasks.end());
+  tasks.resize(at);
+  for (TaskRecord& r : tail.tasks) {
+    if (r.parent != UINT32_MAX) r.parent -= base;
   }
-  for (auto& la : other.line_accesses) line_accesses.push_back(la);
+  return tail;
 }
 
 void TraceExecutor::emit(Activation&& a) {
   queue_.push_back(QueuedTask{a, current_parent_});
 }
 
-CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation>& seeds) {
-  trace_ = CycleTrace{};
-  current_parent_ = UINT32_MAX;
-  // Quiescent drain boundary: alpha state compiled since the last drain
-  // (chunk additions) must exist before any task touches it.
+uint64_t TraceExecutor::drain(std::vector<Activation>& seeds,
+                              const UpdateFilter& f) {
+  filter = f;
+  queue_.clear();  // residue of a drain an exception cut short
+  // Quiescent drain boundary: alpha state and node ids compiled since the
+  // last drain (chunk additions) must exist before any task touches them.
   state->ensure_alpha(net_.alpha_mem_count());
-  if (profiler_ != nullptr) {
-    profiler_->ensure_nodes(net_.node_count());
-    profiler_->ensure_agents(1 + agent);
+  if (obs::MatchProfiler* p = observer_.profiler()) {
+    p->ensure_nodes(net_.node_count());
+    p->ensure_agents(1 + agent);
   }
+  state->arena.begin_drain(1);
+  current_parent_ = UINT32_MAX;
   for (auto& s : seeds) emit(std::move(s));
+  uint64_t executed = 0;
   while (!queue_.empty()) {
     const QueuedTask task = queue_.front();
     queue_.pop_front();
     if (!net_.should_execute(task.act, *this)) continue;
-    ++executed_;
-    uint32_t index = UINT32_MAX;
+    ++executed;
     if (record_) {
-      index = static_cast<uint32_t>(trace_.tasks.size());
+      current_parent_ = static_cast<uint32_t>(trace_.tasks.size());
       TaskRecord r;
       r.parent = task.parent;
       r.node = task.act.node;
@@ -43,35 +49,19 @@ CycleTrace TraceExecutor::run_to_quiescence(std::vector<Activation>& seeds) {
       r.side = task.act.side;
       r.add = task.act.add;
       trace_.tasks.push_back(std::move(r));
+      stats.reset();
     }
-    stats.reset();
-    current_parent_ = index;
-    const uint64_t t0 = tracer_ != nullptr ? tracer_->now_ns() : 0;
-    uint64_t p0 = 0;
-    bool timed = false;
-    if (profiler_ != nullptr) {
-      timed = profiler_->sample(0);
-      if (timed) p0 = obs::profile_now_ns();
-    }
+    observer_.before(stats);
     net_.execute(task.act, *this);
-    if (profiler_ != nullptr) {
-      profiler_->record(0, task.act.node, task.act.agent, timed,
-                        timed ? obs::profile_now_ns() - p0 : 0, stats.emits);
-    }
-    if (tracer_ != nullptr) {
-      obs::record_task(*tracer_, tracer_->ring(track_), t0, task.act, stats);
-    }
-    if (record_) trace_.tasks[index].stats = stats;
+    observer_.after(task.act, stats);
+    if (record_) trace_.tasks[current_parent_].stats = stats;
   }
-  current_parent_ = UINT32_MAX;
-  if (record_) {
-    trace_.line_accesses = state->tables.harvest_cycle_accesses();
-  } else {
-    // No-trace cycles still reset the per-cycle counters, but without
-    // building (and so allocating) the harvest vector.
-    state->tables.reset_cycle_accesses();
-  }
-  return std::move(trace_);
+  state->arena.reclaim_at_quiescence();
+  return executed;
+}
+
+CycleTrace TraceExecutor::take_trace() {
+  return std::exchange(trace_, CycleTrace{});
 }
 
 }  // namespace psme

@@ -106,13 +106,8 @@ void collect(MetricsRegistry& m, const SoarRunStats& st) {
   m.counter("soar.decide_ns", st.decide_ns);
   m.counter("soar.gc_ns", st.gc_ns);
   m.gauge("soar.goal_achieved", st.goal_achieved ? 1 : 0);
-  uint64_t match_tasks = 0;
-  for (const CycleTrace& t : st.traces) match_tasks += t.task_count();
-  m.counter("soar.match_tasks", match_tasks);
-  uint64_t update_tasks = 0;
-  for (const CycleTrace& t : st.update_ab) update_tasks += t.task_count();
-  for (const CycleTrace& t : st.update_c) update_tasks += t.task_count();
-  m.counter("soar.update_tasks", update_tasks);
+  m.counter("soar.match_tasks", st.match_tasks);
+  m.counter("soar.update_tasks", st.update_tasks);
 }
 
 void collect(MetricsRegistry& m, const Tracer& t) {

@@ -5,14 +5,16 @@
 //
 // Allocation discipline (the §10 guarantee must survive with profiling on):
 //   * ensure_workers()/ensure_nodes()/ensure_agents() are quiescent-only —
-//     ParallelMatcher calls them at the drain boundary of run_impl (next to
-//     MatchState::ensure_alpha) and from prewarm(); the serial TraceExecutor
-//     calls them at the top of its drain. Once the network and agent set
-//     stop growing these are three integer compares per cycle.
-//   * sample()/record() are the hot path: a shard-local tick, at most two
-//     steady-clock reads, and a handful of array writes into preallocated
-//     cells. No locks, no atomics — each shard is written by exactly one
-//     worker during a cycle, and merges happen after the fork-join.
+//     binding an obs::TaskObserver (obs/record.h) to a shard grows the
+//     shard set; ParallelMatcher grows the cells at the drain boundary of
+//     run_cycle (next to MatchState::ensure_alpha) and the serial
+//     TraceExecutor at the top of its drain. Once the network and agent set
+//     stop growing these are integer compares per cycle.
+//   * sample()/record() are the hot path, called only by TaskObserver: a
+//     shard-local tick, at most two steady-clock reads, and a handful of
+//     array writes into preallocated cells. No locks, no atomics — each
+//     shard is written by exactly one worker during a cycle, and merges
+//     happen after the fork-join.
 //
 // Sampling (`sample_shift`): activation COUNTS are always exact; TIMING is
 // taken on every 2^shift-th activation per worker (shift 0 = time all).
@@ -20,11 +22,12 @@
 // multi-tenant server can keep the profiler always-on at, say, shift 6 and
 // pay two clock reads per 64 activations.
 //
-// Node-id caveat: run-time production removal tombstones node ids and
-// recycles the slots (rete/remove_production.cpp), so a cell indexed by a
-// recycled id accumulates both tenants' numbers. Take snapshot()/reset()
-// windows around churn when per-node attribution must be exact (bench_query
-// does this for its per-CE costing).
+// Node ids are never reused: run-time production removal tombstones a
+// node's id (rete/remove_production.cpp) and recycles only its jumptable
+// slot, so a cell always belongs to one node — but the cell arrays grow
+// with every id ever allocated, churned-away ones included (ROADMAP item
+// 1). Take snapshot()/reset() windows around churn to read one window's
+// numbers (bench_query does this for its per-CE costing).
 //
 // The flight recorder keeps the last N (metrics + profile) snapshots in a
 // preallocated ring for post-hoc inspection of long-lived sessions without

@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "obs/record.h"
-
 namespace psme {
 namespace {
 
@@ -25,20 +23,13 @@ inline uint64_t backoff_now_ns() {
 }
 
 /// ExecContext that buffers emits locally. The §5.2 filter is applied at
-/// emit time, like the serial DrainCtx, so dropped tasks are never counted
-/// or published. The owner publishes the whole batch once per node
-/// execution (counter bump + pushes + a single unpark), instead of touching
-/// shared state per activation.
+/// emit time, so dropped tasks are never counted or published. The owner
+/// publishes the whole batch once per node execution (counter bump +
+/// pushes + a single unpark), instead of touching shared state per
+/// activation.
 class BatchCtx final : public ExecContext {
  public:
-  BatchCtx(Network& net, const ParallelMatcher::UpdateFilter* filter)
-      : net_(net) {
-    if (filter != nullptr) {
-      update_mode = true;
-      min_node_id = filter->min_node_id;
-      suppress_alpha_left = filter->suppress_alpha_left;
-    }
-  }
+  BatchCtx(Network& net, const UpdateFilter& f) : net_(net) { filter = f; }
 
   void emit(Activation&& a) override {
     if (!net_.should_execute(a, *this)) return;
@@ -166,7 +157,7 @@ void ParallelMatcher::prewarm() {
   // pool-slab growth to the first steady-state cycle it joins. All the
   // touches below are owner-only operations, legal here because no worker
   // thread has been dispatched yet (same contract as the seed distribution
-  // in run_impl).
+  // in run_cycle).
   constexpr size_t kScratch = 64;
   for (size_t w = 0; w < n_workers_; ++w) {
     WorkerSlot& s = *slots_[w];
@@ -174,18 +165,16 @@ void ParallelMatcher::prewarm() {
     s.scratch_children.reserve(kScratch);
     s.scratch_emissions.reserve(kScratch);
     apool_.warm(w);
-  }
-  if (tracer_ != nullptr) {
-    // One ring per worker (tracks 1..n; track 0 is the engine thread),
-    // allocated here — quiescent, single-threaded — so event recording
-    // inside a cycle is a pure bump-and-store (DESIGN.md §11).
-    tracer_->ensure_tracks(1 + n_workers_);
+    // One ring per worker (tracks 1..n; track 0 is the engine thread) and
+    // one profiler shard per worker, allocated here — quiescent,
+    // single-threaded — so recording inside a cycle is a pure
+    // bump-and-store (DESIGN.md §11).
+    s.observer = obs::TaskObserver(tracer_, 1 + w, profiler_, w);
   }
   if (profiler_ != nullptr) {
-    // Shards sized before any worker runs, same contract as the rings. Node
-    // and agent capacity grow again at each drain boundary (run_impl) as the
+    // Cells sized before any worker runs, same contract as the rings. Node
+    // and agent capacity grow again at each drain boundary (run_cycle) as the
     // network and agent table do.
-    profiler_->ensure_workers(n_workers_);
     profiler_->ensure_nodes(net_.node_count());
     profiler_->ensure_agents(states_.empty() ? 1 : states_.size());
   }
@@ -197,6 +186,8 @@ uint32_t ParallelMatcher::register_agent(MatchState& st) {
   st.arena.ensure_workers(n_workers_);
   st.ensure_alpha(net_.alpha_mem_count());
   states_.push_back(&st);
+  // Grown now so the next drain's ensure is a compare.
+  if (profiler_ != nullptr) profiler_->ensure_agents(states_.size());
   return static_cast<uint32_t>(states_.size() - 1);
 }
 
@@ -222,17 +213,8 @@ void ParallelMatcher::reset_slots() {
   }
 }
 
-ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds) {
-  return run_impl(seeds, nullptr);
-}
-
-ParallelStats ParallelMatcher::run_update(std::vector<Activation>& seeds,
-                                          const UpdateFilter& filter) {
-  return run_impl(seeds, &filter);
-}
-
-ParallelStats ParallelMatcher::run_impl(std::vector<Activation>& seeds,
-                                        const UpdateFilter* filter) {
+ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
+                                         const UpdateFilter& filter) {
   // Epoch lifecycle, pinned to the drain: every worker of this cycle enters
   // the new epoch before dispatch; the sweep runs after the pool join (the
   // ParkingLot exit cascade has completed and all workers are parked), when
@@ -245,10 +227,9 @@ ParallelStats ParallelMatcher::run_impl(std::vector<Activation>& seeds,
     ms->arena.begin_drain(n_workers_);
   }
   if (profiler_ != nullptr) {
-    // Quiescent boundary: grow the shards to whatever the network/agent
+    // Quiescent boundary: grow the cells to whatever the network/agent
     // table became since the last drain, so record() never writes past a
-    // cell array mid-cycle. Steady state: three integer compares.
-    profiler_->ensure_workers(n_workers_);
+    // cell array mid-cycle. Steady state: two integer compares.
     profiler_->ensure_nodes(net_.node_count());
     profiler_->ensure_agents(states_.empty() ? 1 : states_.size());
   }
@@ -279,11 +260,11 @@ ParallelStats ParallelMatcher::run_impl(std::vector<Activation>& seeds,
     ParallelMatcher* self;
     const UpdateFilter* filter;
     std::atomic<bool>* abort;
-  } job{this, filter, &abort};
+  } job{this, &filter, &abort};
   pool_.run(
       [](void* arg, size_t worker) {
         auto* j = static_cast<Job*>(arg);
-        j->self->steal_loop(worker, j->filter, *j->abort);
+        j->self->steal_loop(worker, *j->filter, *j->abort);
       },
       &job);
 
@@ -372,7 +353,7 @@ Activation* ParallelMatcher::take_task(size_t worker) {
   return nullptr;
 }
 
-void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
+void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
                                  std::atomic<bool>& abort) {
   WorkerSlot& me = *slots_[worker];
   obs::EventRing* ring =
@@ -459,18 +440,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
     uint32_t depth = 1;      // links executed in this chain so far
     for (;;) {
       Activation* cur = is_inline ? &cont : a;
-      uint64_t t0 = 0;
-      if (ring != nullptr) {
-        t0 = tracer_->now_ns();
-        ctx.stats.reset();  // per-task deltas, like the serial recorder
-      }
-      uint64_t p0 = 0;
-      bool timed = false;
-      if (profiler_ != nullptr) {
-        if (ring == nullptr) ctx.stats.reset();  // emits must be a delta
-        timed = profiler_->sample(worker);
-        if (timed) p0 = obs::profile_now_ns();
-      }
+      me.observer.before(ctx.stats);
       // Re-bind the context to this task's agent: the tag names the only
       // MatchState the task may touch, and emit stamps it onto children.
       ctx.state = states_[cur->agent];
@@ -487,14 +457,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter* filter,
         lot_.unpark_all();
         throw;
       }
-      if (profiler_ != nullptr) {
-        profiler_->record(worker, cur->node, cur->agent, timed,
-                          timed ? obs::profile_now_ns() - p0 : 0,
-                          ctx.stats.emits);
-      }
-      if (ring != nullptr) {
-        obs::record_task(*tracer_, *ring, t0, *cur, ctx.stats);
-      }
+      me.observer.after(*cur, ctx.stats);
       if (!is_inline) apool_.release(worker, a);
       ++me.done;
       bool have_cont = false;

@@ -39,8 +39,7 @@
 
 #include "base/arena.h"
 #include "base/rng.h"
-#include "obs/profiler.h"
-#include "obs/tracer.h"
+#include "obs/record.h"
 #include "par/worker_pool.h"
 #include "par/ws_deque.h"
 #include "rete/network.h"
@@ -169,7 +168,7 @@ class ActivationPool {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-class ParallelMatcher {
+class ParallelMatcher final : public Drain {
  public:
   /// No agent state is registered at construction: every agent session —
   /// including agent 0 — joins via register_agent(). Sessions multiplex
@@ -177,19 +176,19 @@ class ParallelMatcher {
   /// (Activation::agent) and is executed against exactly that agent's
   /// MatchState, so one agent's drain cannot observe or stall another's. A
   /// cycle run before any registration must carry no seeds.
-  /// `tracer`, when non-null, turns on event recording: prewarm() sizes one
-  /// ring per worker (tracks 1..n; track 0 belongs to the engine thread)
-  /// before any worker runs, and the scheduler loop records task spans,
-  /// steal attempts/outcomes, park intervals and queue-depth samples into
-  /// its own track. The tracer must outlive the matcher.
+  /// `tracer`, when non-null, turns on event recording: prewarm() binds
+  /// each worker's TaskObserver to its own ring (tracks 1..n; track 0
+  /// belongs to the engine thread) before any worker runs, and the
+  /// scheduler loop records task spans, steal attempts/outcomes, park
+  /// intervals and queue-depth samples into its own track. The tracer must
+  /// outlive the matcher.
   /// `tuning` parameterizes the idle backoff and chain splitting.
   /// `profiler`, when non-null, attributes every executed task to its
-  /// (node, agent) cell in the worker's shard (obs/profiler.h): prewarm()
-  /// and the run_impl drain boundary grow the shards quiescently, the
-  /// scheduler loop calls sample()/record() around each execute. The
-  /// profiler must outlive the matcher; it may be shared with the serial
-  /// executor (worker indices line up: shard 0 is the engine thread only
-  /// when the matcher is idle).
+  /// (node, agent) cell in the worker's shard (obs/profiler.h), through the
+  /// same observers; the run_cycle drain boundary grows the cells
+  /// quiescently. The profiler must outlive the matcher; it may be shared
+  /// with the serial executor (worker indices line up: shard 0 is the
+  /// engine thread only when the matcher is idle).
   ParallelMatcher(Network& net, size_t n_workers,
                   obs::Tracer* tracer = nullptr, StealTuning tuning = {},
                   obs::MatchProfiler* profiler = nullptr);
@@ -204,19 +203,13 @@ class ParallelMatcher {
   uint32_t register_agent(MatchState& st);
 
   [[nodiscard]] size_t agent_count() const { return states_.size(); }
+  /// The instruments the workers record into (null = off). An Engine that
+  /// joins this matcher records its own spans and serial tasks here too.
+  [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
+  [[nodiscard]] obs::MatchProfiler* profiler() const { return profiler_; }
   [[nodiscard]] MatchState& agent_state(uint32_t agent) {
     return *states_[agent];
   }
-
-  /// The §5.2 task filter for run-time production addition: activations of
-  /// stateful nodes older than `min_node_id` are dropped at emit time, and
-  /// (during phase A) alpha memories do not emit to their Left successors.
-  /// Mirrors ExecContext's update fields; see rete/update.h for the phase
-  /// contract.
-  struct UpdateFilter {
-    uint32_t min_node_id = 0;
-    bool suppress_alpha_left = false;
-  };
 
   /// Drains `seeds` and everything they spawn across all workers; returns
   /// when the match is quiescent. The seed vector is caller-owned scratch
@@ -231,14 +224,18 @@ class ParallelMatcher {
   /// freely (each tagged task only touches its own agent's state; the
   /// homogeneity rule applies per agent and holds trivially across agents)
   /// — this is how AgentGroup batches N agents' cycles into one drain,
-  /// amortizing the pool dispatch across sessions.
-  ParallelStats run_cycle(std::vector<Activation>& seeds);
+  /// amortizing the pool dispatch across sessions. `filter` is the §5.2
+  /// task filter, applied at emit time: a run_update phase passes it, so the
+  /// new production's state update enjoys the full parallelism of the match
+  /// (what Figure 6-9 measures).
+  ParallelStats run_cycle(std::vector<Activation>& seeds,
+                          const UpdateFilter& filter = {});
 
-  /// Same, but with the update filter applied — the parallel form of
-  /// run_update_serial's phases (what Figure 6-9 measures: the new
-  /// production's state update enjoys the full parallelism of the match).
-  ParallelStats run_update(std::vector<Activation>& seeds,
-                           const UpdateFilter& filter);
+  /// Drain: run_cycle's executed-task count.
+  uint64_t drain(std::vector<Activation>& seeds,
+                 const UpdateFilter& filter) override {
+    return run_cycle(seeds, filter).tasks;
+  }
 
   [[nodiscard]] size_t workers() const { return n_workers_; }
   [[nodiscard]] const StealTuning& tuning() const { return tuning_; }
@@ -276,11 +273,11 @@ class ParallelMatcher {
     std::vector<Activation> emit_batch;
     std::vector<Token> scratch_children;
     std::vector<std::pair<Token, bool>> scratch_emissions;
+    // This worker's task spans and profiler shard, bound at prewarm().
+    obs::TaskObserver observer;
   };
 
-  ParallelStats run_impl(std::vector<Activation>& seeds,
-                         const UpdateFilter* filter);
-  void steal_loop(size_t worker, const UpdateFilter* filter,
+  void steal_loop(size_t worker, const UpdateFilter& filter,
                   std::atomic<bool>& abort);
   Activation* take_task(size_t worker);
   [[nodiscard]] bool quiescent() const;

@@ -11,12 +11,19 @@ std::vector<double> left_access_distribution(
     const std::vector<CycleTrace>& traces, size_t max_bin) {
   std::vector<uint64_t> tokens_at(max_bin + 1, 0);
   uint64_t total = 0;
+  std::map<uint32_t, uint64_t> left_at;  // line -> accesses
   for (const CycleTrace& t : traces) {
-    for (const auto& la : t.line_accesses) {
-      if (la.left == 0) continue;
-      const size_t bin = std::min<size_t>(la.left, max_bin);
-      tokens_at[bin] += la.left;
-      total += la.left;
+    // Every line-touching task records its one line and side; a cycle's
+    // per-line access count is the number of its tasks that name it.
+    left_at.clear();
+    for (const TaskRecord& r : t.tasks) {
+      if (r.stats.touched_line && r.stats.line_side == Side::Left) {
+        ++left_at[r.stats.line];
+      }
+    }
+    for (const auto& [line, n] : left_at) {
+      tokens_at[std::min<size_t>(n, max_bin)] += n;
+      total += n;
     }
   }
   std::vector<double> pct(max_bin + 1, 0.0);

@@ -15,7 +15,8 @@ namespace psme {
 
 /// Figure 6-2: distribution of left-token bucket accesses. Entry k of the
 /// result is the percentage of left tokens that accessed a bucket which saw
-/// exactly k accesses within its cycle (index 0 unused).
+/// exactly k accesses within its cycle (index 0 unused), derived from the
+/// recorded tasks' line stats.
 std::vector<double> left_access_distribution(
     const std::vector<CycleTrace>& traces, size_t max_bin = 16);
 

@@ -13,28 +13,6 @@ PairedHashTables::PairedHashTables(size_t line_count)
     : lines_(round_up_pow2(line_count == 0 ? 1 : line_count)),
       mask_(lines_.size() - 1) {}
 
-std::vector<PairedHashTables::LineAccess>
-PairedHashTables::harvest_cycle_accesses() {
-  std::vector<LineAccess> out;
-  for (size_t i = 0; i < lines_.size(); ++i) {
-    Line& ln = lines_[i];
-    if (ln.left_accesses_cycle != 0 || ln.right_accesses_cycle != 0) {
-      out.push_back({static_cast<uint32_t>(i), ln.left_accesses_cycle,
-                     ln.right_accesses_cycle});
-      ln.left_accesses_cycle = 0;
-      ln.right_accesses_cycle = 0;
-    }
-  }
-  return out;
-}
-
-void PairedHashTables::reset_cycle_accesses() {
-  for (Line& ln : lines_) {
-    ln.left_accesses_cycle = 0;
-    ln.right_accesses_cycle = 0;
-  }
-}
-
 size_t PairedHashTables::total_left_entries() const {
   size_t n = 0;
   for (const auto& ln : lines_) n += ln.left.size();

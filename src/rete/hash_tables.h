@@ -71,10 +71,6 @@ class PairedHashTables {
     Spinlock lock{LockRank::Bucket, "rete-line"};
     std::vector<LeftEntry> left PSME_GUARDED_BY(lock);
     RightEntryList right PSME_GUARDED_BY(lock);
-    // Per-cycle access counts, maintained under the line lock; harvested by
-    // the trace recorder for the Figure 6-2 contention histogram.
-    uint32_t left_accesses_cycle PSME_GUARDED_BY(lock) = 0;
-    uint32_t right_accesses_cycle PSME_GUARDED_BY(lock) = 0;
 
     // All left-entry insertion/erasure goes through these two so the
     // pin/unpin bookkeeping cannot be forgotten at a call site: a left entry
@@ -113,22 +109,6 @@ class PairedHashTables {
   [[nodiscard]] const RightEntryPool& right_pool() const {
     return right_pool_;
   }
-
-  /// Collects nonzero (left, right) per-cycle access counts and resets them.
-  struct LineAccess {
-    uint32_t line;
-    uint32_t left;
-    uint32_t right;
-  };
-  /// Quiescent-only (between cycles): reads the guarded counters without the
-  /// line locks, relying on the worker join for ordering.
-  std::vector<LineAccess> harvest_cycle_accesses()
-      PSME_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Zeroes the per-cycle access counters without building the harvest
-  /// vector; the non-recording serial executor uses this so a no-trace
-  /// cycle stays allocation-free. Quiescent-only, like harvest.
-  void reset_cycle_accesses() PSME_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Total entries (diagnostics / tests). Quiescent-only.
   [[nodiscard]] size_t total_left_entries() const

@@ -31,7 +31,10 @@ void Network::inject(const Wme* w, bool add, ExecContext& ctx) {
 void Network::emit_succs(uint32_t jt_slot, const Token& token, bool add,
                          ExecContext& ctx, bool from_alpha) {
   for (const SuccessorRef& s : jt_.succs(jt_slot)) {
-    if (from_alpha && ctx.suppress_alpha_left && s.side == Side::Left) continue;
+    if (from_alpha && ctx.filter.suppress_alpha_left &&
+        s.side == Side::Left) {
+      continue;
+    }
     ++ctx.stats.emits;
     Activation a{s.node, s.side, add, token};
     a.agent = ctx.agent;  // children stay inside the emitting agent's state
@@ -126,11 +129,6 @@ void Network::exec_bjoin(const BJoinNode& n, const Activation& a,
     ctx.stats.touched_line = true;
     ctx.stats.line = static_cast<uint32_t>(li);
     ctx.stats.line_side = a.side;
-    if (a.side == Side::Left) {
-      ++line.left_accesses_cycle;
-    } else {
-      ++line.right_accesses_cycle;
-    }
     ++ctx.stats.inserts;
     if (a.add) {
       // Cancel against a conjugate deletion that overtook this insertion.
@@ -221,7 +219,6 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
     ctx.stats.touched_line = true;
     ctx.stats.line = static_cast<uint32_t>(li);
     ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
     ++ctx.stats.inserts;
     if (a.add) {
       // A conjugate deletion that overtook this insertion cancels it; both
@@ -270,7 +267,6 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
     ctx.stats.touched_line = true;
     ctx.stats.line = static_cast<uint32_t>(li);
     ctx.stats.line_side = Side::Right;
-    ++line.right_accesses_cycle;
     ++ctx.stats.inserts;
     if (a.add) {
       line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
@@ -310,7 +306,6 @@ void Network::exec_not(const NotNode& n, const Activation& a,
     ctx.stats.touched_line = true;
     ctx.stats.line = static_cast<uint32_t>(li);
     ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
     ++ctx.stats.inserts;
     if (a.add) {
       // Cancel against a conjugate deletion that overtook this insertion.
@@ -360,7 +355,6 @@ void Network::exec_not(const NotNode& n, const Activation& a,
     ctx.stats.touched_line = true;
     ctx.stats.line = static_cast<uint32_t>(li);
     ctx.stats.line_side = Side::Right;
-    ++line.right_accesses_cycle;
     ++ctx.stats.inserts;
     if (a.add) {
       line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
@@ -404,7 +398,6 @@ void Network::exec_ncc(const NccNode& n, const Activation& a,
     ctx.stats.touched_line = true;
     ctx.stats.line = static_cast<uint32_t>(li);
     ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
     ++ctx.stats.inserts;
     LeftEntry* entry = nullptr;
     for (LeftEntry& e : line.left) {
@@ -472,7 +465,6 @@ void Network::exec_partner(const NccPartnerNode& n, const Activation& a,
     ctx.stats.touched_line = true;
     ctx.stats.line = static_cast<uint32_t>(li);
     ctx.stats.line_side = Side::Left;
-    ++line.left_accesses_cycle;
     ++ctx.stats.inserts;
     LeftEntry* entry = nullptr;
     for (LeftEntry& e : line.left) {

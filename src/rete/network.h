@@ -64,9 +64,20 @@ class MatchSink {
   virtual void on_retract(const ProdNode& p, const Token& t) = 0;
 };
 
+/// The §5.2 task filter for run-time production addition ("the task queues
+/// are changed to ignore tasks with IDs less than the first new node"):
+/// activations of stateful nodes older than `min_node_id` are ignored, and
+/// with `suppress_alpha_left` (phase A) alpha memories do not emit to their
+/// Left successors — left seeding happens in the explicit replay phase. The
+/// default filters nothing: an ordinary match. See rete/update.h for the
+/// phase contract.
+struct UpdateFilter {
+  uint32_t min_node_id = 0;
+  bool suppress_alpha_left = false;
+};
+
 /// Execution context handed to execute(). Concrete executors implement emit()
-/// to enqueue child activations. The update-mode fields implement the §5.2
-/// task filter.
+/// to enqueue child activations.
 class ExecContext {
  public:
   virtual ~ExecContext() = default;
@@ -87,13 +98,8 @@ class ExecContext {
   /// executors keep the default 0.
   size_t worker = 0;
 
-  // §5.2 run-time state update: when update_mode is set, activations of
-  // stateful nodes with id < min_node_id are ignored, and alpha memories do
-  // not emit to their Left-side successors (left seeding happens in the
-  // explicit replay phase).
-  bool update_mode = false;
-  uint32_t min_node_id = 0;
-  bool suppress_alpha_left = false;
+  /// The §5.2 task filter of the drain in progress (default: none).
+  UpdateFilter filter;
 
   // Reusable per-context scratch for execute(): child tokens built under a
   // line lock, emitted after it is released. Living here (capacity retained
@@ -101,6 +107,21 @@ class ExecContext {
   // free of heap traffic. execute() is not reentrant per context.
   std::vector<Token> scratch_children;
   std::vector<std::pair<Token, bool>> scratch_emissions;  // (token, add)
+};
+
+/// An executor as the §5.2 update (rete/update.h) sees it: the serial
+/// TraceExecutor and the threaded ParallelMatcher both drain seeds under a
+/// task filter through this one entry point.
+class Drain {
+ public:
+  /// Drains `seeds` and everything they spawn under `filter`; returns when
+  /// the match is quiescent, with the number of tasks executed. Seeds are
+  /// consumed but the vector's capacity stays with the caller.
+  virtual uint64_t drain(std::vector<Activation>& seeds,
+                         const UpdateFilter& filter) = 0;
+
+ protected:
+  ~Drain() = default;
 };
 
 class Network {
@@ -205,9 +226,9 @@ class Network {
   /// The §5.2 task filter, applied by executors (or by emit paths).
   [[nodiscard]] bool should_execute(const Activation& a,
                                     const ExecContext& ctx) const {
-    if (!ctx.update_mode) return true;
+    if (ctx.filter.min_node_id == 0) return true;
     const Node* n = nodes_[a.node].get();
-    return is_stateless(n->type) || n->id >= ctx.min_node_id;
+    return is_stateless(n->type) || n->id >= ctx.filter.min_node_id;
   }
 
   /// All output tokens a node would pass downstream, regenerated from the

@@ -27,12 +27,14 @@ Activation tagged(uint32_t node, Side side, bool add, Token token,
   return a;
 }
 
-}  // namespace
-
-void update_alpha_seeds_into(Network& net, const CompiledProduction& cp,
+/// Phase A seeds: for each new alpha-network chain, every wme of the right
+/// class that passes the shared prefix tests is seeded at the chain's entry
+/// node. Evaluating the prefix synthetically is the run-time equivalent of
+/// the paper's queue filter, under which activations of pre-existing nodes
+/// are never executed.
+void update_alpha_seeds_into(const CompiledProduction& cp,
                              const std::vector<const Wme*>& wm,
                              std::vector<Activation>& out, uint32_t agent) {
-  (void)net;
   for (const AlphaFrontier& f : cp.alpha_frontiers) {
     for (const Wme* w : wm) {
       if (w->cls != f.cls) continue;
@@ -42,14 +44,25 @@ void update_alpha_seeds_into(Network& net, const CompiledProduction& cp,
   }
 }
 
-std::vector<Activation> update_alpha_seeds(Network& net,
-                                           const CompiledProduction& cp,
-                                           const std::vector<const Wme*>& wm,
-                                           uint32_t agent) {
-  std::vector<Activation> seeds;
-  update_alpha_seeds_into(net, cp, wm, seeds, agent);
-  return seeds;
+/// Phase C seeds, valid only after phases A and B have fully drained: the
+/// share point's stored outputs land in `scratch.outputs`, the seeds in
+/// `scratch.seeds` (both cleared first, capacity retained).
+void update_left_seeds_into(Network& net, const MatchState& ms,
+                            const CompiledProduction& cp,
+                            UpdateScratch& scratch, uint32_t agent) {
+  scratch.seeds.clear();
+  scratch.outputs.clear();
+  net.node_outputs_into(cp.share_point, ms, scratch.outputs);
+  const uint32_t slot = net.node(cp.share_point)->jt_slot;
+  for (const SuccessorRef& s : net.jumptable().peek(slot)) {
+    if (s.side != Side::Left || s.node < cp.first_new_id) continue;
+    for (const Token& t : scratch.outputs) {
+      scratch.seeds.push_back(tagged(s.node, Side::Left, true, t, agent));
+    }
+  }
 }
+
+}  // namespace
 
 void update_right_seeds_into(Network& net, const MatchState& ms,
                              const CompiledProduction& cp,
@@ -66,125 +79,30 @@ void update_right_seeds_into(Network& net, const MatchState& ms,
   }
 }
 
-std::vector<Activation> update_right_seeds(Network& net, const MatchState& ms,
-                                           const CompiledProduction& cp,
-                                           uint32_t agent) {
-  std::vector<Activation> seeds;
-  update_right_seeds_into(net, ms, cp, seeds, agent);
-  return seeds;
-}
-
-void update_left_seeds_into(Network& net, const MatchState& ms,
-                            const CompiledProduction& cp,
-                            UpdateScratch& scratch, uint32_t agent) {
-  scratch.seeds.clear();
-  scratch.outputs.clear();
-  net.node_outputs_into(cp.share_point, ms, scratch.outputs);
-  const uint32_t slot = net.node(cp.share_point)->jt_slot;
-  for (const SuccessorRef& s : net.jumptable().peek(slot)) {
-    if (s.side != Side::Left || s.node < cp.first_new_id) continue;
-    for (const Token& t : scratch.outputs) {
-      scratch.seeds.push_back(tagged(s.node, Side::Left, true, t, agent));
-    }
-  }
-}
-
-std::vector<Activation> update_left_seeds(Network& net, const MatchState& ms,
-                                          const CompiledProduction& cp,
-                                          uint32_t agent) {
-  UpdateScratch scratch;
-  update_left_seeds_into(net, ms, cp, scratch, agent);
-  return std::move(scratch.seeds);
-}
-
-namespace {
-
-/// Serial FIFO drain over a caller-owned ring; leases the scratch's child/
-/// emission buffers into the ExecContext so a full three-phase update
-/// touches the heap only to raise high-water capacities.
-class DrainCtx final : public ExecContext {
- public:
-  DrainCtx(Network& net, MatchState& ms, UpdateScratch& scratch)
-      : net_(net), scratch_(scratch) {
-    state = &ms;
-    scratch_children.swap(scratch_.children);
-    scratch_emissions.swap(scratch_.emissions);
-  }
-
-  ~DrainCtx() override {
-    scratch_children.swap(scratch_.children);
-    scratch_emissions.swap(scratch_.emissions);
-  }
-
-  void emit(Activation&& a) override {
-    if (net_.should_execute(a, *this)) scratch_.queue.push_back(a);
-  }
-
-  uint64_t drain(const std::vector<Activation>& seeds) {
-    uint64_t n = 0;
-    for (const Activation& s : seeds) {
-      Activation copy = s;
-      emit(std::move(copy));
-    }
-    while (!scratch_.queue.empty()) {
-      Activation a = scratch_.queue.front();
-      scratch_.queue.pop_front();
-      ++n;
-      net_.execute(a, *this);
-    }
-    return n;
-  }
-
- private:
-  Network& net_;
-  UpdateScratch& scratch_;
-};
-
-}  // namespace
-
-uint64_t run_update_serial(Network& net, MatchState& ms,
-                           const CompiledProduction& cp,
-                           const std::vector<const Wme*>& wm,
-                           UpdateScratch& scratch, obs::Tracer* tracer,
-                           size_t track) {
-  // One epoch for the whole three-phase update: the replay seeds built
-  // between phases are transient tokens, and opening the epoch before any
-  // seed is built keeps them inside the drain's deferral window.
-  ms.ensure_alpha(net.alpha_mem_count());
-  ms.arena.begin_drain(1);
-  uint64_t tasks = 0;
-  scratch.queue.clear();
-  DrainCtx ctx(net, ms, scratch);
-  ctx.update_mode = true;
-  ctx.min_node_id = cp.first_new_id;
-  ctx.suppress_alpha_left = true;
+UpdateTasks run_update(Drain& drain, Network& net, const MatchState& ms,
+                       const CompiledProduction& cp,
+                       const std::vector<const Wme*>& wm, uint32_t agent,
+                       UpdateScratch& scratch, obs::Tracer* tracer,
+                       size_t track) {
+  UpdateTasks n;
   {
     obs::Span span(tracer, track, obs::EventKind::UpdateA, cp.first_new_id);
     scratch.seeds.clear();
-    update_alpha_seeds_into(net, cp, wm, scratch.seeds);
-    tasks += ctx.drain(scratch.seeds);
+    update_alpha_seeds_into(cp, wm, scratch.seeds, agent);
+    n.ab += drain.drain(scratch.seeds, {cp.first_new_id, true});
   }
-  ctx.suppress_alpha_left = false;
   {
     obs::Span span(tracer, track, obs::EventKind::UpdateB, cp.first_new_id);
     scratch.seeds.clear();
-    update_right_seeds_into(net, ms, cp, scratch.seeds);
-    tasks += ctx.drain(scratch.seeds);
+    update_right_seeds_into(net, ms, cp, scratch.seeds, agent);
+    n.ab += drain.drain(scratch.seeds, {cp.first_new_id, false});
   }
   {
     obs::Span span(tracer, track, obs::EventKind::UpdateC, cp.first_new_id);
-    update_left_seeds_into(net, ms, cp, scratch);  // fills scratch.seeds
-    tasks += ctx.drain(scratch.seeds);
+    update_left_seeds_into(net, ms, cp, scratch, agent);
+    n.c = drain.drain(scratch.seeds, {cp.first_new_id, false});
   }
-  ms.arena.reclaim_at_quiescence();
-  return tasks;
-}
-
-uint64_t run_update_serial(Network& net, MatchState& ms,
-                           const CompiledProduction& cp,
-                           const std::vector<const Wme*>& wm) {
-  UpdateScratch scratch;
-  return run_update_serial(net, ms, cp, wm, scratch);
+  return n;
 }
 
 }  // namespace psme

@@ -2,27 +2,26 @@
 //
 // The update re-runs working memory through the normal network under the
 // task filter (activations of stateful nodes older than the first new node
-// are ignored; see Network::should_execute), then specially executes the
-// last shared node, replaying the partial instantiations it stores down to
-// the new nodes only. Because it reuses the ordinary task machinery, the
-// full parallelism of the match is available to the update — this is what
-// Figure 6-9 measures.
+// are ignored; see UpdateFilter and Network::should_execute), then specially
+// executes the last shared node, replaying the partial instantiations it
+// stores down to the new nodes only. Because it reuses the ordinary task
+// machinery — run_update drains every phase through the same executor that
+// runs ordinary match cycles — the full parallelism of the match is
+// available to the update, and this is what Figure 6-9 measures.
 //
-// Phase order matters and is the caller's contract:
-//   A. alpha_seeds, drained with suppress_alpha_left set: fills new alpha
+// Phase order matters and is run_update's contract:
+//   A. alpha seeds, drained with suppress_alpha_left set: fills new alpha
 //      memories and the right memories of new two-input nodes fed by them.
-//   B. right_seeds, drained: fills right memories of new two-input nodes fed
+//   B. right seeds, drained: fills right memories of new two-input nodes fed
 //      by *old* (shared) alpha memories.
-//   C. left_seeds (computed only after A and B have drained), drained: the
+//   C. left seeds (computed only after A and B have drained), drained: the
 //      last-shared-node replay. Left tokens now meet fully-populated right
 //      memories, so no match can be missed and no duplicate state is added.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "base/ring.h"
 #include "obs/tracer.h"
 #include "rete/builder.h"
 #include "rete/network.h"
@@ -31,74 +30,43 @@ namespace psme {
 
 /// Reusable buffers for the three-phase update. A system that chunks
 /// continuously (the paper's whole premise) runs the §5.2 update once per
-/// chunk; holding one of these per engine keeps the replay's seed vector,
-/// the phase-C output buffer, and the serial drain queue at their high-water
-/// capacity instead of reallocating them per addition (the regression test
-/// in tests/rete_update_test.cpp asserts the allocation count stays flat).
+/// chunk; holding one of these per engine keeps the seed vector and the
+/// phase-C output buffer at their high-water capacity instead of
+/// reallocating them per addition (the regression test in
+/// tests/rete_update_test.cpp asserts the allocation count stays flat).
 struct UpdateScratch {
   std::vector<Activation> seeds;
-  std::vector<Token> outputs;              // phase-C node_outputs_into target
-  RingBuffer<Activation> queue;            // serial drain FIFO
-  std::vector<Token> children;             // ExecContext scratch, leased
-  std::vector<std::pair<Token, bool>> emissions;
+  std::vector<Token> outputs;  // phase-C node_outputs_into target
 };
 
-/// Phase A seeds: for each new alpha-network chain, every wme of the right
-/// class that passes the shared prefix tests is seeded at the chain's entry
-/// node. Evaluating the prefix synthetically is the run-time equivalent of
-/// the paper's queue filter, under which activations of pre-existing nodes
-/// are never executed ("the task queues are changed to ignore tasks with IDs
-/// less than the first new node").
-std::vector<Activation> update_alpha_seeds(Network& net,
-                                           const CompiledProduction& cp,
-                                           const std::vector<const Wme*>& wm,
-                                           uint32_t agent = 0);
-
-/// Appends into a caller-owned buffer (capacity retained across additions).
-void update_alpha_seeds_into(Network& net, const CompiledProduction& cp,
-                             const std::vector<const Wme*>& wm,
-                             std::vector<Activation>& out, uint32_t agent = 0);
-
-/// Quiescent-only: reads `ms`'s alpha memories without their locks (the §5.2
-/// contract — structural add and seeding happen while match is quiescent).
-/// The update fills one agent's memories from that agent's WM; a shared
-/// network with N attached agents runs the three phases once per agent.
-std::vector<Activation> update_right_seeds(Network& net, const MatchState& ms,
-                                           const CompiledProduction& cp,
-                                           uint32_t agent = 0)
-    PSME_NO_THREAD_SAFETY_ANALYSIS;
-
+/// Phase B seeds: a right activation of every new two-input node fed by an
+/// old (shared) alpha memory, for each wme that memory holds. Appends into
+/// `out`. Quiescent-only: reads `ms`'s alpha memories without their locks
+/// (the §5.2 contract — structural add and seeding happen while match is
+/// quiescent). The update fills one agent's memories from that agent's WM;
+/// a shared network with N attached agents runs it once per agent.
 void update_right_seeds_into(Network& net, const MatchState& ms,
                              const CompiledProduction& cp,
-                             std::vector<Activation>& out, uint32_t agent = 0)
+                             std::vector<Activation>& out, uint32_t agent)
     PSME_NO_THREAD_SAFETY_ANALYSIS;
 
-/// Must be called after phases A and B have fully drained.
-std::vector<Activation> update_left_seeds(Network& net, const MatchState& ms,
-                                          const CompiledProduction& cp,
-                                          uint32_t agent = 0);
+/// Executed-task counts of one update, split where Figure 6-9 splits it:
+/// the alpha and right fills (A, B), which may run concurrently, and the
+/// replay (C), which must follow them.
+struct UpdateTasks {
+  uint64_t ab = 0;
+  uint64_t c = 0;
+  [[nodiscard]] uint64_t total() const { return ab + c; }
+};
 
-/// Phase-C replay without per-seed allocation: the share point's stored
-/// outputs land in `scratch.outputs`, the seeds in `scratch.seeds` (both
-/// cleared first, capacity retained).
-void update_left_seeds_into(Network& net, const MatchState& ms,
-                            const CompiledProduction& cp,
-                            UpdateScratch& scratch, uint32_t agent = 0);
-
-/// Serial convenience used by tests and the incremental-vs-rebuild property
-/// checks. Returns the number of tasks executed.
-uint64_t run_update_serial(Network& net, MatchState& ms,
-                           const CompiledProduction& cp,
-                           const std::vector<const Wme*>& wm);
-
-/// Same, draining through caller-owned scratch so repeated run-time
-/// additions stop paying per-addition heap traffic. A non-null `tracer`
-/// records one UpdateA/B/C span per phase into `track` (the engine track),
-/// so Perfetto shows exactly where a chunk's state update spent its time.
-uint64_t run_update_serial(Network& net, MatchState& ms,
-                           const CompiledProduction& cp,
-                           const std::vector<const Wme*>& wm,
-                           UpdateScratch& scratch,
-                           obs::Tracer* tracer = nullptr, size_t track = 0);
+/// The §5.2 update of agent `agent`'s memories (`ms`, working memory `wm`)
+/// for the newly compiled `cp`: phases A, B and C in order, each seeded into
+/// `scratch.seeds` and drained through `drain` under the task filter. A
+/// non-null `tracer` records one update.A/B/C span per phase on `track`.
+UpdateTasks run_update(Drain& drain, Network& net, const MatchState& ms,
+                       const CompiledProduction& cp,
+                       const std::vector<const Wme*>& wm, uint32_t agent,
+                       UpdateScratch& scratch, obs::Tracer* tracer = nullptr,
+                       size_t track = 0);
 
 }  // namespace psme

@@ -217,7 +217,8 @@ void SoarKernel::flush_chunks(SoarRunStats& stats) {
   for (const PendingResult& pr : pending_results_) {
     if (!engine_.wm().is_live(pr.wme)) continue;
     std::string sig;
-    obs::Span build_span(engine_.tracer(), 0, obs::EventKind::ChunkBuild);
+    obs::Span build_span(engine_.tracer(), engine_.track(),
+                         obs::EventKind::ChunkBuild);
     auto chunk = chunker.build_chunk(pr.wme, pr.result_level, &sig);
     build_span.end();
     if (!chunk) continue;
@@ -239,8 +240,11 @@ void SoarKernel::flush_chunks(SoarRunStats& stats) {
       if (t == NodeType::Join || t == NodeType::Not) ++cost.new_two_input_nodes;
     }
     stats.chunk_costs.push_back(cost);
-    stats.update_ab.push_back(std::move(res.ab));
-    stats.update_c.push_back(std::move(res.c));
+    stats.update_tasks += res.update_tasks;
+    if (engine_.records_traces()) {
+      stats.update_ab.push_back(std::move(res.ab));
+      stats.update_c.push_back(std::move(res.c));
+    }
   }
   pending_results_.clear();
 }
@@ -270,7 +274,9 @@ void SoarKernel::elaborate(SoarRunStats& stats) {
   for (;;) {
     if (++guard > opts_.max_elab_cycles) break;
     if (engine_.has_pending_changes()) {
-      stats.traces.push_back(engine_.match());
+      CycleTrace trace = engine_.match();
+      stats.match_tasks += engine_.last_match_tasks();
+      if (engine_.records_traces()) stats.traces.push_back(std::move(trace));
       ++stats.elab_cycles;
     }
     // The match is quiescent and WM is consistent with the network: chunks
@@ -304,7 +310,8 @@ SoarRunStats SoarKernel::run() {
   }
   for (;;) {
     {
-      obs::Span span(engine_.tracer(), 0, obs::EventKind::Elaborate);
+      obs::Span span(engine_.tracer(), engine_.track(),
+                     obs::EventKind::Elaborate);
       const uint64_t t0 = obs::profile_now_ns();
       elaborate(stats);
       stats.elaborate_ns += obs::profile_now_ns() - t0;
@@ -320,13 +327,15 @@ SoarRunStats SoarKernel::run() {
     ++stats.decisions;
     bool changed = false;
     {
-      obs::Span span(engine_.tracer(), 0, obs::EventKind::Decide);
+      obs::Span span(engine_.tracer(), engine_.track(),
+                     obs::EventKind::Decide);
       const uint64_t t0 = obs::profile_now_ns();
       changed = decide(stats);
       stats.decide_ns += obs::profile_now_ns() - t0;
     }
     if (changed) {
-      obs::Span span(engine_.tracer(), 0, obs::EventKind::Gc);
+      obs::Span span(engine_.tracer(), engine_.track(),
+                     obs::EventKind::Gc);
       const uint64_t t0 = obs::profile_now_ns();
       gc_unreachable();
       stats.gc_ns += obs::profile_now_ns() - t0;

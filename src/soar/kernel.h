@@ -40,7 +40,7 @@ struct SoarOptions {
   uint64_t max_elab_cycles = 100000;
   /// engine.match_workers > 1 drains the whole Soar run (every elaboration
   /// cycle plus every chunk's §5.2 state update) through one persistent
-  /// ParallelMatcher. Parallel cycles record no traces.
+  /// ParallelMatcher. Traces are recorded when Engine::records_traces().
   EngineOptions engine;
 
   /// Flight recorder (obs/profiler.h): when non-zero, run() captures a
@@ -78,9 +78,15 @@ struct SoarRunStats {
   uint64_t decide_ns = 0;
   uint64_t gc_ns = 0;
 
-  /// One trace per elaboration cycle (the match workload of the run).
+  /// Tasks executed by the elaboration cycles' matches and by the chunks'
+  /// §5.2 updates (summed over the attached agents), under either executor.
+  uint64_t match_tasks = 0;
+  uint64_t update_tasks = 0;
+
+  /// Recorded task DAGs (empty unless Engine::records_traces()): one per
+  /// elaboration cycle (the match workload of the run), and the §5.2 update
+  /// phases of every chunk added at run time.
   std::vector<CycleTrace> traces;
-  /// Traces of the §5.2 update phases for every chunk added at run time.
   std::vector<CycleTrace> update_ab, update_c;
   /// Compile cost per chunk (Table 5-1/5-2 raw data).
   struct ChunkCost {

@@ -94,13 +94,13 @@ TEST(Bilinear, ShortensCriticalPath) {
   const std::string src = long_chain_production(groups, gsize);
   CostModel cm;
 
-  Engine lin;
+  Engine lin(test::recorded());
   lin.load(src);
   add_long_chain_wmes(lin, groups, gsize);
   const auto lin_trace = lin.match();
   const auto lin_cp = critical_path(lin_trace, cm);
 
-  Engine bi;
+  Engine bi(test::recorded());
   Parser parser(bi.syms(), bi.schemas(), test::test_rhs_arena());
   Production prod = parser.parse_production(src);
   BilinearOptions opts;
@@ -124,7 +124,7 @@ TEST(Bilinear, BalancedTreeShorterThanLinearCombine) {
   CostModel cm;
 
   auto run = [&](bool tree) {
-    Engine e;
+    Engine e(test::recorded());
     Parser parser(e.syms(), e.schemas(), test::test_rhs_arena());
     Production prod = parser.parse_production(src);
     BilinearOptions opts;

@@ -113,6 +113,7 @@ TEST(Chunking, UpdateTracesRecorded) {
   SoarOptions opts;
   opts.learning = true;
   opts.max_decisions = 40;
+  opts.engine.record_traces = true;
   SoarKernel k(opts);
   k.load_productions(chunking_task_productions());
   init_chunking_task(k);
@@ -125,6 +126,7 @@ TEST(Chunking, UpdateTracesRecorded) {
   for (const auto& t : stats.update_ab) update_tasks += t.task_count();
   for (const auto& t : stats.update_c) update_tasks += t.task_count();
   EXPECT_GT(update_tasks, 0u);
+  EXPECT_EQ(stats.update_tasks, update_tasks);
 }
 
 TEST(Chunking, FewerImpassesAfterLearning) {

@@ -7,9 +7,12 @@
 
 #include "psim/sim.h"
 #include "tasks/registry.h"
+#include "test_util.h"
 
 namespace psme {
 namespace {
+
+using test::recorded;
 
 std::string stats_signature(const SoarRunStats& s) {
   std::ostringstream os;
@@ -24,8 +27,8 @@ class TaskDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TaskDeterminism, RunsAreBitIdentical) {
   const Task task = make_task(GetParam());
-  const auto a = run_task(task, /*learning=*/true);
-  const auto b = run_task(task, /*learning=*/true);
+  const auto a = run_task(task, /*learning=*/true, nullptr, recorded());
+  const auto b = run_task(task, /*learning=*/true, nullptr, recorded());
   EXPECT_EQ(stats_signature(a.stats), stats_signature(b.stats));
   ASSERT_EQ(a.stats.chunk_texts.size(), b.stats.chunk_texts.size());
   for (size_t i = 0; i < a.stats.chunk_texts.size(); ++i) {
@@ -35,8 +38,8 @@ TEST_P(TaskDeterminism, RunsAreBitIdentical) {
 
 TEST_P(TaskDeterminism, TraceContentsIdentical) {
   const Task task = make_task(GetParam());
-  const auto a = run_task(task, false);
-  const auto b = run_task(task, false);
+  const auto a = run_task(task, false, nullptr, recorded());
+  const auto b = run_task(task, false, nullptr, recorded());
   ASSERT_EQ(a.stats.traces.size(), b.stats.traces.size());
   for (size_t c = 0; c < a.stats.traces.size(); ++c) {
     const auto& ta = a.stats.traces[c];
@@ -53,7 +56,7 @@ TEST_P(TaskDeterminism, TraceContentsIdentical) {
 
 TEST_P(TaskDeterminism, SimulationIsReproducible) {
   const Task task = make_task(GetParam());
-  const auto run = run_task(task, false);
+  const auto run = run_task(task, false, nullptr, recorded());
   SimOptions opts;
   opts.processors = 11;
   const auto r1 = simulate_run(run.stats.traces, opts);
@@ -107,8 +110,38 @@ TEST(LearningDeterminism, EightPuzzleIdenticalAcrossMatcherWidths) {
   }
 }
 
+/// soar.match_tasks / soar.update_tasks count executed tasks, whichever
+/// executor ran them, so a threaded learning run (which records no DAGs)
+/// reports the serial run's work. A §5.2 update fills the new nodes' right
+/// memories (phases A, B) before any left token reaches them (phase C), so
+/// its count does not depend on the schedule and must match exactly. A
+/// match cycle's count does: a not/NCC node's conjugate deletion can
+/// overtake its insertion and both cancel (fewer tasks), or a left token
+/// can pass a not node before the wme that blocks it arrives and emit an
+/// insert plus a retract the FIFO order never produced (more tasks). On
+/// eight-puzzle at 2-13 workers the two differed by at most 32 of ~287k; the
+/// bound is 0.1% either way.
+TEST(LearningDeterminism, TaskCountsMatchAcrossExecutors) {
+  const Task task = make_task("eight-puzzle");
+  EngineOptions threaded = recorded();  // asked for, yet never recorded
+  threaded.match_workers = 4;
+  const auto serial = run_task(task, /*learning=*/true);
+  const auto par = run_task(task, /*learning=*/true, nullptr, threaded);
+  const uint64_t match = serial.metrics.value("soar.match_tasks");
+  ASSERT_GT(match, 0u);
+  ASSERT_GT(serial.metrics.value("soar.update_tasks"), 0u);
+  EXPECT_EQ(par.metrics.value("soar.update_tasks"),
+            serial.metrics.value("soar.update_tasks"));
+  const uint64_t par_match = par.metrics.value("soar.match_tasks");
+  const uint64_t diff =
+      par_match > match ? par_match - match : match - par_match;
+  EXPECT_LE(diff, match / 1000)
+      << "serial " << match << " vs 4 workers " << par_match;
+  EXPECT_TRUE(par.stats.traces.empty()) << "threaded cycles record no DAG";
+}
+
 TEST(SimMonotonicity, RealTracesNeverGetSlowerWithMoreProcsMultiQueue) {
-  const auto run = run_task(make_eight_puzzle(), false);
+  const auto run = run_task(make_eight_puzzle(), false, nullptr, recorded());
   SimOptions opts;
   opts.policy = QueuePolicy::Multi;
   double prev = 1e18;
@@ -121,7 +154,7 @@ TEST(SimMonotonicity, RealTracesNeverGetSlowerWithMoreProcsMultiQueue) {
 }
 
 TEST(SimSanity, SpeedupNeverExceedsProcessorCount) {
-  const auto run = run_task(make_strips(), false);
+  const auto run = run_task(make_strips(), false, nullptr, recorded());
   for (const uint32_t p : {2u, 5u, 8u, 13u}) {
     SimOptions opts;
     opts.processors = p;

@@ -132,7 +132,7 @@ TEST(Engine, GensymCreatesFreshSymbols) {
 }
 
 TEST(Engine, TraceRecordsTasksAndParents) {
-  Engine e;
+  Engine e(test::recorded());
   e.load("(p j (a ^v <x>) (b ^v <x>) --> (halt))");
   e.add_wme_text("(a ^v 1)");
   e.add_wme_text("(b ^v 1)");
@@ -155,18 +155,20 @@ TEST(Engine, TraceRecordsTasksAndParents) {
 }
 
 TEST(Engine, EmptyMatchIsEmptyTrace) {
-  Engine e;
+  Engine e(test::recorded());
   e.load("(p j (a ^v 1) --> (halt))");
   const CycleTrace t = e.match();
   EXPECT_EQ(t.task_count(), 0u);
+  EXPECT_EQ(e.last_match_tasks(), 0u);
 }
 
 TEST(Engine, UnknownClassWmeIsIgnoredByMatch) {
-  Engine e;
+  Engine e(test::recorded());
   e.load("(p j (a ^v 1) --> (halt))");
   e.add_wme_text("(unrelated ^x 9)");
   const CycleTrace t = e.match();
   EXPECT_EQ(t.task_count(), 0u);
+  EXPECT_EQ(e.last_match_tasks(), 0u);
   EXPECT_EQ(e.wm().size(), 1u);
 }
 

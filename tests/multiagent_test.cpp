@@ -12,6 +12,8 @@
 
 #include "engine/agent_group.h"
 #include "lang/parser.h"
+#include "soar/kernel.h"
+#include "tasks/registry.h"
 #include "test_util.h"
 
 namespace psme {
@@ -201,6 +203,72 @@ TEST(MultiAgentObservability, MetricsAreNamespacedPerAgent) {
   EXPECT_TRUE(saw_a0);
   EXPECT_TRUE(saw_a1);
   EXPECT_EQ(m.value("group.agents"), 2u);
+}
+
+/// One tracer, owned by the group: the workers record task spans on tracks
+/// 1..W, every attached engine records its own spans (private match cycles,
+/// §5.2 update phases) on track W+1+id, and a SoarKernel attached to the
+/// group's matcher records its phases on its agent track too.
+TEST(MultiAgentObservability, TracedGroupLaysOutOneTrackPerAgent) {
+  constexpr size_t kWorkers = 2;
+  AgentGroupOptions gopts;
+  gopts.workers = kWorkers;
+  gopts.agent.trace.enabled = true;
+  AgentGroup group(gopts);
+  group.add_agent();
+  group.add_agent();
+  group.load("(p j2 (a ^v <x>) (b ^v <x>) --> (halt))");
+  for (size_t a = 0; a < 2; ++a) {
+    add_agent_wmes(group.agent(a), a, 6, 0);
+    group.agent(a).match();  // a private cycle, spanned on the agent's track
+  }
+  // Live working memories: every agent runs the §5.2 update.
+  group.load("(p j3 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))");
+
+  SoarOptions so;
+  so.learning = false;
+  so.max_decisions = 2;
+  SoarKernel kernel(so, group.agent(0).shared_network(), &group.matcher());
+  const Task task = make_eight_puzzle();
+  kernel.load_productions(task.productions);
+  task.init(kernel);
+  kernel.run();
+
+  const obs::Tracer* t = group.tracer();
+  ASSERT_NE(t, nullptr);
+  auto count = [t](size_t track, obs::EventKind kind) {
+    size_t n = 0;
+    const obs::EventRing& ring = t->ring(track);
+    for (size_t i = 0; i < ring.size(); ++i) n += ring[i].kind == kind;
+    return n;
+  };
+  const size_t kernel_track = 1 + kWorkers + kernel.engine().agent_id();
+  EXPECT_EQ(kernel.engine().track(), kernel_track);
+  ASSERT_EQ(t->tracks(), kernel_track + 1);
+  for (size_t w = 1; w <= kWorkers; ++w) {
+    EXPECT_GT(count(w, obs::EventKind::TaskExec), 0u) << "worker track " << w;
+  }
+  for (size_t a = 0; a < 2; ++a) {
+    const size_t track = 1 + kWorkers + a;
+    EXPECT_EQ(group.agent(a).track(), track);
+    EXPECT_GT(count(track, obs::EventKind::MatchCycle), 0u) << "agent " << a;
+    for (const obs::EventKind k :
+         {obs::EventKind::UpdateA, obs::EventKind::UpdateB,
+          obs::EventKind::UpdateC}) {
+      EXPECT_GT(count(track, k), 0u) << "agent " << a;
+    }
+  }
+  EXPECT_GT(count(kernel_track, obs::EventKind::Decide), 0u);
+  for (size_t track = 0; track < t->tracks(); ++track) {
+    const bool worker = track >= 1 && track <= kWorkers;
+    EXPECT_EQ(count(track, worker ? obs::EventKind::MatchCycle
+                                  : obs::EventKind::TaskExec),
+              0u)
+        << track;
+    if (track != kernel_track) {
+      EXPECT_EQ(count(track, obs::EventKind::Decide), 0u) << track;
+    }
+  }
 }
 
 /// TSan lane: 2 agents × stealing workers × interleaved add/remove waves ×

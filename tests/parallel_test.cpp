@@ -197,13 +197,8 @@ void runtime_add_through(Engine& e, ParallelMatcher& matcher, RhsArena& arena,
   ASSERT_EQ(parsed.size(), 1u);
   owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
   const CompiledProduction cp = e.builder().add_production(*owned.back());
-  const auto wm_snapshot = e.wm().live();
-  std::vector<Activation> seeds = update_alpha_seeds(e.net(), cp, wm_snapshot);
-  matcher.run_update(seeds, {cp.first_new_id, /*suppress_alpha_left=*/true});
-  seeds = update_right_seeds(e.net(), e.state(), cp);
-  matcher.run_update(seeds, {cp.first_new_id, false});
-  seeds = update_left_seeds(e.net(), e.state(), cp);
-  matcher.run_update(seeds, {cp.first_new_id, false});
+  UpdateScratch scratch;
+  run_update(matcher, e.net(), e.state(), cp, e.wm().live(), 0, scratch);
 }
 
 TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
@@ -263,8 +258,10 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
     owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
     const CompiledProduction cp =
         serial.builder().add_production(*owned.back());
-    run_update_serial(serial.net(), serial.state(), cp,
-                      serial.wm().live());
+    TraceExecutor ex(serial.net(), serial.state(), /*record_tasks=*/false);
+    UpdateScratch scratch;
+    run_update(ex, serial.net(), serial.state(), cp, serial.wm().live(), 0,
+               scratch);
   }
   runtime_add_through(steal, m_steal, arena, owned, late);
   runtime_add_through(split, m_split, arena, owned, late);

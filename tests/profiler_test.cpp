@@ -30,6 +30,7 @@
 #include "analysis/profile_report.h"
 #include "engine/agent_group.h"
 #include "engine/engine.h"
+#include "lang/parser.h"
 #include "obs/profiler.h"
 
 namespace psme {
@@ -128,10 +129,42 @@ TEST(Profiler, ParallelSamplingIsBounded) {
   }
 }
 
+/// A load() over a live working memory runs the §5.2 update through the
+/// engine's own executor, so the profiler sees every one of its tasks —
+/// serial and threaded alike. The update's task count comes from a twin
+/// engine adding the same production at run time.
+TEST(Profiler, LiveLoadUpdateIsProfiled) {
+  const std::string late =
+      "(p late (a ^v <x>) (c ^v <x> ^w <y>) (b ^v <x>) --> (halt))";
+  for (const size_t workers : {0u, 4u}) {
+    EngineOptions opts;
+    opts.match_workers = workers;
+    opts.profile = true;
+    Engine e(opts);
+    Engine twin;
+    for (Engine* x : {&e, &twin}) {
+      x->load(join_productions());
+      run_waves(*x, 2, 12);
+    }
+    RhsArena arena;
+    Parser parser(twin.syms(), twin.schemas(), arena);
+    const uint64_t update_tasks =
+        twin.add_production_runtime(parser.parse_production(late))
+            .update_tasks;
+    ASSERT_GT(update_tasks, 0u);
+
+    const uint64_t before = e.profiler()->snapshot().total_activations;
+    e.load(late);
+    EXPECT_EQ(e.profiler()->snapshot().total_activations - before,
+              update_tasks)
+        << "match_workers=" << workers;
+  }
+}
+
 TEST(Profiler, IdleAgentAccumulatesNothing) {
   AgentGroupOptions gopts;
   gopts.workers = 4;
-  gopts.profile = true;
+  gopts.agent.profile = true;
   AgentGroup group(gopts);
   Engine& busy = group.add_agent();
   group.add_agent();  // agent 1 never receives a wme

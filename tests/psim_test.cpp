@@ -169,9 +169,46 @@ TEST(Report, TasksPerCycleHistogram) {
   EXPECT_NEAR(h[2], 33.34, 0.1);  // one cycle in [50,75)
 }
 
+/// Line accesses are derived from a cycle's own tasks: the §5.2 update a
+/// live-WM load() runs touches lines, but none of it lands in the next
+/// cycle's distribution.
+TEST(Report, EmptyCycleAfterLiveLoadHasNoLineAccesses) {
+  EngineOptions opts;
+  opts.record_traces = true;
+  Engine e(opts);
+  e.load("(p p1 (a ^v <x>) --> (halt))");
+  for (int i = 0; i < 4; ++i) {
+    e.add_wme_text("(a ^v " + std::to_string(i) + ")");
+    e.add_wme_text("(b ^v " + std::to_string(i) + ")");
+  }
+  e.match();
+  e.load("(p p2 (a ^v <x>) (b ^v <x>) --> (halt))");
+  const CycleTrace empty = e.match();
+  EXPECT_EQ(empty.task_count(), 0u);
+  for (const double pct : left_access_distribution({empty})) {
+    EXPECT_EQ(pct, 0.0);
+  }
+}
+
 TEST(Report, LeftAccessDistributionSumsTo100) {
+  // Per-line (left, right) accesses in one cycle: line 0 (3, 0), line 1
+  // (1, 2), line 2 (0, 5) — one task per access, plus a lineless task.
   CycleTrace t;
-  t.line_accesses = {{0, 3, 0}, {1, 1, 2}, {2, 0, 5}};
+  auto access = [&t](uint32_t line, Side side, int n) {
+    for (int i = 0; i < n; ++i) {
+      TaskRecord r;
+      r.type = NodeType::Join;
+      r.stats.touched_line = true;
+      r.stats.line = line;
+      r.stats.line_side = side;
+      t.tasks.push_back(r);
+    }
+  };
+  access(0, Side::Left, 3);
+  access(1, Side::Left, 1);
+  access(1, Side::Right, 2);
+  access(2, Side::Right, 5);
+  t.tasks.push_back(TaskRecord{});
   const auto pct = left_access_distribution({t});
   double sum = 0;
   for (const double p : pct) sum += p;

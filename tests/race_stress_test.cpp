@@ -221,18 +221,11 @@ TEST_P(RaceStressTuning, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
     owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
     const CompiledProduction cp =
         live.builder().add_production(*owned.back());
-    const auto wm_snapshot = live.wm().live();
-
-    // Phase A: alpha chains + right memories fed by new alpha memories.
-    std::vector<Activation> seeds =
-        update_alpha_seeds(live.net(), cp, wm_snapshot);
-    matcher.run_update(seeds, {cp.first_new_id, /*suppress_alpha_left=*/true});
-    // Phase B: right memories fed by shared (old) alpha memories.
-    seeds = update_right_seeds(live.net(), live.state(), cp);
-    matcher.run_update(seeds, {cp.first_new_id, false});
-    // Phase C: last-shared-node replay, only after A and B drained.
-    seeds = update_left_seeds(live.net(), live.state(), cp);
-    matcher.run_update(seeds, {cp.first_new_id, false});
+    // Phases A (alpha chains), B (right memories fed by shared alpha
+    // memories) and C (the last-shared-node replay), all threaded.
+    UpdateScratch scratch;
+    run_update(matcher, live.net(), live.state(), cp, live.wm().live(), 0,
+               scratch);
   }
 
   EXPECT_EQ(cs_fingerprint(ref), cs_fingerprint(live));

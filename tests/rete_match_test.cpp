@@ -10,6 +10,7 @@ namespace {
 
 using test::instantiation_count;
 using test::matched_productions;
+using test::recorded;
 
 TEST(ReteMatch, SingleConditionConstantMatch) {
   Engine e;
@@ -176,7 +177,7 @@ TEST(ReteMatch, WildcardVariableMatchesAnything) {
 }
 
 TEST(ReteMatch, HashDistributesAcrossLines) {
-  Engine e;
+  Engine e(recorded());
   e.load("(p j (a ^v <x>) (b ^v <x>) --> (halt))");
   for (int i = 0; i < 64; ++i) {
     e.add_wme(e.syms().intern("a"), {Value(static_cast<int64_t>(i))});
@@ -184,22 +185,27 @@ TEST(ReteMatch, HashDistributesAcrossLines) {
   auto trace = e.match();
   // 64 distinct binding values should touch many distinct lines.
   std::set<uint32_t> lines;
-  for (const auto& la : trace.line_accesses) lines.insert(la.line);
+  for (const TaskRecord& r : trace.tasks) {
+    if (r.stats.touched_line) lines.insert(r.stats.line);
+  }
   EXPECT_GT(lines.size(), 16u);
 }
 
 TEST(ReteMatch, SameBindingsShareALine) {
-  Engine e;
+  Engine e(recorded());
   e.load("(p j (a ^v <x>) (b ^v <x>) --> (halt))");
   e.add_wme_text("(a ^v 1)");
   e.add_wme_text("(b ^v 1)");
   auto trace = e.match();
   // The left token and right wme for binding 1 hash to the same line: one
   // line shows both a left and a right access.
-  bool both = false;
-  for (const auto& la : trace.line_accesses) {
-    if (la.left > 0 && la.right > 0) both = true;
+  std::set<uint32_t> left, right;
+  for (const TaskRecord& r : trace.tasks) {
+    if (!r.stats.touched_line) continue;
+    (r.stats.line_side == Side::Left ? left : right).insert(r.stats.line);
   }
+  bool both = false;
+  for (const uint32_t line : left) both |= right.count(line) != 0;
   EXPECT_TRUE(both);
   EXPECT_EQ(instantiation_count(e, "j"), 1);
 }

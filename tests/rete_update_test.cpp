@@ -7,6 +7,7 @@
 #include "alloc_probe.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
+#include "par/parallel_match.h"
 #include "rete/update.h"
 #include "test_util.h"
 
@@ -21,6 +22,14 @@ Production parse_one(Engine& e, std::string_view src) {
   static RhsArena arena;  // test-only: productions outlive the engines
   Parser p(e.syms(), e.schemas(), arena);
   return p.parse_production(src);
+}
+
+/// The §5.2 update of a structurally compiled `cp`, drained through a
+/// serial executor over `e`'s memories.
+UpdateTasks update_serially(Engine& e, const CompiledProduction& cp) {
+  TraceExecutor ex(e.net(), e.state(), /*record_tasks=*/false);
+  UpdateScratch scratch;
+  return run_update(ex, e.net(), e.state(), cp, e.wm().live(), 0, scratch);
 }
 
 TEST(AlphaFrontier, FullySharedAlphaHasNoFrontier) {
@@ -83,11 +92,12 @@ TEST(UpdateSeeds, RightSeedsOnlyForOldAlphaMemories) {
   static std::vector<std::unique_ptr<Production>> keep;
   keep.push_back(std::make_unique<Production>(std::move(p)));
   CompiledProduction cp = builder.add_production(*keep.back());
-  const auto rights = update_right_seeds(e.net(), e.state(), cp);
+  std::vector<Activation> rights;
+  update_right_seeds_into(e.net(), e.state(), cp, rights, 0);
   // The new join's right input is amem(c) — brand new, so phase B has
   // nothing; amem(a) feeds the join's LEFT side, not its right.
   EXPECT_TRUE(rights.empty());
-  run_update_serial(e.net(), e.state(), cp, e.wm().live());
+  update_serially(e, cp);
 }
 
 TEST(UpdateSeeds, LeftSeedsReplaySharePointOutputs) {
@@ -105,7 +115,7 @@ TEST(UpdateSeeds, LeftSeedsReplaySharePointOutputs) {
       e, "(p p2 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))")));
   CompiledProduction cp = builder.add_production(*keep.back());
   // Share point: the old (a)(b) join; its outputs are the two [a b] tokens.
-  run_update_serial(e.net(), e.state(), cp, e.wm().live());
+  update_serially(e, cp);
   EXPECT_EQ(instantiation_count(e, "p2"), 1);  // only v=1 has a c
 }
 
@@ -212,48 +222,60 @@ TEST(Update, UpdateTaskCountScalesWithSharing) {
 
 TEST(Update, ScratchReplayIsAllocationFlat) {
   // A chunking system runs the §5.2 update once per chunk, forever. With a
-  // persistent UpdateScratch the replay must stop allocating once its
-  // buffers reach high-water capacity — even for spill-length tokens (six
-  // CEs, so every full token exceeds the inline cap and lands in the arena).
-  Engine e;
-  e.load("(p base (a ^v <x>) (b ^v <x>) --> (halt))");
-  for (const char* cls : {"a", "b", "c", "d", "e", "f"}) {
-    for (int v = 0; v < 3; ++v) {
-      e.add_wme_text("(" + std::string(cls) + " ^v " + std::to_string(v) +
-                     ")");
+  // persistent UpdateScratch and executor the replay must stop allocating
+  // once their buffers reach high-water capacity — even for spill-length
+  // tokens (six CEs, so every full token exceeds the inline cap and lands
+  // in the arena) — through either executor.
+  for (const size_t workers : {0u, 2u}) {
+    Engine e;
+    e.load("(p base (a ^v <x>) (b ^v <x>) --> (halt))");
+    for (const char* cls : {"a", "b", "c", "d", "e", "f"}) {
+      for (int v = 0; v < 3; ++v) {
+        e.add_wme_text("(" + std::string(cls) + " ^v " + std::to_string(v) +
+                       ")");
+      }
     }
-  }
-  e.match();
-  const int base_insts = instantiation_count(e, "base");
+    e.match();
+    const int base_insts = instantiation_count(e, "base");
 
-  const auto wm = e.wm().live();
-  Builder& builder = e.builder();
-  static std::vector<std::unique_ptr<Production>> keep;
-  UpdateScratch scratch;
-  for (int round = 0; round < 8; ++round) {
-    const std::string name = "spill" + std::to_string(round);
-    keep.push_back(std::make_unique<Production>(parse_one(
-        e, "(p " + name +
-               " (a ^v <x>) (b ^v <x>) (c ^v <x>) (d ^v <x>) (e ^v <x>)"
-               " (f ^v <x>) --> (halt))")));
-    // Structural compile may allocate (new nodes, code); only the state
-    // update itself is measured.
-    CompiledProduction cp = builder.add_production(*keep.back());
-    const uint64_t before = heap_allocs();
-    run_update_serial(e.net(), e.state(), cp, wm, scratch);
-    const uint64_t used = heap_allocs() - before;
-    EXPECT_EQ(instantiation_count(e, name), 3);
-    if (round >= 2) {
-      // Round 0 builds the chain and fills the scratch; round 1 may still
-      // grow capacity. From then on the replay is allocation-free.
-      EXPECT_EQ(used, 0u) << "update " << round << " touched the heap";
+    const auto wm = e.wm().live();
+    Builder& builder = e.builder();
+    static std::vector<std::unique_ptr<Production>> keep;
+    TraceExecutor serial(e.net(), e.state(), /*record_tasks=*/false);
+    std::unique_ptr<ParallelMatcher> matcher;
+    if (workers > 0) {
+      matcher = std::make_unique<ParallelMatcher>(e.net(), workers);
+      matcher->register_agent(e.state());
     }
-  }
+    Drain& drain = matcher ? static_cast<Drain&>(*matcher) : serial;
+    UpdateScratch scratch;
+    for (int round = 0; round < 8; ++round) {
+      const std::string name = "spill" + std::to_string(round);
+      keep.push_back(std::make_unique<Production>(parse_one(
+          e, "(p " + name +
+                 " (a ^v <x>) (b ^v <x>) (c ^v <x>) (d ^v <x>) (e ^v <x>)"
+                 " (f ^v <x>) --> (halt))")));
+      // Structural compile may allocate (new nodes, code); only the state
+      // update itself is measured.
+      CompiledProduction cp = builder.add_production(*keep.back());
+      const uint64_t before = heap_allocs();
+      run_update(drain, e.net(), e.state(), cp, wm, 0, scratch);
+      const uint64_t used = heap_allocs() - before;
+      EXPECT_EQ(instantiation_count(e, name), 3) << "workers " << workers;
+      if (round >= 2) {
+        // Round 0 builds the chain and fills the scratch; round 1 may still
+        // grow capacity. From then on the replay is allocation-free.
+        EXPECT_EQ(used, 0u) << "update " << round << " touched the heap"
+                            << " (workers " << workers << ")";
+      }
+    }
 
-  // The task filter dropped every activation of pre-existing stateful
-  // nodes: old productions saw no duplicate matches from the re-seeded wmes.
-  EXPECT_EQ(instantiation_count(e, "base"), base_insts);
-  EXPECT_EQ(instantiation_count(e, "spill0"), 3);
+    // The task filter dropped every activation of pre-existing stateful
+    // nodes: old productions saw no duplicate matches from the re-seeded
+    // wmes.
+    EXPECT_EQ(instantiation_count(e, "base"), base_insts);
+    EXPECT_EQ(instantiation_count(e, "spill0"), 3);
+  }
 }
 
 }  // namespace

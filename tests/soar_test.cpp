@@ -166,6 +166,7 @@ TEST(SoarKernel, WmeDeduplication) {
 TEST(SoarKernel, TracesOnePerElaborationCycle) {
   SoarOptions opts;
   opts.learning = false;
+  opts.engine.record_traces = true;
   SoarKernel k(opts);
   setup_micro(k, true);
   const auto stats = k.run();
@@ -173,6 +174,7 @@ TEST(SoarKernel, TracesOnePerElaborationCycle) {
   uint64_t total_tasks = 0;
   for (const auto& t : stats.traces) total_tasks += t.task_count();
   EXPECT_GT(total_tasks, 10u);
+  EXPECT_EQ(stats.match_tasks, total_tasks);
 }
 
 TEST(SoarKernel, StuckWithoutEvaluationsEndsCleanly) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "tasks/registry.h"
+#include "test_util.h"
 
 namespace psme {
 namespace {
@@ -18,12 +19,14 @@ class TaskRuns : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TaskRuns, WithoutChunkingProducesWork) {
   const Task task = make_task(GetParam());
-  const auto res = run_task(task, /*learning=*/false);
+  const auto res =
+      run_task(task, /*learning=*/false, nullptr, test::recorded());
   EXPECT_GT(res.stats.decisions, 3u);
   EXPECT_GT(res.stats.elab_cycles, 5u);
   uint64_t tasks = 0;
   for (const auto& t : res.stats.traces) tasks += t.task_count();
   EXPECT_GT(tasks, 500u);
+  EXPECT_EQ(res.stats.match_tasks, tasks);
 }
 
 TEST_P(TaskRuns, DuringChunkingBuildsChunks) {

@@ -19,6 +19,13 @@ inline RhsArena& test_rhs_arena() {
   return arena;
 }
 
+/// Engine options whose serial cycles return their recorded task DAG.
+inline EngineOptions recorded() {
+  EngineOptions opts;
+  opts.record_traces = true;
+  return opts;
+}
+
 /// Names of productions with at least one instantiation in the CS.
 inline std::multiset<std::string> matched_productions(Engine& e) {
   std::multiset<std::string> out;
