@@ -18,8 +18,8 @@
 // at 13), previewing where the chain-bound workload saturates on machines
 // no 1988 Encore could be (ROADMAP carryover item).
 //
-// Output: BENCH_longchain.json on stdout (tools/bench_json.sh), human tables
-// on stderr.
+// Output: one JSON document on stdout (the `longchain_bench_smoke` ctest
+// checks it), human tables on stderr.
 //
 //   $ bench_longchain [rounds] [values] [reps]
 #include <chrono>

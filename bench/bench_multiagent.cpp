@@ -1,5 +1,5 @@
 // Multi-agent serving bench: N independent agent sessions multiplexed over
-// ONE shared CompiledNetwork and ONE 8-worker pool (AgentGroup), swept over
+// ONE shared CompiledNetwork and ONE worker pool (AgentGroup), swept over
 // session counts {1, 4, 16, 64}. Each agent runs the same lightly-loaded
 // per-cycle workload (a small wme wave plus a removal slice — the "many
 // small sessions" serving regime the network/state split targets), and the
@@ -10,14 +10,17 @@
 //   * p50/p99 step latency (wall time of one batched group cycle).
 //
 // The headline is aggregate throughput at 16 agents vs 1 agent on the same
-// 8 workers: one agent pays the pool's dispatch/park overhead on every
-// cycle; 16 agents amortize it across 16 sessions' worth of match work.
+// workers (8 by default): one agent pays the pool's dispatch/park overhead
+// on every cycle; 16 agents amortize it across 16 sessions' worth of match
+// work.
 // The differential in tests/multiagent_test.cpp proves the batched drains
 // leave every agent bit-identical to an isolated engine; this bench prices
 // them.
 //
-// Output: BENCH_multiagent.json on stdout (captured by tools/bench_json.sh),
-// human-readable tables on stderr.
+// Output: one JSON document on stdout (the `multiagent_bench_smoke` ctest
+// checks it), human-readable tables on stderr.
+//
+//   $ bench_multiagent [rounds] [wave] [reps] [soar-sessions] [workers]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -143,7 +146,8 @@ int main(int argc, char** argv) {
   const int rounds = argc > 1 ? std::atoi(argv[1]) : 30;
   const int wave = argc > 2 ? std::atoi(argv[2]) : 6;
   const int reps = argc > 3 ? std::atoi(argv[3]) : 3;
-  const size_t workers = 8;
+  const size_t workers =
+      argc > 5 ? std::max<size_t>(1, std::strtoul(argv[5], nullptr, 10)) : 8;
   const std::vector<size_t> session_counts = {1, 4, 16, 64};
 
   std::fprintf(stderr,

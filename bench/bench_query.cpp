@@ -13,8 +13,10 @@
 //   * mean per-phase cost: add (compile + update), read (score + matches),
 //     remove (unsplice + drain) in µs.
 //
-// Output: BENCH_query.json on stdout (captured by tools/bench_json.sh),
-// human-readable tables on stderr.
+// Output: one JSON document on stdout (the `query_bench_smoke` ctest checks
+// it), human-readable tables on stderr.
+//
+//   $ bench_query [cycles-per-session] [reps]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -101,8 +101,7 @@ inline uint64_t total_tasks(const std::vector<CycleTrace>& traces) {
 
 /// Minimal machine-readable output: streams one JSON value to `out` with
 /// comma/indent bookkeeping handled here so bench code reads like data.
-/// tools/bench_json.sh captures stdout into BENCH_<name>.json; the human
-/// tables go to stderr in such benches.
+/// Benches that emit JSON on stdout print their human tables to stderr.
 class JsonWriter {
  public:
   explicit JsonWriter(std::FILE* out) : out_(out) {}

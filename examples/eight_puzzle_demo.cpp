@@ -3,7 +3,6 @@
 // the learned chunks preloaded and compare the effort.
 //
 //   $ ./eight_puzzle_demo [--stats] [--agents N] [--chain-split-depth N]
-//                         [--steal-backoff-base N] [--steal-backoff-max N]
 //                         [--steal-backoff-park N] [--profile-json <path>]
 //   $ PSME_TRACE=trace.json ./eight_puzzle_demo
 //
@@ -11,10 +10,12 @@
 // matcher with the runtime match profiler on (full rate) and writes the
 // deterministic per-production profile document to <path> — the file
 // `network_lint --profile <path> eight-puzzle` correlates against the
-// static cost table (CI does exactly this).
+// static cost table (the profile_correlation_smoke ctest does exactly
+// this).
 //
-// The steal-tuning flags apply to the traced parallel run (they configure
-// EngineOptions::steal; serial runs ignore them).
+// The steal-tuning flags apply to the traced and profiled parallel runs
+// (they configure EngineOptions::steal; serial runs ignore them). An
+// unknown flag exits 2.
 //
 // With PSME_TRACE set, the during-chunking run repeats on an 8-worker
 // parallel matcher with tracing on and exports a Perfetto-loadable Chrome
@@ -123,12 +124,11 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--chain-split-depth") == 0) {
       tuning.chain_split_depth = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-base") == 0) {
-      tuning.backoff_base_spins = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-max") == 0) {
-      tuning.backoff_max_spins = value();
     } else if (std::strcmp(argv[i], "--steal-backoff-park") == 0) {
       tuning.backoff_park_sweeps = value();
+    } else {
+      std::fprintf(stderr, "eight_puzzle_demo: unknown option %s\n", argv[i]);
+      return 2;
     }
   }
   const Task task = make_eight_puzzle();

@@ -11,8 +11,7 @@
 //
 // The steal scheduler's tuning knobs are exposed on the command line:
 //
-//   $ ./parallel_match [--chain-split-depth N] [--steal-backoff-base N]
-//                      [--steal-backoff-max N] [--steal-backoff-park N]
+//   $ ./parallel_match [--chain-split-depth N] [--steal-backoff-park N]
 //
 // With --agents N (N > 1) the demo also serves N independent agent sessions
 // over ONE shared CompiledNetwork and ONE worker pool (AgentGroup): each
@@ -134,10 +133,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--chain-split-depth") == 0) {
       tuning.chain_split_depth = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-base") == 0) {
-      tuning.backoff_base_spins = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-max") == 0) {
-      tuning.backoff_max_spins = value();
     } else if (std::strcmp(argv[i], "--steal-backoff-park") == 0) {
       tuning.backoff_park_sweeps = value();
     } else if (std::strcmp(argv[i], "--agents") == 0) {

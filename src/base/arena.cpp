@@ -146,19 +146,6 @@ MatchStats TokenArena::stats() const {
   return s;
 }
 
-std::vector<MatchStats> TokenArena::worker_stats() const {
-  std::vector<MatchStats> out;
-  out.reserve(pools_.size());
-  for (const auto& p : pools_) {
-    MatchStats s;
-    s.spill_allocs = p->spill_allocs;
-    s.spill_bytes = p->spill_bytes;
-    s.chunks_allocated = p->chunks_allocated;
-    out.push_back(s);
-  }
-  return out;
-}
-
 size_t TokenArena::sealed_pending() const {
   size_t n = 0;
   for (Chunk* c = sealed_head_.load(std::memory_order_acquire); c != nullptr;

@@ -46,11 +46,9 @@
 
 namespace psme {
 
-/// Allocation/footprint counters for token memory. Per-worker counts come
-/// from TokenArena::worker_stats(); the aggregate (plus chunk-lifecycle
-/// gauges) from TokenArena::stats(). ParallelMatcher surfaces a per-cycle
-/// delta of these in ParallelStats so bench JSON output can report
-/// allocations/activation.
+/// Allocation/footprint counters for token memory, summed over the arena's
+/// worker pools (plus chunk-lifecycle gauges) by TokenArena::stats().
+/// ParallelStats carries a snapshot of them at the end of each cycle.
 struct MatchStats {
   uint64_t spill_allocs = 0;     // payloads spilled to the arena
   uint64_t spill_bytes = 0;      // bytes of spilled payloads
@@ -106,7 +104,7 @@ class TokenArena {
   /// Bump-allocates `bytes` (8-byte aligned) from `worker`'s pool. Returns
   /// the payload pointer and the owning chunk through `chunk_out`. Only the
   /// owning worker may call this for a given pool, and only inside a drain
-  /// (or while globally quiescent, e.g. node_outputs replay).
+  /// (or while globally quiescent, e.g. the node_outputs_into replay).
   void* alloc(size_t worker, uint32_t bytes, Chunk** chunk_out);
 
   /// Opens a new epoch and stamps workers [0, workers_in_drain) into it.
@@ -120,7 +118,6 @@ class TokenArena {
   void reclaim_at_quiescence();
 
   [[nodiscard]] MatchStats stats() const;
-  [[nodiscard]] std::vector<MatchStats> worker_stats() const;
   [[nodiscard]] uint64_t epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }

@@ -22,13 +22,14 @@ AgentGroup::AgentGroup(AgentGroupOptions opts) : opts_(std::move(opts)) {
 AgentGroup::~AgentGroup() {
   // Agents detach from cnet_ in their destructors; drop them before the
   // matcher that still holds their MatchState pointers.
-  agents_.clear();
+  owned_.clear();
 }
 
 Engine& AgentGroup::add_agent() {
   // Attach mode: the engine takes the matcher's tracer, track and profiler.
-  agents_.push_back(
+  owned_.push_back(
       std::make_unique<Engine>(cnet_, opts_.agent, matcher_.get()));
+  agents_.push_back(owned_.back().get());
   return *agents_.back();
 }
 
@@ -38,37 +39,9 @@ std::vector<const Production*> AgentGroup::load(std::string_view src) {
 }
 
 ParallelStats AgentGroup::step_all() {
-  ParallelStats total;
   obs::Span cycle_span(tracer_.get(), 0, obs::EventKind::MatchCycle);
-  std::vector<Activation>& seeds = seed_scratch_;
-  seeds.clear();
-  // All agents' removals first (homogeneous batch; see run_cycle's seed
-  // contract), then all agents' additions — the same two-drain split a
-  // single agent's match() uses, shared N ways.
-  bool any_adds = false;
-  for (auto& a : agents_) {
-    a->collect_seeds(false, seeds);
-    any_adds |= !a->pending_adds_.empty();
-  }
-  if (!seeds.empty() || !any_adds) {
-    obs::Span span(tracer_.get(), 0, obs::EventKind::DrainRemoves);
-    total = matcher_->run_cycle(seeds);
-    seeds.clear();
-  }
-  if (any_adds) {
-    obs::Span span(tracer_.get(), 0, obs::EventKind::DrainAdds);
-    for (auto& a : agents_) a->collect_seeds(true, seeds);
-    total.accumulate(matcher_->run_cycle(seeds));
-  }
-  for (auto& a : agents_) {
-    a->end_group_cycle();
-    // Shared scheduler numbers, but each agent's own arena snapshot (the
-    // matcher's snapshot covers only agent 0's arena).
-    ParallelStats st = total;
-    st.arena = a->state().arena.stats();
-    a->last_parallel_stats_ = st;
-  }
-  return total;
+  return Engine::drain_threaded(*matcher_, agents_, seed_scratch_,
+                                tracer_.get(), 0);
 }
 
 void AgentGroup::collect_metrics(obs::MetricsRegistry& m) const {

@@ -45,12 +45,12 @@ struct AgentGroupOptions {
   /// worker 0, exactly as in a standalone parallel Engine).
   size_t workers = 4;
   TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal;  // unused
-  /// Engine options for every agent session. hash_lines, arena_chunk_bytes
-  /// and builder apply per agent. steal, trace, profile and
-  /// profile_sample_shift configure the group's shared matcher, tracer (one
-  /// ring per worker + one per agent) and profiler (one shard per worker,
-  /// agent cells tagged per session). match_workers and record_traces have
-  /// no effect: attached engines always drain on the shared matcher, so
+  /// Engine options for every agent session. builder configures the shared
+  /// network's compiler. steal, trace, profile and profile_sample_shift
+  /// configure the group's shared matcher, tracer (one ring per worker +
+  /// one per agent) and profiler (one shard per worker, agent cells tagged
+  /// per session). match_workers and record_traces have no effect: attached
+  /// engines always drain on the shared matcher, so
   /// Engine::records_traces() is false.
   EngineOptions agent;
 };
@@ -104,7 +104,8 @@ class AgentGroup {
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MatchProfiler> profiler_;
   std::unique_ptr<ParallelMatcher> matcher_;
-  std::vector<std::unique_ptr<Engine>> agents_;
+  std::vector<std::unique_ptr<Engine>> owned_;
+  std::vector<Engine*> agents_;           // owned_, as step_all's span
   std::vector<Activation> seed_scratch_;  // batched seeds, capacity reused
 };
 

@@ -35,7 +35,6 @@ Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
                ParallelMatcher* shared_matcher)
     : opts_(opts),
       cnet_(std::move(cnet)),
-      state_(opts.hash_lines, opts.arena_chunk_bytes),
       rhs_(cnet_->syms(), cnet_->schemas()),
       external_matcher_(shared_matcher),
       agent_(shared_matcher != nullptr ? shared_matcher->register_agent(state_)
@@ -263,50 +262,65 @@ void Engine::collect_seeds(bool adds, std::vector<Activation>& out) {
   for (const Wme* w : pend) net().inject(w, adds, cc);
 }
 
-void Engine::end_group_cycle() {
+void Engine::end_cycle() {
   pending_removes_.clear();
   pending_adds_.clear();
   wm_.end_cycle();
 }
 
+ParallelStats Engine::drain_threaded(ParallelMatcher& m,
+                                     std::span<Engine* const> agents,
+                                     std::vector<Activation>& seeds,
+                                     obs::Tracer* tracer, size_t track) {
+  // The removals drain to quiescence before the additions: a delete token
+  // racing a sibling addition is order-dependent (a join can install a new
+  // PI behind a delete token that already passed that memory), so each
+  // threaded drain gets a homogeneous seed batch. Serial injection order
+  // (removes first) makes the final state identical. Seeds may mix agents:
+  // each tagged task touches only its own agent's state.
+  seeds.clear();
+  bool any_adds = false;
+  for (Engine* a : agents) {
+    a->collect_seeds(false, seeds);
+    any_adds |= !a->pending_adds_.empty();
+  }
+  ParallelStats total;
+  if (!seeds.empty() || !any_adds) {
+    obs::Span span(tracer, track, obs::EventKind::DrainRemoves);
+    total = m.run_cycle(seeds);
+    seeds.clear();
+  }
+  if (any_adds) {
+    obs::Span span(tracer, track, obs::EventKind::DrainAdds);
+    for (Engine* a : agents) a->collect_seeds(true, seeds);
+    total.accumulate(m.run_cycle(seeds));
+  }
+  for (Engine* a : agents) {
+    a->end_cycle();
+    // Shared scheduler numbers, but each agent's own arena snapshot (the
+    // matcher's snapshot covers only agent 0's arena).
+    a->last_parallel_stats_ = total;
+    a->last_parallel_stats_.arena = a->state_.arena.stats();
+  }
+  return total;
+}
+
 CycleTrace Engine::match() {
-  CycleTrace trace;
   obs::Span cycle_span(tracer(), track(), obs::EventKind::MatchCycle);
   std::vector<Activation>& seeds = seed_scratch_;  // capacity reused per cycle
-  seeds.clear();
   if (parallel()) {
-    // Threaded drain on the persistent matcher; no per-task trace. The
-    // cycle's removals drain to quiescence before its additions: a delete
-    // token racing a sibling addition is order-dependent (a join can install
-    // a new PI behind a delete token that already passed that memory), so
-    // each threaded drain gets a homogeneous seed batch. Serial injection
-    // order (removes first) makes the final state identical.
-    CollectCtx cc(seeds, agent_);
-    for (const Wme* w : pending_removes_) net().inject(w, false, cc);
-    ParallelStats total;
-    if (!seeds.empty() || pending_adds_.empty()) {
-      obs::Span span(tracer(), track(), obs::EventKind::DrainRemoves);
-      total = matcher().run_cycle(seeds);
-      seeds.clear();
-    }
-    if (!pending_adds_.empty()) {
-      obs::Span span(tracer(), track(), obs::EventKind::DrainAdds);
-      for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-      total.accumulate(matcher().run_cycle(seeds));
-    }
-    last_parallel_stats_ = total;
-    last_match_tasks_ = total.tasks;
-  } else {
-    CollectCtx cc(seeds, agent_);
-    for (const Wme* w : pending_removes_) net().inject(w, false, cc);
-    for (const Wme* w : pending_adds_) net().inject(w, true, cc);
-    last_match_tasks_ = serial_exec_.drain(seeds, {});
-    trace = serial_exec_.take_trace();
+    // Threaded drain on the persistent matcher; no per-task trace.
+    Engine* self = this;
+    last_match_tasks_ =
+        drain_threaded(matcher(), {&self, 1}, seeds, tracer(), track()).tasks;
+    return {};
   }
-  pending_removes_.clear();
-  pending_adds_.clear();
-  wm_.end_cycle();
-  return trace;
+  seeds.clear();
+  collect_seeds(false, seeds);
+  collect_seeds(true, seeds);
+  last_match_tasks_ = serial_exec_.drain(seeds, {});
+  end_cycle();
+  return serial_exec_.take_trace();
 }
 
 void Engine::apply_delta(const WmeDelta& delta, bool dedup_adds) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,18 +38,12 @@ struct VerifyReport;
 }
 
 struct EngineOptions {
-  size_t hash_lines = 4096;
   BuilderOptions builder;  // ignored in attach mode (the network exists)
   /// Records every serial cycle's task DAG (CycleTrace) for the virtual
   /// multiprocessor. Off by default: a recorded DAG allocates per task and
   /// a Soar run keeps one per elaboration cycle. The figure benches, psim
   /// and the tests that read traces turn it on.
   bool record_traces = false;
-
-  /// TokenArena spill-chunk size (bytes). Larger chunks amortize the mmap
-  /// cost of deep token spills; smaller chunks waste less on quiet workers.
-  /// bench_tokens sweeps this knob (see BENCH_tokens.json).
-  uint32_t arena_chunk_bytes = TokenArena::kDefaultChunkBytes;
 
   /// >1 switches match() and the §5.2 runtime-add state update to the
   /// threaded ParallelMatcher with this many workers. The matcher (and its
@@ -201,15 +196,6 @@ class Engine {
   /// Tasks the most recent match() executed, whichever executor ran it.
   [[nodiscard]] uint64_t last_match_tasks() const { return last_match_tasks_; }
 
-  /// AgentGroup batching half of match(): injects this agent's pending
-  /// removes (adds=false) or adds (adds=true) as agent-tagged seeds into
-  /// `out` without clearing the queues, so N agents' cycles share one
-  /// threaded drain. Pair with end_group_cycle() after both drains.
-  void collect_seeds(bool adds, std::vector<Activation>& out);
-  /// AgentGroup batching: clears the pending queues and closes the wme
-  /// cycle (what match() does after its drains).
-  void end_group_cycle();
-
   /// Fires one instantiation: evaluates its RHS, applies the delta (queues
   /// wme changes), marks it fired. With `remove_after_fire` the
   /// instantiation leaves the CS (OPS5). Returns true if a halt executed.
@@ -259,7 +245,8 @@ class Engine {
     return external_matcher_ != nullptr ? external_matcher_ : matcher_.get();
   }
   /// Scheduler statistics of the most recent parallel cycle this session
-  /// ran (in a group, step_all's aggregate lands on every participant).
+  /// ran (in a group, step_all's aggregate lands on every participant),
+  /// with this session's own arena snapshot.
   [[nodiscard]] const ParallelStats& last_parallel_stats() const {
     return last_parallel_stats_;
   }
@@ -312,6 +299,21 @@ class Engine {
 
   void apply_delta(const WmeDelta& delta, bool dedup_adds);
   ParallelMatcher& matcher();
+  /// The threaded cycle of match() and AgentGroup::step_all, for every
+  /// engine in `agents` (all registered with `m`): drains their pending
+  /// removals, then their additions (an empty removal drain stands in when
+  /// nobody has additions), closes each one's wme cycle and stores the
+  /// accumulated stats on each with its own arena snapshot. `seeds` is
+  /// caller-owned scratch; the drain spans go to `tracer` on `track`.
+  static ParallelStats drain_threaded(ParallelMatcher& m,
+                                      std::span<Engine* const> agents,
+                                      std::vector<Activation>& seeds,
+                                      obs::Tracer* tracer, size_t track);
+  /// Injects this session's pending removes (adds=false) or adds
+  /// (adds=true) as agent-tagged seeds into `out`.
+  void collect_seeds(bool adds, std::vector<Activation>& out);
+  /// Clears the pending queues and closes the wme cycle.
+  void end_cycle();
   /// One agent's §5.2 state update after an add, through this session's
   /// executor. Returns the executed task count; fills `res` (traces) when
   /// non-null (the learning agent).

@@ -9,7 +9,6 @@
 //     "otherData".
 //   print_metrics_table — the human-readable end-of-run table of a
 //     MetricsRegistry (what the demos' --stats flag prints).
-//   print_trace_summary — one line per track: events recorded / dropped.
 //
 // All of these read rings and registries without synchronization; the
 // caller must be at quiescence (no match cycle in flight) — the same
@@ -39,8 +38,5 @@ void export_env_trace(const Tracer& t, std::FILE* log = stderr);
 
 /// Aligned name/kind/value table, one metric per line.
 void print_metrics_table(const MetricsRegistry& m, std::FILE* out);
-
-/// Per-track recorded/dropped accounting.
-void print_trace_summary(const Tracer& t, std::FILE* out);
 
 }  // namespace psme::obs

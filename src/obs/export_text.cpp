@@ -1,6 +1,5 @@
 // Human-readable end-of-run output: the metrics table behind the demos'
-// --stats flag and the per-track trace accounting. Quiescence-only, like
-// every exporter (see export.h).
+// --stats flag. Quiescence-only, like every exporter (see export.h).
 #include <cinttypes>
 
 #include "obs/export.h"
@@ -19,20 +18,6 @@ void print_metrics_table(const MetricsRegistry& m, std::FILE* out) {
                  mt.name.c_str(),
                  mt.kind == MetricKind::Counter ? "counter" : "gauge",
                  mt.value);
-  }
-}
-
-void print_trace_summary(const Tracer& t, std::FILE* out) {
-  for (size_t tr = 0; tr < t.tracks(); ++tr) {
-    const EventRing& r = t.ring(tr);
-    char label[32];
-    if (tr == 0) {
-      std::snprintf(label, sizeof label, "engine");
-    } else {
-      std::snprintf(label, sizeof label, "worker %zu", tr - 1);
-    }
-    std::fprintf(out, "track %zu (%s): %zu/%zu events, %" PRIu64 " dropped\n",
-                 tr, label, r.size(), r.capacity(), r.dropped());
   }
 }
 

@@ -384,8 +384,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
       for (uint32_t round = 0;
            a == nullptr && round < tuning_.backoff_park_sweeps; ++round) {
         const uint64_t b0 = backoff_now_ns();
-        sweep_backoff(round, tuning_.backoff_base_spins,
-                      tuning_.backoff_max_spins);
+        sweep_backoff(round);
         me.sweep_backoff_ns += backoff_now_ns() - b0;
         const uint64_t moved = lot_.ticket();
         if (moved == ticket) continue;  // nothing published: provably empty

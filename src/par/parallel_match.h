@@ -51,18 +51,14 @@ namespace psme {
 /// what every production caller gets.
 struct StealTuning {
   /// Sweep backoff ladder: after a failed whole-pool sweep a worker runs
-  /// `backoff_park_sweeps` backoff rounds before parking on its pre-sweep
-  /// ticket; in round i it spins `backoff_base_spins << i` pause
-  /// instructions (once the doubled budget reaches `backoff_max_spins` it
-  /// yields the core instead). Rounds re-sweep only when the publish epoch
-  /// has moved — otherwise the deques are provably still empty — so a
-  /// quiet idle episode costs exactly one failed sweep. Zero rounds means
-  /// park right after the first failed sweep. Lower park thresholds trade
-  /// steal latency for idle cost — on an oversubscribed host (the common
-  /// case at 8-13 workers) parking early is what keeps failed sweeps off
-  /// the bus.
-  uint32_t backoff_base_spins = 4;
-  uint32_t backoff_max_spins = 512;
+  /// `backoff_park_sweeps` backoff rounds (sweep_backoff in
+  /// par/worker_pool.h) before parking on its pre-sweep ticket. Rounds
+  /// re-sweep only when the publish epoch has moved — otherwise the deques
+  /// are provably still empty — so a quiet idle episode costs exactly one
+  /// failed sweep. Zero rounds means park right after the first failed
+  /// sweep. Lower park thresholds trade steal latency for idle cost — on an
+  /// oversubscribed host (the common case at 8-13 workers) parking early is
+  /// what keeps failed sweeps off the bus.
   uint32_t backoff_park_sweeps = 2;
 
   /// Dependent-chain splitting: a worker executes up to `chain_split_depth`
@@ -101,7 +97,7 @@ struct ParallelStats {
   /// Folds another cycle's numbers into this accumulator: traffic counters
   /// and wall time add; the lifetime gauges (pool slabs, arena snapshot)
   /// take the newer cycle's value. The one merge rule for every call site
-  /// (Engine::match, bench_scheduler, ...) instead of per-site field lists.
+  /// instead of per-site field lists.
   void accumulate(const ParallelStats& st) {
     tasks += st.tasks;
     steals += st.steals;

@@ -2,29 +2,6 @@
 
 namespace psme {
 
-void run_workers(size_t n, const std::function<void(size_t)>& fn) {
-  if (n <= 1) {
-    fn(0);
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  std::exception_ptr first_error;
-  Mutex error_mu(LockRank::Unranked, "run-workers-error");
-  for (size_t i = 0; i < n; ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        MutexGuard lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 WorkerPool::WorkerPool(size_t n_workers) : n_(n_workers == 0 ? 1 : n_workers) {
   threads_.reserve(n_ - 1);
   for (size_t i = 1; i < n_; ++i) {

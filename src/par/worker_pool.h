@@ -1,9 +1,5 @@
 // Worker scheduling primitives for the parallel matcher.
 //
-//   run_workers  — the original fork-join helper: spawns `n` std::threads,
-//                  joins them, rethrows the first worker exception. Still
-//                  used by tests and one-shot drains; costs a thread spawn
-//                  per worker per call.
 //   WorkerPool   — persistent pool: threads are spawned once and parked on a
 //                  condition variable between jobs, so a ParallelMatcher can
 //                  run thousands of match cycles without touching
@@ -42,10 +38,6 @@
 
 namespace psme {
 
-/// fn(worker_index) is called once per worker, concurrently. One-shot:
-/// spawns and joins threads every call.
-void run_workers(size_t n, const std::function<void(size_t)>& fn);
-
 /// One spin-wait hint: tells the core a sibling hyperthread may run (x86
 /// `pause`); elsewhere a compiler barrier so the loop is not optimized away.
 inline void cpu_pause() {
@@ -57,17 +49,17 @@ inline void cpu_pause() {
 }
 
 /// Exponential backoff between failed whole-pool steal sweeps (the
-/// scheduler's pre-park ladder, StealTuning): round i spins
-/// `base_spins << i` pauses; once the doubled budget reaches `max_spins`
-/// the worker yields its core instead of spinning harder. It never sleeps —
-/// sleeping is the ParkingLot's job, which the caller reaches after its
-/// park threshold.
-inline void sweep_backoff(uint32_t round, uint32_t base_spins,
-                          uint32_t max_spins) {
+/// scheduler's pre-park ladder, StealTuning::backoff_park_sweeps): round i
+/// spins `kBackoffBaseSpins << i` pauses; once the doubled budget reaches
+/// `kBackoffMaxSpins` the worker yields its core instead of spinning
+/// harder. It never sleeps — sleeping is the ParkingLot's job, which the
+/// caller reaches after its park threshold.
+inline constexpr uint32_t kBackoffBaseSpins = 4;
+inline constexpr uint32_t kBackoffMaxSpins = 512;
+inline void sweep_backoff(uint32_t round) {
   const uint32_t shift = round < 16 ? round : 16;
-  const uint64_t spins = static_cast<uint64_t>(base_spins == 0 ? 1 : base_spins)
-                         << shift;
-  if (spins >= max_spins) {
+  const uint64_t spins = uint64_t{kBackoffBaseSpins} << shift;
+  if (spins >= kBackoffMaxSpins) {
     std::this_thread::yield();
     return;
   }

@@ -46,7 +46,7 @@ void Builder::note_new_node(const Node& n, BuildState& st) {
   if (st.cp.new_nodes.size() == 1 || n.id < st.cp.first_new_id) {
     st.cp.first_new_id = n.id;
   }
-  if (opts_.generate_code) generate_code(n, st.cp.code);
+  generate_code(n, st.cp.code);
 }
 
 void Builder::note_shared_beta(uint32_t id, BuildState& st) {
@@ -151,16 +151,14 @@ uint32_t Builder::build_alpha(const Condition& ce, BuildState& st,
   };
 
   auto descend = [&](auto&& matches, auto&& create) -> void {
-    if (opts_.share_alpha) {
-      for (const SuccessorRef& s : net_.jumptable().peek(cur_slot)) {
-        Node* cand = net_.node(s.node);
-        if (matches(cand)) {
-          ++alpha_shared_;
-          if (cand->id >= st.base_node_count) entered_new = true;  // built
-          // earlier within this same add: its frontier is already recorded
-          cur_slot = cand->jt_slot;
-          return;
-        }
+    for (const SuccessorRef& s : net_.jumptable().peek(cur_slot)) {
+      Node* cand = net_.node(s.node);
+      if (matches(cand)) {
+        ++alpha_shared_;
+        if (cand->id >= st.base_node_count) entered_new = true;  // built
+        // earlier within this same add: its frontier is already recorded
+        cur_slot = cand->jt_slot;
+        return;
       }
     }
     Node* n = create();
@@ -215,13 +213,11 @@ uint32_t Builder::build_alpha(const Condition& ce, BuildState& st,
   }
 
   // Terminal alpha memory.
-  if (opts_.share_alpha) {
-    for (const SuccessorRef& s : net_.jumptable().peek(cur_slot)) {
-      Node* cand = net_.node(s.node);
-      if (cand->type == NodeType::AlphaMem) {
-        ++alpha_shared_;
-        return cand->id;
-      }
+  for (const SuccessorRef& s : net_.jumptable().peek(cur_slot)) {
+    Node* cand = net_.node(s.node);
+    if (cand->type == NodeType::AlphaMem) {
+      ++alpha_shared_;
+      return cand->id;
     }
   }
   auto* am = net_.make_node<AlphaMemNode>();

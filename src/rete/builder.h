@@ -73,9 +73,7 @@ struct CompiledProduction {
 };
 
 struct BuilderOptions {
-  bool share_alpha = true;
-  bool share_beta = true;   // two-input node sharing (Table 5-2 ablation)
-  bool generate_code = true;
+  bool share_beta = true;  // two-input node sharing (Table 5-2 ablation)
 };
 
 class Builder {

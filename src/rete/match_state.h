@@ -42,15 +42,13 @@ struct AlphaMemState {
 /// One agent's complete mutable match state.
 class MatchState {
  public:
-  explicit MatchState(size_t hash_lines = 4096,
-                      uint32_t arena_chunk_bytes = TokenArena::kDefaultChunkBytes)
-      : tables(hash_lines), arena(1, arena_chunk_bytes) {}
+  MatchState() = default;
   MatchState(const MatchState&) = delete;
   MatchState& operator=(const MatchState&) = delete;
 
   PairedHashTables tables;
-  /// mutable use: the quiescent node_outputs() replay builds transient
-  /// tokens through a const MatchState.
+  /// mutable use: the quiescent node_outputs_into() replay builds
+  /// transient tokens through a const MatchState.
   mutable TokenArena arena;
   AlphaWmePool alpha_pool;
   MatchSink* sink = nullptr;

@@ -512,13 +512,6 @@ void Network::exec_prod(const ProdNode& n, const Activation& a,
   }
 }
 
-std::vector<Token> Network::node_outputs(uint32_t node_id,
-                                         const MatchState& ms) const {
-  std::vector<Token> out;
-  node_outputs_into(node_id, ms, out);
-  return out;
-}
-
 void Network::node_outputs_into(uint32_t node_id, const MatchState& ms,
                                 std::vector<Token>& out) const {
   const Node* n = nodes_[node_id].get();
@@ -554,7 +547,7 @@ void Network::node_outputs_into(uint32_t node_id, const MatchState& ms,
       break;
     }
     default:
-      assert(false && "node_outputs: not a share-point node type");
+      assert(false && "node_outputs_into: not a share-point node type");
       break;
   }
 }

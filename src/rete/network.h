@@ -231,18 +231,13 @@ class Network {
     return is_stateless(n->type) || n->id >= ctx.filter.min_node_id;
   }
 
-  /// All output tokens a node would pass downstream, regenerated from the
-  /// given agent's stored state. Only meaningful between cycles; used by the
-  /// §5.2 replay ("the last shared node must be specially executed in order
-  /// to pass down all of the PIs that it has stored as state").
+  /// Appends to `out` all output tokens a node would pass downstream,
+  /// regenerated from the given agent's stored state: the §5.2 replay ("the
+  /// last shared node must be specially executed in order to pass down all
+  /// of the PIs that it has stored as state"). `out` is a caller-owned
+  /// buffer whose capacity survives across replays (the phase-C scratch;
+  /// see UpdateScratch in rete/update.h); it is not cleared.
   /// Quiescent-only: reads lock-guarded memories without their locks.
-  [[nodiscard]] std::vector<Token> node_outputs(uint32_t node_id,
-                                                const MatchState& ms) const
-      PSME_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Allocation-conscious form: appends into a caller-owned buffer whose
-  /// capacity survives across replays (the §5.2 phase-C scratch; see
-  /// UpdateScratch in rete/update.h). `out` is not cleared.
   void node_outputs_into(uint32_t node_id, const MatchState& ms,
                          std::vector<Token>& out) const
       PSME_NO_THREAD_SAFETY_ANALYSIS;

@@ -205,6 +205,36 @@ TEST(MultiAgentObservability, MetricsAreNamespacedPerAgent) {
   EXPECT_EQ(m.value("group.agents"), 2u);
 }
 
+/// An attached agent that runs its own match() reports its own arena, not
+/// agent 0's: here only agent 0 holds tokens long enough to spill, so agent
+/// 1's stats and metrics must read zero spills.
+TEST(MultiAgentObservability, OwnMatchReportsOwnArena) {
+  AgentGroupOptions gopts;
+  gopts.workers = 2;
+  AgentGroup group(gopts);
+  Engine& a0 = group.add_agent();
+  Engine& a1 = group.add_agent();
+  // A full match is a five-wme token, past Token::kInlineCap.
+  group.load(
+      "(p deep (a ^v <x>) (b ^v <x>) (c ^v <x>) (d ^v <x>) (e ^v <x>) "
+      "--> (halt))");
+  for (const char* cls : {"a", "b", "c", "d", "e"}) {
+    a0.add_wme_text(std::string("(") + cls + " ^v 1)");
+  }
+  a0.match();
+  ASSERT_GT(a0.state().arena.stats().spill_allocs, 0u);
+  EXPECT_EQ(a0.last_parallel_stats().arena.spill_allocs,
+            a0.state().arena.stats().spill_allocs);
+
+  a1.add_wme_text("(a ^v 1)");
+  a1.match();
+  ASSERT_EQ(a1.state().arena.stats().spill_allocs, 0u);
+  EXPECT_EQ(a1.last_parallel_stats().arena.spill_allocs, 0u);
+  obs::MetricsRegistry m;
+  a1.collect_metrics(m);
+  EXPECT_EQ(m.value("arena.spill_allocs"), 0u);
+}
+
 /// One tracer, owned by the group: the workers record task spans on tracks
 /// 1..W, every attached engine records its own spans (private match cycles,
 /// §5.2 update phases) on track W+1+id, and a SoarKernel attached to the

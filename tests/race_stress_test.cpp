@@ -294,7 +294,7 @@ TEST(RaceStress, ConflictSetConcurrentInsertRetract) {
   pnode.prod = &prod;
   ConflictSet cs;
   const int iters = kIters / 4;
-  run_workers(kWorkers, [&](size_t worker) {
+  test::run_workers(kWorkers, [&](size_t worker) {
     for (int i = 0; i < iters; ++i) {
       if (worker % 2 == 0) {
         cs.on_insert(pnode, Token{});

@@ -2,14 +2,44 @@
 #pragma once
 
 #include <algorithm>
+#include <exception>
+#include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
 #include "lang/ast.h"
+#include "par/mutex.h"
 
 namespace psme::test {
+
+/// fn(worker_index) is called once per worker, concurrently, each on a
+/// fresh std::thread (n <= 1 runs inline); rethrows the first worker
+/// exception after joining them all.
+inline void run_workers(size_t n, const std::function<void(size_t)>& fn) {
+  if (n <= 1) {
+    fn(0);
+    return;
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  std::exception_ptr first_error;
+  Mutex error_mu(LockRank::Unranked, "run-workers-error");
+  for (size_t i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        fn(i);
+      } catch (...) {
+        MutexGuard lk(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 /// Arena for RHS actions of productions parsed outside an Engine::load.
 /// Static so it outlives every Production that references its nodes (tests

@@ -10,8 +10,8 @@
 #include <memory>
 #include <vector>
 
-#include "par/worker_pool.h"
 #include "par/ws_deque.h"
+#include "test_util.h"
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define PSME_SANITIZED_BUILD 1
@@ -127,7 +127,7 @@ void owner_thief_storm(size_t n_thieves, size_t items_per_wave, int waves) {
     taken.fetch_add(1, std::memory_order_relaxed);
   };
 
-  run_workers(n_thieves + 1, [&](size_t worker) {
+  test::run_workers(n_thieves + 1, [&](size_t worker) {
     if (worker == 0) {
       // Owner: pushes in waves, pops between waves.
       uint64_t next = 0;

@@ -9,8 +9,8 @@
 #
 # Stages: default, tsan, asan, ubsan, lint (network_lint over every
 # registry production set, JSON reports into LINT_*.json), tidy, and bench
-# (opt-in: not part of the default set; runs tools/bench_json.sh to produce
-# BENCH_*.json).
+# (opt-in: not part of the default set; tools/bench_baseline.py checks
+# perfbench's exact counts against the committed BENCH_<workload>.json).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -36,8 +36,8 @@ for stage in "${stages[@]}"; do
       run_preset "$stage"
       ;;
     bench)
-      echo "==== [bench] machine-readable benchmarks ===="
-      tools/bench_json.sh
+      echo "==== [bench] perfbench exact counts vs committed baseline ===="
+      tools/bench_baseline.py
       ;;
     lint)
       echo "==== [lint] network verifier + cost linter ===="
