@@ -263,9 +263,9 @@ int main(int argc, char** argv) {
   JsonWriter j(stdout);
   j.begin_object();
   j.field("bench", "multiagent");
-  j.field("workload",
-          "N agent sessions over one shared network and one 8-worker pool, "
-          "batched group cycles");
+  j.field("workload", "N agent sessions over one shared network and one " +
+                          std::to_string(workers) +
+                          "-worker pool, batched group cycles");
   j.field("workers", static_cast<uint64_t>(workers));
   j.field("rounds", static_cast<uint64_t>(rounds));
   j.field("wave_per_agent", static_cast<uint64_t>(wave));

@@ -1,46 +1,11 @@
 #include "analysis/report_json.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "obs/json.h"
 
 namespace psme::analysis {
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_num(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.2f", v);
-  out += buf;
-}
-
-void append_num(std::string& out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-}  // namespace
+using obs::append_escaped;
+using obs::append_num;
 
 std::string report_json(const std::string& name, const Network& net,
                         const VerifyReport& verify, const LintReport& lint) {

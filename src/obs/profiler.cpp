@@ -1,8 +1,9 @@
 #include "obs/profiler.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+
+#include "obs/json.h"
 
 namespace psme::obs {
 
@@ -65,39 +66,23 @@ const FlightSnapshot& FlightRecorder::at(size_t i) const {
   return ring_[seq % ring_.size()];
 }
 
-namespace {
-
-void append_u64(std::string& out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_us(std::string& out, double ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.2f", ns / 1e3);
-  out += buf;
-}
-
-}  // namespace
-
 std::string FlightRecorder::to_json() const {
   std::string out;
   out.reserve(4096);
   out += "{\n  \"flight\": {\"capacity\": ";
-  append_u64(out, ring_.size());
+  append_num(out, uint64_t{ring_.size()});
   out += ", \"taken\": ";
-  append_u64(out, count_);
+  append_num(out, count_);
   out += ", \"retained\": ";
-  append_u64(out, size());
+  append_num(out, uint64_t{size()});
   out += "},\n  \"snapshots\": [";
   for (size_t i = 0; i < size(); ++i) {
     const FlightSnapshot& s = at(i);
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"seq\": ";
-    append_u64(out, s.seq);
+    append_num(out, s.seq);
     out += ", \"marker\": ";
-    append_u64(out, s.marker);
+    append_num(out, s.marker);
     out += ",\n     \"metrics\": {";
     bool first = true;
     for (const Metric& m : s.metrics.metrics()) {
@@ -106,16 +91,16 @@ std::string FlightRecorder::to_json() const {
       out += '"';
       out += m.name;  // metric names are identifier-shaped; no escaping
       out += "\": ";
-      append_u64(out, m.value);
+      append_num(out, m.value);
     }
     out += "},\n     \"profile\": {\"sample_shift\": ";
-    append_u64(out, s.profile.sample_shift);
+    append_num(out, uint64_t{s.profile.sample_shift});
     out += ", \"activations\": ";
-    append_u64(out, s.profile.total_activations);
+    append_num(out, s.profile.total_activations);
     out += ", \"sampled\": ";
-    append_u64(out, s.profile.total_sampled);
+    append_num(out, s.profile.total_sampled);
     out += ", \"time_us\": ";
-    append_us(out, static_cast<double>(s.profile.total_time_ns));
+    append_num(out, static_cast<double>(s.profile.total_time_ns) / 1e3);
     out += ",\n      \"nodes\": [";
     bool fn = true;
     for (size_t n = 0; n < s.profile.nodes.size(); ++n) {
@@ -124,11 +109,11 @@ std::string FlightRecorder::to_json() const {
       if (!fn) out += ", ";
       fn = false;
       out += "{\"node\": ";
-      append_u64(out, n);
+      append_num(out, uint64_t{n});
       out += ", \"acts\": ";
-      append_u64(out, c.activations);
+      append_num(out, c.activations);
       out += ", \"est_us\": ";
-      append_us(out, ProfileSnapshot::est_ns(c));
+      append_num(out, ProfileSnapshot::est_ns(c) / 1e3);
       out += "}";
     }
     out += "],\n      \"agents\": [";
@@ -139,11 +124,11 @@ std::string FlightRecorder::to_json() const {
       if (!fa) out += ", ";
       fa = false;
       out += "{\"agent\": ";
-      append_u64(out, a);
+      append_num(out, uint64_t{a});
       out += ", \"acts\": ";
-      append_u64(out, c.activations);
+      append_num(out, c.activations);
       out += ", \"est_us\": ";
-      append_us(out, ProfileSnapshot::est_ns(c));
+      append_num(out, ProfileSnapshot::est_ns(c) / 1e3);
       out += "}";
     }
     out += "]}}";

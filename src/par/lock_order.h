@@ -55,12 +55,6 @@ enum class LockRank : uint8_t {
                     // Bucket because a line/alpha mutation under its Bucket
                     // lock may acquire/release a storage chunk
   ConflictSet = 3,  // the conflict-set lock
-  Park = 4,         // the ParkingLot mutex (worker_pool.h); last among the
-                    // match-cycle locks, so a worker may park or unpark
-                    // others no matter what match-state lock it still holds
-  Dispatch = 5,     // the WorkerPool dispatch mutex (worker_pool.h); taken
-                    // only at cycle boundaries with no match lock held, so
-                    // it sits above the entire match hierarchy
 };
 
 namespace lockdep {

@@ -201,15 +201,7 @@ void ParallelMatcher::reset_slots() {
     while (Activation* a = s->deque.pop()) apool_.release(0, a);
     s->created.store(0, std::memory_order_relaxed);
     s->executed.store(0, std::memory_order_relaxed);
-    s->done = 0;
-    s->steals = 0;
-    s->failed_steals = 0;
-    s->failed_sweeps = 0;
-    s->sweep_backoff_ns = 0;
-    s->parks = 0;
-    s->chain_inline = 0;
-    s->chain_splits = 0;
-    for (uint64_t& b : s->sweep_hist) b = 0;
+    s->stats = {};
   }
 }
 
@@ -254,8 +246,8 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
 
   std::atomic<bool> abort{false};
   const auto t0 = std::chrono::steady_clock::now();
-  // Raw-pointer dispatch over a stack job: a capturing lambda through the
-  // std::function overload would heap-allocate its closure every cycle.
+  // Raw-pointer dispatch over a stack job: a capturing lambda held in a
+  // std::function would heap-allocate its closure every cycle.
   struct Job {
     ParallelMatcher* self;
     const UpdateFilter* filter;
@@ -272,19 +264,7 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
   st.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  for (const auto& s : slots_) {
-    st.tasks += s->done;
-    st.steals += s->steals;
-    st.failed_steals += s->failed_steals;
-    st.failed_sweeps += s->failed_sweeps;
-    st.sweep_backoff_ns += s->sweep_backoff_ns;
-    st.parks += s->parks;
-    st.chain_inline += s->chain_inline;
-    st.chain_splits += s->chain_splits;
-    for (size_t i = 0; i < ParallelStats::kSweepHistBuckets; ++i) {
-      st.sweep_hist[i] += s->sweep_hist[i];
-    }
-  }
+  for (const auto& s : slots_) st.accumulate(s->stats);
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
   if (!states_.empty()) st.arena = states_[0]->arena.stats();
   st.pool_slabs = apool_.slab_allocs();
@@ -331,7 +311,7 @@ Activation* ParallelMatcher::take_task(size_t worker) {
   for (size_t i = 0; i < peers; ++i) {
     const size_t victim = (worker + 1 + ((start + i) % peers)) % n_workers_;
     if (Activation* a = slots_[victim]->deque.steal()) {
-      ++me.steals;
+      ++me.stats.steals;
       if (tracer_ != nullptr) {
         obs::record_instant(*tracer_, tracer_->ring(1 + worker),
                             obs::EventKind::StealOk,
@@ -339,12 +319,12 @@ Activation* ParallelMatcher::take_task(size_t worker) {
       }
       return a;
     }
-    ++me.failed_steals;
+    ++me.stats.failed_steals;
   }
   // One event per *failed sweep*, not per failed probe: the sweep is the
   // unit an idle worker pays for, and per-probe instants would flood the
   // ring during the pre-park spin.
-  ++me.failed_sweeps;
+  ++me.stats.failed_sweeps;
   if (tracer_ != nullptr) {
     obs::record_instant(*tracer_, tracer_->ring(1 + worker),
                         obs::EventKind::StealFail, 0,
@@ -369,7 +349,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
     // publish before it is visible to the sweep below (both seq_cst). The
     // sweep itself is therefore the parking protocol's "final look" —
     // no separate post-ticket re-sweep is needed.
-    uint64_t ticket = lot_.ticket();
+    uint32_t ticket = lot_.ticket();
     Activation* a = take_task(worker);
     if (a == nullptr) {
       if (abort.load(std::memory_order_acquire) || quiescent()) break;
@@ -385,8 +365,8 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
            a == nullptr && round < tuning_.backoff_park_sweeps; ++round) {
         const uint64_t b0 = backoff_now_ns();
         sweep_backoff(round);
-        me.sweep_backoff_ns += backoff_now_ns() - b0;
-        const uint64_t moved = lot_.ticket();
+        me.stats.sweep_backoff_ns += backoff_now_ns() - b0;
+        const uint32_t moved = lot_.ticket();
         if (moved == ticket) continue;  // nothing published: provably empty
         ticket = moved;
         a = take_task(worker);
@@ -396,8 +376,8 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
         // Quiescence never bumps the epoch (only the exiting worker's
         // unpark_all does), so re-check before sleeping on the ticket.
         if (abort.load(std::memory_order_acquire) || quiescent()) break;
-        ++me.parks;
-        ++me.sweep_hist[sweep_bucket(idle)];  // the run ends at the park
+        ++me.stats.parks;
+        ++me.stats.sweep_hist[sweep_bucket(idle)];  // the run ends at the park
         if (ring != nullptr) {
           // The park interval is the span the idle-time accounting sums.
           const uint64_t p0 = tracer_->now_ns();
@@ -415,7 +395,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
       }
     }
     if (idle != 0) {
-      ++me.sweep_hist[sweep_bucket(idle)];
+      ++me.stats.sweep_hist[sweep_bucket(idle)];
       idle = 0;
     }
     // Execute the task and, below the split depth, its dependent chain
@@ -458,16 +438,16 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
       }
       me.observer.after(*cur, ctx.stats);
       if (!is_inline) apool_.release(worker, a);
-      ++me.done;
+      ++me.stats.tasks;
       bool have_cont = false;
       if (!ctx.batch.empty()) {
         if (split_depth == 0 || depth < split_depth) {
           cont = std::move(ctx.batch.back());
           ctx.batch.pop_back();
           have_cont = true;
-          ++me.chain_inline;
+          ++me.stats.chain_inline;
         } else {
-          ++me.chain_splits;  // cap reached: continuation goes to the deque
+          ++me.stats.chain_splits;  // cap reached: continuation to the deque
         }
       }
       if (!ctx.batch.empty()) {
@@ -498,7 +478,8 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
     }
     me.executed.fetch_add(1, std::memory_order_seq_cst);
   }
-  if (idle != 0) ++me.sweep_hist[sweep_bucket(idle)];  // run ended at drain
+  // A failed-sweep run still open at drain exit ends here.
+  if (idle != 0) ++me.stats.sweep_hist[sweep_bucket(idle)];
   // Cascade the wake so every parked peer re-checks quiescence and exits.
   lot_.unpark_all();
 }

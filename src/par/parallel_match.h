@@ -7,8 +7,8 @@
 // and statistics, emit bursts published once per node execution, dependent
 // activation chains executed inline up to a tunable split depth (long chains
 // become stealable suffixes — see StealTuning), and idle workers that back
-// off exponentially across failed whole-pool sweeps and then park on a
-// condvar (par/worker_pool.h) instead of hammering locks. The paper's
+// off exponentially across failed whole-pool sweeps and then park on an
+// atomic wait (par/worker_pool.h) instead of hammering locks. The paper's
 // spinlocked task queues (§2.3; one shared queue or one per process) are
 // modeled by the virtual multiprocessor's QueuePolicy (src/psim), which is
 // what the Figure 6-x reproductions measure.
@@ -25,11 +25,11 @@
 // cannot know about yet keeps its creator (or its thief) active — so the
 // last worker standing always drains the residue. See DESIGN.md §8.
 //
-// On this container (1 CPU) the threads interleave rather than run in
-// parallel; the executor is exercised for *correctness* (its final match
-// state must equal the serial executor's) and for real scheduler
-// statistics. Paper speedup *curves* come from the virtual multiprocessor
-// (src/psim), which schedules recorded task DAGs on P virtual processors.
+// On hosts with 1–4 vCPUs a wide pool oversubscribes the cores, so the
+// executor is exercised for *correctness* (its final match state must equal
+// the serial executor's) and for real scheduler statistics. Paper speedup
+// *curves* come from the virtual multiprocessor (src/psim), which schedules
+// recorded task DAGs on P virtual processors.
 #pragma once
 
 #include <atomic>
@@ -251,16 +251,8 @@ class ParallelMatcher final : public Drain {
     // Termination counters: written by the owner, swept by idle workers.
     std::atomic<uint64_t> created{0};
     std::atomic<uint64_t> executed{0};
-    // Owner-private statistics, aggregated at quiescence.
-    uint64_t done = 0;
-    uint64_t steals = 0;
-    uint64_t failed_steals = 0;
-    uint64_t failed_sweeps = 0;
-    uint64_t sweep_backoff_ns = 0;
-    uint64_t parks = 0;
-    uint64_t chain_inline = 0;
-    uint64_t chain_splits = 0;
-    uint64_t sweep_hist[ParallelStats::kSweepHistBuckets] = {};
+    // Owner-private traffic counters, accumulated at quiescence.
+    ParallelStats stats;
     Rng rng;
     // Persistent per-worker scratch, leased into the worker's ExecContext
     // for the duration of a cycle (see Lease in parallel_match.cpp): emit

@@ -10,38 +10,29 @@ WorkerPool::WorkerPool(size_t n_workers) : n_(n_workers == 0 ? 1 : n_workers) {
 }
 
 WorkerPool::~WorkerPool() {
-  {
-    MutexGuard lk(mu_);
-    stop_ = true;
-    job_cv_.notify_all();
-  }
+  stop_ = true;
+  cycle_.fetch_add(1, std::memory_order_release);
+  cycle_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
 void WorkerPool::thread_main(size_t index) {
-  uint64_t seen = 0;
+  uint32_t seen = 0;
   for (;;) {
-    void (*fn)(void*, size_t) = nullptr;
-    void* arg = nullptr;
-    {
-      MutexGuard lk(mu_);
-      mu_.wait(job_cv_, [&]() PSME_NO_THREAD_SAFETY_ANALYSIS {
-        return stop_ || epoch_ != seen;
-      });
-      if (stop_) return;
-      seen = epoch_;
-      fn = job_fn_;
-      arg = job_arg_;
-    }
+    cycle_.wait(seen, std::memory_order_acquire);
+    // One bump per job: run() cannot publish the next one until this
+    // helper has left the current one, so the word is stable here.
+    seen = cycle_.load(std::memory_order_acquire);
+    if (stop_) return;
     try {
-      fn(arg, index);
+      job_fn_(job_arg_, index);
     } catch (...) {
-      MutexGuard lk(mu_);
-      if (!error_) error_ = std::current_exception();
+      if (!failed_.exchange(true)) {
+        error_ = std::current_exception();
+      }
     }
-    {
-      MutexGuard lk(mu_);
-      if (--active_ == 0) done_cv_.notify_all();
+    if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      active_.notify_one();
     }
   }
 }
@@ -51,14 +42,11 @@ void WorkerPool::run(void (*fn)(void* arg, size_t worker), void* arg) {
     fn(arg, 0);
     return;
   }
-  {
-    MutexGuard lk(mu_);
-    job_fn_ = fn;
-    job_arg_ = arg;
-    active_ = n_ - 1;
-    ++epoch_;
-    job_cv_.notify_all();
-  }
+  job_fn_ = fn;
+  job_arg_ = arg;
+  active_.store(static_cast<uint32_t>(n_ - 1), std::memory_order_relaxed);
+  cycle_.fetch_add(1, std::memory_order_release);
+  cycle_.notify_all();
   // The caller is worker 0; its exception still waits for the others so the
   // pool is reusable afterwards.
   std::exception_ptr own_error;
@@ -67,25 +55,13 @@ void WorkerPool::run(void (*fn)(void* arg, size_t worker), void* arg) {
   } catch (...) {
     own_error = std::current_exception();
   }
-  std::exception_ptr err;
-  {
-    MutexGuard lk(mu_);
-    mu_.wait(done_cv_,
-             [&]() PSME_NO_THREAD_SAFETY_ANALYSIS { return active_ == 0; });
-    err = own_error ? own_error : error_;
-    error_ = nullptr;
-    job_fn_ = nullptr;
-    job_arg_ = nullptr;
+  for (uint32_t left; (left = active_.load(std::memory_order_acquire)) != 0;) {
+    active_.wait(left, std::memory_order_acquire);
   }
+  std::exception_ptr err = own_error ? own_error : error_;
+  error_ = nullptr;
+  failed_.store(false);
   if (err) std::rethrow_exception(err);
-}
-
-void WorkerPool::run(const std::function<void(size_t)>& fn) {
-  run(
-      [](void* arg, size_t worker) {
-        (*static_cast<const std::function<void(size_t)>*>(arg))(worker);
-      },
-      const_cast<std::function<void(size_t)>*>(&fn));
 }
 
 }  // namespace psme

@@ -1,8 +1,8 @@
 // Worker scheduling primitives for the parallel matcher.
 //
-//   WorkerPool   — persistent pool: threads are spawned once and parked on a
-//                  condition variable between jobs, so a ParallelMatcher can
-//                  run thousands of match cycles without touching
+//   WorkerPool   — persistent pool: threads are spawned once and sleep on
+//                  an atomic cycle word between jobs, so a ParallelMatcher
+//                  can run thousands of match cycles without touching
 //                  pthread_create. The calling thread participates as
 //                  worker 0, so a pool of size n holds n-1 threads.
 //   ParkingLot   — epoch-based park/unpark used *inside* a match cycle: a
@@ -13,28 +13,20 @@
 //                  for work, then park — a publish after the ticket always
 //                  either is seen by the re-check or invalidates the ticket.
 //
-// Both sleeping locks here are psme::Mutex (par/mutex.h), so they carry
-// clang thread-safety capabilities and lockdep ranks like every Spinlock.
-// The ParkingLot mutex carries LockRank::Park (the top of the match-lock
-// hierarchy, see par/lock_order.h): parking and unparking are legal no
-// matter which match locks the thread still holds, and lockdep verifies no
-// match lock is ever acquired the other way around while it is held. The
-// WorkerPool dispatch mutex carries LockRank::Dispatch: it is touched only
-// at cycle boundaries, with no match lock held.
+// Every sleep here is a C++20 atomic wait on its own std::atomic<uint32_t>
+// word, with no lock. The width matters: libstdc++ sleeps natively (a
+// futex) only on 4-byte words and routes wider ones through a shared proxy
+// whose notify_one wakes every waiter. Since no sleep takes a lock, parking
+// and unparking are legal whatever match locks the thread holds, and the
+// lock hierarchy (par/lock_order.h) covers the match locks only.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <thread>
 #include <vector>
-
-#include "base/thread_annotations.h"
-#include "par/lock_order.h"
-#include "par/mutex.h"
 
 namespace psme {
 
@@ -66,35 +58,25 @@ inline void sweep_backoff(uint32_t round) {
   for (uint64_t i = 0; i < spins; ++i) cpu_pause();
 }
 
-/// Epoch-based parking. See file comment for the ticket protocol.
+/// Epoch-based parking. See file comment for the ticket protocol. The
+/// epoch wraps after 2^32 publishes; a park would only miss its wake if
+/// exactly that many landed between its ticket and its sleep.
 class ParkingLot {
  public:
   /// Step 1 of parking: take a ticket *before* the final look for work.
-  [[nodiscard]] uint64_t ticket() const {
+  [[nodiscard]] uint32_t ticket() const {
     return epoch_.load(std::memory_order_seq_cst);
   }
 
   /// Step 2: blocks until the epoch moves past `ticket`. Returns
   /// immediately if it already has.
-  void park(uint64_t ticket) {
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      MutexGuard lk(mu_);
-      mu_.wait(cv_, [&] {
-        return epoch_.load(std::memory_order_seq_cst) != ticket;
-      });
-    }
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-  }
+  void park(uint32_t ticket) { epoch_.wait(ticket, std::memory_order_seq_cst); }
 
   /// Publisher side: invalidates all outstanding tickets and wakes every
-  /// sleeper. Cheap when nobody sleeps (one RMW + one load).
+  /// sleeper. Cheap when nobody sleeps: the notify is one seq_cst load.
   void unpark_all() {
     epoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (sleepers_.load(std::memory_order_seq_cst) != 0) {
-      MutexGuard lk(mu_);
-      cv_.notify_all();
-    }
+    epoch_.notify_all();
   }
 
   /// Publisher side for a single new task: invalidates all outstanding
@@ -104,21 +86,11 @@ class ParkingLot {
   /// instead of stampeding every sleeper on every publish.
   void unpark_one() {
     epoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (sleepers_.load(std::memory_order_seq_cst) != 0) {
-      MutexGuard lk(mu_);
-      cv_.notify_one();
-    }
-  }
-
-  [[nodiscard]] uint32_t sleeper_count() const {
-    return sleepers_.load(std::memory_order_seq_cst);
+    epoch_.notify_one();
   }
 
  private:
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint32_t> sleepers_{0};
-  Mutex mu_{LockRank::Park, "park-mutex"};
-  std::condition_variable_any cv_;
+  std::atomic<uint32_t> epoch_{0};
 };
 
 /// Persistent fork-join pool. run() dispatches fn(0..n-1) across the pool
@@ -131,15 +103,12 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Primary dispatch: a raw function pointer plus context. Capturing
-  /// lambdas over a couple of pointers overflow libstdc++'s 16-byte
-  /// std::function SBO and heap-allocate per call; per-cycle callers
-  /// (ParallelMatcher) pass a captureless trampoline over a stack-held job
-  /// struct instead, keeping dispatch allocation-free.
+  /// The dispatch: a raw function pointer plus context. Capturing lambdas
+  /// over a couple of pointers overflow libstdc++'s 16-byte std::function
+  /// SBO and heap-allocate per call; per-cycle callers (ParallelMatcher)
+  /// pass a captureless trampoline over a stack-held job struct instead,
+  /// keeping dispatch allocation-free.
   void run(void (*fn)(void* arg, size_t worker), void* arg);
-
-  /// Convenience overload for setup/test call sites.
-  void run(const std::function<void(size_t)>& fn);
 
   [[nodiscard]] size_t size() const { return n_; }
 
@@ -148,17 +117,17 @@ class WorkerPool {
 
   size_t n_;
   std::vector<std::thread> threads_;
-  Mutex mu_{LockRank::Dispatch, "pool-dispatch"};
-  std::condition_variable_any job_cv_;
-  std::condition_variable_any done_cv_;
-  // The job slot: written by run(), read by every worker, cleared when the
-  // last worker reports done. All of it lives under the dispatch mutex.
-  uint64_t epoch_ PSME_GUARDED_BY(mu_) = 0;
-  void (*job_fn_)(void*, size_t) PSME_GUARDED_BY(mu_) = nullptr;
-  void* job_arg_ PSME_GUARDED_BY(mu_) = nullptr;
-  size_t active_ PSME_GUARDED_BY(mu_) = 0;
-  bool stop_ PSME_GUARDED_BY(mu_) = false;
-  std::exception_ptr error_ PSME_GUARDED_BY(mu_);
+  // The job slot. run() (and the destructor, for stop_) writes it before
+  // the release bump of cycle_; a helper reads it after its acquire wait on
+  // cycle_ returns, and run() writes it again only after every helper's
+  // release decrement of active_ has brought the count to zero.
+  void (*job_fn_)(void*, size_t) = nullptr;
+  void* job_arg_ = nullptr;
+  bool stop_ = false;
+  std::exception_ptr error_;  // written only by the helper that set failed_
+  std::atomic<uint32_t> cycle_{0};   // helpers sleep on it between jobs
+  std::atomic<uint32_t> active_{0};  // helpers still in the job; run() waits
+  std::atomic<bool> failed_{false};  // a helper claimed error_ this job
 };
 
 }  // namespace psme

@@ -1,7 +1,7 @@
 // The lockdep checker: the rank discipline (bucket < slab-pool <
-// conflict-set < park < dispatch) is enforced, rank inversions and self-deadlocks are caught with the full
-// held-lock chain, and legal acquisition orders pass silently. The checker
-// core is exercised directly so these tests run in every build
+// conflict-set) is enforced, rank inversions and self-deadlocks are caught
+// with the full held-lock chain, and legal acquisition orders pass silently.
+// The checker core is exercised directly so these tests run in every build
 // configuration; the Spinlock integration (hooks active only when
 // PSME_LOCKDEP=1, e.g. the tsan preset or Debug builds) has its own gated
 // tests at the bottom.
@@ -45,13 +45,13 @@ void release_all(std::initializer_list<const void*> locks) {
 
 TEST(LockOrder, InOrderAcquisitionIsClean) {
   CaptureViolations cap;
-  int bucket = 0, cs = 0, park = 0;
+  int bucket = 0, pool = 0, cs = 0;
   lockdep::on_acquire(&bucket, LockRank::Bucket, "line");
+  lockdep::on_acquire(&pool, LockRank::SlabPool, "slab-pool");
   lockdep::on_acquire(&cs, LockRank::ConflictSet, "cs");
-  lockdep::on_acquire(&park, LockRank::Park, "park");
   EXPECT_EQ(lockdep::held_count(), 3u);
   EXPECT_TRUE(CaptureViolations::captured().empty());
-  release_all({&park, &cs, &bucket});
+  release_all({&cs, &pool, &bucket});
   EXPECT_EQ(lockdep::held_count(), 0u);
   EXPECT_TRUE(CaptureViolations::captured().empty());
 }

@@ -255,6 +255,30 @@ TEST(MultiAgentObservability, TracedGroupLaysOutOneTrackPerAgent) {
   // Live working memories: every agent runs the §5.2 update.
   group.load("(p j3 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))");
 
+  const obs::Tracer* t = group.tracer();
+  ASSERT_NE(t, nullptr);
+  auto count = [t](size_t track, obs::EventKind kind) {
+    size_t n = 0;
+    const obs::EventRing& ring = t->ring(track);
+    for (size_t i = 0; i < ring.size(); ++i) n += ring[i].kind == kind;
+    return n;
+  };
+  // A worker records a task on its own track only when it wins a task
+  // race, which the small cycles above do not guarantee: a helper may wake
+  // after the caller has drained them. Run wide group cycles until every
+  // worker track holds a task; a worker that never records on its own
+  // track still fails below.
+  auto every_worker_ran = [&] {
+    for (size_t w = 1; w <= kWorkers; ++w) {
+      if (count(w, obs::EventKind::TaskExec) == 0) return false;
+    }
+    return true;
+  };
+  for (int wave = 1; wave <= 200 && !every_worker_ran(); ++wave) {
+    for (size_t a = 0; a < 2; ++a) add_agent_wmes(group.agent(a), a, 40, wave);
+    group.step_all();
+  }
+
   SoarOptions so;
   so.learning = false;
   so.max_decisions = 2;
@@ -264,14 +288,6 @@ TEST(MultiAgentObservability, TracedGroupLaysOutOneTrackPerAgent) {
   task.init(kernel);
   kernel.run();
 
-  const obs::Tracer* t = group.tracer();
-  ASSERT_NE(t, nullptr);
-  auto count = [t](size_t track, obs::EventKind kind) {
-    size_t n = 0;
-    const obs::EventRing& ring = t->ring(track);
-    for (size_t i = 0; i < ring.size(); ++i) n += ring[i].kind == kind;
-    return n;
-  };
   const size_t kernel_track = 1 + kWorkers + kernel.engine().agent_id();
   EXPECT_EQ(kernel.engine().track(), kernel_track);
   ASSERT_EQ(t->tracks(), kernel_track + 1);

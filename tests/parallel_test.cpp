@@ -1,10 +1,15 @@
 // Threaded matcher: final match state must equal the serial executor's
 // across worker counts and chain-splitting tunings; scheduler statistics
-// are plumbed through.
+// are plumbed through. The WorkerPool and ParkingLot waits the scheduler
+// sleeps on are exercised directly at the bottom.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -328,6 +333,117 @@ TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {
   add_workload_wmes(par, 6);
   par.match();
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
+}
+
+/// WorkerPool::run over a captureless trampoline, the way ParallelMatcher
+/// dispatches a cycle.
+template <typename Fn>
+void run_on(WorkerPool& pool, Fn& fn) {
+  pool.run([](void* arg, size_t worker) { (*static_cast<Fn*>(arg))(worker); },
+           &fn);
+}
+
+TEST(WorkerPool, HelperExceptionLeavesRunAndPoolRunsNextJob) {
+  WorkerPool pool(4);
+  // Every helper throws; run() rethrows one of them once all have finished.
+  auto helpers_throw = [](size_t w) {
+    if (w != 0) throw std::runtime_error("helper");
+  };
+  try {
+    run_on(pool, helpers_throw);
+    ADD_FAILURE() << "run() swallowed the helper exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "helper");
+  }
+  // The handed-over exception is cleared: the next job runs clean.
+  std::atomic<uint32_t> ran{0};
+  auto count = [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); };
+  EXPECT_NO_THROW(run_on(pool, count));
+  EXPECT_EQ(ran.load(), 4u);
+}
+
+TEST(WorkerPool, CallerExceptionLeavesRunAndPoolRunsNextJob) {
+  WorkerPool pool(4);
+  std::atomic<uint32_t> helpers_done{0};
+  auto caller_throws = [&](size_t w) {
+    if (w == 0) throw std::runtime_error("caller");
+    helpers_done.fetch_add(1, std::memory_order_relaxed);
+  };
+  try {
+    run_on(pool, caller_throws);
+    ADD_FAILURE() << "run() swallowed the caller exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller");
+  }
+  // run() joined the helpers before rethrowing.
+  EXPECT_EQ(helpers_done.load(), 3u);
+  std::atomic<uint32_t> ran{0};
+  auto count = [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); };
+  EXPECT_NO_THROW(run_on(pool, count));
+  EXPECT_EQ(ran.load(), 4u);
+}
+
+TEST(WorkerPool, EveryWorkerRunsOncePerRun) {
+  constexpr size_t kWorkers = 4;
+  constexpr uint32_t kRuns = 10000;
+  WorkerPool pool(kWorkers);
+  // Plain counters, one per worker: only run()'s publish and join order the
+  // caller's reads against the helpers' writes, which TSan checks.
+  uint32_t hits[kWorkers] = {};
+  auto hit = [&](size_t w) { ++hits[w]; };
+  for (uint32_t r = 1; r <= kRuns; ++r) {
+    run_on(pool, hit);
+    for (size_t w = 0; w < kWorkers; ++w) {
+      ASSERT_EQ(hits[w], r) << "worker " << w;
+    }
+  }
+}
+
+TEST(WorkerPool, DestroyingAWaitingPoolJoinsItsHelpers) {
+  { WorkerPool never_ran(4); }  // helpers waiting on their first job
+  WorkerPool pool(4);
+  std::atomic<uint32_t> ran{0};
+  auto count = [&](size_t) { ran.fetch_add(1, std::memory_order_relaxed); };
+  run_on(pool, count);
+  EXPECT_EQ(ran.load(), 4u);
+  // Past the spin phase of the wait: the helpers are asleep when the
+  // destructor at scope exit wakes and joins them.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(ParkingLot, ParkOnStaleTicketReturnsAtOnce) {
+  ParkingLot lot;
+  const uint32_t first = lot.ticket();
+  lot.unpark_one();  // nobody sleeps; the ticket goes stale
+  lot.park(first);
+  const uint32_t second = lot.ticket();
+  EXPECT_NE(second, first);
+  lot.unpark_all();
+  lot.park(second);
+  EXPECT_NE(lot.ticket(), second);
+}
+
+TEST(ParkingLot, UnparkAllReleasesEveryParkedThread) {
+  constexpr size_t kThreads = 4;
+  ParkingLot lot;
+  const uint32_t ticket = lot.ticket();
+  std::atomic<size_t> parking{0};
+  std::atomic<size_t> released{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      parking.fetch_add(1);
+      lot.park(ticket);
+      released.fetch_add(1);
+    });
+  }
+  while (parking.load() != kThreads) std::this_thread::yield();
+  // The epoch has not moved, so no park may return however long we wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(released.load(), 0u);
+  lot.unpark_all();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(released.load(), kThreads);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <exception>
 #include <functional>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -11,7 +12,6 @@
 
 #include "engine/engine.h"
 #include "lang/ast.h"
-#include "par/mutex.h"
 
 namespace psme::test {
 
@@ -26,13 +26,13 @@ inline void run_workers(size_t n, const std::function<void(size_t)>& fn) {
   std::vector<std::thread> threads;
   threads.reserve(n);
   std::exception_ptr first_error;
-  Mutex error_mu(LockRank::Unranked, "run-workers-error");
+  std::mutex error_mu;
   for (size_t i = 0; i < n; ++i) {
     threads.emplace_back([&, i] {
       try {
         fn(i);
       } catch (...) {
-        MutexGuard lk(error_mu);
+        const std::lock_guard<std::mutex> lk(error_mu);
         if (!first_error) first_error = std::current_exception();
       }
     });
