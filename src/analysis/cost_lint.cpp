@@ -31,7 +31,7 @@ std::vector<std::vector<InEdge>> build_in_edges(const Network& net) {
   }
   for (uint32_t i = 0; i < n; ++i) {
     const Node* node = net.node(i);
-    if (node == nullptr) continue;  // tombstone of a removed production
+    if (node == nullptr) continue;  // freed id of a removed production
     const uint32_t slot = node->jt_slot;
     if (slot >= jt.size()) continue;
     for (const SuccessorRef& ref : jt.peek(slot)) {
@@ -43,10 +43,19 @@ std::vector<std::vector<InEdge>> build_in_edges(const Network& net) {
   return ins;
 }
 
+/// Orders node ids by creation stamp. A builder-produced network creates
+/// predecessors first, so this is a topological order; id order is not,
+/// because removal recycles ids.
+void sort_by_stamp(const Network& net, std::vector<uint32_t>& ids) {
+  std::sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
+    return net.node(a)->stamp < net.node(b)->stamp;
+  });
+}
+
 /// Backward walk from `pnode` over `ins` (+ NCC partners of reached owners)
-/// into `set`, sorted by id (= topological). `in_set` must be all-zero on
-/// entry and is left MARKED for every node in `set` — callers clear it when
-/// they are done with membership tests.
+/// into `set`, in creation (= topological) order. `in_set` must be all-zero
+/// on entry and is left MARKED for every node in `set` — callers clear it
+/// when they are done with membership tests.
 void slice_from(const Network& net, const std::vector<std::vector<InEdge>>& ins,
                 uint32_t pnode, std::vector<uint8_t>& in_set,
                 std::vector<uint32_t>& set, std::vector<uint32_t>& stack) {
@@ -72,7 +81,7 @@ void slice_from(const Network& net, const std::vector<std::vector<InEdge>>& ins,
       }
     }
   }
-  std::sort(set.begin(), set.end());  // id order = topological
+  sort_by_stamp(net, set);
 }
 
 }  // namespace
@@ -96,8 +105,9 @@ LintReport lint_costs(const Network& net,
     return UINT32_MAX;
   };
 
-  // Per-node model, in id order (ids are created predecessors-first, so this
-  // is a topological order of any builder-produced network).
+  // Per-node model, in creation order: topological, so every predecessor's
+  // figures are final before a successor reads them. Freed ids cost nothing
+  // and are in no slice.
   std::vector<double> pop(n, 1);    // modeled stored population
   std::vector<double> em(n, 1);     // worst emissions per wme change
   std::vector<double> act(n, 0);    // worst single-activation cost, µs
@@ -105,9 +115,13 @@ LintReport lint_costs(const Network& net,
   auto pop_of = [&](uint32_t id) { return id < n ? pop[id] : 1.0; };
   auto em_of = [&](uint32_t id) { return id < n ? em[id] : 1.0; };
 
+  std::vector<uint32_t> order;
   for (uint32_t i = 0; i < n; ++i) {
+    if (net.node(i) != nullptr) order.push_back(i);
+  }
+  sort_by_stamp(net, order);
+  for (const uint32_t i : order) {
     const Node* node = net.node(i);
-    if (node == nullptr) continue;  // tombstone: zero-cost, never in a slice
     const uint32_t left = pred_of(i, Side::Left);
     switch (node->type) {
       case NodeType::Const:
@@ -234,7 +248,7 @@ LintReport lint_costs(const Network& net,
 
       // Longest dependent chain within the slice. A predecessor that is an
       // NCC owner also exposes its partner's chain (emissions flow through
-      // the owner's slot; the partner has the greater id, but both precede
+      // the owner's slot; the partner is the younger, but both precede
       // every successor of the owner).
       uint32_t d = 0;
       double c = 0;

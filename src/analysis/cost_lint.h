@@ -26,8 +26,9 @@
 // JSON report can be golden-file tested.
 //
 // The linter assumes a structurally valid network (run verify_network
-// first); on a malformed network it still terminates (it walks node ids,
-// which are created in topological order) but the numbers are meaningless.
+// first); on a malformed network it still terminates (it walks nodes in
+// creation-stamp order, which is topological for a builder-produced
+// network) but the numbers are meaningless.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +81,7 @@ LintReport lint_costs(const Network& net,
 
 /// The network slice of every production, parallel to `records`: each entry
 /// is the node set backward-reachable from that record's P-node (plus NCC
-/// partners of reached owners), in id order; empty for a removed
+/// partners of reached owners), in creation order; empty for a removed
 /// production's record. This is the same walk lint_costs uses to charge
 /// static cost, exported so the measured-profile report
 /// (analysis/profile_report.h) attributes runtime node cells to productions

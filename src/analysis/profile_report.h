@@ -48,7 +48,7 @@ struct ProductionProfile {
 
 struct NodeProfile {
   uint32_t node = 0;
-  const char* type = "";      // node_type_name; "" for a tombstoned id
+  const char* type = "";      // node_type_name; "" for a free id
   uint64_t activations = 0;
   uint64_t emits = 0;
   double est_us = 0;

@@ -79,9 +79,9 @@ VerifyReport verify_network(const Network& net, const MatchState* state,
   const uint32_t n = net.node_count();
   const Jumptable& jt = net.jumptable();
   rep.nodes.assign(n, NodeFacts{});
-  // Tombstoned ids (removed productions' nodes) keep defaulted facts with
-  // alive == false; every check below skips them, but any surviving
-  // reference TO one is a violation — the removal oracle.
+  // Free ids (removed productions' nodes, not yet reused) keep defaulted
+  // facts with alive == false; every check below skips them, but any
+  // surviving reference TO one is a violation — the removal oracle.
   uint32_t live_count = 0;
   for (uint32_t i = 0; i < n; ++i) {
     if (const Node* node = net.node(i); node != nullptr) {

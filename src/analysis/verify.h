@@ -96,12 +96,11 @@ struct Violation {
 };
 
 /// Per-node structural facts recorded during the walk (fan-out, depth).
-/// Ids of removed productions' nodes stay in the id space as tombstones
-/// (Network::free_node); their facts carry alive == false and defaulted
-/// fields, and every check skips them — except that anything still
-/// *referencing* a tombstone (a jumptable slot, a table entry, a node
-/// field, a record) is a violation, which is what makes the verifier the
-/// removal oracle.
+/// Ids of removed productions' nodes are free (null) until Network::make_node
+/// reuses them; their facts carry alive == false and defaulted fields, and
+/// every check skips them — except that anything still *referencing* a
+/// free id (a jumptable slot, a table entry, a node field, a record) is a
+/// violation, which is what makes the verifier the removal oracle.
 struct NodeFacts {
   NodeType type = NodeType::Const;
   uint32_t fan_out = 0;    // successor entries in the node's jumptable slot
@@ -109,7 +108,7 @@ struct NodeFacts {
   uint32_t out_arity = 0;  // token length this node passes downstream
   bool reachable = false;  // forward-reachable from a class root
   bool owned = false;      // backward-reachable from a P-node
-  bool alive = true;       // false: tombstone of a removed production's node
+  bool alive = true;       // false: free id of a removed production's node
 };
 
 struct VerifyReport {

@@ -80,7 +80,7 @@ class CompiledNetwork {
   RemovePlan unsplice_cow(const Production* p,
                           size_t* refs_unspliced = nullptr);
 
-  /// Run-time removal, reclaim half: tombstones the dead nodes (their
+  /// Run-time removal, reclaim half: frees the dead nodes (their ids,
   /// jumptable slots and alpha mem indexes return to the recycling pools),
   /// then drops the record, the production-list entry, and the adopted AST.
   /// Under PSME_NET_VERIFY the whole network is re-verified afterward —

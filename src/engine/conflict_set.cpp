@@ -135,18 +135,22 @@ size_t ConflictSet::size() const {
 
 namespace {
 
-/// Schedule-invariant total order on instantiations: production id, then
-/// token arity, then the wme timetags in token order. Two distinct
-/// instantiations always differ in one of these (the CS dedups on exactly
-/// (pnode, token) and timetags are unique per wme), so the order is total —
-/// and it is a pure function of WM content, never of task interleaving.
+/// Schedule-invariant total order on instantiations: production age (the
+/// P-node's creation stamp — ids are recycled after removal, so a newer
+/// production may hold a lower id), then token arity, then the wme timetags
+/// in token order. Two distinct instantiations always differ in one of these
+/// (the CS dedups on exactly (pnode, token) and timetags are unique per
+/// wme), so the order is total — and it is a pure function of WM content,
+/// never of task interleaving.
 /// Arrival order is NOT schedule-invariant even per agent: when a left and
 /// a right activation race into the same join, whichever parent executes
 /// second under the line lock emits the child, so CS insertion order varies
 /// with worker count. Ordering fires by this key instead is what makes
 /// learning runs bit-identical from match_workers=1 to 8 (DESIGN.md §13).
 bool det_less(const Instantiation* a, const Instantiation* b) {
-  if (a->pnode->id != b->pnode->id) return a->pnode->id < b->pnode->id;
+  if (a->pnode->stamp != b->pnode->stamp) {
+    return a->pnode->stamp < b->pnode->stamp;
+  }
   const size_t na = a->token.size(), nb = b->token.size();
   if (na != nb) return na < nb;
   for (size_t i = 0; i < na; ++i) {

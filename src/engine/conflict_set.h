@@ -48,7 +48,7 @@ class ConflictSet final : public MatchSink {
   [[nodiscard]] size_t size() const;
 
   /// Unfired instantiations, in the deterministic content-key order
-  /// (production id, token timetags) — identical for every worker count and
+  /// (production age, token timetags) — identical for every worker count and
   /// schedule. Soar fires all of these in one elaboration cycle; call
   /// mark_fired for each afterwards.
   [[nodiscard]] std::vector<const Instantiation*> unfired() const;

@@ -104,7 +104,7 @@ Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
   // Copy-on-write splice + publish; the publish is this call's quiescent
   // safe point (no agent has a cycle in flight — quiescent-only contract).
   const CompiledProduction& cp = cnet_->compile_cow(p).compiled;
-  compile_span.set_node(cp.first_new_id);
+  compile_span.set_node(cp.pnode);
   compile_span.end();
   res.prod = p;
   res.compile_seconds = cp.compile_seconds;
@@ -177,6 +177,11 @@ Engine::RuntimeRemoveResult Engine::remove_production_runtime(
       ams.wmes.clear(agent->state_.alpha_pool);
     }
     res.instantiations += agent->cs_.purge_production(pnode);
+    // The dead ids are about to be recycled; a reused id's cell starts at
+    // zero. (Agents of one group share a profiler: zeroing twice is fine.)
+    if (obs::MatchProfiler* prof = agent->profiler()) {
+      prof->forget_nodes(plan.dead_nodes);
+    }
   }
   res.nodes_removed = plan.dead_nodes.size();
   cnet_->finish_removal(plan, p);

@@ -37,9 +37,9 @@ enum class EventKind : uint8_t {
   Decide,         // Soar: one decision
   Gc,             // Soar: context-reachability garbage collection
   ChunkBuild,     // chunker backtrace + variablization (node = result level)
-  ChunkCompile,   // run-time production compile (node = first new node id)
+  ChunkCompile,   // run-time production compile (node = its P-node id)
   ProdRemove,     // run-time production removal (node = victim P-node id)
-  UpdateA,        // §5.2 phase A: alpha-chain fill   (node = first new id)
+  UpdateA,        // §5.2 phase A: alpha-chain fill   (node = P-node id)
   UpdateB,        // §5.2 phase B: shared-amem right fill
   UpdateC,        // §5.2 phase C: last-shared-node replay
   Park,           // Steal worker parked; span covers the sleep

@@ -63,7 +63,7 @@ void write_event(std::FILE* out, size_t tid, const TraceEvent& e) {
     case EventKind::UpdateA:
     case EventKind::UpdateB:
     case EventKind::UpdateC:
-      std::fprintf(out, ",\"args\":{\"first_new_node\":%" PRIu32 "}", e.node);
+      std::fprintf(out, ",\"args\":{\"pnode\":%" PRIu32 "}", e.node);
       break;
     default:
       if (e.node != 0) {

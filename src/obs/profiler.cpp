@@ -45,6 +45,14 @@ void MatchProfiler::reset() {
   }
 }
 
+void MatchProfiler::forget_nodes(const std::vector<uint32_t>& ids) {
+  for (auto& s : shards_) {
+    for (const uint32_t id : ids) {
+      if (id < s->nodes.size()) s->nodes[id] = ProfileCell{};
+    }
+  }
+}
+
 void FlightRecorder::snapshot(const MetricsRegistry& m,
                               const MatchProfiler* prof, uint64_t marker) {
   FlightSnapshot& slot = ring_[count_ % ring_.size()];

@@ -22,12 +22,13 @@
 // multi-tenant server can keep the profiler always-on at, say, shift 6 and
 // pay two clock reads per 64 activations.
 //
-// Node ids are never reused: run-time production removal tombstones a
-// node's id (rete/remove_production.cpp) and recycles only its jumptable
-// slot, so a cell always belongs to one node — but the cell arrays grow
-// with every id ever allocated, churned-away ones included (ROADMAP item
-// 1). Take snapshot()/reset() windows around churn to read one window's
-// numbers (bench_query does this for its per-CE costing).
+// Node ids are recycled: run-time production removal frees a node's id and
+// the next production added may reuse it (Network::make_node). Removal
+// zeroes a freed id's cells (forget_nodes), so a cell counts only the node
+// that holds its id now, and the cell arrays stay sized to the largest live
+// network instead of growing with every id ever churned. A snapshot taken
+// before a removal keeps the removed node's numbers; one taken after does
+// not (bench_query diffs snapshots taken while its cue is live).
 //
 // The flight recorder keeps the last N (metrics + profile) snapshots in a
 // preallocated ring for post-hoc inspection of long-lived sessions without
@@ -172,6 +173,9 @@ class MatchProfiler {
   }
   /// Zeroes every cell (capacity retained). Sampling ticks keep running.
   void reset();
+  /// Zeroes the node cells of `ids` in every shard: removal frees those ids
+  /// for reuse, and a reused id's cell must start from zero.
+  void forget_nodes(const std::vector<uint32_t>& ids);
 
  private:
   struct alignas(64) Shard {

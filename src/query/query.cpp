@@ -7,23 +7,8 @@
 
 namespace psme {
 
-namespace {
-
-/// The transient production's text: the cue as the LHS, `(halt)` as the RHS.
-/// (halt) is deliberate — it is the one action that stores nothing in the
-/// shared RhsArena, so query churn never grows the arena the ASTs point
-/// into. The name carries the agent id and a sequence number: query
-/// productions from different sessions over one shared network must not
-/// collide in diagnostics.
-std::string query_text(uint32_t agent, uint64_t seq, std::string_view cue) {
-  std::string s = "(p query-a" + std::to_string(agent) + "-" +
-                  std::to_string(seq) + " ";
-  s.append(cue);
-  s += "\n --> (halt))";
-  return s;
-}
-
-}  // namespace
+QuerySession::QuerySession(Engine& e)
+    : engine_(e), head_("(p query-a" + std::to_string(e.agent_id()) + " ") {}
 
 QuerySession::~QuerySession() {
   if (prod_ == nullptr) return;
@@ -42,9 +27,19 @@ Engine::RuntimeAddResult QuerySession::begin(std::string_view cue_ces) {
   // wme changes so the query evaluates against settled working memory.
   if (engine_.has_pending_changes()) engine_.match();
 
+  // The transient production: the cue as the LHS, `(halt)` as the RHS.
+  // (halt) is deliberate — it is the one action that stores nothing in the
+  // shared RhsArena, so query churn never grows the arena the ASTs point
+  // into. The name carries the agent id, so query productions from
+  // different sessions over one shared network do not collide in
+  // diagnostics, but nothing per ask: the parser interns every production
+  // name, and one name per session keeps the symbol table flat under
+  // resident query traffic.
+  std::string src = head_;
+  src.append(cue_ces);
+  src += "\n --> (halt))";
   Parser parser(engine_.syms(), engine_.schemas(), engine_.network().ast_arena());
-  Production ast =
-      parser.parse_production(query_text(engine_.agent_id(), seq_++, cue_ces));
+  Production ast = parser.parse_production(src);
   for (const Condition& ce : ast.conditions) {
     if (ce.negated || ce.is_ncc()) {
       throw std::invalid_argument(
@@ -68,7 +63,6 @@ uint32_t QuerySession::positive_ces() const {
 
 uint32_t QuerySession::score() const {
   if (prod_ == nullptr) return 0;
-  const CompiledProduction& cp = engine_.record(prod_).compiled;
   const Network& net = engine_.network().net();
 
   // Full instantiation in the conflict set: every CE matched.
@@ -80,31 +74,11 @@ uint32_t QuerySession::score() const {
 
   // Otherwise: deepest join in the cue's chain whose left memory holds a
   // live token. A token waiting at a join's left input means left_arity
-  // leading CEs are jointly satisfied. Find the P-node's feeder by scanning
-  // the compile record's nodes for the {pnode, Left} splice, then walk
-  // left_pred toward the alpha network (cues are positive-only, so the
-  // chain is pure Join).
-  const Jumptable& jt = net.jumptable();
-  const Node* feeder = nullptr;
-  auto feeds_pnode = [&](uint32_t id) {
-    const Node* node = net.node(id);
-    if (node == nullptr) return false;
-    for (const SuccessorRef& ref : jt.peek(node->jt_slot)) {
-      if (ref.node == cp.pnode && ref.side == Side::Left) return true;
-    }
-    return false;
-  };
-  for (const uint32_t id : cp.new_nodes) {
-    if (feeds_pnode(id)) { feeder = net.node(id); break; }
-  }
-  if (feeder == nullptr) {
-    for (const uint32_t id : cp.shared_nodes) {
-      if (feeds_pnode(id)) { feeder = net.node(id); break; }
-    }
-  }
-
+  // leading CEs are jointly satisfied. Walk left_pred from the P-node's
+  // feeder toward the alpha network (cues are positive-only, so the chain
+  // is pure Join).
   const MatchState& ms = engine_.state();
-  const Node* cur = feeder;
+  const Node* cur = pnode_feeder();
   while (cur != nullptr &&
          (cur->type == NodeType::Join || cur->type == NodeType::Not)) {
     const auto& join = static_cast<const TwoInputNode&>(*cur);
@@ -132,34 +106,13 @@ uint32_t QuerySession::score() const {
 std::vector<uint32_t> QuerySession::ce_join_nodes() const {
   std::vector<uint32_t> out;
   if (prod_ == nullptr) return out;
-  const CompiledProduction& cp = engine_.record(prod_).compiled;
   const Network& net = engine_.network().net();
   out.assign(positive_ces(), UINT32_MAX);
-
-  // Same feeder hunt as score(): the node splicing into {pnode, Left}.
-  const Jumptable& jt = net.jumptable();
-  const Node* feeder = nullptr;
-  auto feeds_pnode = [&](uint32_t id) {
-    const Node* node = net.node(id);
-    if (node == nullptr) return false;
-    for (const SuccessorRef& ref : jt.peek(node->jt_slot)) {
-      if (ref.node == cp.pnode && ref.side == Side::Left) return true;
-    }
-    return false;
-  };
-  for (const uint32_t id : cp.new_nodes) {
-    if (feeds_pnode(id)) { feeder = net.node(id); break; }
-  }
-  if (feeder == nullptr) {
-    for (const uint32_t id : cp.shared_nodes) {
-      if (feeds_pnode(id)) { feeder = net.node(id); break; }
-    }
-  }
 
   // Walk the pure-Join chain toward the alpha network: the join that takes
   // an i-wme left token handles CE i; the chain bottoms out at CE 0's alpha
   // memory (also the whole cue, for a single-CE cue).
-  const Node* cur = feeder;
+  const Node* cur = pnode_feeder();
   while (cur != nullptr &&
          (cur->type == NodeType::Join || cur->type == NodeType::Not)) {
     const auto& join = static_cast<const TwoInputNode&>(*cur);
@@ -170,6 +123,21 @@ std::vector<uint32_t> QuerySession::ce_join_nodes() const {
     out[0] = cur->id;
   }
   return out;
+}
+
+const Node* QuerySession::pnode_feeder() const {
+  const CompiledProduction& cp = engine_.record(prod_).compiled;
+  const Network& net = engine_.network().net();
+  const Jumptable& jt = net.jumptable();
+  for (const auto* ids : {&cp.new_nodes, &cp.shared_nodes}) {
+    for (const uint32_t id : *ids) {
+      const Node* node = net.node(id);
+      for (const SuccessorRef& ref : jt.peek(node->jt_slot)) {
+        if (ref.node == cp.pnode && ref.side == Side::Left) return node;
+      }
+    }
+  }
+  return nullptr;
 }
 
 std::vector<QueryMatch> QuerySession::matches() const {

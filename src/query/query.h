@@ -67,7 +67,7 @@ struct QueryResult {
 /// the phases separately so the bench can time them individually.
 class QuerySession {
  public:
-  explicit QuerySession(Engine& e) : engine_(e) {}
+  explicit QuerySession(Engine& e);
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
   ~QuerySession();
@@ -107,9 +107,13 @@ class QuerySession {
   QueryResult ask(std::string_view cue_ces);
 
  private:
+  /// The node splicing into the active cue's {P-node, Left}: the bottom of
+  /// its Join chain, or CE 0's alpha memory for a one-CE cue.
+  [[nodiscard]] const Node* pnode_feeder() const;
+
   Engine& engine_;
   const Production* prod_ = nullptr;  // the active transient production
-  uint64_t seq_ = 0;                  // uniquifies query production names
+  std::string head_;                  // "(p query-a<agent> ", see begin()
 };
 
 }  // namespace psme

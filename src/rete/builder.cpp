@@ -43,9 +43,6 @@ bool const_test_less(const ConstTest& a, const ConstTest& b) {
 
 void Builder::note_new_node(const Node& n, BuildState& st) {
   st.cp.new_nodes.push_back(n.id);
-  if (st.cp.new_nodes.size() == 1 || n.id < st.cp.first_new_id) {
-    st.cp.first_new_id = n.id;
-  }
   generate_code(n, st.cp.code);
 }
 
@@ -155,8 +152,8 @@ uint32_t Builder::build_alpha(const Condition& ce, BuildState& st,
       Node* cand = net_.node(s.node);
       if (matches(cand)) {
         ++alpha_shared_;
-        if (cand->id >= st.base_node_count) entered_new = true;  // built
-        // earlier within this same add: its frontier is already recorded
+        // Built earlier within this same add: its frontier is recorded.
+        if (cand->stamp >= st.cp.first_new_stamp) entered_new = true;
         cur_slot = cand->jt_slot;
         return;
       }
@@ -341,7 +338,7 @@ CompiledProduction Builder::add_production(const Production& p) {
   const auto t0 = std::chrono::steady_clock::now();
   BuildState st;
   st.cp.ast = &p;
-  st.base_node_count = net_.node_count();
+  st.cp.first_new_stamp = net_.next_stamp();
   st.sites.assign(p.num_vars, CompiledProduction::BindSite{});
 
   for (const Condition& ce : p.conditions) {

@@ -5,10 +5,10 @@
 // and the same test sequence.
 //
 // add_production() works identically for the initial production set and for
-// chunks added at run time (§5.1): because every new node receives an id
-// greater than all existing ids and successor splicing goes through the
-// jumptable, "the process of integration of the new code reduces to changing
-// entries in the jumptable".
+// chunks added at run time (§5.1): because every new node receives a creation
+// stamp greater than all existing stamps (its id may be a recycled one) and
+// successor splicing goes through the jumptable, "the process of integration
+// of the new code reduces to changing entries in the jumptable".
 #pragma once
 
 #include <chrono>
@@ -44,9 +44,10 @@ struct CompiledProduction {
   const Production* ast = nullptr;
   uint32_t pnode = 0;
 
-  /// Lowest node id created while adding this production. If the production
-  /// was entirely shared except for its P-node, this is the P-node id.
-  uint32_t first_new_id = 0;
+  /// Network::next_stamp() when this add began: a node is new to this
+  /// production iff its stamp is >= this (Node::stamp). The §5.2 update
+  /// filters and seeds by it; node ids say nothing about age.
+  uint64_t first_new_stamp = 0;
 
   /// Left predecessor of the first new beta-level node: "the last shared
   /// node" of §5.2. Its stored PIs are replayed during the update.
@@ -99,7 +100,6 @@ class Builder {
     uint32_t pred = UINT32_MAX;  // current left predecessor node
     uint32_t arity = 0;          // current token length
     bool share_broken = false;   // sharing has stopped; everything below is new
-    uint32_t base_node_count = 0;  // network size before this add began
   };
 
   /// Records Eq binding sites of `ce`'s variables into `sites` at token

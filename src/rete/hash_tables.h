@@ -127,12 +127,15 @@ class PairedHashTables {
         if (e.node_id == node_id) fn(e);
   }
 
+  /// Enumerates the right entries of `node_id` stored under `full_hash`: the
+  /// only ones a left entry with that hash can join, all in the one line
+  /// the hash selects (the §5.2 share-point replay). Quiescent-only, like
+  /// for_each_left_of.
   template <typename Fn>
-  void for_each_right_of(uint32_t node_id,
+  void for_each_right_at(uint32_t node_id, uint64_t full_hash,
                          Fn&& fn) const PSME_NO_THREAD_SAFETY_ANALYSIS {
-    for (const auto& ln : lines_)
-      for (const auto& e : ln.right)
-        if (e.node_id == node_id) fn(e);
+    for (const auto& e : lines_[line_index(full_hash)].right)
+      if (e.node_id == node_id && e.full_hash == full_hash) fn(e);
   }
 
   /// Enumerates every entry's destination node id (the network verifier's

@@ -525,12 +525,15 @@ void Network::node_outputs_into(uint32_t node_id, const MatchState& ms,
       const auto& j = static_cast<const JoinNode&>(*n);
       ms.tables.for_each_left_of(n->id, [&](const LeftEntry& l) {
         if (l.anti > 0) return;
-        ms.tables.for_each_right_of(n->id, [&](const RightEntry& r) {
-          if (l.full_hash == r.full_hash && j.tests_pass(l.token, r.wme)) {
+        // One line per left token, as exec_join probes: a right entry
+        // joins only under the left entry's full hash.
+        const auto join = [&](const RightEntry& r) {
+          if (j.tests_pass(l.token, r.wme)) {
             // Quiescent replay: spill from pool 0 (no worker is running).
             out.push_back(token_extend(l.token, r.wme, ms.arena, 0));
           }
-        });
+        };
+        ms.tables.for_each_right_at(n->id, l.full_hash, join);
       });
       break;
     }
@@ -555,7 +558,7 @@ void Network::node_outputs_into(uint32_t node_id, const MatchState& ms,
 Network::Census Network::census() const {
   Census c;
   for (const auto& n : nodes_) {
-    if (!n) continue;  // tombstone of a removed production's node
+    if (!n) continue;  // free id of a removed production's node
     switch (n->type) {
       case NodeType::Const: ++c.consts; break;
       case NodeType::Disj: ++c.disjs; break;

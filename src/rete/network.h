@@ -66,13 +66,15 @@ class MatchSink {
 
 /// The §5.2 task filter for run-time production addition ("the task queues
 /// are changed to ignore tasks with IDs less than the first new node"):
-/// activations of stateful nodes older than `min_node_id` are ignored, and
-/// with `suppress_alpha_left` (phase A) alpha memories do not emit to their
-/// Left successors — left seeding happens in the explicit replay phase. The
-/// default filters nothing: an ordinary match. See rete/update.h for the
-/// phase contract.
+/// activations of stateful nodes whose creation stamp is below `min_stamp`
+/// are ignored, and with `suppress_alpha_left` (phase A) alpha memories do
+/// not emit to their Left successors — left seeding happens in the explicit
+/// replay phase. The paper's "ID" is our stamp, not our id: ids are recycled
+/// after removal, so only the stamp orders nodes by creation. The default
+/// (stamp 0; real stamps start at 1) filters nothing: an ordinary match. See
+/// rete/update.h for the phase contract.
 struct UpdateFilter {
-  uint32_t min_node_id = 0;
+  uint64_t min_stamp = 0;
   bool suppress_alpha_left = false;
 };
 
@@ -134,46 +136,40 @@ class Network {
   Jumptable& jumptable() { return jt_; }
   [[nodiscard]] const Jumptable& jumptable() const { return jt_; }
 
-  /// Creates a node of type T; assigns the next node id and a jumptable
-  /// slot. New nodes always get ids greater than all existing nodes — the
-  /// invariant the §5.2 update filter relies on, which is why removed nodes
-  /// are tombstoned (free_node) and ids never recycled. Jumptable slots and
-  /// alpha mem_indexes, by contrast, ARE recycled from removal's free lists:
-  /// both are dense resources whose per-agent state is drained before the
-  /// slot is freed, so reuse keeps the dispatch table and every MatchState's
-  /// alpha array flat under add/remove churn. Alpha-memory nodes get a dense
-  /// mem_index: the slot their per-agent state occupies in every MatchState.
+  /// Creates a node of type T with the next creation stamp, a node id, a
+  /// jumptable slot and, for an alpha memory, a dense mem_index: the slot
+  /// its per-agent state occupies in every MatchState. Ids, slots and
+  /// mem_indexes are all recycled LIFO from removal's free lists, so under
+  /// add/remove churn `nodes_`, the dispatch table, every MatchState's alpha
+  /// array and every profiler shard stay sized to the largest live network,
+  /// not to its history. Each is drained before it is freed (free_node).
+  /// Only the stamp is never reused: it says which of two nodes is older.
   template <typename T>
   T* make_node() {
     auto owned = std::make_unique<T>();
     T* n = owned.get();
-    n->id = static_cast<uint32_t>(nodes_.size());
-    if (free_slots_.empty()) {
-      n->jt_slot = jt_.new_slot();
-    } else {
-      n->jt_slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
+    n->stamp = next_stamp_++;
+    n->id = recycle(free_ids_, [&] {
+      nodes_.emplace_back();
+      return static_cast<uint32_t>(nodes_.size() - 1);
+    });
+    nodes_[n->id] = std::move(owned);
+    n->jt_slot = recycle(free_slots_, [&] { return jt_.new_slot(); });
     if constexpr (std::is_same_v<T, AlphaMemNode>) {
-      if (free_mem_indexes_.empty()) {
-        n->mem_index = alpha_mem_count_++;
-      } else {
-        n->mem_index = free_mem_indexes_.back();
-        free_mem_indexes_.pop_back();
-      }
+      n->mem_index =
+          recycle(free_mem_indexes_, [&] { return alpha_mem_count_++; });
     }
-    nodes_.push_back(std::move(owned));
     return n;
   }
 
-  /// Tombstones a removed node: recycles its jumptable slot (which must be
-  /// empty — the unsplice erased every entry, and a dead node's successors
-  /// are dead too) and, for alpha memories, its mem_index; then frees the
-  /// node. node(id) returns nullptr forever after — the id itself is never
-  /// reused, preserving the make_node invariant the §5.2 update filter
-  /// depends on. Caller contract (Engine::remove_production_runtime): the
-  /// node is unspliced from the published jumptable and every agent's state
-  /// for it has been drained.
+  /// Frees a removed node and returns its id, its jumptable slot (which must
+  /// be empty — the unsplice erased every entry, and a dead node's
+  /// successors are dead too) and, for alpha memories, its mem_index to the
+  /// free lists. node(id) returns nullptr until make_node reuses the id.
+  /// Caller contract (Engine::remove_production_runtime): the node is
+  /// unspliced from the published jumptable, and every agent's state and
+  /// profiler cells for it have been drained — whatever reuses the id must
+  /// find nothing of the old node.
   void free_node(uint32_t id) {
     Node* n = nodes_[id].get();
     assert(n != nullptr && "free_node: node already freed");
@@ -183,8 +179,12 @@ class Network {
       free_mem_indexes_.push_back(static_cast<AlphaMemNode*>(n)->mem_index);
     }
     nodes_[id].reset();
-    ++freed_nodes_;
+    free_ids_.push_back(id);
   }
+
+  /// The stamp the next make_node will hand out: every node created from
+  /// now on has a stamp >= this, every existing node a smaller one.
+  [[nodiscard]] uint64_t next_stamp() const { return next_stamp_; }
 
   /// How many alpha memories exist (every MatchState sizes its alpha-state
   /// array to this via ensure_alpha at drain boundaries). Counts recycled
@@ -192,15 +192,16 @@ class Network {
   /// shrinking this.
   [[nodiscard]] uint32_t alpha_mem_count() const { return alpha_mem_count_; }
 
-  /// Null for tombstoned (removed) ids; loops over the id space must skip.
+  /// Null for freed ids not yet reused; loops over the id space must skip.
   [[nodiscard]] Node* node(uint32_t id) { return nodes_[id].get(); }
   [[nodiscard]] const Node* node(uint32_t id) const { return nodes_[id].get(); }
+  /// Size of the id space: the most nodes ever live at once.
   [[nodiscard]] uint32_t node_count() const {
     return static_cast<uint32_t>(nodes_.size());
   }
-  /// Nodes minus tombstones (diagnostics; the churn tests assert flatness).
+  /// Nodes minus freed ids (diagnostics; the churn tests assert flatness).
   [[nodiscard]] uint32_t live_node_count() const {
-    return static_cast<uint32_t>(nodes_.size()) - freed_nodes_;
+    return static_cast<uint32_t>(nodes_.size() - free_ids_.size());
   }
   /// Recycled-resource watermarks (diagnostics).
   [[nodiscard]] size_t free_slot_count() const { return free_slots_.size(); }
@@ -226,9 +227,9 @@ class Network {
   /// The §5.2 task filter, applied by executors (or by emit paths).
   [[nodiscard]] bool should_execute(const Activation& a,
                                     const ExecContext& ctx) const {
-    if (ctx.filter.min_node_id == 0) return true;
+    if (ctx.filter.min_stamp == 0) return true;
     const Node* n = nodes_[a.node].get();
-    return is_stateless(n->type) || n->id >= ctx.filter.min_node_id;
+    return is_stateless(n->type) || n->stamp >= ctx.filter.min_stamp;
   }
 
   /// Appends to `out` all output tokens a node would pass downstream,
@@ -258,6 +259,15 @@ class Network {
   void emit_succs(uint32_t jt_slot, const Token& token, bool add,
                   ExecContext& ctx, bool from_alpha = false);
 
+  /// Pops the most recently freed value of `pool`, or makes a fresh one.
+  template <typename Fresh>
+  static uint32_t recycle(std::vector<uint32_t>& pool, Fresh&& fresh) {
+    if (pool.empty()) return fresh();
+    const uint32_t v = pool.back();
+    pool.pop_back();
+    return v;
+  }
+
   /// The bound agent state of a context, asserted in debug builds: every
   /// execute() path goes through this accessor, so a task ever dispatched
   /// without its agent's state trips immediately.
@@ -285,8 +295,9 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<Symbol, uint32_t> roots_;  // class -> jumptable slot
   uint32_t alpha_mem_count_ = 0;
-  uint32_t freed_nodes_ = 0;
+  uint64_t next_stamp_ = 1;  // 0 is UpdateFilter's "no filter"
   // Removal's recycling pools, consumed LIFO by make_node.
+  std::vector<uint32_t> free_ids_;
   std::vector<uint32_t> free_slots_;
   std::vector<uint32_t> free_mem_indexes_;
 };

@@ -40,7 +40,8 @@ enum class NodeType : uint8_t {
 [[nodiscard]] const char* node_type_name(NodeType t);
 
 /// Is this node stateless (pure test, no memory)? Stateless nodes always
-/// execute during the §5.2 update; stateful ones are filtered by node id.
+/// execute during the §5.2 update; stateful ones are filtered by creation
+/// stamp (Node::stamp).
 [[nodiscard]] constexpr bool is_stateless(NodeType t) {
   return t == NodeType::Const || t == NodeType::Disj || t == NodeType::Intra;
 }
@@ -167,8 +168,13 @@ class Jumptable {
 
 struct Node {
   NodeType type;
-  uint32_t id = 0;
+  uint32_t id = 0;       // index in the network; recycled after removal
   uint32_t jt_slot = 0;  // successors live in Jumptable[jt_slot]
+  // Creation order: Network::make_node hands out 1, 2, 3, ... and never
+  // repeats a stamp, whereas a removed node's id is reused. Readers that
+  // mean "created before" (the §5.2 filter, topological walks, firing
+  // tie-breaks) compare stamps, never ids.
+  uint64_t stamp = 0;
 
   explicit Node(NodeType t) : type(t) {}
   virtual ~Node() = default;

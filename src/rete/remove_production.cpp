@@ -20,7 +20,7 @@ RemovePlan plan_removal(const Network& net, uint32_t victim_pnode) {
   const Jumptable& jt = net.jumptable();
   for (uint32_t i = 0; i < n; ++i) {
     const Node* node = net.node(i);
-    if (node == nullptr) continue;  // tombstone from an earlier removal
+    if (node == nullptr) continue;  // id freed by an earlier removal
     for (const SuccessorRef& ref : jt.peek(node->jt_slot)) {
       preds[ref.node].push_back(i);
     }

@@ -12,6 +12,12 @@
 // backward walk over the live network from every surviving P-node; whatever
 // the walk never reaches is owned by the victim alone and dies with it.
 //
+// The walk costs O(id space), and the id space is the largest the live
+// network has been: freed ids are reused by later additions (make_node),
+// so resident query traffic does not grow it. The ids a plan frees may be
+// handed to the very next production; nothing that outlives the removal
+// may key on them (DESIGN.md §14.3).
+//
 // The planner only reads; Engine::remove_production_runtime sequences the
 // actual unsplice/drain/free (see engine/engine.cpp for the protocol and
 // DESIGN.md §14 for why the order is what it is).

@@ -20,6 +20,12 @@ bool prefix_passes(const AlphaFrontier& f, const Wme* w) {
   return true;
 }
 
+/// Was node `id` created by the add that compiled `cp`? Ids are recycled,
+/// so this reads the creation stamp, never the id.
+bool is_new(const Network& net, const CompiledProduction& cp, uint32_t id) {
+  return net.node(id)->stamp >= cp.first_new_stamp;
+}
+
 Activation tagged(uint32_t node, Side side, bool add, Token token,
                   uint32_t agent) {
   Activation a{node, side, add, token};
@@ -55,7 +61,7 @@ void update_left_seeds_into(Network& net, const MatchState& ms,
   net.node_outputs_into(cp.share_point, ms, scratch.outputs);
   const uint32_t slot = net.node(cp.share_point)->jt_slot;
   for (const SuccessorRef& s : net.jumptable().peek(slot)) {
-    if (s.side != Side::Left || s.node < cp.first_new_id) continue;
+    if (s.side != Side::Left || !is_new(net, cp, s.node)) continue;
     for (const Token& t : scratch.outputs) {
       scratch.seeds.push_back(tagged(s.node, Side::Left, true, t, agent));
     }
@@ -71,7 +77,7 @@ void update_right_seeds_into(Network& net, const MatchState& ms,
     const Node* n = net.node(id);
     if (n->type != NodeType::Join && n->type != NodeType::Not) continue;
     const auto* t = static_cast<const TwoInputNode*>(n);
-    if (t->alpha_mem >= cp.first_new_id) continue;  // new amem: phase A fed it
+    if (is_new(net, cp, t->alpha_mem)) continue;  // phase A fed a new amem
     const auto* am = static_cast<const AlphaMemNode*>(net.node(t->alpha_mem));
     for (const Wme* w : ms.alpha(am->mem_index).wmes) {
       out.push_back(tagged(id, Side::Right, true, Token{w}, agent));
@@ -86,21 +92,21 @@ UpdateTasks run_update(Drain& drain, Network& net, const MatchState& ms,
                        size_t track) {
   UpdateTasks n;
   {
-    obs::Span span(tracer, track, obs::EventKind::UpdateA, cp.first_new_id);
+    obs::Span span(tracer, track, obs::EventKind::UpdateA, cp.pnode);
     scratch.seeds.clear();
     update_alpha_seeds_into(cp, wm, scratch.seeds, agent);
-    n.ab += drain.drain(scratch.seeds, {cp.first_new_id, true});
+    n.ab += drain.drain(scratch.seeds, {cp.first_new_stamp, true});
   }
   {
-    obs::Span span(tracer, track, obs::EventKind::UpdateB, cp.first_new_id);
+    obs::Span span(tracer, track, obs::EventKind::UpdateB, cp.pnode);
     scratch.seeds.clear();
     update_right_seeds_into(net, ms, cp, scratch.seeds, agent);
-    n.ab += drain.drain(scratch.seeds, {cp.first_new_id, false});
+    n.ab += drain.drain(scratch.seeds, {cp.first_new_stamp, false});
   }
   {
-    obs::Span span(tracer, track, obs::EventKind::UpdateC, cp.first_new_id);
+    obs::Span span(tracer, track, obs::EventKind::UpdateC, cp.pnode);
     update_left_seeds_into(net, ms, cp, scratch, agent);
-    n.c = drain.drain(scratch.seeds, {cp.first_new_id, false});
+    n.c = drain.drain(scratch.seeds, {cp.first_new_stamp, false});
   }
   return n;
 }

@@ -292,7 +292,8 @@ TEST(Corruption, StaleTableEntryIsReported) {
 
 // ---------------------------------------------------------------------------
 // Botched-unsplice corpus: each way a production removal can go wrong leaves
-// a tombstone-referencing needle the verifier must find (the removal oracle).
+// a needle referencing a freed id the verifier must find (the removal
+// oracle). Each corruption is planted before any addition reuses the id.
 // ---------------------------------------------------------------------------
 
 TEST(Corruption, DanglingUnspliceRefIsReported) {
@@ -305,7 +306,7 @@ TEST(Corruption, DanglingUnspliceRefIsReported) {
   e.remove_production_runtime(e.productions()[1]);
   ASSERT_TRUE(e.verify_network().ok());  // the real removal is clean
 
-  // Re-splice a ref to the tombstoned P-node: the signature of an unsplice
+  // Re-splice a ref to the freed P-node: the signature of an unsplice
   // that missed a slot.
   const uint32_t join = find_node(e.net(), NodeType::Join);
   e.net().jumptable().add(e.net().node(join)->jt_slot,
@@ -324,7 +325,7 @@ TEST(Corruption, OrphanedNccPartnerIsReported) {
   const uint32_t pnode = find_node(e.net(), NodeType::Prod);
 
   // Simulate a removal that freed the NCC owner (and its successor P-node)
-  // but forgot the partner: the partner survives pointing at a tombstone.
+  // but forgot the partner: the partner survives pointing at a freed id.
   std::vector<uint8_t> dead(e.net().node_count(), 0);
   dead[owner] = 1;
   dead[pnode] = 1;
@@ -458,6 +459,57 @@ TEST(CostLinter, SharedNodesAreCountedPerProduction) {
   ASSERT_EQ(lint.productions.size(), 2u);
   EXPECT_EQ(lint.productions[0].shared_nodes, 0u);
   EXPECT_GT(lint.productions[1].shared_nodes, 0u);  // reuses p1's join
+}
+
+TEST(CostLinter, ChurnedNetworkLintsLikeAFreshOne) {
+  // Removal frees ids and the next additions reuse them LIFO, so after
+  // churn a node can hold a lower id than its own predecessor. The linter
+  // walks creation stamps, so the same productions must price exactly the
+  // same in a churned network as in a fresh one.
+  const std::string resident = "(p r1 (a ^v <x>) (b ^v <x>) --> (halt))\n";
+  const std::string later =
+      "(p deep (a ^v <x>) (b ^v <x>) (c ^v <x> ^w 1) (d ^v <x>) --> (halt))\n"
+      "(p neg (c ^v <x>) -(d ^v <x>) -{(a ^v <x>) (f ^v <x>)} --> (halt))";
+  Engine churned;
+  churned.load(resident);
+  for (int i = 0; i < 3; ++i) {
+    const auto tmp = churned.load("(p tmp" + std::to_string(i) +
+                                  " (e ^v <x>) (f ^v <x>) (g ^v <x>)"
+                                  " (h ^v <x>) --> (halt))");
+    churned.remove_production_runtime(tmp[0]);
+  }
+  churned.load(later);
+  Engine fresh;
+  fresh.load(resident + later);
+
+  // The churn is real: some splice runs from a higher id to a lower one.
+  bool backward = false;
+  const Network& net = churned.net();
+  for (uint32_t i = 0; i < net.node_count(); ++i) {
+    if (net.node(i) == nullptr) continue;
+    for (const SuccessorRef& s : net.jumptable().peek(net.node(i)->jt_slot)) {
+      backward |= s.node < i;
+    }
+  }
+  ASSERT_TRUE(backward);
+
+  const auto a = analysis::lint_costs(churned.net(), churned.all_records());
+  const auto b = analysis::lint_costs(fresh.net(), fresh.all_records());
+  ASSERT_EQ(a.productions.size(), b.productions.size());
+  for (size_t i = 0; i < a.productions.size(); ++i) {
+    const auto& x = a.productions[i];
+    const auto& y = b.productions[i];
+    SCOPED_TRACE(y.name);
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.nodes, y.nodes);
+    EXPECT_EQ(x.two_input_nodes, y.two_input_nodes);
+    EXPECT_EQ(x.shared_nodes, y.shared_nodes);
+    EXPECT_EQ(x.chain_depth, y.chain_depth);
+    EXPECT_EQ(x.chain_cost_us, y.chain_cost_us);
+    EXPECT_EQ(x.worst_case_cost_us, y.worst_case_cost_us);
+    EXPECT_EQ(x.flags, y.flags);
+  }
+  EXPECT_EQ(a.flagged, b.flagged);
 }
 
 // ---------------------------------------------------------------------------

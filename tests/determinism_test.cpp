@@ -75,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(AllTasks, TaskDeterminism,
 /// building included — land on the identical decision sequence and the
 /// byte-identical chunk texts at every matcher width, with tracing enabled.
 /// The conflict set orders instantiations by a schedule-invariant content
-/// key (production id, token timetags — see det_less in conflict_set.cpp),
+/// key (production age, token timetags — see det_less in conflict_set.cpp),
 /// so worker count and steal schedule cannot leak into firing order, chunk
 /// backtraces, or gensym'd identifiers. (Per-task CycleTraces are compared
 /// only at width 1: parallel cycles intentionally return empty traces.)

@@ -69,8 +69,10 @@ TEST(NodeIds, StrictlyMonotonicAcrossAdds) {
   const auto& cp = e.record(e.productions().back()).compiled;
   for (const uint32_t id : cp.new_nodes) EXPECT_GE(id, n1);
   // Linearity invariant (§5.2): once sharing stops, everything is new —
-  // first_new_id is the minimum of all new nodes.
-  for (const uint32_t id : cp.new_nodes) EXPECT_GE(id, cp.first_new_id);
+  // first_new_stamp is at most the stamp of every new node.
+  for (const uint32_t id : cp.new_nodes) {
+    EXPECT_GE(e.net().node(id)->stamp, cp.first_new_stamp);
+  }
 }
 
 TEST(CodeSize, TwoInputNodesCostPaperScaleBytes) {
@@ -130,7 +132,9 @@ TEST(SharePoint, FullySharedBodyPointsAtLastJoin) {
   const auto& cp = e.record(e.productions().back()).compiled;
   const Node* sp = e.net().node(cp.share_point);
   EXPECT_EQ(sp->type, NodeType::Join);
-  EXPECT_EQ(cp.first_new_id, cp.pnode);  // only the P-node is new
+  // Only the P-node is new.
+  EXPECT_EQ(cp.new_nodes, std::vector<uint32_t>{cp.pnode});
+  EXPECT_EQ(e.net().node(cp.pnode)->stamp, cp.first_new_stamp);
 }
 
 TEST(SharePoint, SingleConditionProductionPointsAtAlphaMem) {

@@ -20,6 +20,7 @@
 // positive joins execute a schedule-invariant task multiset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -187,6 +188,44 @@ TEST(Profiler, IdleAgentAccumulatesNothing) {
       << "an idle session must not be billed for its sibling's match work";
   EXPECT_EQ(s.agents[1].sampled, 0u);
   EXPECT_EQ(s.agents[1].time_ns, 0u);
+}
+
+/// Removal frees a production's node ids and the next production reuses
+/// them; the profiler must not bill the newcomer for its predecessor's work.
+TEST(Profiler, RecycledIdCellStartsAtZero) {
+  for (const size_t workers : {0u, 2u}) {
+    EngineOptions opts;
+    opts.match_workers = workers;
+    opts.profile = true;
+    Engine e(opts);
+    e.load("(p keep (a ^v <x>) --> (halt))");
+    const auto gone = e.load("(p gone (b ^v <x>) (c ^v <x>) --> (halt))");
+    for (int v = 0; v < 4; ++v) {
+      e.add_wme_text("(b ^v " + std::to_string(v) + ")");
+      e.add_wme_text("(c ^v " + std::to_string(v) + ")");
+    }
+    e.match();
+    const std::vector<uint32_t> freed = e.record(gone[0]).compiled.new_nodes;
+    const obs::ProfileSnapshot busy = e.profiler()->snapshot();
+    for (const uint32_t id : freed) {
+      EXPECT_GT(busy.nodes.at(id).activations, 0u) << "node " << id;
+    }
+
+    e.remove_production_runtime(gone[0]);
+    // Class d has no wmes: nothing ever activates the reborn nodes.
+    const auto reborn = e.load("(p reborn (d ^v <x>) (d ^w <x>) --> (halt))");
+    e.match();
+    const obs::ProfileSnapshot s = e.profiler()->snapshot();
+    for (const uint32_t id : e.record(reborn[0]).compiled.new_nodes) {
+      ASSERT_NE(std::find(freed.begin(), freed.end(), id), freed.end())
+          << "node " << id << " is not a recycled id";
+      const obs::ProfileCell& c = s.nodes.at(id);
+      EXPECT_EQ(c.activations, 0u) << "node " << id << " workers " << workers;
+      EXPECT_EQ(c.emits, 0u);
+      EXPECT_EQ(c.sampled, 0u);
+      EXPECT_EQ(c.time_ns, 0u);
+    }
+  }
 }
 
 TEST(Profiler, FlightRingKeepsLastCapacityInOrder) {

@@ -3,9 +3,10 @@
 // high-water mark asserted FLAT after warmup and the verifier run clean at
 // the end. This is the leak/fragmentation oracle for run-time removal:
 //
-//   * live_node_count, alpha_mem_count, jumptable size — flat (node-id
-//     tombstoning with slot/mem-index recycling: the network's footprint
-//     must not grow with query traffic, only nodes_.size() may, by design);
+//   * node_count (the id space), live_node_count, alpha_mem_count,
+//     jumptable size, symbol table — flat (ids, slots and mem-indexes are
+//     recycled, and a session interns one query name, not one per ask: the
+//     network's footprint must not grow with query traffic);
 //   * token-arena live chunks, conflict-set slab allocations, alpha-wme and
 //     right-entry pool chunk allocations — flat after warmup (every drained
 //     entry's storage is recycled, never strand-allocated);
@@ -85,6 +86,7 @@ TEST(QueryChurn, TenThousandCyclesStayFlat) {
   const uint32_t alpha_mems = a0.net().alpha_mem_count();
   const size_t jt_slots = a0.net().jumptable().size();
   const uint32_t node_ids = a0.net().node_count();
+  const size_t symbols = a0.syms().size();
   const uint64_t arena0 = a0.state().arena.stats().chunks_live;
   const uint64_t arena1 = a1.state().arena.stats().chunks_live;
   const uint64_t slab0 = a0.cs().slab_allocs();
@@ -109,8 +111,8 @@ TEST(QueryChurn, TenThousandCyclesStayFlat) {
   EXPECT_EQ(a0.net().live_node_count(), live_nodes);
   EXPECT_EQ(a0.net().alpha_mem_count(), alpha_mems);
   EXPECT_EQ(a0.net().jumptable().size(), jt_slots);
-  // Node ids tombstone (grow) by design; everything they index stays flat.
-  EXPECT_GT(a0.net().node_count(), node_ids);
+  EXPECT_EQ(a0.net().node_count(), node_ids);
+  EXPECT_EQ(a0.syms().size(), symbols);
 
   // Per-agent allocators: no growth past the warmed-up high-water mark.
   EXPECT_EQ(a0.state().arena.stats().chunks_live, arena0);

@@ -214,16 +214,27 @@ TEST(Removal, RemoveLastProductionEmptiesNetwork) {
   const auto rep = e.verify_network();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 
-  // The id space is tombstoned, not reused: a production added after the
-  // removal gets fresh ids (the §5.2 update filter relies on monotone ids).
-  const uint32_t node_count_after = e.net().node_count();
+  // Freed ids are reused: a production added after the removal lives in
+  // the removed one's ids, and the id space does not grow. The §5.2 update
+  // must still fill its memories from the live WM — its filter reads
+  // creation stamps, which are never reused, not ids.
+  const uint32_t id_space = e.net().node_count();
   e.load("(p reborn (block ^name <b>) --> (halt))");
   const auto& rec = e.record(e.productions().back());
-  for (const uint32_t id : rec.compiled.new_nodes) {
-    EXPECT_GE(id, node_count_after);
+  for (const uint32_t id : rec.compiled.new_nodes) EXPECT_LT(id, id_space);
+  EXPECT_EQ(e.net().node_count(), id_space);
+  const Node* am = e.net().node(rec.compiled.share_point);
+  ASSERT_EQ(am->type, NodeType::AlphaMem);
+  {
+    const AlphaMemState& ams =
+        e.state().alpha(static_cast<const AlphaMemNode*>(am)->mem_index);
+    SpinGuard g(ams.lock);
+    EXPECT_EQ(ams.wmes.size(), 3u);  // b1, b2, b3
   }
   e.match();
-  EXPECT_GT(e.cs().size(), 0u);
+  EXPECT_EQ(e.cs().size(), 3u);
+  const auto rep_reborn = e.verify_network();
+  EXPECT_TRUE(rep_reborn.ok()) << rep_reborn.to_string();
 }
 
 TEST(Removal, NccProductionUnsplicesPairAndDrains) {

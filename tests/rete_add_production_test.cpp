@@ -165,9 +165,12 @@ TEST(AddProduction, CompileProducesCodeAndTiming) {
   EXPECT_GE(res.compile_seconds, 0.0);
   const auto& cp = e.record(res.prod).compiled;
   EXPECT_FALSE(cp.new_nodes.empty());
-  // Node id monotonicity: every new node id >= first_new_id.
+  // Creation stamps: every new node is younger than every shared one.
   for (const uint32_t id : cp.new_nodes) {
-    EXPECT_GE(id, cp.first_new_id);
+    EXPECT_GE(e.net().node(id)->stamp, cp.first_new_stamp);
+  }
+  for (const uint32_t id : cp.shared_nodes) {
+    EXPECT_LT(e.net().node(id)->stamp, cp.first_new_stamp);
   }
 }
 

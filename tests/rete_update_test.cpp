@@ -4,7 +4,12 @@
 // allocation discipline.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "alloc_probe.h"
+#include "analysis/verify.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
 #include "par/parallel_match.h"
@@ -275,6 +280,112 @@ TEST(Update, ScratchReplayIsAllocationFlat) {
     // wmes.
     EXPECT_EQ(instantiation_count(e, "base"), base_insts);
     EXPECT_EQ(instantiation_count(e, "spill0"), 3);
+  }
+}
+
+/// Left tokens stored at node `id`, each as its wmes' timetags.
+std::multiset<std::vector<uint64_t>> left_tokens(const Engine& e,
+                                                 uint32_t id) {
+  std::multiset<std::vector<uint64_t>> out;
+  e.state().tables.for_each_left_of(id, [&](const LeftEntry& l) {
+    std::vector<uint64_t> tags;
+    for (const Wme* w : l.token) tags.push_back(w->timetag);
+    out.insert(std::move(tags));
+  });
+  return out;
+}
+
+/// A serial drain without the update's stamp filter (suppress_alpha_left
+/// stays): every seed run_update makes is executed, so the phase-B/C seed
+/// checks alone must pick the new nodes. A seed aimed at an old node would
+/// corrupt that node's state instead of being dropped.
+class UnfilteredDrain final : public Drain {
+ public:
+  explicit UnfilteredDrain(Engine& e) : ex_(e.net(), e.state(), false) {}
+  uint64_t drain(std::vector<Activation>& seeds,
+                 const UpdateFilter& f) override {
+    return ex_.drain(seeds, {0, f.suppress_alpha_left});
+  }
+
+ private:
+  TraceExecutor ex_;
+};
+
+TEST(Update, RecycledIdsDoNotReadAsOld) {
+  // P1 is removed and the next production reuses its ids, all lower than
+  // P2's, so id order says nothing about age. Two such productions:
+  //  * P3's new join hangs under P2's first join (the share point), beside
+  //    P2's second join — older than P3's join, with a greater id: the
+  //    phase-C seed check must seed only P3's join.
+  //  * P4's new join takes its right input from P2's (c) alpha memory —
+  //    old, with a greater id than P4's nodes: the phase-B seed check must
+  //    still fill the join's right memory from it.
+  const std::string p1 = "(p p1 (e ^q <v>) (f ^r <v>) --> (halt))";
+  const std::string p2 = "(p p2 (a ^x <v>) (b ^y <v>) (c ^z <v>) --> (halt))";
+  const std::string p3 = "(p p3 (a ^x <v>) (b ^y <v>) (d ^w <v>) --> (halt))";
+  const std::string p4 = "(p p4 (b ^y <v>) (c ^z <v>) --> (halt))";
+  auto seed = [](Engine& e) {
+    for (int v = 0; v < 4; ++v) {
+      const std::string n = std::to_string(v);
+      e.add_wme_text("(a ^x " + n + ")");
+      e.add_wme_text("(b ^y " + n + ")");
+      if (v % 2 == 0) e.add_wme_text("(c ^z " + n + ")");
+      if (v != 2) e.add_wme_text("(d ^w " + n + ")");
+      e.add_wme_text("(e ^q " + n + ")");
+      e.add_wme_text("(f ^r " + n + ")");
+    }
+    e.match();
+  };
+  static std::vector<std::unique_ptr<Production>> keep;
+  for (const auto& [src, name] : {std::pair{p3, "p3"}, std::pair{p4, "p4"}}) {
+    Engine ref;
+    ref.load(p2 + src);
+    seed(ref);
+    const int expected = instantiation_count(ref, name);
+    ASSERT_GT(expected, 0);
+
+    for (const bool filtered : {true, false}) {
+      SCOPED_TRACE(std::string(name) + (filtered ? " engine" : " unfiltered"));
+      Engine e;
+      const auto loaded = e.load(p1 + p2);
+      seed(e);
+      const CompiledProduction& cp2 = e.record(loaded[1]).compiled;
+      std::vector<uint32_t> joins2;
+      for (const uint32_t id : cp2.new_nodes) {
+        if (e.net().node(id)->type == NodeType::Join) joins2.push_back(id);
+      }
+      ASSERT_EQ(joins2.size(), 2u);
+      const auto j1_before = left_tokens(e, joins2[0]);
+      const auto j2_before = left_tokens(e, joins2[1]);
+      const int p2_before = instantiation_count(e, "p2");
+      e.remove_production_runtime(loaded[0]);
+
+      const CompiledProduction* cp = nullptr;
+      CompiledProduction direct;
+      if (filtered) {
+        cp = &e.record(e.add_production_runtime(parse_one(e, src)).prod)
+                  .compiled;
+      } else {
+        keep.push_back(std::make_unique<Production>(parse_one(e, src)));
+        direct = e.builder().add_production(*keep.back());
+        cp = &direct;
+        UnfilteredDrain drain(e);
+        UpdateScratch scratch;
+        run_update(drain, e.net(), e.state(), *cp, e.wm().live(), 0, scratch);
+      }
+      // Every new node sits in a freed P1 id, below all of P2's ids.
+      for (const uint32_t id : cp->new_nodes) {
+        EXPECT_LT(id, cp2.new_nodes.front());
+      }
+      EXPECT_EQ(left_tokens(e, joins2[0]), j1_before);
+      EXPECT_EQ(left_tokens(e, joins2[1]), j2_before);
+      EXPECT_EQ(instantiation_count(e, "p2"), p2_before);
+      EXPECT_EQ(instantiation_count(e, name), expected);
+      if (filtered) {
+        const auto rep = e.verify_network();
+        EXPECT_TRUE(rep.ok()) << rep.to_string();
+      }
+    }
   }
 }
 
