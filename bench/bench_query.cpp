@@ -1,10 +1,10 @@
 // Transient-query churn bench: add/match/remove cycles through QuerySession,
 // swept over steal-worker counts {1, 2, 4, 8} × agent-session counts {1, 4}
 // over ONE shared CompiledNetwork. Each cycle compiles a cue into a
-// temporary production (copy-on-write splice + §5.2 state update = the
+// temporary production (in-place splice + §5.2 state update = the
 // evaluation), reads score and matches, and tears the production back out
-// through Engine::remove_production_runtime (COW unsplice + per-agent drain
-// + reclaim). This is the hot-path stress workload for run-time removal: the
+// through Engine::remove_production_runtime (unsplice + per-agent drain +
+// reclaim). This is the hot-path stress workload for run-time removal: the
 // jumptable, alpha-memory array and node table must stay flat across the
 // whole run (slot/mem-index recycling), which the bench asserts.
 //

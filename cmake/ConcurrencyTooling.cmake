@@ -49,9 +49,10 @@ endif()
 
 # ---------------------------------------------------------------------------
 # PSME_NET_VERIFY=ON forces the engine's automatic network verification after
-# every add_production into any build type (default: debug builds only, via
-# !NDEBUG — see src/analysis/verify.h). Sanitizer builds get it automatically,
-# like lockdep: a corrupted network and a race are the same investigation.
+# every production add and removal into any build type (default: debug
+# builds only, via !NDEBUG — see src/analysis/verify.h). Sanitizer builds get
+# it automatically, like lockdep: a corrupted network and a race are the same
+# investigation.
 # ---------------------------------------------------------------------------
 option(PSME_NET_VERIFY "Force-enable verify-after-add_production" OFF)
 if(PSME_NET_VERIFY OR NOT PSME_SANITIZE STREQUAL "off")

@@ -26,8 +26,8 @@
 //
 // With --agents N (N > 1) the demo also runs N learning kernels as agent
 // sessions over ONE shared CompiledNetwork: each agent solves the puzzle
-// with chunking on, chunks are compiled copy-on-write into the shared
-// jumptable, and chunk-signature dedup is network-wide — so later agents
+// with chunking on, chunks are spliced into the shared network in place,
+// and chunk-signature dedup is network-wide — so later agents
 // inherit earlier agents' chunks and solve with fewer impasses and fewer
 // freshly-built chunks.
 #include <cstdio>
@@ -59,14 +59,14 @@ void report(const char* label, const TaskRunResult& r) {
 }
 
 /// N learning kernels, sequentially, as agent sessions over one shared
-/// network: chunks any agent learns are in the shared Rete (COW publish)
-/// when the next agent runs, and identical chunks dedup network-wide.
+/// network: chunks any agent learns are in the shared Rete when the next
+/// agent runs, and identical chunks dedup network-wide.
 void run_agents(const Task& task, size_t agents) {
   std::printf("\nmulti-agent serving: %zu learning kernels over one shared "
               "network\n",
               agents);
-  std::printf("%-7s %10s %9s %13s %13s  %s\n", "agent", "decisions",
-              "impasses", "chunks-built", "cow-publishes", "solved");
+  std::printf("%-7s %10s %9s %13s  %s\n", "agent", "decisions",
+              "impasses", "chunks-built", "solved");
 
   auto cnet = std::make_shared<CompiledNetwork>();
   std::vector<std::unique_ptr<SoarKernel>> kernels;  // sessions stay attached
@@ -81,11 +81,10 @@ void run_agents(const Task& task, size_t agents) {
     if (a == 0) k.load_productions(task.productions);
     task.init(k);
     const SoarRunStats stats = k.run();
-    std::printf("%-7zu %10llu %9llu %13llu %13llu  %s\n", a,
+    std::printf("%-7zu %10llu %9llu %13llu  %s\n", a,
                 static_cast<unsigned long long>(stats.decisions),
                 static_cast<unsigned long long>(stats.impasses),
                 static_cast<unsigned long long>(stats.chunks_built),
-                static_cast<unsigned long long>(cnet->cow_publishes()),
                 stats.goal_achieved ? "yes" : "NO");
   }
   std::printf("later agents inherit earlier agents' chunks through the "

@@ -6,8 +6,7 @@
 // on these properties — node sharing, jumptable indirection integrity,
 // bounded activation-chain depth — yet nothing at runtime checks them except
 // crashes; the verifier is the safety net that makes network surgery
-// (runtime addition today, production *removal* and copy-on-write jumptables
-// next) shippable.
+// (run-time addition and production removal, both in place) shippable.
 //
 // Invariant catalog (each violation carries the Check that failed):
 //   Resolution   — every SuccessorRef in every jumptable slot names an
@@ -59,8 +58,9 @@
 #include "rete/add_production.h"
 #include "rete/network.h"
 
-// PSME_NET_VERIFY gates the engine's automatic verify-after-add_production
-// (assert-on-violation). Default: debug builds, mirroring PSME_LOCKDEP.
+// PSME_NET_VERIFY gates the engine's automatic verification after each
+// production add and removal (CompiledNetwork::verify_or_abort, abort on
+// violation). Default: debug builds, mirroring PSME_LOCKDEP.
 // Configure with -DPSME_NET_VERIFY=ON (the tsan preset does) to force it on
 // in any build type; the verifier itself is always compiled.
 #ifndef PSME_NET_VERIFY

@@ -6,8 +6,7 @@ namespace psme {
 
 AgentGroup::AgentGroup(AgentGroupOptions opts) : opts_(std::move(opts)) {
   if (opts_.workers == 0) opts_.workers = 1;
-  cnet_ = std::make_shared<CompiledNetwork>(
-      CompiledNetworkOptions{opts_.agent.builder});
+  cnet_ = std::make_shared<CompiledNetwork>(opts_.agent.builder);
   const EngineOptions& eo = opts_.agent;
   if (eo.trace.enabled) tracer_ = std::make_unique<obs::Tracer>(eo.trace);
   if (eo.profile) {
@@ -34,7 +33,6 @@ Engine& AgentGroup::add_agent() {
 }
 
 std::vector<const Production*> AgentGroup::load(std::string_view src) {
-  if (!agents_.empty()) return agents_.front()->load(src);
   return cnet_->load(src);
 }
 
@@ -60,7 +58,6 @@ void AgentGroup::collect_metrics(obs::MetricsRegistry& m) const {
     }
   }
   m.gauge("group.agents", agents_.size());
-  m.gauge("group.cow_publishes", cnet_->cow_publishes());
   if (tracer_ != nullptr) obs::collect(m, *tracer_);
   if (profiler_ != nullptr) obs::collect(m, *profiler_);
 }

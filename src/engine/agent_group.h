@@ -12,9 +12,10 @@
 // comes from; agents remain free to call Engine::match() individually when
 // they need a private cycle.
 //
-// Runtime chunk addition from any agent is copy-on-write on the shared
-// jumptable (CompiledNetwork::compile_cow) followed by a §5.2 state update
-// per attached agent — a learning agent never blocks matching peers.
+// Runtime chunk addition from any agent splices the chunk into the shared
+// network in place (CompiledNetwork::compile) and then runs a §5.2 state
+// update per attached agent. Like every network edit it is quiescent-only:
+// call it between step_all()s, never while a drain is in flight.
 //
 // Observability: the group owns the one tracer and the one profiler (from
 // `agent.trace` / `agent.profile`); the shared matcher's workers and every
@@ -95,7 +96,7 @@ class AgentGroup {
   ParallelStats step_all();
 
   /// Every agent's metrics under "agentN.*" plus the group's own
-  /// ("group.agents", "group.cow_publishes", shared-tracer "obs.*").
+  /// ("group.agents", shared-tracer "obs.*", shared-profiler "prof.*").
   void collect_metrics(obs::MetricsRegistry& m) const;
 
  private:

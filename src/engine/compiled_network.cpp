@@ -7,6 +7,7 @@
 #include <string>
 
 #include "analysis/verify.h"
+#include "engine/engine.h"
 #include "lang/parser.h"
 
 namespace psme {
@@ -16,73 +17,49 @@ std::vector<const Production*> CompiledNetwork::load(std::string_view src) {
   auto parsed = parser.parse_file(src);
   std::vector<const Production*> out;
   out.reserve(parsed.size());
-  for (Production& p : parsed) {
-    const Production* adopted = store_.adopt(std::move(p));
-    finish(adopted, builder_.add_production(*adopted));
-    out.push_back(adopted);
+  for (Production& ast : parsed) {
+    const AddRecord& rec = compile(std::move(ast));
+    // §5.2 memory update for every attached agent that already holds wmes
+    // (the common build-time load on empty WMs skips straight through),
+    // before the next production is compiled.
+    for (Engine* agent : agents_) {
+      if (agent->wm().size() != 0) {
+        agent->apply_runtime_update(rec.compiled, nullptr);
+      }
+    }
+#if PSME_NET_VERIFY
+    verify_or_abort("adding", rec.ast->name);
+#endif
+    out.push_back(rec.ast);
   }
   return out;
 }
 
-const AddRecord& CompiledNetwork::compile_cow(const Production* p) {
-  Jumptable& jt = net_.jumptable();
-  jt.begin_cow();
-  CompiledProduction cp = builder_.add_production(*p);
-  // The caller is at a match-quiescent safe point (the same epoch boundary
-  // the token arenas reclaim at), so the swap is unobserved by any in-
-  // flight succs() walk; the retired table is still held one publish for
-  // any reader the contract failed to cover to crash loudly on, not to
-  // race.
-  jt.publish_cow();
-  return finish(p, std::move(cp));
-}
-
-const AddRecord& CompiledNetwork::finish(const Production* p,
-                                         CompiledProduction&& cp) {
-  auto [it, inserted] = records_.emplace(p, AddRecord{p, std::move(cp)});
-  if (!inserted) {
-    throw std::logic_error("CompiledNetwork: production compiled twice");
+const AddRecord& CompiledNetwork::compile(Production&& ast) {
+  // Adopted first: the builder stores the AST's address in the P-node.
+  const Production* p = store_.adopt(std::move(ast));
+  CompiledProduction cp;
+  try {
+    cp = builder_.add_production(*p);
+  } catch (...) {
+    store_.release(p);  // rejected before anything was spliced
+    throw;
   }
   productions_.push_back(p);
-#if PSME_NET_VERIFY
-  debug_verify_after_add(p);
-#endif
-  return it->second;
+  return records_.emplace(p, AddRecord{p, std::move(cp)}).first->second;
 }
 
-void CompiledNetwork::debug_verify_after_add(const Production* p) const {
-  // Structure-only pass (no MatchState): every attached agent's state is
-  // additionally checked by Engine's own PSME_NET_VERIFY hook.
-  const analysis::VerifyReport rep = analysis::verify_network(net_, all_records());
-  if (rep.ok()) return;
-  std::fprintf(stderr,
-               "PSME_NET_VERIFY: invariant violation after adding '%s'\n%s",
-               std::string(syms_.name(p->name)).c_str(),
-               rep.to_string().c_str());
-  std::abort();
-}
-
-RemovePlan CompiledNetwork::unsplice_cow(const Production* p,
-                                         size_t* refs_unspliced) {
+RemovePlan CompiledNetwork::unsplice(const Production* p,
+                                     size_t* refs_unspliced) {
   const AddRecord& rec = record(p);  // throws for an unknown production
   RemovePlan plan = plan_removal(net_, rec.compiled.pnode);
-  Jumptable& jt = net_.jumptable();
-  jt.begin_cow();
-  const size_t erased = jt.erase_refs(plan.dead_mask);
-  // Same safe-point contract as compile_cow: the caller is match-quiescent,
-  // so no succs() walk observes the swap. From this publish on, the victim
-  // can never fire again — its P-node is unreachable from every root.
-  jt.publish_cow();
+  const size_t erased = net_.jumptable().erase_refs(plan.dead_mask);
   if (refs_unspliced != nullptr) *refs_unspliced = erased;
   return plan;
 }
 
 void CompiledNetwork::finish_removal(const RemovePlan& plan,
                                      const Production* p) {
-#if PSME_NET_VERIFY
-  // The AST dies below; keep the name for the verifier's diagnostics.
-  const std::string name(syms_.name(p->name));
-#endif
   for (uint32_t id : plan.dead_nodes) net_.free_node(id);
   records_.erase(p);
   productions_.erase(
@@ -90,19 +67,26 @@ void CompiledNetwork::finish_removal(const RemovePlan& plan,
       productions_.end());
   store_.release(p);
   ++removals_;
-#if PSME_NET_VERIFY
-  debug_verify_after_remove(name);
-#endif
 }
 
-void CompiledNetwork::debug_verify_after_remove(const std::string& name) const {
-  const analysis::VerifyReport rep =
-      analysis::verify_network(net_, all_records());
-  if (rep.ok()) return;
-  std::fprintf(stderr,
-               "PSME_NET_VERIFY: invariant violation after removing '%s'\n%s",
-               name.c_str(), rep.to_string().c_str());
-  std::abort();
+void CompiledNetwork::verify_or_abort(const char* edit, Symbol name) const {
+  // One pass per attached agent (the structure plus that agent's state);
+  // the structure alone when none is attached.
+  const size_t passes = std::max<size_t>(agents_.size(), 1);
+  for (size_t i = 0; i < passes; ++i) {
+    const Engine* agent = agents_.empty() ? nullptr : agents_[i];
+    const analysis::VerifyReport rep =
+        agent != nullptr ? agent->verify_network()
+                         : analysis::verify_network(net_, all_records());
+    if (rep.ok()) continue;
+    std::fprintf(stderr, "PSME_NET_VERIFY: invariant violation after %s '%s'",
+                 edit, std::string(syms_.name(name)).c_str());
+    if (agent != nullptr) {
+      std::fprintf(stderr, " (agent %u)", agent->agent_id());
+    }
+    std::fprintf(stderr, "\n%s", rep.to_string().c_str());
+    std::abort();
+  }
 }
 
 const AddRecord& CompiledNetwork::record(const Production* p) const {

@@ -6,13 +6,12 @@
 // touches (hash-table lines, alpha-memory lists, token arenas, the conflict
 // set) lives in each agent's MatchState instead (rete/match_state.h).
 //
-// Run-time production addition (the chunking path) is the one mutation the
-// shared half sees after load. It is copy-on-write on the jumptable:
-// compile_cow() clones the successor table, splices the new production into
-// the clone, and publishes the clone at the caller's quiescent safe point —
-// the same epoch boundary the token arenas reclaim at — so a learning agent
-// never blocks matching peers on a half-spliced dispatch table. Builds with
-// PSME_NET_VERIFY re-verify the whole network after every publish.
+// The network changes only between match cycles, as in PSM-E (§5.1): a
+// load, a run-time chunk or cue add (compile) and a removal (unsplice,
+// finish_removal) all edit the one live node graph and jumptable in place,
+// at a point where the caller guarantees no match cycle is in flight. Builds
+// with PSME_NET_VERIFY re-verify the network and every attached agent's
+// state after each add and each removal (verify_or_abort).
 #pragma once
 
 #include <memory>
@@ -32,14 +31,10 @@ namespace psme {
 
 class Engine;
 
-struct CompiledNetworkOptions {
-  BuilderOptions builder;
-};
-
 class CompiledNetwork {
  public:
-  explicit CompiledNetwork(CompiledNetworkOptions opts = {})
-      : net_(syms_, schemas_), builder_(net_, opts.builder) {}
+  explicit CompiledNetwork(BuilderOptions opts = {})
+      : net_(syms_, schemas_), builder_(net_, opts) {}
   CompiledNetwork(const CompiledNetwork&) = delete;
   CompiledNetwork& operator=(const CompiledNetwork&) = delete;
 
@@ -50,43 +45,48 @@ class CompiledNetwork {
   [[nodiscard]] const Network& net() const { return net_; }
   Builder& builder() { return builder_; }
 
-  /// Parses and compiles a source string (literalize forms + productions).
-  /// Build-time path: no COW (no agent is matching yet by contract), no
-  /// per-agent state update — callers with live working memories run the
-  /// §5.2 update themselves (Engine::load does, for every attached agent).
+  /// Parses a source string (literalize forms + productions) and adds each
+  /// production in source order: compile() it, then bring every attached
+  /// agent that already holds wmes up to date (§5.2). A production the
+  /// builder rejects throws; the ones before it stay added, the network is
+  /// otherwise as it was. Returns the adopted productions.
   std::vector<const Production*> load(std::string_view src);
 
-  /// Adopts a run-time AST (chunk) into the store without compiling it.
-  const Production* adopt(Production&& ast) { return store_.adopt(std::move(ast)); }
-
-  /// Run-time compile: splices `p` into a copy-on-write clone of the
-  /// jumptable and publishes the clone (this call IS the safe point — the
-  /// caller guarantees no match cycle is in flight, the same quiescent-only
-  /// contract as the §5.2 update). Under PSME_NET_VERIFY the network is
-  /// re-verified immediately after the swap.
-  const AddRecord& compile_cow(const Production* p);
+  /// Adopts `ast` and splices it into the live network in place: new nodes,
+  /// their jumptable slots, and new successor entries in existing slots.
+  /// Quiescent-only, like every network edit: the caller guarantees no match
+  /// cycle is in flight (the §5.2 update that must follow is the caller's —
+  /// load() runs it, Engine::add_production_runtime runs it per agent). A
+  /// production the builder rejects throws before anything is spliced, and
+  /// its AST is not kept.
+  const AddRecord& compile(Production&& ast);
 
   /// Run-time removal, unsplice half: plans the dead-set (backward
   /// reachability from every surviving P-node — the victim's own compile
   /// record can't tell owned from shared, see rete/remove_production.h) and
-  /// erases the dead nodes' successor entries under a COW edit. The publish
-  /// inside this call is the safe point: the same quiescent-only contract as
-  /// compile_cow, and the instant the production stops matching. The dead
-  /// nodes themselves are still alive on return — every attached agent must
-  /// drain its state for them before finish_removal frees them (the engine
-  /// sequences this; see Engine::remove_production_runtime). Throws
-  /// std::out_of_range for a production this network never compiled.
-  /// `refs_unspliced`, when non-null, receives the erased entry count.
-  RemovePlan unsplice_cow(const Production* p,
-                          size_t* refs_unspliced = nullptr);
+  /// erases the dead nodes' successor entries from the live jumptable. Same
+  /// quiescent-only contract as compile(); on return the production can
+  /// never fire again. The dead nodes themselves are still alive — every
+  /// attached agent must drain its state for them before finish_removal
+  /// frees them (the engine sequences this; see
+  /// Engine::remove_production_runtime). Throws std::out_of_range for a
+  /// production this network never compiled. `refs_unspliced`, when
+  /// non-null, receives the erased entry count.
+  RemovePlan unsplice(const Production* p, size_t* refs_unspliced = nullptr);
 
   /// Run-time removal, reclaim half: frees the dead nodes (their ids,
   /// jumptable slots and alpha mem indexes return to the recycling pools),
   /// then drops the record, the production-list entry, and the adopted AST.
-  /// Under PSME_NET_VERIFY the whole network is re-verified afterward —
-  /// the verifier's stale-entry sweep, Resolution, and Ownership checks are
-  /// the removal oracle.
   void finish_removal(const RemovePlan& plan, const Production* p);
+
+  /// The PSME_NET_VERIFY hook, run once after each add (after every agent's
+  /// §5.2 update) and once after each removal (after every agent's drain and
+  /// finish_removal): verifies the structure against every attached agent's
+  /// state (the structure alone when none is attached) and aborts with the
+  /// full report on a violation. After a removal the verifier's stale-entry
+  /// sweep, Resolution and Ownership checks are the removal oracle. `edit`
+  /// and `name` ("adding", the production) label the report.
+  void verify_or_abort(const char* edit, Symbol name) const;
 
   /// Productions removed at run time since load (diagnostics).
   [[nodiscard]] uint64_t removals() const { return removals_; }
@@ -97,13 +97,6 @@ class CompiledNetwork {
   }
   /// All records in load order (what verify_network and the linter consume).
   [[nodiscard]] std::vector<const AddRecord*> all_records() const;
-
-  /// How many COW jumptable publishes have happened (0 = the successor
-  /// table is still the build-time original). network_lint reports shared-
-  /// node statistics as "from a COW snapshot" when this is non-zero.
-  [[nodiscard]] uint64_t cow_publishes() const {
-    return net_.jumptable().cow_publishes();
-  }
 
   /// Registers a chunk signature; false when an identical chunk — learned
   /// by ANY attached agent — was already compiled into the shared network,
@@ -121,19 +114,14 @@ class CompiledNetwork {
   }
 
   /// Attached agent sessions. Engine registers itself at construction and
-  /// deregisters at destruction; run-time production addition walks this
-  /// list to bring every agent's memories up to date (§5.2) after the COW
-  /// publish. Quiescent-only, like everything else on the compile side.
+  /// deregisters at destruction; every add walks this list to bring each
+  /// agent's memories up to date (§5.2) after the splice. Quiescent-only,
+  /// like everything else on the compile side.
   void attach(Engine* e) { agents_.push_back(e); }
   void detach(Engine* e);
   [[nodiscard]] const std::vector<Engine*>& agents() const { return agents_; }
 
  private:
-  const AddRecord& finish(const Production* p, CompiledProduction&& cp);
-  /// PSME_NET_VERIFY hooks: abort with the full report on violation.
-  void debug_verify_after_add(const Production* p) const;
-  void debug_verify_after_remove(const std::string& name) const;
-
   SymbolTable syms_;
   ClassSchemas schemas_;
   RhsArena ast_arena_;  // parsed RHS expression storage; ASTs point into it

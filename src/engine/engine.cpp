@@ -1,8 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "analysis/verify.h"
@@ -24,9 +22,7 @@ class CollectCtx final : public ExecContext {
 }  // namespace
 
 Engine::Engine(EngineOptions opts)
-    : Engine(std::make_shared<CompiledNetwork>(
-                 CompiledNetworkOptions{opts.builder}),
-             opts, nullptr) {}
+    : Engine(std::make_shared<CompiledNetwork>(opts.builder), opts, nullptr) {}
 
 // Attach mode never owns an instrument: the shared matcher's workers can't
 // write into a per-agent tracer or profiler without racing the other
@@ -57,33 +53,11 @@ Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
 Engine::~Engine() { cnet_->detach(this); }
 
 std::vector<const Production*> Engine::load(std::string_view src) {
-  auto out = cnet_->load(src);
-  // §5.2 memory update for every attached agent that already holds wmes
-  // (the common build-time load on empty WMs skips straight through).
-  for (const Production* p : out) {
-    const CompiledProduction& cp = cnet_->record(p).compiled;
-    for (Engine* agent : cnet_->agents()) {
-      if (agent->wm_.size() != 0) agent->apply_runtime_update(cp, nullptr);
-    }
-#if PSME_NET_VERIFY
-    debug_verify_after_add(p);
-#endif
-  }
-  return out;
+  return cnet_->load(src);
 }
 
 analysis::VerifyReport Engine::verify_network() const {
   return analysis::verify_network(cnet_->net(), &state_, cnet_->all_records());
-}
-
-void Engine::debug_verify_after_add(const Production* p) const {
-  const analysis::VerifyReport rep = verify_network();
-  if (rep.ok()) return;
-  std::fprintf(stderr,
-               "PSME_NET_VERIFY: invariant violation after adding '%s'\n%s",
-               std::string(cnet_->syms().name(p->name)).c_str(),
-               rep.to_string().c_str());
-  std::abort();
 }
 
 ParallelMatcher& Engine::matcher() {
@@ -99,31 +73,27 @@ ParallelMatcher& Engine::matcher() {
 
 Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
   RuntimeAddResult res;
-  const Production* p = cnet_->adopt(std::move(ast));
   obs::Span compile_span(tracer(), track(), obs::EventKind::ChunkCompile);
-  // Copy-on-write splice + publish; the publish is this call's quiescent
-  // safe point (no agent has a cycle in flight — quiescent-only contract).
-  const CompiledProduction& cp = cnet_->compile_cow(p).compiled;
+  // Spliced into the live network in place: no agent has a cycle in flight
+  // (quiescent-only contract), so no match task sees the edit.
+  const AddRecord& rec = cnet_->compile(std::move(ast));
+  const CompiledProduction& cp = rec.compiled;
   compile_span.set_node(cp.pnode);
   compile_span.end();
-  res.prod = p;
+  res.prod = rec.ast;
   res.compile_seconds = cp.compile_seconds;
   res.code_bytes = cp.code_bytes();
-#if PSME_NET_VERIFY
-  // compile_cow already verified the structure; re-verify against this
-  // agent's state (stale-entry and lock-rank checks).
-  debug_verify_after_add(p);
-#endif
   // §5.2 state update for every attached agent, the learning agent first so
-  // the returned traces are its own. A learning agent therefore never
-  // blocks a peer's *matching* (the publish is the only shared mutation);
-  // peers pay only their own memory fill, at their next safe point — here,
-  // since the whole group is quiescent during a runtime add.
+  // the returned traces are its own; the whole group is quiescent during a
+  // runtime add, so each peer fills its own memories here.
   res.update_tasks += apply_runtime_update(cp, &res);
   for (Engine* agent : cnet_->agents()) {
     if (agent == this) continue;
     res.update_tasks += agent->apply_runtime_update(cp, nullptr);
   }
+#if PSME_NET_VERIFY
+  cnet_->verify_or_abort("adding", rec.ast->name);
+#endif
   return res;
 }
 
@@ -151,14 +121,13 @@ Engine::RuntimeRemoveResult Engine::remove_production_runtime(
     const Production* p) {
   RuntimeRemoveResult res;
 #if PSME_NET_VERIFY
-  // The AST dies in finish_removal; keep the name for diagnostics.
-  const std::string name(cnet_->syms().name(p->name));
+  const Symbol name = p->name;  // the AST dies in finish_removal
 #endif
   obs::Span remove_span(tracer(), track(), obs::EventKind::ProdRemove);
-  // Plan + unsplice under COW; the publish inside is the safe point. Past
-  // it the victim can never fire, but its nodes are still alive — agents
-  // drain their state against them before anything is freed.
-  const RemovePlan plan = cnet_->unsplice_cow(p, &res.refs_unspliced);
+  // Plan + unsplice in place. Past it the victim can never fire, but its
+  // nodes are still alive — agents drain their state against them before
+  // anything is freed.
+  const RemovePlan plan = cnet_->unsplice(p, &res.refs_unspliced);
   remove_span.set_node(plan.pnode);
   const auto* pnode = static_cast<const ProdNode*>(net().node(plan.pnode));
   for (Engine* agent : cnet_->agents()) {
@@ -187,24 +156,9 @@ Engine::RuntimeRemoveResult Engine::remove_production_runtime(
   cnet_->finish_removal(plan, p);
   remove_span.end();
 #if PSME_NET_VERIFY
-  debug_verify_after_remove(name);
+  cnet_->verify_or_abort("removing", name);
 #endif
   return res;
-}
-
-void Engine::debug_verify_after_remove(const std::string& name) const {
-  // The drain touched every attached agent's state, so every agent's view
-  // must be clean — not just the remover's (contrast debug_verify_after_add,
-  // where only the compile structure and the caller's state changed).
-  for (Engine* agent : cnet_->agents()) {
-    const analysis::VerifyReport rep = agent->verify_network();
-    if (rep.ok()) continue;
-    std::fprintf(stderr,
-                 "PSME_NET_VERIFY: invariant violation after removing '%s' "
-                 "(agent %u)\n%s",
-                 name.c_str(), agent->agent_id(), rep.to_string().c_str());
-    std::abort();
-  }
 }
 
 const Wme* Engine::add_wme(Symbol cls, const Value* fields, size_t n) {

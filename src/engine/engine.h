@@ -6,7 +6,10 @@
 // engine/agent_group.h). It provides the match/select/fire loop (OPS5 mode)
 // plus the primitives the Soar kernel drives (batched wme changes,
 // match-to-quiescence, fire-all, run-time production addition with the §5.2
-// state update for EVERY attached agent).
+// state update for EVERY attached agent, and run-time removal). Additions and
+// removals edit the shared network in place; like PSM-E's chunk integration
+// (§5.1) they are quiescent-only — no agent of the network may have a match
+// cycle in flight.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +57,7 @@ struct EngineOptions {
   size_t match_workers = 0;
 
   /// Scheduler tuning: the idle path's sweep-backoff ladder
-  /// (steal.backoff_*) and the dependent-chain split depth
+  /// (steal.backoff_park_sweeps) and the dependent-chain split depth
   /// (steal.chain_split_depth; 0 = never split, 1 = split every link).
   /// network_lint's cost table reports each production's chain depth
   /// against this split depth as the tuning hint.
@@ -123,9 +126,9 @@ class Engine {
   [[nodiscard]] uint32_t agent_id() const { return agent_; }
 
   /// Parses and compiles a source string (literalize forms + productions)
-  /// into the shared network. Every attached agent with a non-empty working
-  /// memory gets its memories updated via the §5.2 algorithm. Returns the
-  /// adopted productions.
+  /// into the shared network (CompiledNetwork::load). Every attached agent
+  /// with a non-empty working memory gets its memories updated via the §5.2
+  /// algorithm after each production. Returns the adopted productions.
   std::vector<const Production*> load(std::string_view src);
 
   /// Compilation record of a loaded production.
@@ -136,10 +139,12 @@ class Engine {
     return cnet_->productions();
   }
 
-  /// Run-time addition (chunking path): compiles `ast` into the live network
-  /// copy-on-write on the shared jumptable, then updates EVERY attached
-  /// agent's memories from its own WM (§5.2) — this session first, so the
-  /// returned traces are the learning agent's. Returns the recorded DAGs of
+  /// Run-time addition (chunking path): compiles `ast` into the live shared
+  /// network in place (CompiledNetwork::compile), then updates EVERY
+  /// attached agent's memories from its own WM (§5.2) — this session first,
+  /// so the returned traces are the learning agent's. A production the
+  /// builder rejects throws and leaves the network, every agent and the
+  /// AST store as they were. Returns the recorded DAGs of
   /// the update phases (`ab`: alpha+right fill, which may run concurrently;
   /// `c`: the last-shared-node replay, which must follow) — empty unless
   /// records_traces().
@@ -154,8 +159,8 @@ class Engine {
 
   /// Run-time removal (the dual of add_production_runtime; the query
   /// subsystem's churn path and SoarKernel::excise both ride it). Sequence:
-  /// plan the dead-set, unsplice it under a COW publish (the safe point —
-  /// the production can never fire past it), drain EVERY attached agent's
+  /// plan the dead-set, unsplice it from the live jumptable (the production
+  /// can never fire past this point), drain EVERY attached agent's
   /// state for the dead nodes (beta entries with their token unpins, alpha
   /// wme lists, conflict-set instantiations), then free the nodes and drop
   /// the record/AST. Token memory itself is reclaimed by the existing epoch
@@ -283,9 +288,9 @@ class Engine {
   /// Runs the static network verifier (src/analysis/verify.h) over the live
   /// network, this agent's match state, and all production records.
   /// Quiescent-only, like the §5.2 update. Builds with PSME_NET_VERIFY call
-  /// it automatically after every add_production (and after every COW
-  /// jumptable publish) and abort on violation; callers (tests,
-  /// network_lint) may call it in any build type.
+  /// it for every attached agent after each add and each removal
+  /// (CompiledNetwork::verify_or_abort) and abort on violation; callers
+  /// (tests, network_lint) may call it in any build type.
   [[nodiscard]] analysis::VerifyReport verify_network() const;
 
   /// The records of all loaded productions, in load order (the shape
@@ -296,6 +301,7 @@ class Engine {
 
  private:
   friend class AgentGroup;
+  friend class CompiledNetwork;  // load() runs apply_runtime_update
 
   void apply_delta(const WmeDelta& delta, bool dedup_adds);
   ParallelMatcher& matcher();
@@ -319,9 +325,6 @@ class Engine {
   /// non-null (the learning agent).
   uint64_t apply_runtime_update(const CompiledProduction& cp,
                                 RuntimeAddResult* res);
-  /// PSME_NET_VERIFY hooks: abort with the full report on violation.
-  void debug_verify_after_add(const Production* p) const;
-  void debug_verify_after_remove(const std::string& name) const;
 
   EngineOptions opts_;
   std::shared_ptr<CompiledNetwork> cnet_;  // owned or shared; never null

@@ -19,8 +19,10 @@
 //     epmem-style "best partial match" needs.)
 //
 // end() tears the transient production back out through the removal path
-// (Engine::remove_production_runtime) — unsplice at a COW publish, drain,
-// reclaim — leaving network and agent state exactly as before begin(). The
+// (Engine::remove_production_runtime) — unsplice in place, drain, reclaim —
+// leaving network and agent state exactly as before begin(). A cue the
+// builder rejects (a predicate on a never-bound variable) throws from
+// begin() before anything is spliced, and no cue is active afterwards. The
 // add/match/remove cycle is the churn workload bench_query measures and
 // query_churn_test soaks; it is the hot-path stress test for removal.
 //

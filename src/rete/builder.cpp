@@ -39,6 +39,45 @@ bool const_test_less(const ConstTest& a, const ConstTest& b) {
   return value_less(a.value, b.value);
 }
 
+/// The builder's one rejection: a variable tested with a predicate where no
+/// Eq test binds it. Checked over the whole production before add_production
+/// creates a node or a jumptable slot, with the scoping of the build walk: a
+/// positive CE's Eq tests bind for itself and every later CE, a negated CE
+/// sees only earlier bindings, an NCC group's bindings stay in the group,
+/// and the first CE joins nothing, so it is not checked.
+void check_bindings(const Production& p) {
+  auto bind = [](const Condition& ce, std::vector<uint8_t>& bound) {
+    for (const VarTest& vt : ce.vars) {
+      if (vt.pred == Pred::Eq) bound[vt.var] = 1;
+    }
+  };
+  auto require = [](const Condition& ce, const std::vector<uint8_t>& bound) {
+    for (const VarTest& vt : ce.vars) {
+      if (vt.pred != Pred::Eq && bound[vt.var] == 0) {
+        throw std::runtime_error(
+            "variable used with a predicate but never bound");
+      }
+    }
+  };
+  std::vector<uint8_t> bound(p.num_vars, 0);
+  bool first = true;
+  for (const Condition& ce : p.conditions) {
+    if (ce.is_ncc()) {
+      auto group = bound;
+      for (const Condition& sub : ce.ncc) {
+        bind(sub, group);
+        require(sub, group);
+      }
+    } else if (ce.negated) {
+      require(ce, bound);
+    } else {
+      bind(ce, bound);
+      if (!first) require(ce, bound);
+      first = false;
+    }
+  }
+}
+
 }  // namespace
 
 void Builder::note_new_node(const Node& n, BuildState& st) {
@@ -89,13 +128,8 @@ std::vector<JoinTest> Builder::make_join_tests(
   std::vector<JoinTest> eq, rest;
   for (const VarTest& vt : ce.vars) {
     const auto& site = sites[vt.var];
-    if (site.ce == -1) {
-      if (vt.pred != Pred::Eq) {
-        throw std::runtime_error(
-            "variable used with a predicate but never bound");
-      }
-      continue;  // wildcard
-    }
+    // Unbound: an Eq wildcard (check_bindings rejected any other test).
+    if (site.ce == -1) continue;
     if (site.ce == current_pos) continue;  // bound here: intra or no test
     JoinTest jt;
     jt.left_ce = static_cast<uint16_t>(site.ce);
@@ -336,6 +370,7 @@ void Builder::build_ncc(const Condition& group, BuildState& st) {
 
 CompiledProduction Builder::add_production(const Production& p) {
   const auto t0 = std::chrono::steady_clock::now();
+  check_bindings(p);
   BuildState st;
   st.cp.ast = &p;
   st.cp.first_new_stamp = net_.next_stamp();

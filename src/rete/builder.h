@@ -83,7 +83,9 @@ class Builder {
       : net_(net), opts_(opts) {}
 
   /// Compiles `p` into the network. `p` must outlive the network (the caller
-  /// owns production storage).
+  /// owns production storage). A production it rejects (a variable used
+  /// with a predicate but never bound) throws std::runtime_error before the
+  /// network is touched.
   CompiledProduction add_production(const Production& p);
 
   [[nodiscard]] const BuilderOptions& options() const { return opts_; }

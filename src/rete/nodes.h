@@ -9,13 +9,13 @@
 // acquire successors owns a jumptable slot; queuing the activations of a
 // slot's successors and then "falling through" is the run-time analogue of
 // the paper's indirect jump. Adding a production at run time splices new
-// successor entries into existing slots — no other structure is touched.
+// successor entries into existing slots, and removing one erases them; both
+// edit the one live table in place while match is quiescent.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "base/chunk_list.h"
@@ -59,27 +59,22 @@ struct SuccessorRef {
 /// "When there are two or more successors to a node, only one jumptable entry
 /// is maintained for all of the successors together."
 ///
-/// Run-time production addition mutates the table copy-on-write: begin_cow()
-/// clones the slot array, the builder's new_slot()/add() calls land on the
-/// clone, and publish_cow() swaps the clone in at a quiescent safe point (the
-/// same epoch-reclamation boundary the token arenas use). Matching agents
-/// therefore only ever read a table that is either fully old or fully new —
-/// a learning agent's chunk compile never exposes a half-spliced slot to its
-/// peers. The retired table is kept until the next publish so any pointer
-/// taken before the swap stays valid through its own safe point.
+/// One slot array, edited in place. Every edit — a build-time load, a
+/// run-time chunk or cue add, a removal's unsplice — happens while match is
+/// quiescent (DESIGN.md §7.1): no worker holds a succs() reference across
+/// it, because the caller's fork-join drain has joined. An edit may
+/// reallocate the outer array or a slot's list, so a reference held across
+/// one dangles; ASan reports it.
 class Jumptable {
  public:
-  using Slots = std::vector<std::vector<SuccessorRef>>;
-
   uint32_t new_slot() {
-    Slots& t = table();
-    t.emplace_back();
-    return static_cast<uint32_t>(t.size() - 1);
+    slots_.emplace_back();
+    return static_cast<uint32_t>(slots_.size() - 1);
   }
 
   /// Splices a new successor into an existing slot (run-time production
   /// addition). Mirrors the paper's Jumptable[new] := Jumptable[old] swap.
-  void add(uint32_t slot, SuccessorRef s) { table()[slot].push_back(s); }
+  void add(uint32_t slot, SuccessorRef s) { slots_[slot].push_back(s); }
 
   [[nodiscard]] const std::vector<SuccessorRef>& succs(uint32_t slot) const {
     // Relaxed: a diagnostics counter bumped concurrently by every match
@@ -89,57 +84,24 @@ class Jumptable {
   }
 
   /// Successor list without counting an indirection (structure inspection).
-  /// While a COW edit is staged this reads the *staged* table, so the
-  /// builder sees its own splices before publish.
   [[nodiscard]] const std::vector<SuccessorRef>& peek(uint32_t slot) const {
-    return cow_active_ ? (*staged_)[slot] : slots_[slot];
+    return slots_[slot];
   }
 
-  [[nodiscard]] size_t size() const {
-    return cow_active_ ? staged_->size() : slots_.size();
-  }
+  [[nodiscard]] size_t size() const { return slots_.size(); }
   [[nodiscard]] uint64_t indirections() const {
     return indirections_.load(std::memory_order_relaxed);
   }
   void reset_stats() { indirections_.store(0, std::memory_order_relaxed); }
 
-  /// Starts a COW edit: clones the live slot array; subsequent
-  /// new_slot()/add() calls mutate the clone. Quiescent-caller only (the
-  /// clone itself is not concurrency-safe against another begin_cow).
-  void begin_cow() {
-    staged_ = std::make_unique<Slots>(slots_);
-    cow_active_ = true;
-  }
-
-  /// Publishes the staged table. Must be called at a match-quiescent safe
-  /// point: no worker holds a reference from succs() across this swap (the
-  /// fork-join drain guarantees it). The previous table is retired, not
-  /// freed, until the next publish.
-  void publish_cow() {
-    retired_ = std::make_unique<Slots>(std::move(slots_));
-    slots_ = std::move(*staged_);
-    staged_.reset();
-    cow_active_ = false;
-    ++cow_publishes_;
-  }
-
-  /// Abandons a staged edit (failed compile); the live table is untouched.
-  void abort_cow() {
-    staged_.reset();
-    cow_active_ = false;
-  }
-
   /// Production removal's unsplice: erases every successor entry targeting a
-  /// node marked in `dead` (indexed by node id) from every slot. During a
-  /// COW edit this mutates the staged table, so a removal publishes
-  /// atomically exactly like an addition — matchers only ever observe the
-  /// production fully present or fully gone. A dead node's own slot ends up
-  /// empty as a corollary (its successors are provably dead too), which is
-  /// what lets Network::free_node recycle the slot. Returns entries erased.
+  /// node marked in `dead` (indexed by node id) from every slot. Past this
+  /// call the victim can never fire. A dead node's own slot ends up empty as
+  /// a corollary (its successors are provably dead too), which is what lets
+  /// Network::free_node recycle the slot. Returns entries erased.
   size_t erase_refs(const std::vector<uint8_t>& dead) {
-    Slots& t = table();
     size_t erased = 0;
-    for (auto& slot : t) {
+    for (auto& slot : slots_) {
       auto keep = std::remove_if(
           slot.begin(), slot.end(), [&](const SuccessorRef& r) {
             return r.node < dead.size() && dead[r.node] != 0;
@@ -150,19 +112,8 @@ class Jumptable {
     return erased;
   }
 
-  [[nodiscard]] bool cow_active() const { return cow_active_; }
-  /// How many COW swaps have been published (network_lint reports shared-
-  /// node statistics as coming from a COW snapshot when nonzero).
-  [[nodiscard]] uint64_t cow_publishes() const { return cow_publishes_; }
-
  private:
-  Slots& table() { return cow_active_ ? *staged_ : slots_; }
-
-  Slots slots_;
-  std::unique_ptr<Slots> staged_;   // COW clone under edit
-  std::unique_ptr<Slots> retired_;  // previous table, held one publish
-  bool cow_active_ = false;
-  uint64_t cow_publishes_ = 0;
+  std::vector<std::vector<SuccessorRef>> slots_;
   mutable std::atomic<uint64_t> indirections_{0};
 };
 

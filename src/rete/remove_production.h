@@ -1,10 +1,10 @@
 // Run-time production removal: the planning half.
 //
 // Removal is the dual of the §5.1/§5.2 run-time addition. Where addition
-// splices new successor entries into existing jumptable slots under a COW
-// edit, removal erases every entry that targets a node only the victim
-// production reaches, and publishes the erasure at the same quiescent safe
-// point. The hard part is deciding *which* nodes die: productions share
+// splices new successor entries into existing jumptable slots, removal
+// erases every entry that targets a node only the victim production
+// reaches; both edit the live jumptable in place while match is quiescent.
+// The hard part is deciding *which* nodes die: productions share
 // prefixes (the builder reuses alpha chains, alpha memories, and join
 // prefixes across productions), and a production added later may share nodes
 // with one added earlier — so the victim's own compile record is not enough
@@ -31,9 +31,9 @@
 namespace psme {
 
 /// What dies when one production is removed. Produced by plan_removal from
-/// the live (pre-COW) network; consumed by Jumptable::erase_refs (the mask),
-/// the per-agent memory drains (node list + alpha mem indexes), and
-/// Network::free_node (node list).
+/// the live network before anything is erased; consumed by
+/// Jumptable::erase_refs (the mask), the per-agent memory drains (node list
+/// + alpha mem indexes), and Network::free_node (node list).
 struct RemovePlan {
   uint32_t pnode = 0;                    // the victim's P-node id
   std::vector<uint32_t> dead_nodes;      // ascending id order; includes pnode

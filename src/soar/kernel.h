@@ -108,9 +108,10 @@ class SoarKernel {
   /// Per-agent session over a shared network (multi-agent serving): the
   /// kernel's engine joins `cnet` — and `shared_matcher`'s worker pool, when
   /// given — as a new agent session (see engine/agent_group.h for the
-  /// group-managed form). Chunks this kernel learns are compiled
-  /// copy-on-write into the shared jumptable and every sibling agent's
-  /// memories are brought up to date (§5.2); chunk dedup is network-wide.
+  /// group-managed form). Chunks this kernel learns are spliced into the
+  /// shared network in place and every sibling agent's memories are brought
+  /// up to date (§5.2); chunk dedup is network-wide. Sibling sessions take
+  /// turns: none may match while another adds or removes a production.
   SoarKernel(SoarOptions opts, std::shared_ptr<CompiledNetwork> cnet,
              ParallelMatcher* shared_matcher = nullptr);
 

@@ -2,7 +2,7 @@
 // ONE worker pool must each end every cycle exactly as an isolated serial
 // engine running the same per-agent script — per-agent task tagging means no
 // agent can observe (or stall on) another's tokens. Also covers run-time
-// chunk addition through the COW jumptable while sibling agents hold live
+// chunk addition into the shared network while sibling agents hold live
 // state, and a 2-agent race-stress run for the TSan lane.
 #include <gtest/gtest.h>
 
@@ -112,10 +112,10 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.name); });
 
 /// Run-time production addition (the chunking path) from ONE agent while
-/// siblings hold live token state: the COW publish must leave every agent —
-/// learner and bystanders alike — matching as if the production had been in
-/// the network all along.
-TEST(MultiAgentRuntimeAdd, CowPublishUpdatesEveryAgent) {
+/// siblings hold live token state: the in-place splice and the per-agent
+/// §5.2 updates must leave every agent — learner and bystanders alike —
+/// matching as if the production had been in the network all along.
+TEST(MultiAgentRuntimeAdd, SpliceUpdatesEveryAgent) {
   constexpr size_t kAgents = 3;
   AgentGroupOptions gopts;
   gopts.workers = 4;
@@ -138,14 +138,11 @@ TEST(MultiAgentRuntimeAdd, CowPublishUpdatesEveryAgent) {
   // Agent 1 "learns" a production; the oracles each add the same one to
   // their private networks.
   const std::string late = "(p late-j2 (b ^v <x>) (c ^v <x>) --> (halt))";
-  const uint64_t publishes_before = group.network().cow_publishes();
   {
     Parser parser(group.agent(1).syms(), group.agent(1).schemas(),
                   test::test_rhs_arena());
     group.agent(1).add_production_runtime(parser.parse_production(late));
   }
-  EXPECT_EQ(group.network().cow_publishes(), publishes_before + 1)
-      << "runtime add must go through the COW jumptable";
   for (auto& o : oracles) {
     Parser parser(o->syms(), o->schemas(), test::test_rhs_arena());
     o->add_production_runtime(parser.parse_production(late));
@@ -153,7 +150,7 @@ TEST(MultiAgentRuntimeAdd, CowPublishUpdatesEveryAgent) {
 
   for (size_t a = 0; a < kAgents; ++a) {
     EXPECT_EQ(cs_fingerprint(group.agent(a)), cs_fingerprint(*oracles[a]))
-        << "after COW add, agent " << a;
+        << "after runtime add, agent " << a;
   }
 
   // The extended network keeps matching correctly for everyone.
@@ -318,7 +315,7 @@ TEST(MultiAgentObservability, TracedGroupLaysOutOneTrackPerAgent) {
 }
 
 /// TSan lane: 2 agents × stealing workers × interleaved add/remove waves ×
-/// a mid-run COW production add. No assertions beyond the differential —
+/// a mid-run production add. No assertions beyond the differential —
 /// the point is the interleavings TSan gets to watch.
 TEST(MultiAgentRaceStress, TwoAgentsUnderFullWidthDrains) {
   AgentGroupOptions gopts;

@@ -3,7 +3,11 @@
 // semantics flowing through joins.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "engine/engine.h"
+#include "lang/parser.h"
 #include "rete/codesize.h"
 #include "test_util.h"
 
@@ -59,6 +63,35 @@ TEST(Jumptable, IndirectionCounterAdvancesDuringMatch) {
   e.add_wme_text("(a ^v 1)");
   e.match();
   EXPECT_GT(e.net().jumptable().indirections(), 0u);
+}
+
+/// Run-time adds and removals edit the one live jumptable in place: adding
+/// and removing a production over a new class leaves every existing
+/// successor list in its own storage, not in a copy of the table.
+TEST(Jumptable, RuntimeEditsLeaveExistingSlotsInPlace) {
+  Engine e;
+  e.load("(p p1 (a ^v <x>) (b ^v <x>) -(c ^v <x>) --> (halt))");
+  e.add_wme_text("(a ^v 1)");
+  e.add_wme_text("(b ^v 1)");
+  e.match();
+  const Jumptable& jt = e.net().jumptable();
+  std::vector<std::pair<uint32_t, const SuccessorRef*>> lists;
+  for (uint32_t s = 0; s < jt.size(); ++s) {
+    if (!jt.peek(s).empty()) lists.emplace_back(s, jt.peek(s).data());
+  }
+  ASSERT_FALSE(lists.empty());
+
+  Parser parser(e.syms(), e.schemas(), test::test_rhs_arena());
+  Production ast =
+      parser.parse_production("(p fresh (z ^v <x>) (y ^v <x>) --> (halt))");
+  const Production* fresh = e.add_production_runtime(std::move(ast)).prod;
+  for (const auto& [s, data] : lists) {
+    EXPECT_EQ(jt.peek(s).data(), data) << "slot " << s << " after the add";
+  }
+  e.remove_production_runtime(fresh);
+  for (const auto& [s, data] : lists) {
+    EXPECT_EQ(jt.peek(s).data(), data) << "slot " << s << " after the removal";
+  }
 }
 
 TEST(NodeIds, StrictlyMonotonicAcrossAdds) {

@@ -1,6 +1,6 @@
 // Differential test across the match executors: a seeded, randomized stream
 // of wme adds, wme removes, run-time production additions (the chunking
-// path's §5.2 state update), and run-time production REMOVALS (the COW
+// path's §5.2 state update), and run-time production REMOVALS (the
 // unsplice + drain path) is applied identically to four engines — serial
 // and three scheduler tunings (2 workers each): the default,
 // split-every-link (chain_split_depth 1, with the backoff ladder disabled so

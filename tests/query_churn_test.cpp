@@ -12,8 +12,9 @@
 //     entry's storage is recycled, never strand-allocated);
 //   * zero verifier findings per agent (no dangling refs, no stale entries).
 //
-// Runs under the tsan preset too (stress label): the drains and the COW
-// publishes are exercised with a threaded steal matcher underneath.
+// Runs under the tsan preset too (stress label): the drains and the
+// in-place network edits are exercised with a threaded steal matcher
+// underneath.
 #include <gtest/gtest.h>
 
 #include <cstdio>

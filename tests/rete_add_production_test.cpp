@@ -6,8 +6,12 @@
 // scratch").
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "analysis/verify.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
+#include "query/query.h"
 #include "test_util.h"
 
 namespace psme {
@@ -192,6 +196,78 @@ TEST(AddProduction, SharingReducesGeneratedCode) {
   auto res_fresh = fresh.add_production_runtime(parse_one(fresh, chunk_src));
 
   EXPECT_LT(res_shared.code_bytes, res_fresh.code_bytes);
+}
+
+/// load() of several productions into a live working memory runs each
+/// one's §5.2 update before compiling the next, so a later production's
+/// nodes never take an earlier production's update on top of their own.
+TEST(AddProduction, MultiProductionLoadIntoLiveWmMatchesRebuild) {
+  const std::string base = "(p p0 (a ^v <x>) --> (halt))";
+  const std::string src =
+      "(p p1 (a ^v <x>) (b ^v <x>) --> (halt))"
+      "(p p2 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))";
+  auto seed = [](Engine& e) {
+    e.add_wme_text("(a ^v 1)");
+    e.add_wme_text("(b ^v 1)");
+    e.add_wme_text("(c ^v 1)");
+    e.match();
+  };
+  Engine live;
+  live.load(base);
+  seed(live);
+  live.load(src);
+
+  Engine rebuilt;
+  rebuilt.load(base);
+  rebuilt.load(src);
+  seed(rebuilt);
+
+  EXPECT_EQ(cs_fingerprint(live), cs_fingerprint(rebuilt));
+  EXPECT_EQ(instantiation_count(live, "p2"), 1);
+  EXPECT_EQ(live.state().tables.total_left_entries(),
+            rebuilt.state().tables.total_left_entries());
+  EXPECT_EQ(live.state().tables.total_right_entries(),
+            rebuilt.state().tables.total_right_entries());
+}
+
+/// A production the builder rejects (a predicate on a variable no CE binds)
+/// must leave the network as it was — no alpha chain, no class-root slot, no
+/// record — whether it arrives through load() or as a query cue through the
+/// run-time add.
+TEST(AddProduction, RejectedProductionLeavesNetworkUnchanged) {
+  Engine e;
+  e.load("(p good (a ^v <x>) --> (halt))");
+  e.add_wme_text("(a ^v 1)");
+  e.add_wme_text("(block ^name b1 ^size 3)");
+  e.match();
+  const Network& net = e.net();
+  const uint32_t nodes = net.node_count();
+  const uint32_t live = net.live_node_count();
+  const size_t slots = net.jumptable().size();
+  const size_t prods = e.productions().size();
+  auto expect_unchanged = [&](const char* path) {
+    EXPECT_EQ(net.node_count(), nodes) << path;
+    EXPECT_EQ(net.live_node_count(), live) << path;
+    EXPECT_EQ(net.jumptable().size(), slots) << path;
+    EXPECT_EQ(e.productions().size(), prods) << path;
+    const analysis::VerifyReport rep = e.verify_network();
+    EXPECT_TRUE(rep.ok()) << path << "\n" << rep.to_string();
+  };
+
+  EXPECT_THROW(e.load("(p bad (a ^v <x>) (b ^w > <y>) --> (halt))"),
+               std::runtime_error);
+  expect_unchanged("load");
+
+  QuerySession q(e);
+  EXPECT_THROW(q.begin("(block ^name <n>) (block ^size > <x>)"),
+               std::runtime_error);
+  EXPECT_FALSE(q.active());
+  expect_unchanged("query cue");
+
+  // The network goes on taking productions.
+  e.load("(p after (a ^v <x>) (block ^size > <x>) --> (halt))");
+  EXPECT_EQ(instantiation_count(e, "after"), 1);
+  EXPECT_TRUE(e.verify_network().ok());
 }
 
 }  // namespace

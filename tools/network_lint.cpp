@@ -116,16 +116,6 @@ int lint_one(const std::string& name, const std::string& src,
                 "max fan-out %u ====\n",
                 name.c_str(), engine.productions().size(), census.total(),
                 verify.max_depth, verify.max_fan_out);
-    // Run-time additions splice into a copy-on-write clone of the jumptable;
-    // after a publish the shared-node statistics below (sharing counts,
-    // fan-outs, chain depths) describe the COW snapshot now live, not the
-    // build-time network the production source alone would produce.
-    if (engine.network().cow_publishes() != 0) {
-      std::printf(
-          "note: %llu COW jumptable publish(es) — shared-node stats reflect "
-          "the post-publish snapshot, not the build-time network\n",
-          static_cast<unsigned long long>(engine.network().cow_publishes()));
-    }
     lint.print_table();
     // Scheduler tuning hint: a production whose dependent activation chain
     // is longer than the steal scheduler's split depth executes as several
