@@ -3,15 +3,16 @@
 // 31..63 and which the paper's Figures 6-5/6-7 identify as the long-chain
 // speedup limiter. Every head-wme addition spawns a dependent activation
 // chain as deep as the production, so the cycle's tail serializes on
-// whichever workers own the chains; this is the workload chain splitting
+// whichever workers own the chains; this is the workload forced splitting
 // (StealTuning::chain_split_depth) exists for.
 //
 // Measured, per (workers x chain_split_depth) configuration on real threads:
-// wall time of the add cycles, inline-link and split counts, and the speedup
-// against the serial executor on the identical workload. split_depth 1 is
-// the pre-splitting scheduler (every link takes the pool/deque/counter round
-// trip), the default (8) splits chains into stealable segments, 0 never
-// splits (unbounded inline chains).
+// wall time of the add cycles, private-run, forced-split and share counts,
+// and the speedup against the serial executor on the identical workload.
+// split_depth 1 sends every activation through a deque (the pool/deque/
+// counter round trip per task), 8 publishes a worker's private stack after
+// every 7 private runs, and 0, the default, publishes only when a peer is
+// hungry.
 //
 // The same recorded serial traces also drive a virtual-processor sweep to
 // 256 VPs (psim has no processor cap — only the paper-faithful benches stop
@@ -195,17 +196,16 @@ int main(int argc, char** argv) {
                serial.wall_seconds * 1e3, rounds,
                static_cast<unsigned long long>(serial.tasks), serial.cs_peak);
 
-  // Real-thread configurations: split every link (the pre-splitting
-  // scheduler), the default split depth, and never-split.
-  const StealTuning kDefault{};
+  // Real-thread configurations: a forced split at every activation, one
+  // every 8, and never (the default: publish only on demand).
   std::vector<StealTuning> tunings(3);
   tunings[0].chain_split_depth = 1;
-  tunings[1].chain_split_depth = kDefault.chain_split_depth;
+  tunings[1].chain_split_depth = 8;
   tunings[2].chain_split_depth = 0;
 
-  std::fprintf(stderr, "\n%-8s %6s %10s %10s %10s %9s %8s %8s %5s\n",
+  std::fprintf(stderr, "\n%-8s %6s %10s %10s %10s %9s %8s %8s %8s %5s\n",
                "workers", "split", "wall_ms", "speedup", "tasks/sec",
-               "inline", "splits", "fail_sw", "CS?");
+               "inline", "splits", "shares", "fail_sw", "CS?");
   std::vector<ParResult> records;
   for (const size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
     for (const StealTuning& tuning : tunings) {
@@ -226,19 +226,21 @@ int main(int argc, char** argv) {
       const double tps = best.stats.wall_seconds > 0
                              ? best.stats.tasks / best.stats.wall_seconds
                              : 0.0;
-      std::fprintf(stderr, "%-8zu %6u %10.2f %10.2f %10.0f %9llu %8llu %8llu %5s\n",
+      std::fprintf(stderr,
+                   "%-8zu %6u %10.2f %10.2f %10.0f %9llu %8llu %8llu %8llu %5s\n",
                    best.workers, best.split_depth,
                    best.stats.wall_seconds * 1e3, speedup, tps,
                    static_cast<unsigned long long>(best.stats.chain_inline),
                    static_cast<unsigned long long>(best.stats.chain_splits),
+                   static_cast<unsigned long long>(best.stats.shares),
                    static_cast<unsigned long long>(best.stats.failed_sweeps),
                    best.cs_ok ? "yes" : "NO");
       records.push_back(std::move(best));
     }
   }
 
-  // Headline: does splitting lift the worst large-cycle speedup at the wide
-  // end? Compare the 8-worker configurations.
+  // Headline: does forced splitting beat sharing on demand at the wide end?
+  // Compare the 8-worker configurations.
   auto wall_of = [&](uint32_t split) {
     for (const ParResult& r : records) {
       if (r.workers == 8 && r.split_depth == split) {
@@ -248,14 +250,12 @@ int main(int argc, char** argv) {
     return 0.0;
   };
   const double wall_every = wall_of(1);
-  const double wall_split = wall_of(kDefault.chain_split_depth);
+  const double wall_split8 = wall_of(8);
   const double wall_never = wall_of(0);
   std::fprintf(stderr,
-               "\n8 workers: split-every-link %.2f ms, split@%u %.2f ms, "
-               "never-split %.2f ms (%s)\n",
-               wall_every * 1e3, kDefault.chain_split_depth, wall_split * 1e3,
-               wall_never * 1e3,
-               wall_split < wall_every ? "splitting wins" : "every-link wins");
+               "\n8 workers: split every activation %.2f ms, split@8 %.2f ms, "
+               "on demand only %.2f ms\n",
+               wall_every * 1e3, wall_split8 * 1e3, wall_never * 1e3);
 
   // Virtual-processor sweep over the recorded serial traces: the chain-bound
   // saturation curve, out to VP counts far past the paper's 13.
@@ -301,6 +301,7 @@ int main(int argc, char** argv) {
                                      : 0.0);
     j.field("chain_inline", r.stats.chain_inline);
     j.field("chain_splits", r.stats.chain_splits);
+    j.field("shares", r.stats.shares);
     j.field("steals", r.stats.steals);
     j.field("failed_sweeps", r.stats.failed_sweeps);
     j.field("sweep_backoff_ns", r.stats.sweep_backoff_ns);
@@ -314,10 +315,8 @@ int main(int argc, char** argv) {
   j.end_array();
   j.begin_object("headline_8_workers");
   j.field("wall_split_every_link", wall_every);
-  j.field("wall_split_default", wall_split);
+  j.field("wall_split_8", wall_split8);
   j.field("wall_never_split", wall_never);
-  j.field("default_split_depth",
-          static_cast<uint64_t>(kDefault.chain_split_depth));
   j.end_object();
   j.begin_array("vp_sweep");
   for (const VpPoint& p : vp) {

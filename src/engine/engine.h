@@ -57,10 +57,10 @@ struct EngineOptions {
   size_t match_workers = 0;
 
   /// Scheduler tuning: the idle path's sweep-backoff ladder
-  /// (steal.backoff_park_sweeps) and the dependent-chain split depth
-  /// (steal.chain_split_depth; 0 = never split, 1 = split every link).
-  /// network_lint's cost table reports each production's chain depth
-  /// against this split depth as the tuning hint.
+  /// (steal.backoff_park_sweeps) and forced splitting
+  /// (steal.chain_split_depth; 0, the default, publishes a worker's private
+  /// work only when a peer is hungry; k > 0 also publishes it after every
+  /// k − 1 private runs, so 1 sends every activation through a deque).
   StealTuning steal;
 
   /// Tracing (src/obs). When enabled a standalone engine owns a Tracer:

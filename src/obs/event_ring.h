@@ -47,7 +47,7 @@ enum class EventKind : uint8_t {
   StealOk,        // successful cross-worker take; node = victim worker
   StealFail,      // one full failed sweep over all peers; v0 = peers probed
   // -- counter samples ----------------------------------------------------
-  QueueDepth,     // v0 = owner deque depth right after an emit burst
+  QueueDepth,     // v0 = owner deque depth right after a publish
 };
 
 /// Fixed-size POD record. 40 bytes: a 32K-event ring is 1.25 MiB per track.

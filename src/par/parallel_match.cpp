@@ -1,6 +1,7 @@
 #include "par/parallel_match.h"
 
 #include <chrono>
+#include <cstddef>
 
 namespace psme {
 namespace {
@@ -22,28 +23,26 @@ inline uint64_t backoff_now_ns() {
           .count());
 }
 
-/// ExecContext that buffers emits locally. The §5.2 filter is applied at
-/// emit time, so dropped tasks are never counted or published. The owner
-/// publishes the whole batch once per node execution (counter bump +
-/// pushes + a single unpark), instead of touching shared state per
-/// activation.
-class BatchCtx final : public ExecContext {
+/// ExecContext whose emits land on the worker's private stack. The §5.2
+/// filter is applied at emit time, so dropped tasks are never stacked,
+/// counted or published.
+class StackCtx final : public ExecContext {
  public:
-  BatchCtx(Network& net, const UpdateFilter& f) : net_(net) { filter = f; }
+  StackCtx(Network& net, const UpdateFilter& f) : net_(net) { filter = f; }
 
   void emit(Activation&& a) override {
     if (!net_.should_execute(a, *this)) return;
-    batch.push_back(std::move(a));
+    stack.push_back(a);
   }
 
-  std::vector<Activation> batch;
+  std::vector<Activation> stack;
 
  private:
   Network& net_;
 };
 
 /// Swaps a worker's persistent scratch buffers into its cycle-local
-/// BatchCtx (emit batch included) and back out on scope exit —
+/// StackCtx (private stack included) and back out on scope exit —
 /// exception-safe, so an aborted cycle still returns the buffers. This is
 /// what makes the per-cycle contexts allocation-free: the vectors live in
 /// the WorkerSlot and keep their high-water capacity for the matcher's
@@ -51,22 +50,21 @@ class BatchCtx final : public ExecContext {
 template <typename Slot>
 class ScratchLease {
  public:
-  ScratchLease(BatchCtx& ctx, Slot& slot) : ctx_(ctx), slot_(slot) {
+  ScratchLease(StackCtx& ctx, Slot& slot) : ctx_(ctx), slot_(slot) {
     ctx_.scratch_children.swap(slot_.scratch_children);
     ctx_.scratch_emissions.swap(slot_.scratch_emissions);
-    ctx_.batch.swap(slot_.emit_batch);
-    ctx_.batch.clear();  // a previously aborted cycle may have left residue
+    ctx_.stack.swap(slot_.stack);
   }
   ~ScratchLease() {
     ctx_.scratch_children.swap(slot_.scratch_children);
     ctx_.scratch_emissions.swap(slot_.scratch_emissions);
-    ctx_.batch.swap(slot_.emit_batch);
+    ctx_.stack.swap(slot_.stack);
   }
   ScratchLease(const ScratchLease&) = delete;
   ScratchLease& operator=(const ScratchLease&) = delete;
 
  private:
-  BatchCtx& ctx_;
+  StackCtx& ctx_;
   Slot& slot_;
 };
 
@@ -156,12 +154,12 @@ void ParallelMatcher::prewarm() {
   // routine on a loaded machine — would charge its scratch-vector and
   // pool-slab growth to the first steady-state cycle it joins. All the
   // touches below are owner-only operations, legal here because no worker
-  // thread has been dispatched yet (same contract as the seed distribution
-  // in run_cycle).
+  // thread has been dispatched yet (same contract as the seed placement in
+  // run_cycle).
   constexpr size_t kScratch = 64;
   for (size_t w = 0; w < n_workers_; ++w) {
     WorkerSlot& s = *slots_[w];
-    s.emit_batch.reserve(kScratch);
+    s.stack.reserve(kScratch);
     s.scratch_children.reserve(kScratch);
     s.scratch_emissions.reserve(kScratch);
     apool_.warm(w);
@@ -199,10 +197,12 @@ void ParallelMatcher::reset_slots() {
     // every cycle starts from a clean, balanced state. Runs quiescent on the
     // coordinating thread (worker 0's shard takes the strays).
     while (Activation* a = s->deque.pop()) apool_.release(0, a);
+    s->stack.clear();
     s->created.store(0, std::memory_order_relaxed);
     s->executed.store(0, std::memory_order_relaxed);
     s->stats = {};
   }
+  hungry_.store(0, std::memory_order_relaxed);
 }
 
 ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
@@ -227,20 +227,20 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
   }
   reset_slots();
 
-  // Seed round-robin across the worker deques. Workers are not running yet,
-  // so the owner-only push is safe from this thread; the pool dispatch
-  // publishes everything before the first worker looks. Seeds pass through
-  // the same §5.2 filter as emitted tasks.
+  // The filtered seeds go onto the caller's private stack (worker 0 runs on
+  // the calling thread) as one counted root: the caller drains them
+  // depth-first and shares them only when a helper runs dry. Workers are not
+  // running yet, so writing worker 0's stack and counter from here is safe;
+  // the pool dispatch publishes both before the first worker looks. Seeds
+  // pass through the same §5.2 filter as emitted tasks.
   {
-    BatchCtx seed_ctx(net_, filter);
-    size_t w = 0;
-    for (Activation& s : seeds) {
-      if (!net_.should_execute(s, seed_ctx)) continue;
-      slots_[w]->created.fetch_add(1, std::memory_order_relaxed);
-      // Pre-dispatch, single-threaded: allocating from shard `w` on behalf
-      // of its future owner is safe here (workers are not running yet).
-      slots_[w]->deque.push(apool_.alloc(w, std::move(s)));
-      w = (w + 1) % n_workers_;
+    StackCtx seed_ctx(net_, filter);
+    WorkerSlot& caller = *slots_[0];
+    for (const Activation& s : seeds) {
+      if (net_.should_execute(s, seed_ctx)) caller.stack.push_back(s);
+    }
+    if (!caller.stack.empty()) {
+      caller.created.store(1, std::memory_order_relaxed);
     }
   }
 
@@ -274,11 +274,12 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
 }
 
 bool ParallelMatcher::quiescent() const {
-  // Sweep order matters: executed before created. Every execution the sweep
-  // observes carries a happens-before edge back to its creation count (the
-  // creation was published before the task could be popped), so equality
-  // can only be observed at true quiescence for all tasks the observer can
-  // know about; tasks it cannot know about keep their creator active.
+  // Sweep order matters: executed before created. Every root execution the
+  // sweep observes carries a happens-before edge back to its creation count
+  // (counted before the push, or before dispatch for the seed batch), so
+  // the created sum can only exceed the executed sum; work the sweep cannot
+  // see — private, or not yet published — keeps the root it descends from
+  // uncounted. Equality therefore means true quiescence (DESIGN.md §8.3).
   uint64_t done = 0;
   for (const auto& s : slots_) {
     done += s->executed.load(std::memory_order_seq_cst);
@@ -333,16 +334,111 @@ Activation* ParallelMatcher::take_task(size_t worker) {
   return nullptr;
 }
 
+void ParallelMatcher::publish(size_t worker, std::vector<Activation>& stack,
+                              size_t n) {
+  // Moves the `n` oldest private activations to the deque: one counter
+  // bump, owner-side pushes, one wake. The count precedes the pushes
+  // (termination invariant). Pushed oldest first, so thieves (top, FIFO)
+  // take the oldest and the owner's own pop (bottom, LIFO) keeps the
+  // depth-first order. unpark_one, not unpark_all: waking every sleeper per
+  // publish is a thundering herd at high worker counts (all wake, sweep,
+  // fail, re-park); one waker per publish keeps the wake chain proportional
+  // to the work supply, and the exit cascade still wakes everyone for the
+  // final quiescence check.
+  WorkerSlot& me = *slots_[worker];
+  me.created.fetch_add(n, std::memory_order_seq_cst);
+  for (size_t i = 0; i < n; ++i) {
+    me.deque.push(apool_.alloc(worker, Activation(stack[i])));
+  }
+  stack.erase(stack.begin(), stack.begin() + static_cast<std::ptrdiff_t>(n));
+  lot_.unpark_one();
+  if (tracer_ != nullptr) {
+    // Depth sampled at the natural load-balance point: right after a
+    // publish is the moment thieves decide whether this deque is worth
+    // raiding.
+    obs::record_instant(*tracer_, tracer_->ring(1 + worker),
+                        obs::EventKind::QueueDepth, 0,
+                        static_cast<uint32_t>(me.deque.size()));
+  }
+}
+
+void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
+                               std::vector<Activation>& stack,
+                               Activation* root, std::atomic<bool>& abort) {
+  // Runs one root — a task taken from a deque, or (root == nullptr) the seed
+  // batch already on worker 0's stack — and then the private stack it grows,
+  // last-emitted child first: the depth-first order a one-worker drain has
+  // always had. Private work touches no counter, pool, deque or parking
+  // lot; it leaves the stack only by publish(), on demand (a peer is hungry,
+  // this deque is empty and two or more are held: the oldest half goes) or
+  // by a forced split (StealTuning::chain_split_depth).
+  //
+  // Termination invariant: the root's `executed` bump waits until the stack
+  // is empty, so while any work derived from the root is held privately an
+  // observer cannot see created == executed. An exception discards the stack
+  // and still counts the root, so the books balance for the abort. Token
+  // safety: arena reclamation is pinned to reclaim_at_quiescence() after the
+  // pool join, so tokens referenced by stacked or published work stay live.
+  WorkerSlot& me = *slots_[worker];
+  const bool can_share = n_workers_ > 1;
+  const uint32_t k = tuning_.chain_split_depth;
+  uint32_t run = 0;  // private executions under this root
+  auto exec = [&](const Activation& a) {
+    me.observer.before(ctx.stats);
+    // Re-bind the context to this task's agent: the tag names the only
+    // MatchState the task may touch, and emit stamps it onto children.
+    ctx.state = states_[a.agent];
+    ctx.agent = a.agent;
+    net_.execute(a, ctx);
+    me.observer.after(a, ctx.stats);
+    ++me.stats.tasks;
+  };
+  try {
+    if (root != nullptr) {
+      const Activation task = *root;
+      apool_.release(worker, root);
+      exec(task);
+    }
+    while (!stack.empty()) {
+      if (k != 0 && run + 1 == k) {
+        me.stats.chain_splits += stack.size();
+        publish(worker, stack, stack.size());
+        break;
+      }
+      if (can_share && stack.size() >= 2 &&
+          hungry_.load(std::memory_order_relaxed) != 0 && me.deque.empty()) {
+        const size_t half = stack.size() / 2;
+        me.stats.shares += half;
+        publish(worker, stack, half);
+      }
+      const Activation task = stack.back();
+      stack.pop_back();
+      ++run;
+      ++me.stats.chain_inline;
+      exec(task);
+    }
+  } catch (...) {
+    stack.clear();
+    me.executed.fetch_add(1, std::memory_order_seq_cst);
+    abort.store(true, std::memory_order_release);
+    lot_.unpark_all();
+    throw;
+  }
+  me.executed.fetch_add(1, std::memory_order_seq_cst);
+}
+
 void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
                                  std::atomic<bool>& abort) {
   WorkerSlot& me = *slots_[worker];
   obs::EventRing* ring =
       tracer_ != nullptr ? &tracer_->ring(1 + worker) : nullptr;
-  BatchCtx ctx(net_, filter);
+  StackCtx ctx(net_, filter);
   ctx.worker = worker;  // child tokens spill into this worker's arena pool
   ScratchLease lease(ctx, me);
-  const uint32_t split_depth = tuning_.chain_split_depth;
-  uint32_t idle = 0;  // consecutive failed whole-pool sweeps
+  // The caller's seed batch is its first root (counted by run_cycle).
+  if (!ctx.stack.empty()) run_root(worker, ctx, ctx.stack, nullptr, abort);
+  bool hungry = false;  // counted in hungry_ since the last failed sweep
+  uint32_t idle = 0;    // consecutive failed whole-pool sweeps
   for (;;) {
     // Pre-sweep ticket: every publish bumps the ParkingLot epoch, so a
     // publish after this read invalidates any park taken on it, and a
@@ -354,6 +450,12 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
     if (a == nullptr) {
       if (abort.load(std::memory_order_acquire) || quiescent()) break;
       ++idle;
+      if (!hungry) {
+        // Ask the busy workers to share: they publish on demand only while
+        // someone is hungry.
+        hungry = true;
+        hungry_.fetch_add(1, std::memory_order_relaxed);
+      }
       // Exponential pause/yield ladder between the failed sweep and the
       // park, watching the publish epoch. A round re-sweeps only if the
       // epoch moved: deques grow only through publishes, so with the epoch
@@ -394,89 +496,15 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
         continue;
       }
     }
+    if (hungry) {
+      hungry = false;
+      hungry_.fetch_sub(1, std::memory_order_relaxed);
+    }
     if (idle != 0) {
       ++me.stats.sweep_hist[sweep_bucket(idle)];
       idle = 0;
     }
-    // Execute the task and, below the split depth, its dependent chain
-    // inline: each node execution continues directly into its last-emitted
-    // child (the one the deque's LIFO pop would run next anyway) while the
-    // siblings are published as stealable tasks. Inline links skip the
-    // pool-alloc/push/pop and the two seq_cst counter bumps that made long
-    // chains pay scheduler overhead per link; the depth-k split pushes the
-    // continuation back onto the deque so a chain's suffix stays stealable
-    // and no single chain can pin a cycle's tail to one worker
-    // (StealTuning::chain_split_depth; 0 = never split).
-    //
-    // Termination invariant: the popped task's `executed` bump is deferred
-    // until the whole inline chain (and every sibling publish) completes,
-    // so an observer can never see created == executed while work derived
-    // from this task is still unpublished. Token safety: arena reclamation
-    // is pinned to reclaim_at_quiescence() after the pool join, so tokens
-    // referenced by inline or split continuations stay live either way.
-    Activation cont;         // stack slot for inline continuations
-    bool is_inline = false;  // current link lives in `cont`, not the pool
-    uint32_t depth = 1;      // links executed in this chain so far
-    for (;;) {
-      Activation* cur = is_inline ? &cont : a;
-      me.observer.before(ctx.stats);
-      // Re-bind the context to this task's agent: the tag names the only
-      // MatchState the task may touch, and emit stamps it onto children.
-      ctx.state = states_[cur->agent];
-      ctx.agent = cur->agent;
-      try {
-        net_.execute(*cur, ctx);
-      } catch (...) {
-        // The pooled head was already released once the chain went inline.
-        if (!is_inline) apool_.release(worker, a);
-        // Count the popped task as executed so the cycle's books still
-        // balance, then fail the whole cycle.
-        me.executed.fetch_add(1, std::memory_order_seq_cst);
-        abort.store(true, std::memory_order_release);
-        lot_.unpark_all();
-        throw;
-      }
-      me.observer.after(*cur, ctx.stats);
-      if (!is_inline) apool_.release(worker, a);
-      ++me.stats.tasks;
-      bool have_cont = false;
-      if (!ctx.batch.empty()) {
-        if (split_depth == 0 || depth < split_depth) {
-          cont = std::move(ctx.batch.back());
-          ctx.batch.pop_back();
-          have_cont = true;
-          ++me.stats.chain_inline;
-        } else {
-          ++me.stats.chain_splits;  // cap reached: continuation to the deque
-        }
-      }
-      if (!ctx.batch.empty()) {
-        // Publish the emit burst once: one counter bump, owner-side pushes,
-        // one wake. The count precedes the pushes (termination invariant).
-        // unpark_one, not unpark_all: waking every sleeper per publish is a
-        // thundering herd at high worker counts (all wake, sweep, fail,
-        // re-park); one waker per publish keeps the wake chain proportional
-        // to the work supply, and the exit cascade below still wakes
-        // everyone for the final quiescence check.
-        me.created.fetch_add(ctx.batch.size(), std::memory_order_seq_cst);
-        for (Activation& child : ctx.batch) {
-          me.deque.push(apool_.alloc(worker, std::move(child)));
-        }
-        ctx.batch.clear();
-        lot_.unpark_one();
-        if (ring != nullptr) {
-          // Depth sampled at the natural load-balance point: right after an
-          // emit burst is the moment thieves decide whether this deque is
-          // worth raiding.
-          obs::record_instant(*tracer_, *ring, obs::EventKind::QueueDepth, 0,
-                              static_cast<uint32_t>(me.deque.size()));
-        }
-      }
-      if (!have_cont) break;
-      is_inline = true;
-      ++depth;
-    }
-    me.executed.fetch_add(1, std::memory_order_seq_cst);
+    run_root(worker, ctx, ctx.stack, a, abort);
   }
   // A failed-sweep run still open at drain exit ends here.
   if (idle != 0) ++me.stats.sweep_hist[sweep_bucket(idle)];

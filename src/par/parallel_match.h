@@ -1,29 +1,34 @@
 // The threaded match executor: N match processes pull node activations from
 // the scheduler and execute them against the shared network.
 //
-// The scheduler is a work-stealing core: one lock-free Chase–Lev deque per
-// worker (par/ws_deque.h), owner-side push/pop, randomized CAS-only
-// stealing, per-worker cache-line-padded counters for termination detection
-// and statistics, emit bursts published once per node execution, dependent
-// activation chains executed inline up to a tunable split depth (long chains
-// become stealable suffixes — see StealTuning), and idle workers that back
+// The scheduler is work-first: every activation a worker emits goes onto
+// that worker's private LIFO stack and is run next, touching no shared
+// state, and reaches the worker's lock-free Chase–Lev deque (par/ws_deque.h)
+// only when a peer can take it. A worker publishes in two cases: on demand,
+// when some peer has failed a steal sweep and found nothing since (it then
+// publishes the oldest half of its stack), and at a forced split, when
+// StealTuning::chain_split_depth caps a run of private executions. Thieves
+// steal from the deques with randomized CAS-only probes; idle workers back
 // off exponentially across failed whole-pool sweeps and then park on an
-// atomic wait (par/worker_pool.h) instead of hammering locks. The paper's
-// spinlocked task queues (§2.3; one shared queue or one per process) are
-// modeled by the virtual multiprocessor's QueuePolicy (src/psim), which is
-// what the Figure 6-x reproductions measure.
+// atomic wait (par/worker_pool.h) instead of hammering locks. A cycle's
+// seeds start on the caller's private stack, so without a forced split a
+// cycle nobody helps with runs depth-first on the caller's thread with no
+// per-task atomic, pool or deque operation. The paper's spinlocked task queues (§2.3; one shared
+// queue or one per process) are modeled by the virtual multiprocessor's
+// QueuePolicy (src/psim), which is what the Figure 6-x reproductions
+// measure.
 //
 // Worker threads are spawned once per ParallelMatcher lifetime (WorkerPool)
 // and parked between cycles, so a matcher held by an Engine runs thousands
 // of cycles without re-spawning threads or re-building queues.
 //
 // Termination detection: each worker owns a padded (created, executed)
-// counter pair; a creation is counted *before* the task is pushed and an
-// execution *after* it completes, and idle workers sweep executed totals
-// before created totals. Any observed equality therefore implies
-// true quiescence for every task the observer can know about, and a task it
-// cannot know about yet keeps its creator (or its thief) active — so the
-// last worker standing always drains the residue. See DESIGN.md §8.
+// counter pair over *roots* — the seed batch and every published task. A
+// creation is counted *before* the task is pushed; a root counts as
+// executed only once the private stack it grew is empty, so work held
+// privately keeps its root unbalanced. Idle workers sweep executed totals
+// before created totals, so any observed equality implies true quiescence.
+// See DESIGN.md §8.3.
 //
 // On hosts with 1–4 vCPUs a wide pool oversubscribes the cores, so the
 // executor is exercised for *correctness* (its final match state must equal
@@ -46,7 +51,7 @@
 
 namespace psme {
 
-/// Tunables for the scheduler's idle path and chain execution.
+/// Tunables for the scheduler's idle path and forced splitting.
 /// Exposed on EngineOptions (`steal`) and the demos' CLIs; the defaults are
 /// what every production caller gets.
 struct StealTuning {
@@ -61,16 +66,14 @@ struct StealTuning {
   /// what keeps failed sweeps off the bus.
   uint32_t backoff_park_sweeps = 2;
 
-  /// Dependent-chain splitting: a worker executes up to `chain_split_depth`
-  /// dependent activations inline (each node execution continues directly
-  /// into its last-emitted child, skipping the pool/deque/counter round
-  /// trip), then pushes the continuation back onto its deque as a fresh,
-  /// stealable task. 0 = never split (unbounded inline chains);
-  /// 1 = split at every link (no inline chaining — the pre-backoff
-  /// scheduler's behavior). The default is CostBudget::max_depth (64) / 8:
-  /// the linter's longest tolerated chain split into one stealable segment
-  /// per worker of a typical 8-wide pool.
-  uint32_t chain_split_depth = 8;
+  /// Forced splitting: with k > 0 a worker runs at most k − 1 activations
+  /// from its private stack per root (a task taken from a deque, or the
+  /// seed batch), then publishes the whole stack to its deque and takes its
+  /// next task from there, whether or not a peer is hungry. 1 sends every
+  /// activation, seeds included, through the deque (the tests' stress
+  /// corner); 0, the default, never splits: private work is published only
+  /// on demand, when a peer has run dry (DESIGN.md §8.5).
+  uint32_t chain_split_depth = 0;
 };
 
 struct ParallelStats {
@@ -85,8 +88,9 @@ struct ParallelStats {
   uint64_t failed_sweeps = 0;     // whole-pool sweeps finding nothing
   uint64_t sweep_backoff_ns = 0;  // time spent in the backoff ladder
   uint64_t parks = 0;             // times a worker parked
-  uint64_t chain_inline = 0;      // continuations executed inline
-  uint64_t chain_splits = 0;      // continuations split to the deque
+  uint64_t chain_inline = 0;      // tasks run from a private stack
+  uint64_t chain_splits = 0;      // activations published by a forced split
+  uint64_t shares = 0;            // activations published to a hungry peer
   uint64_t pool_slabs = 0;        // activation-pool slab mallocs
   uint64_t sweep_hist[kSweepHistBuckets] = {};  // failed-sweep run lengths
   double wall_seconds = 0;
@@ -107,6 +111,7 @@ struct ParallelStats {
     parks += st.parks;
     chain_inline += st.chain_inline;
     chain_splits += st.chain_splits;
+    shares += st.shares;
     for (size_t i = 0; i < kSweepHistBuckets; ++i) {
       sweep_hist[i] += st.sweep_hist[i];
     }
@@ -116,10 +121,12 @@ struct ParallelStats {
   }
 };
 
-/// Slab recycler for the heap Activations the worker deques point at. Each
-/// worker owns a shard: allocation is a local free-list pop (or a slab bump
-/// when cold), so the steady state does one slab malloc per kSlabNodes tasks
-/// at most — in practice zero once warm. A task is usually freed by a
+/// Slab recycler for the heap Activations the worker deques point at: only
+/// published tasks (a share or a forced split) are boxed here; private work
+/// lives by value on its worker's stack. Each worker owns a shard:
+/// allocation is a local free-list pop (or a slab bump when cold), so the
+/// steady state does one slab malloc per kSlabNodes tasks at most — in
+/// practice zero once warm. A published task is often freed by a
 /// *different* worker than the one that allocated it (thieves execute what
 /// victims push), so release returns the node to its owner shard through a
 /// lock-free MPSC Treiber stack: push-only CAS (ABA-safe — the owner takes
@@ -178,7 +185,7 @@ class ParallelMatcher final : public Drain {
   /// scheduler loop records task spans, steal attempts/outcomes, park
   /// intervals and queue-depth samples into its own track. The tracer must
   /// outlive the matcher.
-  /// `tuning` parameterizes the idle backoff and chain splitting.
+  /// `tuning` parameterizes the idle backoff and forced splitting.
   /// `profiler`, when non-null, attributes every executed task to its
   /// (node, agent) cell in the worker's shard (obs/profiler.h), through the
   /// same observers; the run_cycle drain boundary grows the cells
@@ -255,10 +262,13 @@ class ParallelMatcher final : public Drain {
     ParallelStats stats;
     Rng rng;
     // Persistent per-worker scratch, leased into the worker's ExecContext
-    // for the duration of a cycle (see Lease in parallel_match.cpp): emit
-    // bursts and execute()'s under-lock child buffers reuse their
-    // high-water capacity across every cycle this matcher ever runs.
-    std::vector<Activation> emit_batch;
+    // for the duration of a cycle (see ScratchLease in parallel_match.cpp):
+    // the private stack and execute()'s under-lock child buffers reuse
+    // their high-water capacity across every cycle this matcher ever runs.
+    // The private stack is the worker's unpublished work: every emitted
+    // activation is pushed here and popped next (LIFO), and run_cycle puts
+    // the seeds on worker 0's.
+    std::vector<Activation> stack;
     std::vector<Token> scratch_children;
     std::vector<std::pair<Token, bool>> scratch_emissions;
     // This worker's task spans and profiler shard, bound at prewarm().
@@ -267,6 +277,10 @@ class ParallelMatcher final : public Drain {
 
   void steal_loop(size_t worker, const UpdateFilter& filter,
                   std::atomic<bool>& abort);
+  void run_root(size_t worker, ExecContext& ctx,
+                std::vector<Activation>& stack, Activation* root,
+                std::atomic<bool>& abort);
+  void publish(size_t worker, std::vector<Activation>& stack, size_t n);
   Activation* take_task(size_t worker);
   [[nodiscard]] bool quiescent() const;
   void reset_slots();
@@ -284,6 +298,11 @@ class ParallelMatcher final : public Drain {
   ParkingLot lot_;
   ActivationPool apool_;
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
+  // Workers that failed a steal sweep and have found nothing since. A
+  // worker with private work reads it once per task and shares when it is
+  // non-zero; written only on idle transitions, so its own line stays
+  // read-mostly.
+  alignas(64) std::atomic<uint32_t> hungry_{0};
   uint64_t lifetime_tasks_ = 0;
   uint64_t lifetime_cycles_ = 0;
 };

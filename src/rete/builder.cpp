@@ -43,8 +43,9 @@ bool const_test_less(const ConstTest& a, const ConstTest& b) {
 /// Eq test binds it. Checked over the whole production before add_production
 /// creates a node or a jumptable slot, with the scoping of the build walk: a
 /// positive CE's Eq tests bind for itself and every later CE, a negated CE
-/// sees only earlier bindings, an NCC group's bindings stay in the group,
-/// and the first CE joins nothing, so it is not checked.
+/// sees only earlier bindings, and an NCC group's bindings stay in the
+/// group. The first CE is checked like the rest: it joins nothing, so a
+/// predicate on a variable it does not bind would compile to no test at all.
 void check_bindings(const Production& p) {
   auto bind = [](const Condition& ce, std::vector<uint8_t>& bound) {
     for (const VarTest& vt : ce.vars) {
@@ -60,7 +61,6 @@ void check_bindings(const Production& p) {
     }
   };
   std::vector<uint8_t> bound(p.num_vars, 0);
-  bool first = true;
   for (const Condition& ce : p.conditions) {
     if (ce.is_ncc()) {
       auto group = bound;
@@ -72,8 +72,7 @@ void check_bindings(const Production& p) {
       require(ce, bound);
     } else {
       bind(ce, bound);
-      if (!first) require(ce, bound);
-      first = false;
+      require(ce, bound);
     }
   }
 }

@@ -101,10 +101,10 @@ TEST(EngineAlloc, StealCycleIsAllocationFree) {
   expect_allocation_free_cycles(4);
 }
 
-// The chain-splitting corners must hold the guarantee too: split-every-link
-// (every continuation round-trips through the activation pool and deque, with
-// the backoff ladder off so the park path runs every cycle) and never-split
-// (continuations live entirely in a stack slot — no pool traffic at all).
+// The forced-splitting tunings must hold the guarantee too: a split at every
+// activation (every task round-trips through the activation pool and a
+// deque, with the backoff ladder off so the park path runs every cycle) and
+// a split every 8 activations (forced publishes between private runs).
 TEST(EngineAlloc, StealSplitEveryLinkCycleIsAllocationFree) {
   StealTuning t;
   t.chain_split_depth = 1;
@@ -112,9 +112,9 @@ TEST(EngineAlloc, StealSplitEveryLinkCycleIsAllocationFree) {
   expect_allocation_free_cycles(4, false, t);
 }
 
-TEST(EngineAlloc, StealNeverSplitCycleIsAllocationFree) {
+TEST(EngineAlloc, StealSplitEvery8CycleIsAllocationFree) {
   StealTuning t;
-  t.chain_split_depth = 0;
+  t.chain_split_depth = 8;
   expect_allocation_free_cycles(4, false, t);
 }
 

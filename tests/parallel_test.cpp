@@ -53,9 +53,10 @@ struct ParallelCase {
   StealTuning tuning = {};
 };
 
-/// Split-every-link with the backoff ladder off: every chain link round-trips
-/// through the deque and every failed sweep goes straight to the park ticket
-/// (the maximal-churn corner of the tuning space).
+/// Forced split at every activation with the backoff ladder off: every
+/// activation, seeds included, round-trips through a deque and every failed
+/// sweep goes straight to the park ticket (the maximal-churn corner of the
+/// tuning space).
 StealTuning split_heavy() {
   StealTuning t;
   t.chain_split_depth = 1;
@@ -63,10 +64,11 @@ StealTuning split_heavy() {
   return t;
 }
 
-/// Unbounded inline chains: a dependent chain never leaves its worker.
-StealTuning never_split() {
+/// A forced split every 8 activations: forced publishes interleave with
+/// on-demand shares. The default tuning (0) never forces a split.
+StealTuning split_every_8() {
   StealTuning t;
-  t.chain_split_depth = 0;
+  t.chain_split_depth = 8;
   return t;
 }
 
@@ -91,12 +93,14 @@ TEST_P(ParallelEquivalence, MatchesSerialResult) {
   matcher.register_agent(par.state());
   const ParallelStats st = matcher.run_cycle(sc.seeds);
   EXPECT_GT(st.tasks, 0u);
-  if (param.workers > 1) {
-    if (param.tuning.chain_split_depth == 1) {
-      EXPECT_EQ(st.chain_inline, 0u);  // every link split to the deque
-    } else if (param.tuning.chain_split_depth == 0) {
-      EXPECT_EQ(st.chain_splits, 0u);  // chains never split
-    }
+  if (param.tuning.chain_split_depth == 1) {
+    // Every activation, seeds included, is published before it runs, so
+    // each task is a root taken from a deque.
+    EXPECT_EQ(st.chain_inline, 0u);
+    EXPECT_EQ(st.chain_splits, st.tasks);
+    EXPECT_EQ(st.shares, 0u);
+  } else if (param.tuning.chain_split_depth == 0) {
+    EXPECT_EQ(st.chain_splits, 0u);  // published only on demand
   }
 
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
@@ -113,8 +117,67 @@ INSTANTIATE_TEST_SUITE_P(
                       ParallelCase{2, split_heavy()},
                       ParallelCase{4, split_heavy()},
                       ParallelCase{8, split_heavy()},
-                      ParallelCase{4, never_split()},
-                      ParallelCase{8, never_split()}));
+                      ParallelCase{4, split_every_8()},
+                      ParallelCase{8, split_every_8()}));
+
+TEST(ParallelMatcher, OneWorkerRunsEveryTaskFromItsPrivateStack) {
+  // Nothing is ever hungry at one worker: the seeds and everything they
+  // spawn run from the caller's private stack, and no activation is
+  // published, stolen or boxed in the activation pool.
+  Engine serial;
+  serial.load(workload_productions());
+  add_workload_wmes(serial, 20);
+  serial.match();
+
+  Engine par;
+  par.load(workload_productions());
+  add_workload_wmes(par, 20);
+  ParallelMatcher matcher(par.net(), 1);
+  matcher.register_agent(par.state());
+  std::vector<Activation> none;
+  const uint64_t prewarmed_slabs = matcher.run_cycle(none).pool_slabs;
+  SeedCollector sc;
+  for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+  const ParallelStats st = matcher.run_cycle(sc.seeds);
+  EXPECT_GT(st.tasks, 0u);
+  EXPECT_EQ(st.chain_inline, st.tasks);
+  EXPECT_EQ(st.shares, 0u);
+  EXPECT_EQ(st.chain_splits, 0u);
+  EXPECT_EQ(st.steals, 0u);
+  EXPECT_EQ(st.pool_slabs, prewarmed_slabs);
+  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
+}
+
+TEST(ParallelMatcher, ThrowingTaskFailsTheCycleAndTheNextStartsClean) {
+  // A task that throws fails the whole cycle: its worker discards its
+  // private stack and still counts its root, every worker leaves, and
+  // run_cycle rethrows. Whatever was left stacked or published is dropped,
+  // so the matcher's next cycle starts balanced and runs nothing stale.
+  class ThrowingSink final : public MatchSink {
+   public:
+    void on_insert(const ProdNode&, const Token&) override {
+      throw std::runtime_error("sink");
+    }
+    void on_retract(const ProdNode&, const Token&) override {}
+  };
+  for (const StealTuning& tuning : {StealTuning{}, split_heavy()}) {
+    Engine par;
+    par.load(workload_productions());
+    add_workload_wmes(par, 20);
+    ParallelMatcher matcher(par.net(), 4, nullptr, tuning);
+    matcher.register_agent(par.state());
+    SeedCollector sc;
+    for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+    ThrowingSink bad;
+    MatchSink* const good = par.state().sink;
+    par.state().sink = &bad;
+    EXPECT_THROW(matcher.run_cycle(sc.seeds), std::runtime_error);
+    par.state().sink = good;
+    std::vector<Activation> none;
+    EXPECT_EQ(matcher.run_cycle(none).tasks, 0u)
+        << "split depth " << tuning.chain_split_depth;
+  }
+}
 
 TEST(ParallelMatcher, DeleteHeavyCycleMatchesSerial) {
   // Adds followed by deletes in a single cycle: the delete-token path under
@@ -209,21 +272,22 @@ void runtime_add_through(Engine& e, ParallelMatcher& matcher, RhsArena& arena,
 TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
   // Four engines walk the same script — wme wave, §5.2 runtime production
   // add, another wme wave — one drained serially (the oracle) and three
-  // through matchers at the corners of the chain-splitting tuning space
-  // (default, split-every-link, never-split). All must agree on the
-  // conflict set and the memory-table entry counts at every checkpoint.
+  // through matchers at points of the splitting tuning space (the default,
+  // which never forces a split; a split at every activation; every 8). All
+  // must agree on the conflict set and the memory-table entry counts at
+  // every checkpoint.
   const std::string late = "(p late-j2 (b ^v <x>) (c ^v <x>) --> (halt))";
 
-  Engine serial, steal, split, nosplit;
-  for (Engine* e : {&serial, &steal, &split, &nosplit}) {
+  Engine serial, steal, split, split8;
+  for (Engine* e : {&serial, &steal, &split, &split8}) {
     e->load(workload_productions());
   }
   ParallelMatcher m_steal(steal.net(), 8);
   ParallelMatcher m_split(split.net(), 8, nullptr, split_heavy());
-  ParallelMatcher m_nosplit(nosplit.net(), 8, nullptr, never_split());
+  ParallelMatcher m_split8(split8.net(), 8, nullptr, split_every_8());
   m_steal.register_agent(steal.state());
   m_split.register_agent(split.state());
-  m_nosplit.register_agent(nosplit.state());
+  m_split8.register_agent(split8.state());
 
   auto parallel_wave = [&](Engine& e, ParallelMatcher& m, int n) {
     std::vector<const Wme*> before = e.wm().live();
@@ -247,11 +311,11 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
   serial.match();
   const ParallelStats st1 = parallel_wave(steal, m_steal, 15);
   parallel_wave(split, m_split, 15);
-  parallel_wave(nosplit, m_nosplit, 15);
+  parallel_wave(split8, m_split8, 15);
   EXPECT_GT(st1.tasks, 0u);
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(nosplit));
+  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split8));
 
   // §5.2 runtime add, drained through each scheduler.
   RhsArena arena;
@@ -270,21 +334,21 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
   }
   runtime_add_through(steal, m_steal, arena, owned, late);
   runtime_add_through(split, m_split, arena, owned, late);
-  runtime_add_through(nosplit, m_nosplit, arena, owned, late);
+  runtime_add_through(split8, m_split8, arena, owned, late);
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
   ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(nosplit));
+  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split8));
 
   // Wave 2 over the extended network.
   add_workload_wmes(serial, 9);
   serial.match();
   parallel_wave(steal, m_steal, 9);
   parallel_wave(split, m_split, 9);
-  parallel_wave(nosplit, m_nosplit, 9);
+  parallel_wave(split8, m_split8, 9);
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
-  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(nosplit));
-  for (Engine* e : {&steal, &split, &nosplit}) {
+  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(split8));
+  for (Engine* e : {&steal, &split, &split8}) {
     EXPECT_EQ(serial.state().tables.total_left_entries(),
               e->state().tables.total_left_entries());
     EXPECT_EQ(serial.state().tables.total_right_entries(),

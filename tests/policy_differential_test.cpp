@@ -2,10 +2,11 @@
 // of wme adds, wme removes, run-time production additions (the chunking
 // path's §5.2 state update), and run-time production REMOVALS (the
 // unsplice + drain path) is applied identically to four engines — serial
-// and three scheduler tunings (2 workers each): the default,
-// split-every-link (chain_split_depth 1, with the backoff ladder disabled so
-// every failed sweep goes straight to the park ticket), and never-split
-// (chain_split_depth 0, unbounded inline chains). After every match the
+// and three scheduler tunings (2 workers each): the default (no forced
+// split; private work is published only to a hungry peer), a forced split
+// at every activation (chain_split_depth 1, with the backoff ladder disabled
+// so every failed sweep goes straight to the park ticket), and a forced
+// split every 8 activations (chain_split_depth 8). After every match the
 // engines must agree on:
 //
 //   * the conflict set, compared content-by-content (production name + wme
@@ -56,19 +57,19 @@ constexpr const char* kBaseProductions =
     "(p base-three (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))";
 
 constexpr std::array<const char*, 4> kEngineNames = {
-    "serial", "steal", "steal-splitall", "steal-nosplit"};
+    "serial", "steal", "steal-splitall", "steal-split8"};
 using Engines = std::array<std::unique_ptr<Engine>, kEngineNames.size()>;
 
-/// Scheduler tuning for engine index 1..3: default, split-every-link with
-/// the backoff ladder off (parks immediately after one failed sweep —
-/// maximal park/unpark churn), never-split.
+/// Scheduler tuning for engine index 1..3: default, split at every
+/// activation with the backoff ladder off (parks immediately after one
+/// failed sweep — maximal park/unpark churn), split every 8.
 StealTuning steal_tuning(size_t i) {
   StealTuning t;
   if (i == 2) {
     t.chain_split_depth = 1;
     t.backoff_park_sweeps = 0;
   } else if (i == 3) {
-    t.chain_split_depth = 0;
+    t.chain_split_depth = 8;
   }
   return t;
 }

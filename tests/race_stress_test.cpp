@@ -67,8 +67,7 @@ void add_stress_wmes(Engine& e, int n, int salt) {
   }
 }
 
-// One stress configuration: a corner of the backoff/chain-splitting tuning
-// space.
+// One stress configuration: a point of the backoff/splitting tuning space.
 struct RaceCase {
   const char* name;
   StealTuning tuning = {};
@@ -76,14 +75,14 @@ struct RaceCase {
 
 StealTuning race_split_heavy() {
   StealTuning t;
-  t.chain_split_depth = 1;   // every chain link crosses the deque
+  t.chain_split_depth = 1;   // every activation crosses a deque
   t.backoff_park_sweeps = 0; // park after the first failed sweep
   return t;
 }
 
-StealTuning race_never_split() {
+StealTuning race_split_every_8() {
   StealTuning t;
-  t.chain_split_depth = 0;
+  t.chain_split_depth = 8;  // forced splits interleave with on-demand shares
   return t;
 }
 
@@ -105,17 +104,17 @@ void parallel_cycle(Engine& e, const std::vector<const Wme*>& adds,
 }
 
 // Live-network stress runs under the work-stealing scheduler at three
-// tunings: default, split-every-link with the backoff ladder disabled
-// (maximal deque/park churn), and never-split (unbounded inline chains).
-// The tuned cases give TSan the continuation-task and backoff
-// interleavings.
+// tunings: the default (publish only to a hungry peer), a forced split at
+// every activation with the backoff ladder disabled (maximal deque/park
+// churn), and a forced split every 8 activations. The tuned cases give TSan
+// the forced-publish and backoff interleavings.
 class RaceStressTuning : public ::testing::TestWithParam<RaceCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Tunings, RaceStressTuning,
     ::testing::Values(RaceCase{"Steal"},
                       RaceCase{"StealSplitAll", race_split_heavy()},
-                      RaceCase{"StealNoSplit", race_never_split()}),
+                      RaceCase{"StealSplit8", race_split_every_8()}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST_P(RaceStressTuning, RepeatedParallelCyclesMatchSerial) {

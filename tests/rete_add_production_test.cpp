@@ -257,12 +257,19 @@ TEST(AddProduction, RejectedProductionLeavesNetworkUnchanged) {
   EXPECT_THROW(e.load("(p bad (a ^v <x>) (b ^w > <y>) --> (halt))"),
                std::runtime_error);
   expect_unchanged("load");
+  // The first CE joins nothing, but its predicate must not be dropped.
+  EXPECT_THROW(e.load("(p bad-first (a ^v > <y>) --> (halt))"),
+               std::runtime_error);
+  expect_unchanged("load, first CE");
 
   QuerySession q(e);
   EXPECT_THROW(q.begin("(block ^name <n>) (block ^size > <x>)"),
                std::runtime_error);
   EXPECT_FALSE(q.active());
   expect_unchanged("query cue");
+  EXPECT_THROW(q.begin("(block ^size > <x>)"), std::runtime_error);
+  EXPECT_FALSE(q.active());
+  expect_unchanged("query cue, first CE");
 
   // The network goes on taking productions.
   e.load("(p after (a ^v <x>) (block ^size > <x>) --> (halt))");

@@ -117,24 +117,6 @@ int lint_one(const std::string& name, const std::string& src,
                 name.c_str(), engine.productions().size(), census.total(),
                 verify.max_depth, verify.max_fan_out);
     lint.print_table();
-    // Scheduler tuning hint: a production whose dependent activation chain
-    // is longer than the steal scheduler's split depth executes as several
-    // stealable segments; chains at or under it run inline on one worker.
-    // Deep-chain-dominated systems may want a smaller
-    // EngineOptions::steal.chain_split_depth (see DESIGN.md §8).
-    const psme::StealTuning defaults;
-    uint32_t deep = 0, deepest = 0;
-    for (const auto& pc : lint.productions) {
-      if (pc.chain_depth > defaults.chain_split_depth) ++deep;
-      deepest = std::max(deepest, pc.chain_depth);
-    }
-    if (deep != 0) {
-      std::printf(
-          "chain splitting: %u of %zu production(s) exceed the default "
-          "steal.chain_split_depth %u (deepest chain %u) — their chains "
-          "will split into stealable continuation tasks\n",
-          deep, lint.productions.size(), defaults.chain_split_depth, deepest);
-    }
   }
   if (!verify.ok()) {
     std::fprintf(stderr, "network_lint: %s: %s", name.c_str(),
