@@ -3,16 +3,12 @@
 // 31..63 and which the paper's Figures 6-5/6-7 identify as the long-chain
 // speedup limiter. Every head-wme addition spawns a dependent activation
 // chain as deep as the production, so the cycle's tail serializes on
-// whichever workers own the chains; this is the workload forced splitting
-// (StealTuning::chain_split_depth) exists for.
+// whichever workers own the chains: a link cannot start before its parent,
+// so only the chains themselves, not their links, can go to other workers.
 //
-// Measured, per (workers x chain_split_depth) configuration on real threads:
-// wall time of the add cycles, private-run, forced-split and share counts,
-// and the speedup against the serial executor on the identical workload.
-// split_depth 1 sends every activation through a deque (the pool/deque/
-// counter round trip per task), 8 publishes a worker's private stack after
-// every 7 private runs, and 0, the default, publishes only when a peer is
-// hungry.
+// Measured, per worker count (2, 4, 8) on real threads: wall time of the
+// add cycles, private-run, share and steal counts, and the speedup against
+// the serial executor on the identical workload.
 //
 // The same recorded serial traces also drive a virtual-processor sweep to
 // 256 VPs (psim has no processor cap — only the paper-faithful benches stop
@@ -132,20 +128,18 @@ SerialResult run_serial(int rounds, int values) {
 
 struct ParResult {
   size_t workers = 0;
-  uint32_t split_depth = 0;
   ParallelStats stats;  // add cycles only
   size_t cs_peak = 0;
   bool cs_ok = false;
 };
 
-ParResult run_parallel(size_t workers, const StealTuning& tuning, int rounds,
-                       int values, size_t expect_cs_peak) {
+ParResult run_parallel(size_t workers, int rounds, int values,
+                       size_t expect_cs_peak) {
   ParResult r;
   r.workers = workers;
-  r.split_depth = tuning.chain_split_depth;
   Engine e;
   settle_rhs(e, values);
-  ParallelMatcher matcher(e.net(), workers, nullptr, tuning);
+  ParallelMatcher matcher(e.net(), workers);
   matcher.register_agent(e.state());
   const auto heads = head_texts(values);
   r.cs_ok = true;
@@ -196,66 +190,37 @@ int main(int argc, char** argv) {
                serial.wall_seconds * 1e3, rounds,
                static_cast<unsigned long long>(serial.tasks), serial.cs_peak);
 
-  // Real-thread configurations: a forced split at every activation, one
-  // every 8, and never (the default: publish only on demand).
-  std::vector<StealTuning> tunings(3);
-  tunings[0].chain_split_depth = 1;
-  tunings[1].chain_split_depth = 8;
-  tunings[2].chain_split_depth = 0;
-
-  std::fprintf(stderr, "\n%-8s %6s %10s %10s %10s %9s %8s %8s %8s %5s\n",
-               "workers", "split", "wall_ms", "speedup", "tasks/sec",
-               "inline", "splits", "shares", "fail_sw", "CS?");
+  std::fprintf(stderr, "\n%-8s %10s %10s %10s %9s %8s %8s %8s %5s\n",
+               "workers", "wall_ms", "speedup", "tasks/sec", "inline",
+               "shares", "steals", "fail_sw", "CS?");
   std::vector<ParResult> records;
   for (const size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
-    for (const StealTuning& tuning : tunings) {
-      ParResult best;
-      bool cs_ok = true;  // every rep's CS is checked, not just the kept one
-      for (int rep = 0; rep < reps; ++rep) {
-        ParResult one =
-            run_parallel(workers, tuning, rounds, values, serial.cs_peak);
-        cs_ok = cs_ok && one.cs_ok;
-        if (rep == 0 || one.stats.wall_seconds < best.stats.wall_seconds) {
-          best = std::move(one);
-        }
+    ParResult best;
+    bool cs_ok = true;  // every rep's CS is checked, not just the kept one
+    for (int rep = 0; rep < reps; ++rep) {
+      ParResult one = run_parallel(workers, rounds, values, serial.cs_peak);
+      cs_ok = cs_ok && one.cs_ok;
+      if (rep == 0 || one.stats.wall_seconds < best.stats.wall_seconds) {
+        best = std::move(one);
       }
-      best.cs_ok = cs_ok;
-      const double speedup = best.stats.wall_seconds > 0
-                                 ? serial.wall_seconds / best.stats.wall_seconds
-                                 : 0.0;
-      const double tps = best.stats.wall_seconds > 0
-                             ? best.stats.tasks / best.stats.wall_seconds
-                             : 0.0;
-      std::fprintf(stderr,
-                   "%-8zu %6u %10.2f %10.2f %10.0f %9llu %8llu %8llu %8llu %5s\n",
-                   best.workers, best.split_depth,
-                   best.stats.wall_seconds * 1e3, speedup, tps,
-                   static_cast<unsigned long long>(best.stats.chain_inline),
-                   static_cast<unsigned long long>(best.stats.chain_splits),
-                   static_cast<unsigned long long>(best.stats.shares),
-                   static_cast<unsigned long long>(best.stats.failed_sweeps),
-                   best.cs_ok ? "yes" : "NO");
-      records.push_back(std::move(best));
     }
+    best.cs_ok = cs_ok;
+    const double speedup = best.stats.wall_seconds > 0
+                               ? serial.wall_seconds / best.stats.wall_seconds
+                               : 0.0;
+    const double tps = best.stats.wall_seconds > 0
+                           ? best.stats.tasks / best.stats.wall_seconds
+                           : 0.0;
+    std::fprintf(stderr,
+                 "%-8zu %10.2f %10.2f %10.0f %9llu %8llu %8llu %8llu %5s\n",
+                 best.workers, best.stats.wall_seconds * 1e3, speedup, tps,
+                 static_cast<unsigned long long>(best.stats.chain_inline),
+                 static_cast<unsigned long long>(best.stats.shares),
+                 static_cast<unsigned long long>(best.stats.steals),
+                 static_cast<unsigned long long>(best.stats.failed_sweeps),
+                 best.cs_ok ? "yes" : "NO");
+    records.push_back(std::move(best));
   }
-
-  // Headline: does forced splitting beat sharing on demand at the wide end?
-  // Compare the 8-worker configurations.
-  auto wall_of = [&](uint32_t split) {
-    for (const ParResult& r : records) {
-      if (r.workers == 8 && r.split_depth == split) {
-        return r.stats.wall_seconds;
-      }
-    }
-    return 0.0;
-  };
-  const double wall_every = wall_of(1);
-  const double wall_split8 = wall_of(8);
-  const double wall_never = wall_of(0);
-  std::fprintf(stderr,
-               "\n8 workers: split every activation %.2f ms, split@8 %.2f ms, "
-               "on demand only %.2f ms\n",
-               wall_every * 1e3, wall_split8 * 1e3, wall_never * 1e3);
 
   // Virtual-processor sweep over the recorded serial traces: the chain-bound
   // saturation curve, out to VP counts far past the paper's 13.
@@ -292,7 +257,6 @@ int main(int argc, char** argv) {
   for (const ParResult& r : records) {
     j.begin_object();
     j.field("workers", static_cast<uint64_t>(r.workers));
-    j.field("split_depth", static_cast<uint64_t>(r.split_depth));
     j.field("wall_seconds", r.stats.wall_seconds);
     j.field("tasks", r.stats.tasks);
     j.field("speedup_vs_serial", r.stats.wall_seconds > 0
@@ -300,7 +264,6 @@ int main(int argc, char** argv) {
                                            r.stats.wall_seconds
                                      : 0.0);
     j.field("chain_inline", r.stats.chain_inline);
-    j.field("chain_splits", r.stats.chain_splits);
     j.field("shares", r.stats.shares);
     j.field("steals", r.stats.steals);
     j.field("failed_sweeps", r.stats.failed_sweeps);
@@ -313,11 +276,6 @@ int main(int argc, char** argv) {
     j.end_object();
   }
   j.end_array();
-  j.begin_object("headline_8_workers");
-  j.field("wall_split_every_link", wall_every);
-  j.field("wall_split_8", wall_split8);
-  j.field("wall_never_split", wall_never);
-  j.end_object();
   j.begin_array("vp_sweep");
   for (const VpPoint& p : vp) {
     j.begin_object();

@@ -2,8 +2,7 @@
 // again with chunking on (watch the chunks being built), then re-solve with
 // the learned chunks preloaded and compare the effort.
 //
-//   $ ./eight_puzzle_demo [--stats] [--agents N] [--chain-split-depth N]
-//                         [--steal-backoff-park N] [--profile-json <path>]
+//   $ ./eight_puzzle_demo [--stats] [--agents N] [--profile-json <path>]
 //   $ PSME_TRACE=trace.json ./eight_puzzle_demo
 //
 // --profile-json repeats the during-chunking run on an 8-worker Steal
@@ -13,9 +12,8 @@
 // static cost table (the profile_correlation_smoke ctest does exactly
 // this).
 //
-// The steal-tuning flags apply to the traced and profiled parallel runs
-// (they configure EngineOptions::steal; serial runs ignore them). An
-// unknown flag exits 2.
+// An unknown flag, or an --agents value that is not a whole number below
+// 2^32, exits 2.
 //
 // With PSME_TRACE set, the during-chunking run repeats on an 8-worker
 // parallel matcher with tracing on and exports a Perfetto-loadable Chrome
@@ -30,6 +28,7 @@
 // and chunk-signature dedup is network-wide — so later agents
 // inherit earlier agents' chunks and solve with fewer impasses and fewer
 // freshly-built chunks.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +38,6 @@
 #include <vector>
 
 #include "obs/export.h"
-#include "par/parallel_match.h"
 #include "tasks/registry.h"
 
 using namespace psme;
@@ -98,14 +96,25 @@ int main(int argc, char** argv) {
   bool want_stats = false;
   size_t agents = 1;
   std::string profile_path;
-  StealTuning tuning;
   for (int i = 1; i < argc; ++i) {
     auto value = [&]() -> uint32_t {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "eight_puzzle_demo: %s needs a value\n", argv[i]);
         std::exit(2);
       }
-      return static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      const char* flag = argv[i];
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      uint32_t v = 0;
+      const auto [stop, err] = std::from_chars(text, end, v);
+      if (err != std::errc() || stop != end) {
+        std::fprintf(stderr,
+                     "eight_puzzle_demo: %s needs a whole number below 2^32, "
+                     "got '%s'\n",
+                     flag, text);
+        std::exit(2);
+      }
+      return v;
     };
     if (std::strcmp(argv[i], "--stats") == 0) {
       want_stats = true;
@@ -121,10 +130,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "eight_puzzle_demo: --agents needs N >= 1\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--chain-split-depth") == 0) {
-      tuning.chain_split_depth = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-park") == 0) {
-      tuning.backoff_park_sweeps = value();
     } else {
       std::fprintf(stderr, "eight_puzzle_demo: unknown option %s\n", argv[i]);
       return 2;
@@ -169,7 +174,6 @@ int main(int argc, char** argv) {
     std::printf("\ntracing during-chunking run (8 workers) ...\n");
     EngineOptions eo;
     eo.match_workers = 8;
-    eo.steal = tuning;
     eo.trace.enabled = true;
     const auto traced = run_task(task, /*learning=*/true, nullptr, eo);
     report("traced (8 workers)", traced);
@@ -187,7 +191,6 @@ int main(int argc, char** argv) {
     std::printf("\nprofiling during-chunking run (8 workers, full rate) ...\n");
     EngineOptions eo;
     eo.match_workers = 8;
-    eo.steal = tuning;
     eo.profile = true;
     eo.profile_sample_shift = 0;
     const auto profiled = run_task(task, /*learning=*/true, nullptr, eo);

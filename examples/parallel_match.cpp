@@ -9,10 +9,6 @@
 // shared and per-process spinlocked queues — see bench/bench_fig_6_1 and
 // friends.
 //
-// The steal scheduler's tuning knobs are exposed on the command line:
-//
-//   $ ./parallel_match [--chain-split-depth N] [--steal-backoff-park N]
-//
 // With --agents N (N > 1) the demo also serves N independent agent sessions
 // over ONE shared CompiledNetwork and ONE worker pool (AgentGroup): each
 // agent gets its own working memory and conflict set, the group drains all
@@ -20,6 +16,10 @@
 // set is checked against an isolated serial engine running the same script.
 //
 //   $ ./parallel_match --agents 16
+//
+// An unknown flag, or an --agents value that is not a whole number below
+// 2^32, exits 2.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,13 +68,12 @@ void load_agent_workload(Engine& e, size_t agent) {
   }
 }
 
-int run_agents_demo(size_t agents, const StealTuning& tuning) {
+int run_agents_demo(size_t agents) {
   std::printf("\nmulti-agent serving: %zu sessions, one shared network, "
               "8 workers\n",
               agents);
   AgentGroupOptions gopts;
   gopts.workers = 8;
-  gopts.agent.steal = tuning;
   AgentGroup group(gopts);
   std::vector<std::unique_ptr<Engine>> oracles;
   for (size_t a = 0; a < agents; ++a) {
@@ -121,7 +120,6 @@ int run_agents_demo(size_t agents, const StealTuning& tuning) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  StealTuning tuning;
   size_t agents = 1;
   for (int i = 1; i < argc; ++i) {
     auto value = [&]() -> uint32_t {
@@ -129,13 +127,21 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "parallel_match: %s needs a value\n", argv[i]);
         std::exit(2);
       }
-      return static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      const char* flag = argv[i];
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      uint32_t v = 0;
+      const auto [stop, err] = std::from_chars(text, end, v);
+      if (err != std::errc() || stop != end) {
+        std::fprintf(stderr,
+                     "parallel_match: %s needs a whole number below 2^32, "
+                     "got '%s'\n",
+                     flag, text);
+        std::exit(2);
+      }
+      return v;
     };
-    if (std::strcmp(argv[i], "--chain-split-depth") == 0) {
-      tuning.chain_split_depth = value();
-    } else if (std::strcmp(argv[i], "--steal-backoff-park") == 0) {
-      tuning.backoff_park_sweeps = value();
-    } else if (std::strcmp(argv[i], "--agents") == 0) {
+    if (std::strcmp(argv[i], "--agents") == 0) {
       agents = value();
       if (agents == 0) {
         std::fprintf(stderr, "parallel_match: --agents needs N >= 1\n");
@@ -161,7 +167,7 @@ int main(int argc, char** argv) {
     load_workload(par);
     SeedCollector sc;
     for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
-    ParallelMatcher matcher(par.net(), workers, nullptr, tuning);
+    ParallelMatcher matcher(par.net(), workers);
     matcher.register_agent(par.state());
     const ParallelStats st = matcher.run_cycle(sc.seeds);
     std::printf("%-8zu %10llu %8llu %12llu %8llu %10.2f  %s\n", workers,
@@ -172,6 +178,6 @@ int main(int argc, char** argv) {
                 st.wall_seconds * 1e3,
                 par.cs().size() == expected ? "yes" : "MISMATCH");
   }
-  if (agents > 1) return run_agents_demo(agents, tuning);
+  if (agents > 1) return run_agents_demo(agents);
   return 0;
 }

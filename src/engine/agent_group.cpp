@@ -15,7 +15,7 @@ AgentGroup::AgentGroup(AgentGroupOptions opts) : opts_(std::move(opts)) {
   // Agent-less matcher: sessions register as they are added. prewarm()
   // ensures worker tracks 1..W on the tracer; agent tracks follow.
   matcher_ = std::make_unique<ParallelMatcher>(
-      cnet_->net(), opts_.workers, tracer_.get(), eo.steal, profiler_.get());
+      cnet_->net(), opts_.workers, tracer_.get(), profiler_.get());
 }
 
 AgentGroup::~AgentGroup() {

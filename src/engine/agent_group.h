@@ -47,12 +47,11 @@ struct AgentGroupOptions {
   size_t workers = 4;
   TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal;  // unused
   /// Engine options for every agent session. builder configures the shared
-  /// network's compiler. steal, trace, profile and profile_sample_shift
-  /// configure the group's shared matcher, tracer (one ring per worker +
-  /// one per agent) and profiler (one shard per worker, agent cells tagged
-  /// per session). match_workers and record_traces have no effect: attached
-  /// engines always drain on the shared matcher, so
-  /// Engine::records_traces() is false.
+  /// network's compiler. trace, profile and profile_sample_shift configure
+  /// the group's tracer (one ring per worker + one per agent) and profiler
+  /// (one shard per worker, agent cells tagged per session). match_workers
+  /// and record_traces have no effect: attached engines always drain on the
+  /// shared matcher, so Engine::records_traces() is false.
   EngineOptions agent;
 };
 

@@ -6,14 +6,13 @@
 // fires every unfired instantiation in parallel (§3: "all of the
 // instantiations in the CS are then fired in parallel").
 //
-// Storage is slab-pooled (modeled on ActivationPool in par/parallel_match.*):
-// instantiations live in intrusive nodes carved from slabs the CS owns, kept
-// on a free list when retracted. The arrival-ordered doubly-linked list
-// replaces std::list (no per-insert heap node), and a growth-only power-of-two
-// chained index replaces the unordered_multimap (no per-insert map node). At
-// steady state — CS population oscillating below its high-water mark — an
-// insert/retract pair touches no heap at all, which is what
-// tests/engine_alloc_test.cpp asserts across full engine cycles.
+// Storage is slab-pooled: instantiations live in intrusive nodes carved from
+// slabs the CS owns, kept on a free list when retracted. The arrival-ordered
+// doubly-linked list replaces std::list (no per-insert heap node), and a
+// growth-only power-of-two chained index replaces the unordered_multimap (no
+// per-insert map node). At steady state — CS population oscillating below
+// its high-water mark — an insert/retract pair touches no heap at all, which
+// is what tests/engine_alloc_test.cpp asserts across full engine cycles.
 #pragma once
 
 #include <cstdint>
@@ -106,7 +105,7 @@ class ConflictSet final : public MatchSink {
 
  private:
   // Instantiation is the first member: the Instantiation* handles handed to
-  // callers cast back to their Node (same trick as ActivationPool's slabs).
+  // callers cast back to their Node.
   struct Node {
     Instantiation inst;
     size_t key = 0;

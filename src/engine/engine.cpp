@@ -64,8 +64,7 @@ ParallelMatcher& Engine::matcher() {
   if (external_matcher_ != nullptr) return *external_matcher_;
   if (!matcher_) {
     matcher_ = std::make_unique<ParallelMatcher>(
-        net(), opts_.match_workers, tracer_.get(), opts_.steal,
-        profiler_.get());
+        net(), opts_.match_workers, tracer_.get(), profiler_.get());
     matcher_->register_agent(state_);  // agent 0
   }
   return *matcher_;

@@ -56,13 +56,6 @@ struct EngineOptions {
   /// (the shared matcher's worker count governs).
   size_t match_workers = 0;
 
-  /// Scheduler tuning: the idle path's sweep-backoff ladder
-  /// (steal.backoff_park_sweeps) and forced splitting
-  /// (steal.chain_split_depth; 0, the default, publishes a worker's private
-  /// work only when a peer is hungry; k > 0 also publishes it after every
-  /// k − 1 private runs, so 1 sends every activation through a deque).
-  StealTuning steal;
-
   /// Tracing (src/obs). When enabled a standalone engine owns a Tracer:
   /// track 0 carries engine-level spans (match cycles, drain sub-phases,
   /// chunk compiles, the §5.2 update phases, serial task spans) and tracks

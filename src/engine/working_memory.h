@@ -70,7 +70,7 @@ class WorkingMemory {
 
  private:
   // Wme is the first member: the const Wme* handles handed out cast back to
-  // their Rec (same pattern as ConflictSet::Node / ActivationPool::Node).
+  // their Rec (same pattern as ConflictSet::Node).
   struct Rec {
     Wme wme;
     Rec* next = nullptr;  // content-bucket chain (Live) or free list (Free)

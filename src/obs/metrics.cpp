@@ -71,7 +71,6 @@ void collect(MetricsRegistry& m, const ParallelStats& st) {
   m.counter("par.sweep_backoff_ns", st.sweep_backoff_ns);
   m.counter("par.parks", st.parks);
   m.counter("par.chain_inline", st.chain_inline);
-  m.counter("par.chain_splits", st.chain_splits);
   m.counter("par.shares", st.shares);
   // Consecutive-failed-sweep run lengths (see ParallelStats::sweep_hist):
   // the shape tells whether idle workers give up quickly (mass at 1-2, the

@@ -70,72 +70,14 @@ class ScratchLease {
 
 }  // namespace
 
-ActivationPool::ActivationPool(size_t n_workers) {
-  shards_.reserve(n_workers);
-  for (size_t i = 0; i < n_workers; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-Activation* ActivationPool::alloc(size_t worker, Activation&& a) {
-  Shard& s = *shards_[worker];
-  Node* n = s.free;
-  if (n != nullptr) {
-    s.free = n->next;
-  } else if (Node* ret =
-                 s.returns.exchange(nullptr, std::memory_order_acquire);
-             ret != nullptr) {
-    n = ret;
-    s.free = ret->next;
-  } else {
-    if (s.fill == kSlabNodes) {
-      s.slabs.push_back(std::make_unique<Node[]>(kSlabNodes));
-      s.fill = 0;
-      ++s.slab_allocs;
-    }
-    n = &s.slabs.back()[s.fill++];
-    n->owner = static_cast<uint32_t>(worker);
-  }
-  n->act = std::move(a);
-  return &n->act;
-}
-
-void ActivationPool::release(size_t worker, Activation* a) {
-  Node* n = reinterpret_cast<Node*>(a);
-  Shard& home = *shards_[n->owner];
-  if (n->owner == worker) {
-    n->next = home.free;
-    home.free = n;
-    return;
-  }
-  Node* head = home.returns.load(std::memory_order_relaxed);
-  do {
-    n->next = head;
-  } while (!home.returns.compare_exchange_weak(
-      head, n, std::memory_order_release, std::memory_order_relaxed));
-}
-
-void ActivationPool::warm(size_t worker) {
-  Activation* a = alloc(worker, Activation{});
-  release(worker, a);
-}
-
-uint64_t ActivationPool::slab_allocs() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) total += s->slab_allocs;
-  return total;
-}
-
 ParallelMatcher::ParallelMatcher(Network& net, size_t n_workers,
-                                 obs::Tracer* tracer, StealTuning tuning,
+                                 obs::Tracer* tracer,
                                  obs::MatchProfiler* profiler)
     : net_(net),
       n_workers_(n_workers == 0 ? 1 : n_workers),
-      tuning_(tuning),
       tracer_(tracer),
       profiler_(profiler),
-      pool_(n_workers == 0 ? 1 : n_workers),
-      apool_(n_workers == 0 ? 1 : n_workers) {
+      pool_(n_workers == 0 ? 1 : n_workers) {
   slots_.reserve(n_workers_);
   for (size_t i = 0; i < n_workers_; ++i) {
     // Deterministic per-worker seeds: victim choice is randomized but
@@ -152,7 +94,7 @@ void ParallelMatcher::prewarm() {
   // would depend on which workers happened to win tasks during an
   // application's warm-up cycles: a worker that sat idle through warm-up —
   // routine on a loaded machine — would charge its scratch-vector and
-  // pool-slab growth to the first steady-state cycle it joins. All the
+  // box-slab growth to the first steady-state cycle it joins. All the
   // touches below are owner-only operations, legal here because no worker
   // thread has been dispatched yet (same contract as the seed placement in
   // run_cycle).
@@ -162,7 +104,11 @@ void ParallelMatcher::prewarm() {
     s.stack.reserve(kScratch);
     s.scratch_children.reserve(kScratch);
     s.scratch_emissions.reserve(kScratch);
-    apool_.warm(w);
+    // A one-worker matcher never publishes, so it boxes nothing.
+    if (n_workers_ > 1) {
+      s.box_slabs.push_back(
+          std::make_unique<Activation[]>(WorkerSlot::kBoxSlab));
+    }
     // One ring per worker (tracks 1..n; track 0 is the engine thread) and
     // one profiler shard per worker, allocated here — quiescent,
     // single-threaded — so recording inside a cycle is a pure
@@ -189,14 +135,17 @@ uint32_t ParallelMatcher::register_agent(MatchState& st) {
   return static_cast<uint32_t>(states_.size() - 1);
 }
 
-ParallelMatcher::~ParallelMatcher() { reset_slots(); }
+ParallelMatcher::~ParallelMatcher() = default;
 
 void ParallelMatcher::reset_slots() {
   for (auto& s : slots_) {
     // A previous cycle that aborted on an exception may leave tasks behind;
     // every cycle starts from a clean, balanced state. Runs quiescent on the
-    // coordinating thread (worker 0's shard takes the strays).
-    while (Activation* a = s->deque.pop()) apool_.release(0, a);
+    // coordinating thread, after every taker of the last cycle's boxes has
+    // joined, so the boxes can be rewound.
+    while (s->deque.pop() != nullptr) {
+    }
+    s->boxes_used = 0;
     s->stack.clear();
     s->created.store(0, std::memory_order_relaxed);
     s->executed.store(0, std::memory_order_relaxed);
@@ -267,7 +216,7 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
   for (const auto& s : slots_) st.accumulate(s->stats);
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
   if (!states_.empty()) st.arena = states_[0]->arena.stats();
-  st.pool_slabs = apool_.slab_allocs();
+  for (const auto& s : slots_) st.pool_slabs += s->box_slabs.size();
   lifetime_tasks_ += st.tasks;
   ++lifetime_cycles_;
   return st;
@@ -347,9 +296,7 @@ void ParallelMatcher::publish(size_t worker, std::vector<Activation>& stack,
   // final quiescence check.
   WorkerSlot& me = *slots_[worker];
   me.created.fetch_add(n, std::memory_order_seq_cst);
-  for (size_t i = 0; i < n; ++i) {
-    me.deque.push(apool_.alloc(worker, Activation(stack[i])));
-  }
+  for (size_t i = 0; i < n; ++i) me.deque.push(me.box(stack[i]));
   stack.erase(stack.begin(), stack.begin() + static_cast<std::ptrdiff_t>(n));
   lot_.unpark_one();
   if (tracer_ != nullptr) {
@@ -368,10 +315,9 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
   // Runs one root — a task taken from a deque, or (root == nullptr) the seed
   // batch already on worker 0's stack — and then the private stack it grows,
   // last-emitted child first: the depth-first order a one-worker drain has
-  // always had. Private work touches no counter, pool, deque or parking
-  // lot; it leaves the stack only by publish(), on demand (a peer is hungry,
-  // this deque is empty and two or more are held: the oldest half goes) or
-  // by a forced split (StealTuning::chain_split_depth).
+  // always had. Private work touches no counter, box, deque or parking
+  // lot; it leaves the stack only by publish(), on demand: a peer is hungry,
+  // this deque is empty and two or more are held, so the oldest half goes.
   //
   // Termination invariant: the root's `executed` bump waits until the stack
   // is empty, so while any work derived from the root is held privately an
@@ -381,8 +327,6 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
   // pool join, so tokens referenced by stacked or published work stay live.
   WorkerSlot& me = *slots_[worker];
   const bool can_share = n_workers_ > 1;
-  const uint32_t k = tuning_.chain_split_depth;
-  uint32_t run = 0;  // private executions under this root
   auto exec = [&](const Activation& a) {
     me.observer.before(ctx.stats);
     // Re-bind the context to this task's agent: the tag names the only
@@ -394,17 +338,8 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
     ++me.stats.tasks;
   };
   try {
-    if (root != nullptr) {
-      const Activation task = *root;
-      apool_.release(worker, root);
-      exec(task);
-    }
+    if (root != nullptr) exec(*root);
     while (!stack.empty()) {
-      if (k != 0 && run + 1 == k) {
-        me.stats.chain_splits += stack.size();
-        publish(worker, stack, stack.size());
-        break;
-      }
       if (can_share && stack.size() >= 2 &&
           hungry_.load(std::memory_order_relaxed) != 0 && me.deque.empty()) {
         const size_t half = stack.size() / 2;
@@ -413,7 +348,6 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
       }
       const Activation task = stack.back();
       stack.pop_back();
-      ++run;
       ++me.stats.chain_inline;
       exec(task);
     }
@@ -464,7 +398,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
       // deque-top traffic. (Clock reads only run on this already-idle
       // path, never per task.)
       for (uint32_t round = 0;
-           a == nullptr && round < tuning_.backoff_park_sweeps; ++round) {
+           a == nullptr && round < kBackoffParkRounds; ++round) {
         const uint64_t b0 = backoff_now_ns();
         sweep_backoff(round);
         me.stats.sweep_backoff_ns += backoff_now_ns() - b0;

@@ -4,19 +4,17 @@
 // The scheduler is work-first: every activation a worker emits goes onto
 // that worker's private LIFO stack and is run next, touching no shared
 // state, and reaches the worker's lock-free Chase–Lev deque (par/ws_deque.h)
-// only when a peer can take it. A worker publishes in two cases: on demand,
-// when some peer has failed a steal sweep and found nothing since (it then
-// publishes the oldest half of its stack), and at a forced split, when
-// StealTuning::chain_split_depth caps a run of private executions. Thieves
-// steal from the deques with randomized CAS-only probes; idle workers back
-// off exponentially across failed whole-pool sweeps and then park on an
-// atomic wait (par/worker_pool.h) instead of hammering locks. A cycle's
-// seeds start on the caller's private stack, so without a forced split a
-// cycle nobody helps with runs depth-first on the caller's thread with no
-// per-task atomic, pool or deque operation. The paper's spinlocked task queues (§2.3; one shared
-// queue or one per process) are modeled by the virtual multiprocessor's
-// QueuePolicy (src/psim), which is what the Figure 6-x reproductions
-// measure.
+// only when a peer can take it: once some peer has failed a steal sweep and
+// found nothing since, a busy worker publishes the oldest half of its stack.
+// Thieves steal from the deques with randomized CAS-only probes; idle
+// workers back off exponentially across failed whole-pool sweeps and then
+// park on an atomic wait (par/worker_pool.h) instead of hammering locks. A
+// cycle's seeds start on the caller's private stack, so a cycle nobody
+// helps with runs depth-first on the caller's thread with no per-task
+// atomic, box or deque operation. The paper's spinlocked task queues (§2.3;
+// one shared queue or one per process) are modeled by the virtual
+// multiprocessor's QueuePolicy (src/psim), which is what the Figure 6-x
+// reproductions measure.
 //
 // Worker threads are spawned once per ParallelMatcher lifetime (WorkerPool)
 // and parked between cycles, so a matcher held by an Engine runs thousands
@@ -51,31 +49,6 @@
 
 namespace psme {
 
-/// Tunables for the scheduler's idle path and forced splitting.
-/// Exposed on EngineOptions (`steal`) and the demos' CLIs; the defaults are
-/// what every production caller gets.
-struct StealTuning {
-  /// Sweep backoff ladder: after a failed whole-pool sweep a worker runs
-  /// `backoff_park_sweeps` backoff rounds (sweep_backoff in
-  /// par/worker_pool.h) before parking on its pre-sweep ticket. Rounds
-  /// re-sweep only when the publish epoch has moved — otherwise the deques
-  /// are provably still empty — so a quiet idle episode costs exactly one
-  /// failed sweep. Zero rounds means park right after the first failed
-  /// sweep. Lower park thresholds trade steal latency for idle cost — on an
-  /// oversubscribed host (the common case at 8-13 workers) parking early is
-  /// what keeps failed sweeps off the bus.
-  uint32_t backoff_park_sweeps = 2;
-
-  /// Forced splitting: with k > 0 a worker runs at most k − 1 activations
-  /// from its private stack per root (a task taken from a deque, or the
-  /// seed batch), then publishes the whole stack to its deque and takes its
-  /// next task from there, whether or not a peer is hungry. 1 sends every
-  /// activation, seeds included, through the deque (the tests' stress
-  /// corner); 0, the default, never splits: private work is published only
-  /// on demand, when a peer has run dry (DESIGN.md §8.5).
-  uint32_t chain_split_depth = 0;
-};
-
 struct ParallelStats {
   /// Buckets of the consecutive-failed-sweep histogram: run lengths
   /// 1, 2, 3-4, 5-8, 9-16, >16 (a run ends when a take succeeds, the worker
@@ -89,9 +62,8 @@ struct ParallelStats {
   uint64_t sweep_backoff_ns = 0;  // time spent in the backoff ladder
   uint64_t parks = 0;             // times a worker parked
   uint64_t chain_inline = 0;      // tasks run from a private stack
-  uint64_t chain_splits = 0;      // activations published by a forced split
   uint64_t shares = 0;            // activations published to a hungry peer
-  uint64_t pool_slabs = 0;        // activation-pool slab mallocs
+  uint64_t pool_slabs = 0;        // task-box slabs the workers hold
   uint64_t sweep_hist[kSweepHistBuckets] = {};  // failed-sweep run lengths
   double wall_seconds = 0;
   /// Token-arena snapshot taken at the end of the cycle (counters are
@@ -110,7 +82,6 @@ struct ParallelStats {
     sweep_backoff_ns += st.sweep_backoff_ns;
     parks += st.parks;
     chain_inline += st.chain_inline;
-    chain_splits += st.chain_splits;
     shares += st.shares;
     for (size_t i = 0; i < kSweepHistBuckets; ++i) {
       sweep_hist[i] += st.sweep_hist[i];
@@ -119,56 +90,6 @@ struct ParallelStats {
     pool_slabs = st.pool_slabs;
     arena = st.arena;
   }
-};
-
-/// Slab recycler for the heap Activations the worker deques point at: only
-/// published tasks (a share or a forced split) are boxed here; private work
-/// lives by value on its worker's stack. Each worker owns a shard:
-/// allocation is a local free-list pop (or a slab bump when cold), so the
-/// steady state does one slab malloc per kSlabNodes tasks at most — in
-/// practice zero once warm. A published task is often freed by a
-/// *different* worker than the one that allocated it (thieves execute what
-/// victims push), so release returns the node to its owner shard through a
-/// lock-free MPSC Treiber stack: push-only CAS (ABA-safe — the owner takes
-/// the whole list with one exchange and never CAS-pops). No locks anywhere,
-/// preserving the scheduler's lock-freedom.
-class ActivationPool {
- public:
-  explicit ActivationPool(size_t n_workers);
-  ActivationPool(const ActivationPool&) = delete;
-  ActivationPool& operator=(const ActivationPool&) = delete;
-
-  /// Owner-only (or pre-dispatch from the coordinating thread).
-  Activation* alloc(size_t worker, Activation&& a);
-
-  /// Callable from any worker; `worker` is the *caller's* index (used to
-  /// shortcut the CAS when a task dies on its home shard).
-  void release(size_t worker, Activation* a);
-
-  /// Materializes shard `worker`'s first slab (and the slab vector's
-  /// buffer) so the shard's first real allocation is a free-list pop, not a
-  /// malloc. Owner-only or pre-dispatch, like alloc().
-  void warm(size_t worker);
-
-  [[nodiscard]] uint64_t slab_allocs() const;
-
- private:
-  struct Node {
-    Activation act;  // first member: Activation* <-> Node* cast
-    Node* next = nullptr;
-    uint32_t owner = 0;
-  };
-  static constexpr size_t kSlabNodes = 256;
-
-  struct alignas(64) Shard {
-    Node* free = nullptr;                 // owner-only
-    std::atomic<Node*> returns{nullptr};  // MPSC: any worker pushes
-    std::vector<std::unique_ptr<Node[]>> slabs;
-    size_t fill = kSlabNodes;  // next unused node in slabs.back()
-    uint64_t slab_allocs = 0;
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 class ParallelMatcher final : public Drain {
@@ -185,7 +106,6 @@ class ParallelMatcher final : public Drain {
   /// scheduler loop records task spans, steal attempts/outcomes, park
   /// intervals and queue-depth samples into its own track. The tracer must
   /// outlive the matcher.
-  /// `tuning` parameterizes the idle backoff and forced splitting.
   /// `profiler`, when non-null, attributes every executed task to its
   /// (node, agent) cell in the worker's shard (obs/profiler.h), through the
   /// same observers; the run_cycle drain boundary grows the cells
@@ -193,7 +113,7 @@ class ParallelMatcher final : public Drain {
   /// with the serial executor (worker indices line up: shard 0 is the
   /// engine thread only when the matcher is idle).
   ParallelMatcher(Network& net, size_t n_workers,
-                  obs::Tracer* tracer = nullptr, StealTuning tuning = {},
+                  obs::Tracer* tracer = nullptr,
                   obs::MatchProfiler* profiler = nullptr);
   ~ParallelMatcher();
   ParallelMatcher(const ParallelMatcher&) = delete;
@@ -241,7 +161,6 @@ class ParallelMatcher final : public Drain {
   }
 
   [[nodiscard]] size_t workers() const { return n_workers_; }
-  [[nodiscard]] const StealTuning& tuning() const { return tuning_; }
 
   /// Aggregate over every cycle this matcher has run (persistent-lifetime
   /// diagnostics; per-cycle numbers come from the run_* return value).
@@ -273,6 +192,26 @@ class ParallelMatcher final : public Drain {
     std::vector<std::pair<Token, bool>> scratch_emissions;
     // This worker's task spans and profiler shard, bound at prewarm().
     obs::TaskObserver observer;
+
+    // Task boxes: the deque holds pointers, so publish() copies each
+    // published activation into the next box of this append-only buffer,
+    // and reset_slots() rewinds it. A taker reads its task out of the box
+    // and never frees it, so a box lives until the next quiescence and no
+    // box crosses back to its owner (DESIGN.md §9.4). Slabs stay allocated:
+    // the buffer grows to its high-water mark, then reuses it.
+    static constexpr size_t kBoxSlab = 256;
+    std::vector<std::unique_ptr<Activation[]>> box_slabs;
+    size_t boxes_used = 0;
+
+    Activation* box(const Activation& a) {
+      if (boxes_used == box_slabs.size() * kBoxSlab) {
+        box_slabs.push_back(std::make_unique<Activation[]>(kBoxSlab));
+      }
+      Activation* b = &box_slabs[boxes_used / kBoxSlab][boxes_used % kBoxSlab];
+      ++boxes_used;
+      *b = a;
+      return b;
+    }
   };
 
   void steal_loop(size_t worker, const UpdateFilter& filter,
@@ -291,12 +230,10 @@ class ParallelMatcher final : public Drain {
   // its ExecContext from this table per task.
   std::vector<MatchState*> states_;
   size_t n_workers_;
-  StealTuning tuning_;
   obs::Tracer* tracer_;  // null = tracing off (one branch per event site)
   obs::MatchProfiler* profiler_;  // null = profiling off (same discipline)
   WorkerPool pool_;
   ParkingLot lot_;
-  ActivationPool apool_;
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
   // Workers that failed a steal sweep and have found nothing since. A
   // worker with private work reads it once per task and shares when it is

@@ -41,21 +41,14 @@ inline void cpu_pause() {
 }
 
 /// Exponential backoff between failed whole-pool steal sweeps (the
-/// scheduler's pre-park ladder, StealTuning::backoff_park_sweeps): round i
-/// spins `kBackoffBaseSpins << i` pauses; once the doubled budget reaches
-/// `kBackoffMaxSpins` the worker yields its core instead of spinning
-/// harder. It never sleeps — sleeping is the ParkingLot's job, which the
-/// caller reaches after its park threshold.
+/// scheduler's pre-park ladder): round i spins `kBackoffBaseSpins << i`
+/// pauses, and after `kBackoffParkRounds` rounds the worker parks. It never
+/// sleeps — sleeping is the ParkingLot's job.
 inline constexpr uint32_t kBackoffBaseSpins = 4;
-inline constexpr uint32_t kBackoffMaxSpins = 512;
+inline constexpr uint32_t kBackoffParkRounds = 2;
 inline void sweep_backoff(uint32_t round) {
-  const uint32_t shift = round < 16 ? round : 16;
-  const uint64_t spins = uint64_t{kBackoffBaseSpins} << shift;
-  if (spins >= kBackoffMaxSpins) {
-    std::this_thread::yield();
-    return;
-  }
-  for (uint64_t i = 0; i < spins; ++i) cpu_pause();
+  const uint32_t spins = kBackoffBaseSpins << round;
+  for (uint32_t i = 0; i < spins; ++i) cpu_pause();
 }
 
 /// Epoch-based parking. See file comment for the ticket protocol. The

@@ -52,8 +52,8 @@ class WsDeque {
   WsDeque(const WsDeque&) = delete;
   WsDeque& operator=(const WsDeque&) = delete;
 
-  /// Owner only. The deque never takes ownership of `item` semantics beyond
-  /// storing the pointer; the scheduler deletes what it pops/steals.
+  /// Owner only. The deque stores the pointer and never owns `item`; the
+  /// scheduler keeps what it pushes alive until the deque is drained.
   void push(T* item) {
     const int64_t b = bottom_.load(std::memory_order_relaxed);
     const int64_t t = top_.load(std::memory_order_acquire);

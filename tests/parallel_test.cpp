@@ -1,9 +1,10 @@
 // Threaded matcher: final match state must equal the serial executor's
-// across worker counts and chain-splitting tunings; scheduler statistics
-// are plumbed through. The WorkerPool and ParkingLot waits the scheduler
-// sleeps on are exercised directly at the bottom.
+// across worker counts, with work shared to hungry peers; scheduler
+// statistics are plumbed through. The WorkerPool and ParkingLot waits the
+// scheduler sleeps on are exercised directly at the bottom.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -48,34 +49,10 @@ void add_workload_wmes(Engine& e, int n) {
   }
 }
 
-struct ParallelCase {
-  size_t workers;
-  StealTuning tuning = {};
-};
-
-/// Forced split at every activation with the backoff ladder off: every
-/// activation, seeds included, round-trips through a deque and every failed
-/// sweep goes straight to the park ticket (the maximal-churn corner of the
-/// tuning space).
-StealTuning split_heavy() {
-  StealTuning t;
-  t.chain_split_depth = 1;
-  t.backoff_park_sweeps = 0;
-  return t;
-}
-
-/// A forced split every 8 activations: forced publishes interleave with
-/// on-demand shares. The default tuning (0) never forces a split.
-StealTuning split_every_8() {
-  StealTuning t;
-  t.chain_split_depth = 8;
-  return t;
-}
-
-class ParallelEquivalence : public ::testing::TestWithParam<ParallelCase> {};
+class ParallelEquivalence : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ParallelEquivalence, MatchesSerialResult) {
-  const auto param = GetParam();
+  const size_t workers = GetParam();
 
   Engine serial;
   serial.load(workload_productions());
@@ -89,19 +66,13 @@ TEST_P(ParallelEquivalence, MatchesSerialResult) {
   // Engine::match().
   SeedCollector sc;
   for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
-  ParallelMatcher matcher(par.net(), param.workers, nullptr, param.tuning);
+  ParallelMatcher matcher(par.net(), workers);
   matcher.register_agent(par.state());
   const ParallelStats st = matcher.run_cycle(sc.seeds);
   EXPECT_GT(st.tasks, 0u);
-  if (param.tuning.chain_split_depth == 1) {
-    // Every activation, seeds included, is published before it runs, so
-    // each task is a root taken from a deque.
-    EXPECT_EQ(st.chain_inline, 0u);
-    EXPECT_EQ(st.chain_splits, st.tasks);
-    EXPECT_EQ(st.shares, 0u);
-  } else if (param.tuning.chain_split_depth == 0) {
-    EXPECT_EQ(st.chain_splits, 0u);  // published only on demand
-  }
+  // A task runs either from a private stack or as a shared root taken from
+  // a deque, and every shared activation runs exactly once.
+  EXPECT_EQ(st.tasks, st.chain_inline + st.shares);
 
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
   EXPECT_EQ(serial.state().tables.total_left_entries(),
@@ -110,20 +81,46 @@ TEST_P(ParallelEquivalence, MatchesSerialResult) {
             par.state().tables.total_right_entries());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    WorkersAndTunings, ParallelEquivalence,
-    ::testing::Values(ParallelCase{1}, ParallelCase{2}, ParallelCase{4},
-                      ParallelCase{8}, ParallelCase{13},
-                      ParallelCase{2, split_heavy()},
-                      ParallelCase{4, split_heavy()},
-                      ParallelCase{8, split_heavy()},
-                      ParallelCase{4, split_every_8()},
-                      ParallelCase{8, split_every_8()}));
+INSTANTIATE_TEST_SUITE_P(Workers, ParallelEquivalence,
+                         ::testing::Values(1, 2, 4, 8, 13));
+
+TEST(ParallelMatcher, HungryPeersStealPublishedWork) {
+  // Sharing with a hungry peer is the only way work leaves a private
+  // stack. Fresh matchers drain the workload until some cycle has shared
+  // and some peer has stolen, and every cycle must equal the serial result.
+  // The yielding sink lets helpers run mid-cycle on any number of cores.
+  Engine serial;
+  serial.load(workload_productions());
+  add_workload_wmes(serial, 20);
+  serial.match();
+  for (const size_t workers : {2u, 4u, 8u, 13u}) {
+    uint64_t shares = 0;
+    uint64_t steals = 0;
+    for (int cycle = 0; cycle < 50 && (shares == 0 || steals == 0); ++cycle) {
+      Engine par;
+      par.load(workload_productions());
+      add_workload_wmes(par, 20);
+      SeedCollector sc;
+      for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+      test::YieldingSink yielding(*par.state().sink);
+      par.state().sink = &yielding;
+      ParallelMatcher matcher(par.net(), workers);
+      matcher.register_agent(par.state());
+      const ParallelStats st = matcher.run_cycle(sc.seeds);
+      ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(par))
+          << workers << " workers, cycle " << cycle;
+      shares += st.shares;
+      steals += st.steals;
+    }
+    EXPECT_GT(shares, 0u) << workers << " workers";
+    EXPECT_GT(steals, 0u) << workers << " workers";
+  }
+}
 
 TEST(ParallelMatcher, OneWorkerRunsEveryTaskFromItsPrivateStack) {
   // Nothing is ever hungry at one worker: the seeds and everything they
-  // spawn run from the caller's private stack, and no activation is
-  // published, stolen or boxed in the activation pool.
+  // spawn run from the caller's private stack, no activation is published
+  // or stolen, and the matcher holds no task boxes at all.
   Engine serial;
   serial.load(workload_productions());
   add_workload_wmes(serial, 20);
@@ -134,17 +131,14 @@ TEST(ParallelMatcher, OneWorkerRunsEveryTaskFromItsPrivateStack) {
   add_workload_wmes(par, 20);
   ParallelMatcher matcher(par.net(), 1);
   matcher.register_agent(par.state());
-  std::vector<Activation> none;
-  const uint64_t prewarmed_slabs = matcher.run_cycle(none).pool_slabs;
   SeedCollector sc;
   for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
   const ParallelStats st = matcher.run_cycle(sc.seeds);
   EXPECT_GT(st.tasks, 0u);
   EXPECT_EQ(st.chain_inline, st.tasks);
   EXPECT_EQ(st.shares, 0u);
-  EXPECT_EQ(st.chain_splits, 0u);
   EXPECT_EQ(st.steals, 0u);
-  EXPECT_EQ(st.pool_slabs, prewarmed_slabs);
+  EXPECT_EQ(st.pool_slabs, 0u);
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
 }
 
@@ -153,6 +147,8 @@ TEST(ParallelMatcher, ThrowingTaskFailsTheCycleAndTheNextStartsClean) {
   // private stack and still counts its root, every worker leaves, and
   // run_cycle rethrows. Whatever was left stacked or published is dropped,
   // so the matcher's next cycle starts balanced and runs nothing stale.
+  // Whether a share is still in a deque when the task throws depends on the
+  // interleaving, so each width runs the failure many times.
   class ThrowingSink final : public MatchSink {
    public:
     void on_insert(const ProdNode&, const Token&) override {
@@ -160,22 +156,24 @@ TEST(ParallelMatcher, ThrowingTaskFailsTheCycleAndTheNextStartsClean) {
     }
     void on_retract(const ProdNode&, const Token&) override {}
   };
-  for (const StealTuning& tuning : {StealTuning{}, split_heavy()}) {
-    Engine par;
-    par.load(workload_productions());
-    add_workload_wmes(par, 20);
-    ParallelMatcher matcher(par.net(), 4, nullptr, tuning);
-    matcher.register_agent(par.state());
-    SeedCollector sc;
-    for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
-    ThrowingSink bad;
-    MatchSink* const good = par.state().sink;
-    par.state().sink = &bad;
-    EXPECT_THROW(matcher.run_cycle(sc.seeds), std::runtime_error);
-    par.state().sink = good;
-    std::vector<Activation> none;
-    EXPECT_EQ(matcher.run_cycle(none).tasks, 0u)
-        << "split depth " << tuning.chain_split_depth;
+  for (const size_t workers : {2u, 8u}) {
+    for (int run = 0; run < 20; ++run) {
+      Engine par;
+      par.load(workload_productions());
+      add_workload_wmes(par, 20);
+      ParallelMatcher matcher(par.net(), workers);
+      matcher.register_agent(par.state());
+      SeedCollector sc;
+      for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+      ThrowingSink bad;
+      MatchSink* const good = par.state().sink;
+      par.state().sink = &bad;
+      EXPECT_THROW(matcher.run_cycle(sc.seeds), std::runtime_error);
+      par.state().sink = good;
+      std::vector<Activation> none;
+      ASSERT_EQ(matcher.run_cycle(none).tasks, 0u)
+          << workers << " workers, run " << run;
+    }
   }
 }
 
@@ -272,22 +270,33 @@ void runtime_add_through(Engine& e, ParallelMatcher& matcher, RhsArena& arena,
 TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
   // Four engines walk the same script — wme wave, §5.2 runtime production
   // add, another wme wave — one drained serially (the oracle) and three
-  // through matchers at points of the splitting tuning space (the default,
-  // which never forces a split; a split at every activation; every 8). All
-  // must agree on the conflict set and the memory-table entry counts at
-  // every checkpoint.
+  // through matchers of 2, 8 and 13 workers. All must agree on the conflict
+  // set and the memory-table entry counts at every checkpoint.
   const std::string late = "(p late-j2 (b ^v <x>) (c ^v <x>) --> (halt))";
+  constexpr std::array<size_t, 3> kWidths = {2, 8, 13};
 
-  Engine serial, steal, split, split8;
-  for (Engine* e : {&serial, &steal, &split, &split8}) {
-    e->load(workload_productions());
+  Engine serial;
+  std::array<Engine, kWidths.size()> par;
+  serial.load(workload_productions());
+  std::vector<std::unique_ptr<ParallelMatcher>> matchers;
+  for (size_t i = 0; i < par.size(); ++i) {
+    par[i].load(workload_productions());
+    matchers.push_back(
+        std::make_unique<ParallelMatcher>(par[i].net(), kWidths[i]));
+    matchers.back()->register_agent(par[i].state());
   }
-  ParallelMatcher m_steal(steal.net(), 8);
-  ParallelMatcher m_split(split.net(), 8, nullptr, split_heavy());
-  ParallelMatcher m_split8(split8.net(), 8, nullptr, split_every_8());
-  m_steal.register_agent(steal.state());
-  m_split.register_agent(split.state());
-  m_split8.register_agent(split8.state());
+  auto expect_all_equal_serial = [&](const char* where) {
+    for (size_t i = 0; i < par.size(); ++i) {
+      EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par[i]))
+          << where << ", " << kWidths[i] << " workers";
+      EXPECT_EQ(serial.state().tables.total_left_entries(),
+                par[i].state().tables.total_left_entries())
+          << where << ", " << kWidths[i] << " workers";
+      EXPECT_EQ(serial.state().tables.total_right_entries(),
+                par[i].state().tables.total_right_entries())
+          << where << ", " << kWidths[i] << " workers";
+    }
+  };
 
   auto parallel_wave = [&](Engine& e, ParallelMatcher& m, int n) {
     std::vector<const Wme*> before = e.wm().live();
@@ -309,13 +318,10 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
   // Wave 1.
   add_workload_wmes(serial, 15);
   serial.match();
-  const ParallelStats st1 = parallel_wave(steal, m_steal, 15);
-  parallel_wave(split, m_split, 15);
-  parallel_wave(split8, m_split8, 15);
-  EXPECT_GT(st1.tasks, 0u);
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split8));
+  for (size_t i = 0; i < par.size(); ++i) {
+    EXPECT_GT(parallel_wave(par[i], *matchers[i], 15).tasks, 0u);
+  }
+  expect_all_equal_serial("wave 1");
 
   // §5.2 runtime add, drained through each scheduler.
   RhsArena arena;
@@ -332,28 +338,18 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
     run_update(ex, serial.net(), serial.state(), cp, serial.wm().live(), 0,
                scratch);
   }
-  runtime_add_through(steal, m_steal, arena, owned, late);
-  runtime_add_through(split, m_split, arena, owned, late);
-  runtime_add_through(split8, m_split8, arena, owned, late);
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
-  ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(split8));
+  for (size_t i = 0; i < par.size(); ++i) {
+    runtime_add_through(par[i], *matchers[i], arena, owned, late);
+  }
+  expect_all_equal_serial("runtime add");
 
   // Wave 2 over the extended network.
   add_workload_wmes(serial, 9);
   serial.match();
-  parallel_wave(steal, m_steal, 9);
-  parallel_wave(split, m_split, 9);
-  parallel_wave(split8, m_split8, 9);
-  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(steal));
-  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(split));
-  EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(split8));
-  for (Engine* e : {&steal, &split, &split8}) {
-    EXPECT_EQ(serial.state().tables.total_left_entries(),
-              e->state().tables.total_left_entries());
-    EXPECT_EQ(serial.state().tables.total_right_entries(),
-              e->state().tables.total_right_entries());
+  for (size_t i = 0; i < par.size(); ++i) {
+    parallel_wave(par[i], *matchers[i], 9);
   }
+  expect_all_equal_serial("wave 2");
 }
 
 TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {

@@ -2,11 +2,7 @@
 // of wme adds, wme removes, run-time production additions (the chunking
 // path's §5.2 state update), and run-time production REMOVALS (the
 // unsplice + drain path) is applied identically to four engines — serial
-// and three scheduler tunings (2 workers each): the default (no forced
-// split; private work is published only to a hungry peer), a forced split
-// at every activation (chain_split_depth 1, with the backoff ladder disabled
-// so every failed sweep goes straight to the park ticket), and a forced
-// split every 8 activations (chain_split_depth 8). After every match the
+// and the threaded matcher at 2, 4 and 8 workers. After every match the
 // engines must agree on:
 //
 //   * the conflict set, compared content-by-content (production name + wme
@@ -19,6 +15,10 @@
 // On divergence the harness shrinks: it replays ever-shorter prefixes of the
 // same seed's op stream and reports the minimal failing length, so the
 // printed reproducer (seed + op count) is as small as the failure allows.
+// Each threaded engine must also have shared work with a hungry peer at
+// least once over the corpus, so the publish path is part of what agrees;
+// its matches yield after every conflict-set insert (test::YieldingSink) so
+// that helpers run mid-cycle however few cores the host has.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -56,22 +56,27 @@ constexpr const char* kBaseProductions =
     "(p base-neg (a ^v <x>) -(b ^v <x>) --> (halt))\n"
     "(p base-three (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))";
 
-constexpr std::array<const char*, 4> kEngineNames = {
-    "serial", "steal", "steal-splitall", "steal-split8"};
+constexpr std::array<const char*, 4> kEngineNames = {"serial", "steal-w2",
+                                                     "steal-w4", "steal-w8"};
+constexpr std::array<size_t, 4> kEngineWorkers = {0, 2, 4, 8};
 using Engines = std::array<std::unique_ptr<Engine>, kEngineNames.size()>;
 
-/// Scheduler tuning for engine index 1..3: default, split at every
-/// activation with the backoff ladder off (parks immediately after one
-/// failed sweep — maximal park/unpark churn), split every 8.
-StealTuning steal_tuning(size_t i) {
-  StealTuning t;
-  if (i == 2) {
-    t.chain_split_depth = 1;
-    t.backoff_park_sweeps = 0;
-  } else if (i == 3) {
-    t.chain_split_depth = 8;
+/// What a corpus run did beyond agreeing: instantiations seen, and each
+/// engine's activations shared with a hungry peer by its matches.
+struct Tally {
+  size_t activity = 0;
+  std::array<uint64_t, kEngineNames.size()> shares{};
+};
+
+/// Drains every engine's pending changes and, when `tally` is given, adds
+/// up each engine's shares.
+void match_all(Engines& es, Tally* tally) {
+  for (size_t i = 0; i < es.size(); ++i) {
+    es[i]->match();
+    if (tally != nullptr) {
+      tally->shares[i] += es[i]->last_parallel_stats().shares;
+    }
   }
-  return t;
 }
 
 /// Run-time production templates: a plain join, a triple, a negation, and a
@@ -132,16 +137,19 @@ std::string compare_engines(Engines& es) {
 /// agreement; otherwise a description, with *fail_op set to the op index at
 /// which the divergence was observed.
 std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
-                     size_t* activity = nullptr) {
+                     Tally* tally = nullptr) {
+  // Declared first: the sinks must outlive the engines that call them.
+  std::array<std::unique_ptr<test::YieldingSink>, kEngineNames.size()> sinks;
   Engines es;
   for (size_t i = 0; i < es.size(); ++i) {
     EngineOptions opts;
     opts.record_traces = false;
-    if (i > 0) {
-      opts.match_workers = 2;
-      opts.steal = steal_tuning(i);
-    }
+    opts.match_workers = kEngineWorkers[i];
     es[i] = std::make_unique<Engine>(opts);
+    if (i > 0) {
+      sinks[i] = std::make_unique<test::YieldingSink>(*es[i]->state().sink);
+      es[i]->state().sink = sinks[i].get();
+    }
     es[i]->load(kBaseProductions);
   }
 
@@ -168,8 +176,8 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
       const std::string text = chunk_text(
           rng.below(4), "chunk-" + std::to_string(seed) + "-" +
                             std::to_string(chunks++));
+      match_all(es, tally);
       for (auto& e : es) {
-        e->match();
         Parser parser(e->syms(), e->schemas(), test_rhs_arena());
         auto parsed = parser.parse_file(text);
         e->add_production_runtime(std::move(parsed[0]));
@@ -187,17 +195,15 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
       const size_t n_prods = es[0]->productions().size();
       if (n_prods == 0) continue;
       const uint32_t k = rng.below(static_cast<uint32_t>(n_prods));
-      for (auto& e : es) {
-        e->match();
-        e->remove_production_runtime(e->productions()[k]);
-      }
+      match_all(es, tally);
+      for (auto& e : es) e->remove_production_runtime(e->productions()[k]);
       const std::string diff = compare_engines(es);
       if (!diff.empty()) {
         *fail_op = op;
         return diff;
       }
     } else {
-      for (auto& e : es) e->match();
+      match_all(es, tally);
       const std::string diff = compare_engines(es);
       if (!diff.empty()) {
         *fail_op = op;
@@ -206,20 +212,20 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
     }
   }
 
-  for (auto& e : es) e->match();
+  match_all(es, tally);
   const std::string diff = compare_engines(es);
   if (!diff.empty()) *fail_op = max_ops;
-  if (activity != nullptr) *activity += cs_fingerprint(*es[0]).size();
+  if (tally != nullptr) tally->activity += cs_fingerprint(*es[0]).size();
   return diff;
 }
 
 TEST(PolicyDifferential, AllPoliciesAgreeAcrossSeeds) {
   constexpr uint64_t kSeeds = 220;
   constexpr size_t kOpsPerSeed = 30;
-  size_t activity = 0;  // total instantiations seen (harness sanity)
+  Tally tally;
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     size_t fail_op = 0;
-    const std::string what = run_seed(seed, kOpsPerSeed, &fail_op, &activity);
+    const std::string what = run_seed(seed, kOpsPerSeed, &fail_op, &tally);
     if (what.empty()) continue;
 
     // Shrink: find the shortest prefix of this seed's stream that fails.
@@ -239,7 +245,10 @@ TEST(PolicyDifferential, AllPoliciesAgreeAcrossSeeds) {
   }
   // The streams must actually produce matches; an all-empty comparison
   // would pass vacuously and test nothing.
-  EXPECT_GT(activity, 100u);
+  EXPECT_GT(tally.activity, 100u);
+  for (size_t i = 1; i < kEngineNames.size(); ++i) {
+    EXPECT_GT(tally.shares[i], 0u) << kEngineNames[i] << " never shared";
+  }
 }
 
 }  // namespace

@@ -67,27 +67,14 @@ void add_stress_wmes(Engine& e, int n, int salt) {
   }
 }
 
-// One stress configuration: a point of the backoff/splitting tuning space.
+// One stress configuration: a worker count.
 struct RaceCase {
   const char* name;
-  StealTuning tuning = {};
+  size_t workers;
 };
 
-StealTuning race_split_heavy() {
-  StealTuning t;
-  t.chain_split_depth = 1;   // every activation crosses a deque
-  t.backoff_park_sweeps = 0; // park after the first failed sweep
-  return t;
-}
-
-StealTuning race_split_every_8() {
-  StealTuning t;
-  t.chain_split_depth = 8;  // forced splits interleave with on-demand shares
-  return t;
-}
-
-/// Drains one engine's pending wme set through a ParallelMatcher running
-/// `c` (a persistent `matcher` may be supplied to reuse one pool).
+/// Drains one engine's pending wme set through a ParallelMatcher of
+/// `c.workers` (a persistent `matcher` may be supplied to reuse one pool).
 void parallel_cycle(Engine& e, const std::vector<const Wme*>& adds,
                     const std::vector<const Wme*>& removes, const RaceCase& c,
                     ParallelMatcher* matcher = nullptr) {
@@ -97,28 +84,26 @@ void parallel_cycle(Engine& e, const std::vector<const Wme*>& adds,
   if (matcher != nullptr) {
     matcher->run_cycle(sc.seeds);
   } else {
-    ParallelMatcher local(e.net(), kWorkers, nullptr, c.tuning);
+    ParallelMatcher local(e.net(), c.workers);
     local.register_agent(e.state());
     local.run_cycle(sc.seeds);
   }
 }
 
 // Live-network stress runs under the work-stealing scheduler at three
-// tunings: the default (publish only to a hungry peer), a forced split at
-// every activation with the backoff ladder disabled (maximal deque/park
-// churn), and a forced split every 8 activations. The tuned cases give TSan
-// the forced-publish and backoff interleavings.
+// widths: 2 workers (one thief, so every share goes to the same peer), 8
+// and 13 (several thieves race for each share, and with fewer cores than
+// workers the park path runs while work is still being published).
 class RaceStressTuning : public ::testing::TestWithParam<RaceCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    Tunings, RaceStressTuning,
-    ::testing::Values(RaceCase{"Steal"},
-                      RaceCase{"StealSplitAll", race_split_heavy()},
-                      RaceCase{"StealSplit8", race_split_every_8()}),
+    Widths, RaceStressTuning,
+    ::testing::Values(RaceCase{"W2", 2}, RaceCase{"W8", 8},
+                      RaceCase{"W13", 13}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST_P(RaceStressTuning, RepeatedParallelCyclesMatchSerial) {
-  // Several add-then-delete cycles, each drained by 8 workers on the live
+  // Several add-then-delete cycles, each drained by all workers on the live
   // network: line locks, alpha locks, the CS lock and the scheduler's deque
   // CASes all contended in one run. The serial engine is the
   // oracle after each cycle.
@@ -193,7 +178,7 @@ TEST_P(RaceStressTuning, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
   }
   Engine live;
   live.load(base);
-  ParallelMatcher matcher(live.net(), kWorkers, nullptr, c.tuning);
+  ParallelMatcher matcher(live.net(), c.workers);
   matcher.register_agent(live.state());
 
   for (int wv = 0; wv < waves; ++wv) {
@@ -249,17 +234,13 @@ TEST(RaceStress, StealParkingUnderUnevenLoad) {
   // Tiny seed sets on a wide Steal pool: most workers find nothing and park;
   // the emitting worker's unpark-on-publish must wake them without losing
   // the termination signal. Many short cycles back to back hammer the
-  // park/unpark edge where lost wakeups would hang. backoff_park_sweeps = 0
-  // removes the backoff ladder entirely, so every failed sweep takes the
-  // ticket path immediately — the densest possible park/unpark traffic.
+  // park/unpark edge where lost wakeups would hang.
   const int cycles = PSME_SANITIZED_BUILD ? 20 : 80;
 
   Engine serial, par;
   serial.load(stress_productions());
   par.load(stress_productions());
-  StealTuning eager;
-  eager.backoff_park_sweeps = 0;
-  ParallelMatcher matcher(par.net(), kWorkers, nullptr, eager);
+  ParallelMatcher matcher(par.net(), kWorkers);
   matcher.register_agent(par.state());
 
   uint64_t parks = 0;

@@ -41,6 +41,27 @@ inline void run_workers(size_t n, const std::function<void(size_t)>& fn) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
+/// Forwards to another sink (an engine's conflict set) and yields the CPU
+/// after every change. A drain through it gives the matcher's helpers a
+/// turn mid-cycle even on a loaded or one-core host, so they fail a sweep
+/// and go hungry while the caller still holds work: the tests that must see
+/// work shared install it instead of relying on the host's spare cores.
+class YieldingSink final : public MatchSink {
+ public:
+  explicit YieldingSink(MatchSink& to) : to_(to) {}
+  void on_insert(const ProdNode& p, const Token& t) override {
+    to_.on_insert(p, t);
+    std::this_thread::yield();
+  }
+  void on_retract(const ProdNode& p, const Token& t) override {
+    to_.on_retract(p, t);
+    std::this_thread::yield();
+  }
+
+ private:
+  MatchSink& to_;
+};
+
 /// Arena for RHS actions of productions parsed outside an Engine::load.
 /// Static so it outlives every Production that references its nodes (tests
 /// used to `new` one per parse and leak it, which LeakSanitizer flags).
