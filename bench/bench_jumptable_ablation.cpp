@@ -31,10 +31,10 @@ int main() {
     SoarKernel kernel(opts);
     kernel.load_productions(task.productions);
     task.init(kernel);
-    kernel.engine().net().jumptable().reset_stats();
+    const uint64_t before = kernel.engine().match_counters().indirections;
     const auto stats = kernel.run();
     const uint64_t indirections =
-        kernel.engine().net().jumptable().indirections();
+        kernel.engine().match_counters().indirections - before;
     double serial = 0;
     uint64_t tasks = 0;
     for (const auto& t : stats.traces) {

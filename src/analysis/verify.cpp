@@ -21,6 +21,7 @@ const char* check_name(Check c) {
     case Check::Bindings: return "bindings";
     case Check::LockRank: return "lock-rank";
     case Check::ProdRecord: return "prod-record";
+    case Check::JoinLink: return "join-link";
   }
   return "?";
 }
@@ -630,11 +631,11 @@ VerifyReport verify_network(const Network& net, const MatchState* state,
       const auto& am = static_cast<const AlphaMemNode&>(*net.node(i));
       if (am.mem_index >= state->alpha_count()) continue;  // not materialized
       const Spinlock& lk = state->alpha(am.mem_index).lock;
-      if (lk.rank() != LockRank::Bucket) {
+      if (lk.rank() != LockRank::AlphaMem) {
         bad(Check::LockRank, i,
             fmt("alpha-memory lock ranks %s, lockdep table says %s",
                 lockdep::rank_name(lk.rank()),
-                lockdep::rank_name(LockRank::Bucket)));
+                lockdep::rank_name(LockRank::AlphaMem)));
       }
     }
     for (size_t li = 0; li < state->tables.line_count(); ++li) {
@@ -659,6 +660,71 @@ VerifyReport verify_network(const Network& net, const MatchState* state,
     }
   }
 #endif
+
+  // ---- JoinLink: each join's link state agrees with its memories ----
+  if (state != nullptr) {
+    std::vector<uint32_t> live_left(n, 0);
+    std::vector<uint32_t> right(n, 0);
+    state->tables.for_each_left([&](const LeftEntry& e) {
+      if (e.node_id < n && e.anti == 0) ++live_left[e.node_id];
+    });
+    state->tables.for_each_entry([&](uint32_t node_id, bool left) {
+      if (!left && node_id < n) ++right[node_id];
+    });
+    for (uint32_t i = 0; i < n; ++i) {
+      if (rep.nodes[i].type != NodeType::Join || !rep.nodes[i].alive) continue;
+      const auto& j = static_cast<const JoinNode&>(*net.node(i));
+      const bool linked = state->linked(i);
+      if (!state->unlinking && !linked) {
+        bad(Check::JoinLink, i,
+            "join is unlinked in a state that keeps every join linked");
+      }
+      if (state->unlinking && linked != (live_left[i] != 0)) {
+        bad(Check::JoinLink, i,
+            linked ? std::string("linked join holds no live left entry")
+                   : fmt("unlinked join holds %u live left entries",
+                         live_left[i]));
+      }
+      if (state->left_count(i) != live_left[i]) {
+        bad(Check::JoinLink, i,
+            fmt("left count reads %u, the join holds %u live left entries",
+                state->left_count(i), live_left[i]));
+      }
+      const Node* am = net.node(j.alpha_mem);
+      if (!linked) {
+        if (right[i] != 0) {
+          bad(Check::JoinLink, i,
+              fmt("unlinked join holds %u right entries", right[i]));
+        }
+        continue;
+      }
+      if (am == nullptr || am->type != NodeType::AlphaMem) continue;
+      const uint32_t mi = static_cast<const AlphaMemNode*>(am)->mem_index;
+      if (mi >= state->alpha_count()) continue;  // not materialized
+      uint32_t wmes = 0;
+      const AlphaMemState& ams = state->alpha(mi);
+      SpinGuard g(ams.lock);
+      for (const Wme* w : ams.wmes) {
+        ++wmes;
+        uint32_t copies = 0;
+        state->tables.for_each_right_at(i, j.hash_right(w),
+                                        [&](const RightEntry& r) {
+                                          if (r.wme == w) ++copies;
+                                        });
+        if (copies != 1) {
+          bad(Check::JoinLink, i,
+              fmt("linked join holds %u right entries for alpha wme #%llu "
+                  "(want 1)",
+                  copies, static_cast<unsigned long long>(w->timetag)));
+        }
+      }
+      if (right[i] != wmes) {
+        bad(Check::JoinLink, i,
+            fmt("linked join holds %u right entries for %u alpha wmes",
+                right[i], wmes));
+      }
+    }
+  }
 
   // ---- ProdRecord: production records agree with the network ----
   for (const AddRecord* r : records) {

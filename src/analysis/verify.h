@@ -35,13 +35,20 @@
 //                  within the left token, and the "Eq tests first" layout
 //                  (n_eq) holds.
 //   LockRank     — memory-node locks carry the rank the lockdep table
-//                  assigns them (alpha memories and table lines: Bucket;
-//                  chunk pools: SlabPool). Only checkable when PSME_LOCKDEP
+//                  assigns them (alpha memories: AlphaMem; table lines:
+//                  Bucket; chunk pools: SlabPool). Only checkable when PSME_LOCKDEP
 //                  is on (ranks are compiled out otherwise); reported as
 //                  skipped when off.
 //   ProdRecord   — each production record's pnode is a ProdNode pointing
 //                  back at the record's AST, and its new/shared node lists
 //                  name existing nodes.
+//   JoinLink     — per agent, each join's link state agrees with its
+//                  memories (DESIGN.md §16): with right unlinking on, a join
+//                  is linked iff it holds a live left entry, and its left
+//                  count equals those entries; a linked join holds exactly
+//                  one right entry per wme of its alpha memory, an unlinked
+//                  one none; in a state that records traces every join is
+//                  linked. Needs a state.
 //
 // The verifier also records per-node activation fan-out and chain depth
 // (longest root→node path), the raw material for the Fig 6-7 long-chain
@@ -85,6 +92,7 @@ enum class Check : uint8_t {
   Bindings,
   LockRank,
   ProdRecord,
+  JoinLink,
 };
 
 [[nodiscard]] const char* check_name(Check c);
@@ -130,7 +138,8 @@ struct VerifyReport {
 /// agent's match state — when non-null the state-dependent checks (stale
 /// table entries, LockRank) run against it; a shared network serving N
 /// agents is verified once per agent. Null skips those checks (structure
-/// only; lock_ranks_checked stays false).
+/// only; lock_ranks_checked stays false). The state checks read a
+/// quiescent state: a match drain that threw leaves link states unswept.
 VerifyReport verify_network(const Network& net, const MatchState* state,
                             const std::vector<const AddRecord*>& records);
 

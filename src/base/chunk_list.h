@@ -14,9 +14,9 @@
 //
 // Concurrency: a ChunkedList is guarded by whatever lock guards the
 // structure that owns it (a table line's Bucket lock, an alpha memory's
-// Bucket lock). The ChunkPool's internal free-list lock carries
-// LockRank::SlabPool — strictly above Bucket — so acquiring/releasing a
-// chunk while holding a line lock respects the global hierarchy
+// AlphaMem lock). The ChunkPool's internal free-list lock carries
+// LockRank::SlabPool — strictly above both — so acquiring/releasing a
+// chunk while holding either lock respects the global hierarchy
 // (par/lock_order.h). The pool lock protects only the free list; nothing
 // that can emit or block is ever done under it.
 //

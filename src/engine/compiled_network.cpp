@@ -46,6 +46,9 @@ const AddRecord& CompiledNetwork::compile(Production&& ast) {
     throw;
   }
   productions_.push_back(p);
+  // Per-node agent state grows with the structure, so the §5.2 update that
+  // follows finds the new joins' link states in place (DESIGN.md §16).
+  for (Engine* agent : agents_) agent->state().ensure_links(net_.node_count());
   return records_.emplace(p, AddRecord{p, std::move(cp)}).first->second;
 }
 

@@ -31,6 +31,7 @@ Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
                ParallelMatcher* shared_matcher)
     : opts_(opts),
       cnet_(std::move(cnet)),
+      state_(/*unlink_joins=*/!opts.record_traces),
       rhs_(cnet_->syms(), cnet_->schemas()),
       external_matcher_(shared_matcher),
       agent_(shared_matcher != nullptr ? shared_matcher->register_agent(state_)
@@ -46,6 +47,7 @@ Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
                    obs::TaskObserver(tracer(), track(), profiler(), 0)) {
   state_.sink = &cs_;
   state_.ensure_alpha(net().alpha_mem_count());
+  state_.ensure_links(net().node_count());
   serial_exec_.agent = agent_;
   cnet_->attach(this);
 }
@@ -145,6 +147,7 @@ Engine::RuntimeRemoveResult Engine::remove_production_runtime(
       ams.wmes.clear(agent->state_.alpha_pool);
     }
     res.instantiations += agent->cs_.purge_production(pnode);
+    for (uint32_t id : plan.dead_nodes) agent->state_.reset_link(id);
     // The dead ids are about to be recycled; a reused id's cell starts at
     // zero. (Agents of one group share a profiler: zeroing twice is fine.)
     if (obs::MatchProfiler* prof = agent->profiler()) {
@@ -218,6 +221,7 @@ void Engine::collect_seeds(bool adds, std::vector<Activation>& out) {
   CollectCtx cc(out, agent_);
   const auto& pend = adds ? pending_adds_ : pending_removes_;
   for (const Wme* w : pend) net().inject(w, adds, cc);
+  counters_.accumulate(cc.counters);
 }
 
 void Engine::end_cycle() {
@@ -259,6 +263,7 @@ ParallelStats Engine::drain_threaded(ParallelMatcher& m,
     // matcher's snapshot covers only agent 0's arena).
     a->last_parallel_stats_ = total;
     a->last_parallel_stats_.arena = a->state_.arena.stats();
+    a->counters_.accumulate(total.counters);
   }
   return total;
 }
@@ -318,10 +323,17 @@ void Engine::collect_metrics(obs::MetricsRegistry& m) const {
   } else {
     obs::collect(m, state_.arena.stats());
   }
+  obs::collect(m, match_counters());
   if (tracer_ != nullptr) obs::collect(m, *tracer_);
   // Own profiler only: a group-shared profiler holds every session's cells
   // and is collected once by the group, not once per agent.
   if (profiler_ != nullptr) obs::collect(m, *profiler_);
+}
+
+MatchCounters Engine::match_counters() const {
+  MatchCounters c = counters_;
+  c.accumulate(serial_exec_.counters);
+  return c;
 }
 
 Engine::RunResult Engine::run(uint64_t max_cycles) {

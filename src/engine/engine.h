@@ -45,7 +45,10 @@ struct EngineOptions {
   /// Records every serial cycle's task DAG (CycleTrace) for the virtual
   /// multiprocessor. Off by default: a recorded DAG allocates per task and
   /// a Soar run keeps one per elaboration cycle. The figure benches, psim
-  /// and the tests that read traces turn it on.
+  /// and the tests that read traces turn it on. It also turns right
+  /// unlinking off on either executor (DESIGN.md §16): every join stays
+  /// linked, so a recorded DAG counts every activation PSM-E would run, and
+  /// such an engine is the linked reference of the differential tests.
   bool record_traces = false;
 
   /// >1 switches match() and the §5.2 runtime-add state update to the
@@ -224,6 +227,15 @@ class Engine {
   [[nodiscard]] bool has_pending_changes() const {
     return !pending_adds_.empty() || !pending_removes_.empty();
   }
+  /// The wme changes queued for the next match(): the working memory the
+  /// conflict set reflects is wm().live() without these adds, plus these
+  /// removes (still allocated until that match).
+  [[nodiscard]] const std::vector<const Wme*>& pending_adds() const {
+    return pending_adds_;
+  }
+  [[nodiscard]] const std::vector<const Wme*>& pending_removes() const {
+    return pending_removes_;
+  }
 
   /// True when match() drains on a threaded matcher (own or shared).
   [[nodiscard]] bool parallel() const {
@@ -273,8 +285,15 @@ class Engine {
                                         : profiler_.get();
   }
 
+  /// Match work counted since construction (obs::collect's "rete.*"):
+  /// jumptable lookups, relinks, unlinks. The threaded drains' counts are
+  /// the matcher's whole cycles, so in a group every agent carries the
+  /// group's totals over the cycles it took part in, as with "par.*".
+  [[nodiscard]] MatchCounters match_counters() const;
+
   /// Dumps the engine's current stats — last parallel cycle ("par.*"),
-  /// token arena ("arena.*"), tracer accounting ("obs.*") — into `m`.
+  /// token arena ("arena.*"), match counters ("rete.*"), tracer accounting
+  /// ("obs.*") — into `m`.
   /// Reporting-time only: allocates, never call from the match hot path.
   void collect_metrics(obs::MetricsRegistry& m) const;
 
@@ -331,6 +350,8 @@ class Engine {
   ParallelMatcher* external_matcher_ = nullptr;  // attach mode (group-owned)
   std::unique_ptr<ParallelMatcher> matcher_;     // standalone, persistent
   ParallelStats last_parallel_stats_;
+  // Seed injection and threaded drains; the serial executor keeps its own.
+  MatchCounters counters_;
   uint64_t last_match_tasks_ = 0;
   uint32_t agent_ = 0;  // tag in the shared matcher (attach mode)
   // Owned only standalone; attach mode borrows the shared matcher's.

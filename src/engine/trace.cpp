@@ -27,6 +27,7 @@ uint64_t TraceExecutor::drain(std::vector<Activation>& seeds,
   // Quiescent drain boundary: alpha state and node ids compiled since the
   // last drain (chunk additions) must exist before any task touches them.
   state->ensure_alpha(net_.alpha_mem_count());
+  state->ensure_links(net_.node_count());
   if (obs::MatchProfiler* p = observer_.profiler()) {
     p->ensure_nodes(net_.node_count());
     p->ensure_agents(1 + agent);
@@ -56,6 +57,11 @@ uint64_t TraceExecutor::drain(std::vector<Activation>& seeds,
     observer_.after(task.act, stats);
     if (record_) trace_.tasks[current_parent_].stats = stats;
   }
+  // Quiescent: unlink the joins whose left memory emptied (DESIGN.md §16).
+  for (const EmptiedJoin& e : emptied) {
+    net_.unlink_if_empty(e.join, *state, counters);
+  }
+  emptied.clear();
   state->arena.reclaim_at_quiescence();
   return executed;
 }

@@ -51,7 +51,8 @@ class TraceExecutor final : public ExecContext, public Drain {
   void emit(Activation&& a) override;
 
   /// Drains `seeds` and everything they spawn under `filter`, as one arena
-  /// epoch; returns the number of tasks executed. When recording, the tasks
+  /// epoch, then unlinks the joins it left with an empty left memory;
+  /// returns the number of tasks executed. When recording, the tasks
   /// are appended to the DAG that take_trace() hands over. With recording
   /// off a whole drain is heap-free once the ring and scratch buffers have
   /// reached their high-water capacity — Engine holds one TraceExecutor

@@ -97,6 +97,14 @@ void collect(MetricsRegistry& m, const MatchStats& st) {
   m.gauge("arena.epoch", st.epoch);
 }
 
+void collect(MetricsRegistry& m, const MatchCounters& c) {
+  m.counter("rete.indirections", c.indirections);
+  m.counter("rete.relinks", c.relinks);
+  m.counter("rete.relinked_wmes", c.relinked_wmes);
+  m.counter("rete.unlinks", c.unlinks);
+  m.counter("rete.unlinked_entries", c.unlinked_entries);
+}
+
 void collect(MetricsRegistry& m, const SoarRunStats& st) {
   m.counter("soar.decisions", st.decisions);
   m.counter("soar.elab_cycles", st.elab_cycles);

@@ -25,6 +25,7 @@
 namespace psme {
 struct ParallelStats;
 struct MatchStats;
+struct MatchCounters;
 struct SoarRunStats;
 }  // namespace psme
 
@@ -83,6 +84,10 @@ void collect(MetricsRegistry& m, const ParallelStats& st);
 
 /// "arena.*" — token-arena traffic and chunk-lifecycle gauges.
 void collect(MetricsRegistry& m, const MatchStats& st);
+
+/// "rete.*" — jumptable lookups and right-unlinking traffic (relinks, the
+/// right entries they inserted, unlinks, the right entries those erased).
+void collect(MetricsRegistry& m, const MatchCounters& c);
 
 /// "soar.*" — decisions, elaboration cycles, impasses, chunks, match and
 /// §5.2 update task totals of a Soar run.

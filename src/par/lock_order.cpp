@@ -41,6 +41,7 @@ void report(Violation::Kind kind, const LockInfo& attempted) {
 const char* rank_name(LockRank r) noexcept {
   switch (r) {
     case LockRank::Unranked: return "unranked";
+    case LockRank::AlphaMem: return "alpha-mem";
     case LockRank::Bucket: return "bucket";
     case LockRank::SlabPool: return "slab-pool";
     case LockRank::ConflictSet: return "conflict-set";

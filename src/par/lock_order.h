@@ -3,14 +3,18 @@
 // Every Spinlock in the system carries a rank from the global lock hierarchy
 // (DESIGN.md §"Concurrency invariants"):
 //
-//   Bucket (1)       paired-table line locks and alpha-memory locks. A
-//                    thread never holds two of them, which is what makes
-//                    insert-then-probe under one line lock atomic.
-//   SlabPool (2)     chunk-pool free-list locks (base/chunk_list.h). A line
-//                    or alpha-memory mutation holding its Bucket lock may
+//   AlphaMem (1)     alpha-memory locks. A thread never holds two. A join's
+//                    relink holds its alpha memory's lock while it inserts
+//                    one right entry per wme, taking each line lock in turn
+//                    (DESIGN.md §16), so it ranks below Bucket.
+//   Bucket (2)       paired-table line locks. A thread never holds two of
+//                    them, which is what makes insert-then-probe under one
+//                    line lock atomic.
+//   SlabPool (3)     chunk-pool free-list locks (base/chunk_list.h). A line
+//                    or alpha-memory mutation holding its lock may
 //                    acquire/release a storage chunk; the pool lock nests
 //                    strictly inside and protects nothing that emits.
-//   ConflictSet (3)  the CS lock. P-node activations take it with nothing
+//   ConflictSet (4)  the CS lock. P-node activations take it with nothing
 //                    else held; ranking it after the match locks keeps that
 //                    one-way.
 //
@@ -50,11 +54,13 @@ namespace psme {
 
 enum class LockRank : uint8_t {
   Unranked = 0,     // no ordering constraint; self-deadlock checked only
-  Bucket = 1,       // hash-table line locks + alpha-memory locks
-  SlabPool = 2,     // chunk-pool free-list locks (base/chunk_list.h); above
-                    // Bucket because a line/alpha mutation under its Bucket
-                    // lock may acquire/release a storage chunk
-  ConflictSet = 3,  // the conflict-set lock
+  AlphaMem = 1,     // alpha-memory locks; a relink holds one while it takes
+                    // line locks
+  Bucket = 2,       // hash-table line locks
+  SlabPool = 3,     // chunk-pool free-list locks (base/chunk_list.h); above
+                    // Bucket because a line/alpha mutation under its lock
+                    // may acquire/release a storage chunk
+  ConflictSet = 4,  // the conflict-set lock
 };
 
 namespace lockdep {

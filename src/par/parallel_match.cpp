@@ -51,19 +51,20 @@ template <typename Slot>
 class ScratchLease {
  public:
   ScratchLease(StackCtx& ctx, Slot& slot) : ctx_(ctx), slot_(slot) {
-    ctx_.scratch_children.swap(slot_.scratch_children);
-    ctx_.scratch_emissions.swap(slot_.scratch_emissions);
-    ctx_.stack.swap(slot_.stack);
+    swap_all();
   }
-  ~ScratchLease() {
-    ctx_.scratch_children.swap(slot_.scratch_children);
-    ctx_.scratch_emissions.swap(slot_.scratch_emissions);
-    ctx_.stack.swap(slot_.stack);
-  }
+  ~ScratchLease() { swap_all(); }
   ScratchLease(const ScratchLease&) = delete;
   ScratchLease& operator=(const ScratchLease&) = delete;
 
  private:
+  void swap_all() {
+    ctx_.scratch_children.swap(slot_.scratch_children);
+    ctx_.scratch_emissions.swap(slot_.scratch_emissions);
+    ctx_.stack.swap(slot_.stack);
+    ctx_.emptied.swap(slot_.emptied);
+  }
+
   StackCtx& ctx_;
   Slot& slot_;
 };
@@ -104,6 +105,7 @@ void ParallelMatcher::prewarm() {
     s.stack.reserve(kScratch);
     s.scratch_children.reserve(kScratch);
     s.scratch_emissions.reserve(kScratch);
+    s.emptied.reserve(kScratch);
     // A one-worker matcher never publishes, so it boxes nothing.
     if (n_workers_ > 1) {
       s.box_slabs.push_back(
@@ -129,6 +131,7 @@ uint32_t ParallelMatcher::register_agent(MatchState& st) {
   // state table and the new agent's arena is single-threaded.
   st.arena.ensure_workers(n_workers_);
   st.ensure_alpha(net_.alpha_mem_count());
+  st.ensure_links(net_.node_count());
   states_.push_back(&st);
   // Grown now so the next drain's ensure is a compare.
   if (profiler_ != nullptr) profiler_->ensure_agents(states_.size());
@@ -165,6 +168,7 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
   // (chunk additions) is materialized per agent at this quiescent boundary.
   for (MatchState* ms : states_) {
     ms->ensure_alpha(net_.alpha_mem_count());
+    ms->ensure_links(net_.node_count());
     ms->arena.begin_drain(n_workers_);
   }
   if (profiler_ != nullptr) {
@@ -214,6 +218,15 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   for (const auto& s : slots_) st.accumulate(s->stats);
+  // Quiescent: unlink the joins whose left memory emptied (DESIGN.md §16).
+  // A list an aborted cycle left behind is swept here too: the sweep reads
+  // only the state at hand.
+  for (const auto& s : slots_) {
+    for (const EmptiedJoin& e : s->emptied) {
+      net_.unlink_if_empty(e.join, *states_[e.agent], st.counters);
+    }
+    s->emptied.clear();
+  }
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
   if (!states_.empty()) st.arena = states_[0]->arena.stats();
   for (const auto& s : slots_) st.pool_slabs += s->box_slabs.size();
@@ -442,6 +455,7 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
   }
   // A failed-sweep run still open at drain exit ends here.
   if (idle != 0) ++me.stats.sweep_hist[sweep_bucket(idle)];
+  me.stats.counters.accumulate(ctx.counters);
   // Cascade the wake so every parked peer re-checks quiescence and exits.
   lot_.unpark_all();
 }

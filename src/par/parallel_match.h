@@ -65,6 +65,8 @@ struct ParallelStats {
   uint64_t shares = 0;            // activations published to a hungry peer
   uint64_t pool_slabs = 0;        // task-box slabs the workers hold
   uint64_t sweep_hist[kSweepHistBuckets] = {};  // failed-sweep run lengths
+  /// The workers' match counters plus the end-of-cycle unlink sweep's.
+  MatchCounters counters;
   double wall_seconds = 0;
   /// Token-arena snapshot taken at the end of the cycle (counters are
   /// lifetime totals; benches difference consecutive snapshots).
@@ -86,6 +88,7 @@ struct ParallelStats {
     for (size_t i = 0; i < kSweepHistBuckets; ++i) {
       sweep_hist[i] += st.sweep_hist[i];
     }
+    counters.accumulate(st.counters);
     wall_seconds += st.wall_seconds;
     pool_slabs = st.pool_slabs;
     arena = st.arena;
@@ -150,7 +153,8 @@ class ParallelMatcher final : public Drain {
   /// amortizing the pool dispatch across sessions. `filter` is the §5.2
   /// task filter, applied at emit time: a run_update phase passes it, so the
   /// new production's state update enjoys the full parallelism of the match
-  /// (what Figure 6-9 measures).
+  /// (what Figure 6-9 measures). After the pool join the cycle unlinks every
+  /// join its tasks left with an empty left memory (DESIGN.md §16).
   ParallelStats run_cycle(std::vector<Activation>& seeds,
                           const UpdateFilter& filter = {});
 
@@ -190,6 +194,9 @@ class ParallelMatcher final : public Drain {
     std::vector<Activation> stack;
     std::vector<Token> scratch_children;
     std::vector<std::pair<Token, bool>> scratch_emissions;
+    // Joins this worker's tasks left with an empty left memory, swept by
+    // run_cycle after the pool join (DESIGN.md §16).
+    std::vector<EmptiedJoin> emptied;
     // This worker's task spans and profiler shard, bound at prewarm().
     obs::TaskObserver observer;
 

@@ -138,6 +138,14 @@ class PairedHashTables {
       if (e.node_id == node_id && e.full_hash == full_hash) fn(e);
   }
 
+  /// Enumerates every left entry (the verifier's link-state check counts
+  /// each join's live entries in one pass). Quiescent-only.
+  template <typename Fn>
+  void for_each_left(Fn&& fn) const PSME_NO_THREAD_SAFETY_ANALYSIS {
+    for (const auto& ln : lines_)
+      for (const auto& e : ln.left) fn(e);
+  }
+
   /// Enumerates every entry's destination node id (the network verifier's
   /// stale-entry sweep); `left` says which table the entry lives in.
   /// Quiescent-only, like the per-node enumerators.

@@ -21,7 +21,8 @@ bool Network::has_root(Symbol cls) const { return roots_.count(cls) != 0; }
 void Network::inject(const Wme* w, bool add, ExecContext& ctx) {
   auto it = roots_.find(w->cls);
   if (it == roots_.end()) return;  // no production tests this class
-  for (const SuccessorRef& s : jt_.succs(it->second)) {
+  ++ctx.counters.indirections;
+  for (const SuccessorRef& s : jt_.peek(it->second)) {
     Activation a{s.node, s.side, add, Token{w}};
     a.agent = ctx.agent;
     ctx.emit(std::move(a));
@@ -29,12 +30,9 @@ void Network::inject(const Wme* w, bool add, ExecContext& ctx) {
 }
 
 void Network::emit_succs(uint32_t jt_slot, const Token& token, bool add,
-                         ExecContext& ctx, bool from_alpha) {
-  for (const SuccessorRef& s : jt_.succs(jt_slot)) {
-    if (from_alpha && ctx.filter.suppress_alpha_left &&
-        s.side == Side::Left) {
-      continue;
-    }
+                         ExecContext& ctx) {
+  ++ctx.counters.indirections;
+  for (const SuccessorRef& s : jt_.peek(jt_slot)) {
     ++ctx.stats.emits;
     Activation a{s.node, s.side, add, token};
     a.agent = ctx.agent;  // children stay inside the emitting agent's state
@@ -187,22 +185,83 @@ void Network::exec_alpha(const AlphaMemNode& n, const Activation& a,
   MatchState& ms = state_of(ctx);
   AlphaMemState& am = ms.alpha(n.mem_index);
   const Wme* w = a.token.front();
-  {
-    SpinGuard g(am.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ++ctx.stats.inserts;
-    if (a.add) {
-      am.wmes.push_back(w, ms.alpha_pool);
-    } else {
-      for (auto it = am.wmes.begin(); it != am.wmes.end(); ++it) {
-        if (*it == w) {
-          am.wmes.erase(it, ms.alpha_pool);
-          break;
-        }
+  SpinGuard g(am.lock);
+  ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
+  ++ctx.stats.inserts;
+  if (a.add) {
+    am.wmes.push_back(w, ms.alpha_pool);
+  } else {
+    for (auto it = am.wmes.begin(); it != am.wmes.end(); ++it) {
+      if (*it == w) {
+        am.wmes.erase(it, ms.alpha_pool);
+        break;
       }
     }
   }
-  emit_succs(n.jt_slot, a.token, a.add, ctx, /*from_alpha=*/true);
+  // Emitted under the lock a relink takes (DESIGN.md §16): an unlinked join
+  // gets no right activation, and the relink that links it later finds this
+  // wme in the memory (or, for a removal, no longer finds it).
+  ++ctx.counters.indirections;
+  for (const SuccessorRef& s : jt_.peek(n.jt_slot)) {
+    if (s.side == Side::Left) {
+      if (ctx.filter.suppress_alpha_left) continue;
+    } else if (!ms.link(s.node).linked.load(std::memory_order_relaxed) &&
+               nodes_[s.node]->type == NodeType::Join) {
+      continue;
+    }
+    ++ctx.stats.emits;
+    Activation child{s.node, s.side, a.add, a.token};
+    child.agent = ctx.agent;
+    ctx.emit(std::move(child));
+  }
+}
+
+bool Network::relink(const JoinNode& n, MatchState& ms, ExecContext& ctx) {
+  const auto& amn = static_cast<const AlphaMemNode&>(*nodes_[n.alpha_mem]);
+  AlphaMemState& am = ms.alpha(amn.mem_index);
+  JoinLink& link = ms.link(n.id);
+  SpinGuard g(am.lock);
+  ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
+  if (link.linked.load(std::memory_order_relaxed)) return false;
+  for (const Wme* w : am.wmes) {
+    const uint64_t h = n.hash_right(w);
+    auto& line = ms.tables.line_for(h);
+    SpinGuard lg(line.lock);
+    ctx.stats.lock_spins += static_cast<uint32_t>(lg.spins());
+    line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
+  }
+  ++ctx.counters.relinks;
+  ctx.counters.relinked_wmes += am.wmes.size();
+  // Release: a left add that reads the flag set skips the alpha lock and
+  // must still find every entry inserted above.
+  link.linked.store(true, std::memory_order_release);
+  return true;
+}
+
+void Network::unlink_if_empty(uint32_t join, MatchState& ms,
+                              MatchCounters& c) const {
+  const Node* node = nodes_[join].get();
+  if (node == nullptr || node->type != NodeType::Join) return;
+  JoinLink& link = ms.link(join);
+  if (!link.linked.load(std::memory_order_relaxed) ||
+      link.left.load(std::memory_order_relaxed) != 0) {
+    return;
+  }
+  const auto& j = static_cast<const JoinNode&>(*node);
+  const auto& amn = static_cast<const AlphaMemNode&>(*nodes_[j.alpha_mem]);
+  // A linked join holds exactly one right entry per wme of its memory.
+  for (const Wme* w : ms.alpha(amn.mem_index).wmes) {
+    auto& line = ms.tables.line_for(j.hash_right(w));
+    for (auto it = line.right.begin(); it != line.right.end(); ++it) {
+      if (it->node_id == join && it->wme == w) {
+        line.right.erase(it, ms.tables.right_pool());
+        ++c.unlinked_entries;
+        break;
+      }
+    }
+  }
+  link.linked.store(false, std::memory_order_relaxed);
+  ++c.unlinks;
 }
 
 void Network::exec_join(const JoinNode& n, const Activation& a,
@@ -211,6 +270,12 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
   auto& children = ctx.scratch_children;
   children.clear();
   if (a.side == Side::Left) {
+    // An unlinked join is relinked before its first left token is stored,
+    // so the token meets every wme of the alpha memory (DESIGN.md §16).
+    JoinLink& link = ms.link(n.id);
+    const bool relinked = a.add &&
+                          !link.linked.load(std::memory_order_acquire) &&
+                          relink(n, ms, ctx);
     const uint64_t h = n.hash_left(a.token);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
@@ -227,16 +292,21 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
         if (it->node_id == n.id && it->anti > 0 && it->full_hash == h &&
             it->token == a.token) {
           line.erase_left(it);
+          if (relinked) note_emptied(n.id, ms, ctx);
           return;
         }
       }
       line.store_left(LeftEntry{h, n.id, 0, false, false, 0, a.token});
+      link.left.fetch_add(1, std::memory_order_relaxed);
     } else {
       bool found = false;
       for (auto it = line.left.begin(); it != line.left.end(); ++it) {
         if (it->node_id == n.id && it->anti == 0 && it->full_hash == h &&
             it->token == a.token) {
           line.erase_left(it);
+          if (link.left.fetch_sub(1, std::memory_order_relaxed) == 1) {
+            note_emptied(n.id, ms, ctx);
+          }
           found = true;
           break;
         }

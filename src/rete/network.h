@@ -57,6 +57,31 @@ struct TaskStats {
   void reset() { *this = TaskStats{}; }
 };
 
+/// Match work counted per context, not per task: plain integers, since one
+/// thread owns a context, folded by the executors at quiescence.
+struct MatchCounters {
+  uint64_t indirections = 0;      // jumptable successor-list lookups (§5.1)
+  uint64_t relinks = 0;           // joins relinked by a first left token
+  uint64_t relinked_wmes = 0;     // right entries those relinks inserted
+  uint64_t unlinks = 0;           // joins unlinked by a quiescent sweep
+  uint64_t unlinked_entries = 0;  // right entries those sweeps erased
+
+  void accumulate(const MatchCounters& o) {
+    indirections += o.indirections;
+    relinks += o.relinks;
+    relinked_wmes += o.relinked_wmes;
+    unlinks += o.unlinks;
+    unlinked_entries += o.unlinked_entries;
+  }
+};
+
+/// A join of one agent whose left memory emptied during a drain: a
+/// candidate for the quiescent unlink sweep (Network::unlink_if_empty).
+struct EmptiedJoin {
+  uint32_t agent = 0;
+  uint32_t join = 0;
+};
+
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
@@ -102,6 +127,13 @@ class ExecContext {
 
   /// The §5.2 task filter of the drain in progress (default: none).
   UpdateFilter filter;
+
+  /// This context's work counters; its executor folds them at quiescence.
+  MatchCounters counters;
+
+  /// Joins whose left memory this context's tasks emptied (DESIGN.md §16).
+  /// The executor sweeps them at quiescence; capacity is retained.
+  std::vector<EmptiedJoin> emptied;
 
   // Reusable per-context scratch for execute(): child tokens built under a
   // line lock, emitted after it is released. Living here (capacity retained
@@ -232,6 +264,15 @@ class Network {
     return is_stateless(n->type) || n->stamp >= ctx.filter.min_stamp;
   }
 
+  /// The quiescent half of right unlinking (DESIGN.md §16): if `join` is
+  /// still a Join that is linked with no live left entry in `ms`, erases its
+  /// right entries (one per wme of its alpha memory) and unlinks it.
+  /// Anything else — a relinked join, a freed or reused id — is left as it
+  /// is, so a candidate list may hold duplicates and stale entries. Counts
+  /// into `c`. Quiescent-only: reads lock-guarded memories without locks.
+  void unlink_if_empty(uint32_t join, MatchState& ms, MatchCounters& c) const
+      PSME_NO_THREAD_SAFETY_ANALYSIS;
+
   /// Appends to `out` all output tokens a node would pass downstream,
   /// regenerated from the given agent's stored state: the §5.2 replay ("the
   /// last shared node must be specially executed in order to pass down all
@@ -257,7 +298,7 @@ class Network {
 
  private:
   void emit_succs(uint32_t jt_slot, const Token& token, bool add,
-                  ExecContext& ctx, bool from_alpha = false);
+                  ExecContext& ctx);
 
   /// Pops the most recently freed value of `pool`, or makes a fresh one.
   template <typename Fresh>
@@ -274,6 +315,17 @@ class Network {
   static MatchState& state_of(ExecContext& ctx) {
     assert(ctx.state != nullptr && "ExecContext has no MatchState bound");
     return *ctx.state;
+  }
+
+  /// Relinks an unlinked join before its first left token is stored:
+  /// under the alpha-memory lock, inserts one right entry per wme the
+  /// memory holds and sets the link flag (release). Returns false when a
+  /// peer relinked it first.
+  bool relink(const JoinNode& n, MatchState& ms, ExecContext& ctx);
+  /// Records that `join`'s left memory may now be empty, for the sweep.
+  static void note_emptied(uint32_t join, const MatchState& ms,
+                           ExecContext& ctx) {
+    if (ms.unlinking) ctx.emptied.push_back(EmptiedJoin{ctx.agent, join});
   }
 
   void exec_const(const ConstNode& n, const Activation& a, ExecContext& ctx);

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -61,7 +60,7 @@ struct SuccessorRef {
 ///
 /// One slot array, edited in place. Every edit — a build-time load, a
 /// run-time chunk or cue add, a removal's unsplice — happens while match is
-/// quiescent (DESIGN.md §7.1): no worker holds a succs() reference across
+/// quiescent (DESIGN.md §7.1): no worker holds a peek() reference across
 /// it, because the caller's fork-join drain has joined. An edit may
 /// reallocate the outer array or a slot's list, so a reference held across
 /// one dangles; ASan reports it.
@@ -76,23 +75,15 @@ class Jumptable {
   /// addition). Mirrors the paper's Jumptable[new] := Jumptable[old] swap.
   void add(uint32_t slot, SuccessorRef s) { slots_[slot].push_back(s); }
 
-  [[nodiscard]] const std::vector<SuccessorRef>& succs(uint32_t slot) const {
-    // Relaxed: a diagnostics counter bumped concurrently by every match
-    // worker. (A plain uint64_t here was a genuine data race under TSan.)
-    indirections_.fetch_add(1, std::memory_order_relaxed);
-    return slots_[slot];
-  }
-
-  /// Successor list without counting an indirection (structure inspection).
+  /// A slot's successor list. The match's lookups are counted by the
+  /// caller, in its ExecContext (MatchCounters::indirections), not here: a
+  /// shared counter would be one locked add per emitting task on a line
+  /// every worker writes.
   [[nodiscard]] const std::vector<SuccessorRef>& peek(uint32_t slot) const {
     return slots_[slot];
   }
 
   [[nodiscard]] size_t size() const { return slots_.size(); }
-  [[nodiscard]] uint64_t indirections() const {
-    return indirections_.load(std::memory_order_relaxed);
-  }
-  void reset_stats() { indirections_.store(0, std::memory_order_relaxed); }
 
   /// Production removal's unsplice: erases every successor entry targeting a
   /// node marked in `dead` (indexed by node id) from every slot. Past this
@@ -114,7 +105,6 @@ class Jumptable {
 
  private:
   std::vector<std::vector<SuccessorRef>> slots_;
-  mutable std::atomic<uint64_t> indirections_{0};
 };
 
 struct Node {

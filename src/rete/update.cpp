@@ -76,6 +76,9 @@ void update_right_seeds_into(Network& net, const MatchState& ms,
   for (const uint32_t id : cp.new_nodes) {
     const Node* n = net.node(id);
     if (n->type != NodeType::Join && n->type != NodeType::Not) continue;
+    // An unlinked join takes no right entries: phase C's first left token
+    // relinks it from the alpha memory (DESIGN.md §16).
+    if (n->type == NodeType::Join && !ms.linked(id)) continue;
     const auto* t = static_cast<const TwoInputNode*>(n);
     if (is_new(net, cp, t->alpha_mem)) continue;  // phase A fed a new amem
     const auto* am = static_cast<const AlphaMemNode*>(net.node(t->alpha_mem));

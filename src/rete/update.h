@@ -17,6 +17,9 @@
 //   C. left seeds (computed only after A and B have drained), drained: the
 //      last-shared-node replay. Left tokens now meet fully-populated right
 //      memories, so no match can be missed and no duplicate state is added.
+// Under right unlinking (DESIGN.md §16) a new join starts unlinked, so A
+// and B leave its right memory empty and C's first left token relinks it
+// from the (by then full) alpha memory; Not nodes fill as above.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +42,8 @@ struct UpdateScratch {
   std::vector<Token> outputs;  // phase-C node_outputs_into target
 };
 
-/// Phase B seeds: a right activation of every new two-input node fed by an
-/// old (shared) alpha memory, for each wme that memory holds. Appends into
+/// Phase B seeds: a right activation of every new linked two-input node fed
+/// by an old (shared) alpha memory, for each wme that memory holds. Appends into
 /// `out`. Quiescent-only: reads `ms`'s alpha memories without their locks
 /// (the §5.2 contract — structural add and seeding happen while match is
 /// quiescent). The update fills one agent's memories from that agent's WM;

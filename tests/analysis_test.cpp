@@ -379,6 +379,101 @@ TEST(Corruption, LeftoverMemoryEntryAfterRemovalIsReported) {
   EXPECT_NE(v->message.find("removed node"), std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// Link-state corpus (right unlinking, DESIGN.md §16): a join's link state
+// and its memories must agree at every quiescent point. Each corruption is
+// planted in a matched engine and caught with its own diagnostic.
+// ---------------------------------------------------------------------------
+
+/// An engine whose one join (a ⋈ b on ^v) holds `a_wmes` left tokens and
+/// whose b memory holds two wmes.
+Engine& join_engine(Engine& e, int a_wmes) {
+  e.load("(p p1 (a ^v <x>) (b ^v <x>) --> (halt))");
+  for (int i = 0; i < a_wmes; ++i) e.add_wme_text("(a ^v 1)");
+  e.add_wme_text("(b ^v 1)");
+  e.add_wme_text("(b ^v 2)");
+  e.match();
+  return e;
+}
+
+TEST(Corruption, StaleRightEntryAtUnlinkedJoinIsReported) {
+  Engine e;
+  join_engine(e, 0);
+  const uint32_t join = find_node(e.net(), NodeType::Join);
+  ASSERT_TRUE(e.verify_network().ok()) << e.verify_network().to_string();
+  ASSERT_FALSE(e.state().linked(join)) << "no left token: the join is unlinked";
+  // A sweep that left an entry behind: the next relink would duplicate it.
+  const auto& j = static_cast<const JoinNode&>(*e.net().node(join));
+  const Wme* w = e.wm().live().back();
+  auto& line = e.state().tables.line_for(j.hash_right(w));
+  {
+    SpinGuard g(line.lock);
+    line.right.push_back(RightEntry{j.hash_right(w), join, w},
+                         e.state().tables.right_pool());
+  }
+  const VerifyReport rep = e.verify_network();
+  EXPECT_NE(find_violation(rep, Check::JoinLink, join,
+                           "unlinked join holds 1 right entries"),
+            nullptr)
+      << rep.to_string();
+}
+
+TEST(Corruption, LinkedJoinMissingRightEntryIsReported) {
+  Engine e;
+  join_engine(e, 1);
+  const uint32_t join = find_node(e.net(), NodeType::Join);
+  ASSERT_TRUE(e.verify_network().ok()) << e.verify_network().to_string();
+  ASSERT_TRUE(e.state().linked(join));
+  // A relink that skipped the alpha memory's last wme.
+  const auto& j = static_cast<const JoinNode&>(*e.net().node(join));
+  const Wme* w = e.wm().live().back();
+  auto& line = e.state().tables.line_for(j.hash_right(w));
+  {
+    SpinGuard g(line.lock);
+    for (auto it = line.right.begin(); it != line.right.end(); ++it) {
+      if (it->node_id == join && it->wme == w) {
+        line.right.erase(it, e.state().tables.right_pool());
+        break;
+      }
+    }
+  }
+  const VerifyReport rep = e.verify_network();
+  EXPECT_NE(find_violation(rep, Check::JoinLink, join,
+                           "linked join holds 0 right entries for alpha wme"),
+            nullptr)
+      << rep.to_string();
+}
+
+TEST(Corruption, UnlinkedJoinWithLeftTokenIsReported) {
+  Engine e;
+  join_engine(e, 1);
+  const uint32_t join = find_node(e.net(), NodeType::Join);
+  ASSERT_TRUE(e.state().linked(join));
+  // An unlink of a join that still holds a token: its right activations
+  // would stop while the token waits for them.
+  e.state().link(join).linked.store(false);
+  const VerifyReport rep = e.verify_network();
+  EXPECT_NE(find_violation(rep, Check::JoinLink, join,
+                           "unlinked join holds 1 live left entries"),
+            nullptr)
+      << rep.to_string();
+}
+
+TEST(Corruption, UnlinkedJoinInALinkedStateIsReported) {
+  EngineOptions linked;
+  linked.record_traces = true;  // every join stays linked
+  Engine e(linked);
+  join_engine(e, 0);
+  const uint32_t join = find_node(e.net(), NodeType::Join);
+  ASSERT_TRUE(e.verify_network().ok()) << e.verify_network().to_string();
+  e.state().link(join).linked.store(false);
+  const VerifyReport rep = e.verify_network();
+  EXPECT_NE(find_violation(rep, Check::JoinLink, join,
+                           "keeps every join linked"),
+            nullptr)
+      << rep.to_string();
+}
+
 // Every corpus corruption yields a *distinct* leading diagnostic: the same
 // network state never maps two corruptions onto one catch-all message.
 TEST(Corruption, DiagnosticsAreDistinctPerCheck) {
@@ -386,6 +481,7 @@ TEST(Corruption, DiagnosticsAreDistinctPerCheck) {
       Check::Reachability,  Check::Resolution,   Check::Acyclicity,
       Check::NegationPair,  Check::Bindings,     Check::SideRef,
       Check::SlotOwnership, Check::TwoInputWiring, Check::ProdRecord,
+      Check::JoinLink,
   };
   std::set<std::string> names;
   for (const Check c : corpus) names.insert(analysis::check_name(c));

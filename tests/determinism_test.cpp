@@ -3,6 +3,8 @@
 // number in EXPERIMENTS.md relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "psim/sim.h"
@@ -71,9 +73,10 @@ INSTANTIATE_TEST_SUITE_P(AllTasks, TaskDeterminism,
                          ::testing::Values("eight-puzzle", "strips",
                                            "cypress"));
 
-/// The satellite-1 acceptance check: Eight-Puzzle LEARNING runs — chunk
-/// building included — land on the identical decision sequence and the
-/// byte-identical chunk texts at every matcher width, with tracing enabled.
+/// Eight-Puzzle LEARNING runs — chunk building included — land on the
+/// identical decision sequence and the byte-identical chunk texts at every
+/// matcher width, with tracing enabled and right unlinking on, as the
+/// linked serial run (record_traces) does.
 /// The conflict set orders instantiations by a schedule-invariant content
 /// key (production age, token timetags — see det_less in conflict_set.cpp),
 /// so worker count and steal schedule cannot leak into firing order, chunk
@@ -89,7 +92,9 @@ TEST(LearningDeterminism, EightPuzzleIdenticalAcrossMatcherWidths) {
     return run_task(task, /*learning=*/true, nullptr, eo);
   };
 
-  const auto oracle = run_task(task, /*learning=*/true);  // serial default
+  // The linked serial run: every unlinked width must decide and learn as
+  // it does.
+  const auto oracle = run_task(task, /*learning=*/true, nullptr, recorded());
   auto decision_signature = [](const SoarRunStats& s) {
     std::ostringstream os;
     os << s.decisions << '/' << s.elab_cycles << '/' << s.impasses << '/'
@@ -97,7 +102,7 @@ TEST(LearningDeterminism, EightPuzzleIdenticalAcrossMatcherWidths) {
     return os.str();
   };
 
-  for (const size_t workers : {1u, 2u, 4u, 8u}) {
+  for (const size_t workers : {0u, 1u, 2u, 4u, 8u}) {
     const auto r = run_at(workers);
     EXPECT_EQ(decision_signature(r.stats), decision_signature(oracle.stats))
         << "match_workers=" << workers;
@@ -112,32 +117,50 @@ TEST(LearningDeterminism, EightPuzzleIdenticalAcrossMatcherWidths) {
 
 /// soar.match_tasks / soar.update_tasks count executed tasks, whichever
 /// executor ran them, so a threaded learning run (which records no DAGs)
-/// reports the serial run's work. A §5.2 update fills the new nodes' right
-/// memories (phases A, B) before any left token reaches them (phase C), so
-/// its count does not depend on the schedule and must match exactly. A
-/// match cycle's count does: a not/NCC node's conjugate deletion can
-/// overtake its insertion and both cancel (fewer tasks), or a left token
-/// can pass a not node before the wme that blocks it arrives and emit an
-/// insert plus a retract the FIFO order never produced (more tasks). On
-/// eight-puzzle at 2-13 workers the two differed by at most 32 of ~287k; the
-/// bound is 0.1% either way.
+/// reports the serial run's work. Runs are compared at one granularity at a
+/// time: record_traces keeps every join linked on either executor, and
+/// without it a join whose left memory is empty gets no right activations
+/// (DESIGN.md §16). A §5.2 update fills the new nodes' right memories
+/// (phases A, B) or relinks them (phase C) before any left token reaches
+/// them, so its count does not depend on the schedule and must match
+/// exactly at either granularity. A linked match cycle's count does: a
+/// not/NCC node's conjugate deletion can overtake its insertion and both
+/// cancel (fewer tasks), or a left token can pass a not node before the wme
+/// that blocks it arrives and emit an insert plus a retract the FIFO order
+/// never produced (more tasks). On eight-puzzle at 2-13 workers the two
+/// differed by at most 32 of ~287k; the bound is 0.1% either way. Unlinked,
+/// whether an alpha-memory add beats the relink of a join in the same drain
+/// (and so sends it a right activation) is up to the schedule too, which
+/// moved the count by 0.7% (207,690 serial, 209,177 at 4 workers); each
+/// unlinked run must still execute fewer tasks than the linked runs.
 TEST(LearningDeterminism, TaskCountsMatchAcrossExecutors) {
   const Task task = make_task("eight-puzzle");
-  EngineOptions threaded = recorded();  // asked for, yet never recorded
-  threaded.match_workers = 4;
-  const auto serial = run_task(task, /*learning=*/true);
-  const auto par = run_task(task, /*learning=*/true, nullptr, threaded);
-  const uint64_t match = serial.metrics.value("soar.match_tasks");
-  ASSERT_GT(match, 0u);
-  ASSERT_GT(serial.metrics.value("soar.update_tasks"), 0u);
-  EXPECT_EQ(par.metrics.value("soar.update_tasks"),
-            serial.metrics.value("soar.update_tasks"));
-  const uint64_t par_match = par.metrics.value("soar.match_tasks");
+  std::array<TaskRunResult, 2> serial, par;  // [linked]
+  for (const bool linked : {false, true}) {
+    EngineOptions serial_opts;
+    serial_opts.record_traces = linked;
+    EngineOptions threaded = serial_opts;  // recording asked for, never done
+    threaded.match_workers = 4;
+    serial[linked] = run_task(task, /*learning=*/true, nullptr, serial_opts);
+    par[linked] = run_task(task, /*learning=*/true, nullptr, threaded);
+    ASSERT_GT(serial[linked].metrics.value("soar.match_tasks"), 0u);
+    ASSERT_GT(serial[linked].metrics.value("soar.update_tasks"), 0u);
+    EXPECT_EQ(par[linked].metrics.value("soar.update_tasks"),
+              serial[linked].metrics.value("soar.update_tasks"))
+        << "linked " << linked;
+    EXPECT_TRUE(par[linked].stats.traces.empty())
+        << "threaded cycles record no DAG";
+  }
+  const uint64_t match = serial[true].metrics.value("soar.match_tasks");
+  const uint64_t par_match = par[true].metrics.value("soar.match_tasks");
   const uint64_t diff =
       par_match > match ? par_match - match : match - par_match;
   EXPECT_LE(diff, match / 1000)
-      << "serial " << match << " vs 4 workers " << par_match;
-  EXPECT_TRUE(par.stats.traces.empty()) << "threaded cycles record no DAG";
+      << "linked: serial " << match << " vs 4 workers " << par_match;
+  for (const TaskRunResult* unlinked : {&serial[false], &par[false]}) {
+    EXPECT_LT(unlinked->metrics.value("soar.match_tasks"),
+              std::min(match, par_match));
+  }
 }
 
 TEST(SimMonotonicity, RealTracesNeverGetSlowerWithMoreProcsMultiQueue) {

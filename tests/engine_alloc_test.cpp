@@ -14,6 +14,8 @@
 // slots, the seed/queue scratch, and (parallel executor) the per-worker
 // batches. Timetags grow monotonically, so hash keys shift every cycle —
 // placement changes must not trigger growth once high-water capacity exists.
+// A relinking variant adds a join whose left memory the thing fills and
+// empties, so every cycle also relinks it or unlinks it (DESIGN.md §16).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,16 +34,23 @@ constexpr const char* kPingPong =
     "(p make-it (ctl ^phase go) -(thing ^v 1) --> (make thing ^v 1))\n"
     "(p del-it (ctl ^phase go) (thing ^v 1) --> (remove 2))";
 
-/// The ping-pong, loaded between two productions that never match (no
-/// `never` wme exists): each gives every thing change one more right
-/// activation, with no left token to join, before and after the ping-pong's
-/// own. So each conflict-set change happens while the caller still holds
-/// two activations, which a hungry helper can be given.
+/// The ping-pong, loaded between two productions that never match: the
+/// `(never ^v 0)` wme the test adds keeps their joins linked, and their
+/// join tests never pass. Each gives every thing change one more right
+/// activation before and after the ping-pong's own, so each conflict-set
+/// change happens while the caller still holds two activations, which a
+/// hungry helper can be given.
 constexpr const char* kWidePingPong =
-    "(p idle-first (never ^v 1) (thing ^v 1) --> (halt))\n"
+    "(p idle-first (never ^v <x>) (thing ^v <x>) --> (halt))\n"
     "(p make-it (ctl ^phase go) -(thing ^v 1) --> (make thing ^v 1))\n"
     "(p del-it (ctl ^phase go) (thing ^v 1) --> (remove 2))\n"
-    "(p idle-last (never ^v 2) (thing ^v 1) --> (halt))";
+    "(p idle-last (never ^v <x>) (thing ^w <x>) --> (halt))";
+
+/// Never matches (a thing's v is never `go`), but each thing the ping-pong
+/// adds is the first left token of its join, which relinks it, and each
+/// removal empties it, which unlinks it at the end of the match.
+constexpr const char* kRelinker =
+    "(p relinker (thing ^v <x>) (ctl ^phase <x>) --> (halt))";
 
 /// One engine cycle: fire the single unfired instantiation (in place; the
 /// next match's retraction removes it) and drain the match.
@@ -58,7 +67,8 @@ void cycle(Engine& e) {
 /// hungry while the caller still holds work, whatever the host's load.
 void expect_allocation_free_cycles(size_t workers, bool tracing = false,
                                    bool profiling = false,
-                                   uint64_t* shares = nullptr) {
+                                   uint64_t* shares = nullptr,
+                                   bool relinking = false) {
   EngineOptions opts;
   opts.record_traces = false;  // trace recording allocates by design
   opts.match_workers = workers;
@@ -75,7 +85,9 @@ void expect_allocation_free_cycles(size_t workers, bool tracing = false,
   test::YieldingSink yielding(*e.state().sink);
   if (shares != nullptr) e.state().sink = &yielding;
   e.load(shares != nullptr ? kWidePingPong : kPingPong);
+  if (relinking) e.load(kRelinker);
   e.add_wme_text("(ctl ^phase go)");
+  e.add_wme_text("(never ^v 0)");
   e.match();
 
   // Warm-up: reach high-water capacity in every pool, ring, and scratch
@@ -83,6 +95,7 @@ void expect_allocation_free_cycles(size_t workers, bool tracing = false,
   for (int i = 0; i < 32; ++i) cycle(e);
 
   uint64_t shared = 0;
+  const MatchCounters links_before = e.match_counters();
   const uint64_t before = heap_allocs();
   for (int i = 0; i < 1000; ++i) {
     cycle(e);
@@ -91,6 +104,12 @@ void expect_allocation_free_cycles(size_t workers, bool tracing = false,
   EXPECT_EQ(heap_allocs() - before, 0u)
       << "steady-state engine cycles must not touch the heap";
   if (shares != nullptr) *shares = shared;
+  if (relinking) {
+    // 1000 cycles: the thing was added in 500 and removed in the other 500.
+    const MatchCounters links = e.match_counters();
+    EXPECT_EQ(links.relinks - links_before.relinks, 500u);
+    EXPECT_EQ(links.unlinks - links_before.unlinks, 500u);
+  }
 
   // The regime stayed balanced: exactly one live instantiation remains.
   EXPECT_EQ(e.cs().size(), 1u);
@@ -128,6 +147,17 @@ TEST(EngineAlloc, StealCycleIsAllocationFree) {
 // deque pushes, steals) runs inside the measured window.
 TEST(EngineAlloc, StealCycleIsAllocationFreeAtTwoWorkers) {
   expect_allocation_free_cycles(2);
+}
+
+// Right unlinking inside the measured window: a relink inserts a right
+// entry from recycled chunks, the sweep erases it, and the per-worker lists
+// of emptied joins keep their capacity.
+TEST(EngineAlloc, SerialCycleIsAllocationFreeWhileRelinking) {
+  expect_allocation_free_cycles(0, false, false, nullptr, /*relinking=*/true);
+}
+
+TEST(EngineAlloc, StealCycleIsAllocationFreeWhileRelinking) {
+  expect_allocation_free_cycles(4, false, false, nullptr, /*relinking=*/true);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFreeWhileSharing) {

@@ -1,5 +1,5 @@
-// The lockdep checker: the rank discipline (bucket < slab-pool <
-// conflict-set) is enforced, rank inversions and self-deadlocks are caught
+// The lockdep checker: the rank discipline (alpha-mem < bucket < slab-pool
+// < conflict-set) is enforced, rank inversions and self-deadlocks are caught
 // with the full held-lock chain, and legal acquisition orders pass silently.
 // The checker core is exercised directly so these tests run in every build
 // configuration; the Spinlock integration (hooks active only when
@@ -45,15 +45,31 @@ void release_all(std::initializer_list<const void*> locks) {
 
 TEST(LockOrder, InOrderAcquisitionIsClean) {
   CaptureViolations cap;
-  int bucket = 0, pool = 0, cs = 0;
+  int alpha = 0, bucket = 0, pool = 0, cs = 0;
+  // A join's relink: alpha memory, then a line, then a storage chunk.
+  lockdep::on_acquire(&alpha, LockRank::AlphaMem, "alpha-mem");
   lockdep::on_acquire(&bucket, LockRank::Bucket, "line");
   lockdep::on_acquire(&pool, LockRank::SlabPool, "slab-pool");
   lockdep::on_acquire(&cs, LockRank::ConflictSet, "cs");
-  EXPECT_EQ(lockdep::held_count(), 3u);
+  EXPECT_EQ(lockdep::held_count(), 4u);
   EXPECT_TRUE(CaptureViolations::captured().empty());
-  release_all({&cs, &pool, &bucket});
+  release_all({&cs, &pool, &bucket, &alpha});
   EXPECT_EQ(lockdep::held_count(), 0u);
   EXPECT_TRUE(CaptureViolations::captured().empty());
+}
+
+// A relink must take the alpha-memory lock before any line lock: the
+// reverse order could deadlock against a relink of another join.
+TEST(LockOrder, AlphaMemUnderLineLockIsAnInversion) {
+  CaptureViolations cap;
+  int bucket = 0, alpha = 0;
+  lockdep::on_acquire(&bucket, LockRank::Bucket, "line");
+  lockdep::on_acquire(&alpha, LockRank::AlphaMem, "alpha-mem");
+  ASSERT_EQ(CaptureViolations::captured().size(), 1u);
+  const Violation& v = CaptureViolations::captured()[0];
+  EXPECT_EQ(v.kind, Violation::Kind::RankInversion);
+  EXPECT_EQ(v.attempted.rank, LockRank::AlphaMem);
+  release_all({&alpha, &bucket});
 }
 
 TEST(LockOrder, RankInversionIsCaught) {

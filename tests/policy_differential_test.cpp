@@ -1,16 +1,23 @@
 // Differential test across the match executors: a seeded, randomized stream
 // of wme adds, wme removes, run-time production additions (the chunking
 // path's §5.2 state update), and run-time production REMOVALS (the
-// unsplice + drain path) is applied identically to four engines — serial
-// and the threaded matcher at 2, 4 and 8 workers. After every match the
+// unsplice + drain path) is applied identically to five engines — the
+// linked reference (serial, record_traces: every join stays linked), and
+// with right unlinking on, serial and the threaded matcher at 2, 4 and 8
+// workers. After every op each engine's conflict set must equal the
+// independent oracle's matches (tests/oracle.h), and after every match the
 // engines must agree on:
 //
 //   * the conflict set, compared content-by-content (production name + wme
 //     contents per CE) so timetag/arrival tie-breaks and threaded insertion
 //     order normalize away;
-//   * the total left-memory population of the paired hash tables;
+//   * the total left-memory population of the paired hash tables, and each
+//     join's live left entries;
 //   * working-memory contents;
-//   * the production count (chunk set).
+//   * the production count (chunk set);
+//
+// and the network verifier, its link-state check included, must pass for
+// every engine.
 //
 // On divergence the harness shrinks: it replays ever-shorter prefixes of the
 // same seed's op stream and reports the minimal failing length, so the
@@ -18,16 +25,21 @@
 // Each threaded engine must also have shared work with a hungry peer at
 // least once over the corpus, so the publish path is part of what agrees;
 // its matches yield after every conflict-set insert (test::YieldingSink) so
-// that helpers run mid-cycle however few cores the host has.
+// that helpers run mid-cycle however few cores the host has. Each unlinked
+// engine must have executed fewer tasks than the linked one over the
+// corpus: right unlinking skipped work, and the agreement covers that.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "analysis/verify.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
+#include "oracle.h"
 #include "par/parallel_match.h"
 #include "test_util.h"
 
@@ -56,27 +68,57 @@ constexpr const char* kBaseProductions =
     "(p base-neg (a ^v <x>) -(b ^v <x>) --> (halt))\n"
     "(p base-three (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))";
 
-constexpr std::array<const char*, 4> kEngineNames = {"serial", "steal-w2",
-                                                     "steal-w4", "steal-w8"};
-constexpr std::array<size_t, 4> kEngineWorkers = {0, 2, 4, 8};
+// Engine 0, the linked reference, is what the others are compared with.
+constexpr std::array<const char*, 5> kEngineNames = {
+    "linked", "serial", "steal-w2", "steal-w4", "steal-w8"};
+constexpr std::array<size_t, 5> kEngineWorkers = {0, 0, 2, 4, 8};
 using Engines = std::array<std::unique_ptr<Engine>, kEngineNames.size()>;
 
-/// What a corpus run did beyond agreeing: instantiations seen, and each
-/// engine's activations shared with a hungry peer by its matches.
+/// What a corpus run did beyond agreeing: instantiations seen, each
+/// engine's activations shared with a hungry peer by its matches, and each
+/// engine's executed tasks (matches and §5.2 updates).
 struct Tally {
   size_t activity = 0;
   std::array<uint64_t, kEngineNames.size()> shares{};
+  std::array<uint64_t, kEngineNames.size()> tasks{};
 };
 
 /// Drains every engine's pending changes and, when `tally` is given, adds
-/// up each engine's shares.
+/// up each engine's shares and tasks.
 void match_all(Engines& es, Tally* tally) {
   for (size_t i = 0; i < es.size(); ++i) {
     es[i]->match();
     if (tally != nullptr) {
       tally->shares[i] += es[i]->last_parallel_stats().shares;
+      tally->tasks[i] += es[i]->last_match_tasks();
     }
   }
+}
+
+/// Each join's live left entries, counted in the tables (not read from the
+/// link state's counters), by node id.
+std::map<uint32_t, size_t> join_left_counts(Engine& e) {
+  std::map<uint32_t, size_t> out;
+  e.state().tables.for_each_left([&](const LeftEntry& l) {
+    const Node* n = e.net().node(l.node_id);
+    if (l.anti == 0 && n != nullptr && n->type == NodeType::Join) {
+      ++out[l.node_id];
+    }
+  });
+  return out;
+}
+
+/// Compares every engine's conflict set with the oracle's matches; empty
+/// string means they all agree.
+std::string check_oracle(Engines& es) {
+  for (size_t i = 0; i < es.size(); ++i) {
+    const std::string diff = test::oracle_diff(*es[i]);
+    if (!diff.empty()) {
+      return std::string(kEngineNames[i]) + " disagrees with the oracle:\n" +
+             diff;
+    }
+  }
+  return "";
 }
 
 /// Run-time production templates: a plain join, a triple, a negation, and a
@@ -102,32 +144,44 @@ std::multiset<std::string> wm_fingerprint(Engine& e) {
   return out;
 }
 
-/// Compares the engines; empty string means they agree.
+/// Compares the engines with the linked reference and runs the verifier on
+/// each; empty string means they agree.
 std::string compare_engines(Engines& es) {
   const auto cs0 = cs_fingerprint(*es[0]);
   const auto wm0 = wm_fingerprint(*es[0]);
   const size_t left0 = es[0]->state().tables.total_left_entries();
+  const auto joins0 = join_left_counts(*es[0]);
   const size_t prods0 = es[0]->productions().size();
-  for (size_t i = 1; i < es.size(); ++i) {
+  for (size_t i = 0; i < es.size(); ++i) {
+    const analysis::VerifyReport rep = es[i]->verify_network();
+    if (!rep.ok()) {
+      return std::string("verifier on ") + kEngineNames[i] + ":\n" +
+             rep.to_string();
+    }
+    if (i == 0) continue;
     if (cs_fingerprint(*es[i]) != cs0) {
       return std::string("conflict set of ") + kEngineNames[i] +
-             " diverges from serial (" +
+             " diverges from linked (" +
              std::to_string(cs_fingerprint(*es[i]).size()) + " vs " +
              std::to_string(cs0.size()) + " instantiations)";
     }
     if (es[i]->state().tables.total_left_entries() != left0) {
       return std::string("left-memory population of ") + kEngineNames[i] +
-             " diverges from serial (" +
+             " diverges from linked (" +
              std::to_string(es[i]->state().tables.total_left_entries()) +
              " vs " + std::to_string(left0) + ")";
     }
+    if (join_left_counts(*es[i]) != joins0) {
+      return std::string("a join's live left entries in ") + kEngineNames[i] +
+             " diverge from linked";
+    }
     if (wm_fingerprint(*es[i]) != wm0) {
       return std::string("working memory of ") + kEngineNames[i] +
-             " diverges from serial";
+             " diverges from linked";
     }
     if (es[i]->productions().size() != prods0) {
       return std::string("chunk set of ") + kEngineNames[i] +
-             " diverges from serial";
+             " diverges from linked";
     }
   }
   return "";
@@ -143,10 +197,10 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
   Engines es;
   for (size_t i = 0; i < es.size(); ++i) {
     EngineOptions opts;
-    opts.record_traces = false;
+    opts.record_traces = i == 0;  // the linked reference
     opts.match_workers = kEngineWorkers[i];
     es[i] = std::make_unique<Engine>(opts);
-    if (i > 0) {
+    if (kEngineWorkers[i] > 0) {
       sinks[i] = std::make_unique<test::YieldingSink>(*es[i]->state().sink);
       es[i]->state().sink = sinks[i].get();
     }
@@ -158,18 +212,21 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
   size_t chunks = 0;
 
   for (size_t op = 0; op < max_ops; ++op) {
+    bool matched = true;  // the op drained every engine
     const uint32_t kind = rng.below(100);
     if (kind < 40) {
       const std::string text = std::string("(") + kClasses[rng.below(3)] +
                                " ^v " + std::to_string(rng.below(4)) + ")";
       for (auto& e : es) e->add_wme_text(text);
+      matched = false;
     } else if (kind < 65) {
       // Remove the k-th live wme. live() is timetag-ordered and the engines
-      // share the op history, so index k names the same wme in all four.
+      // share the op history, so index k names the same wme in all five.
       const size_t n_live = es[0]->wm().live().size();
       if (n_live == 0) continue;
       const uint32_t k = rng.below(static_cast<uint32_t>(n_live));
       for (auto& e : es) e->remove_wme(e->wm().live()[k]);
+      matched = false;
     } else if (kind < 75) {
       // Run-time production addition. Flush pending changes first so the
       // §5.2 update sees a WM the network has already matched.
@@ -177,15 +234,12 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
           rng.below(4), "chunk-" + std::to_string(seed) + "-" +
                             std::to_string(chunks++));
       match_all(es, tally);
-      for (auto& e : es) {
-        Parser parser(e->syms(), e->schemas(), test_rhs_arena());
+      for (size_t i = 0; i < es.size(); ++i) {
+        Parser parser(es[i]->syms(), es[i]->schemas(), test_rhs_arena());
         auto parsed = parser.parse_file(text);
-        e->add_production_runtime(std::move(parsed[0]));
-      }
-      const std::string diff = compare_engines(es);
-      if (!diff.empty()) {
-        *fail_op = op;
-        return diff;
+        const uint64_t n =
+            es[i]->add_production_runtime(std::move(parsed[0])).update_tasks;
+        if (tally != nullptr) tally->tasks[i] += n;
       }
     } else if (kind < 85) {
       // Run-time production removal: unsplice the k-th production (base and
@@ -197,23 +251,21 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
       const uint32_t k = rng.below(static_cast<uint32_t>(n_prods));
       match_all(es, tally);
       for (auto& e : es) e->remove_production_runtime(e->productions()[k]);
-      const std::string diff = compare_engines(es);
-      if (!diff.empty()) {
-        *fail_op = op;
-        return diff;
-      }
     } else {
       match_all(es, tally);
-      const std::string diff = compare_engines(es);
-      if (!diff.empty()) {
-        *fail_op = op;
-        return diff;
-      }
+    }
+    // The oracle first: it names the production and the tuple that differ.
+    std::string diff = check_oracle(es);
+    if (diff.empty() && matched) diff = compare_engines(es);
+    if (!diff.empty()) {
+      *fail_op = op;
+      return diff;
     }
   }
 
   match_all(es, tally);
-  const std::string diff = compare_engines(es);
+  std::string diff = check_oracle(es);
+  if (diff.empty()) diff = compare_engines(es);
   if (!diff.empty()) *fail_op = max_ops;
   if (tally != nullptr) tally->activity += cs_fingerprint(*es[0]).size();
   return diff;
@@ -247,7 +299,11 @@ TEST(PolicyDifferential, AllPoliciesAgreeAcrossSeeds) {
   // would pass vacuously and test nothing.
   EXPECT_GT(tally.activity, 100u);
   for (size_t i = 1; i < kEngineNames.size(); ++i) {
-    EXPECT_GT(tally.shares[i], 0u) << kEngineNames[i] << " never shared";
+    if (kEngineWorkers[i] > 0) {
+      EXPECT_GT(tally.shares[i], 0u) << kEngineNames[i] << " never shared";
+    }
+    EXPECT_LT(tally.tasks[i], tally.tasks[0])
+        << kEngineNames[i] << " skipped no right activation";
   }
 }
 

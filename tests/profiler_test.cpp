@@ -1,9 +1,10 @@
 // Runtime match profiler (obs/profiler.h + analysis/profile_report.h):
 //
 //   * shard merge vs the serial oracle — the same monotone-add workload run
-//     serial and 4-worker-steal must produce IDENTICAL per-node activation
-//     and emit counts (counts are schedule-invariant; only timing samples
-//     vary), and the merged totals must be internally consistent;
+//     serial and 4-worker-steal, every join linked, must produce IDENTICAL
+//     per-node activation and emit counts (counts are schedule-invariant;
+//     only timing samples vary), and the merged totals must be internally
+//     consistent;
 //   * sampling bounds — shift s times exactly ceil(n / 2^s) activations on
 //     the serial path (one shard, contiguous ticks) and within ±workers of
 //     n / 2^s across parallel shards;
@@ -17,7 +18,9 @@
 // The oracle workload is deliberately negation-free: with a negation, two
 // same-cycle seeds can insert-then-retract under one schedule and never
 // insert under another, making task COUNTS schedule-dependent. Monotone
-// positive joins execute a schedule-invariant task multiset.
+// positive joins execute a schedule-invariant task multiset while every
+// join stays linked; right unlinking makes the count of right activations
+// depend on whether an alpha-memory add beats a relink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,9 +60,13 @@ void run_waves(Engine& e, int rounds, int wave) {
   }
 }
 
-obs::ProfileSnapshot profiled_run(size_t workers, uint32_t shift) {
+/// `linked` turns record_traces on, which keeps every join linked on either
+/// executor (DESIGN.md §16).
+obs::ProfileSnapshot profiled_run(size_t workers, uint32_t shift,
+                                  bool linked = false) {
   EngineOptions opts;
   opts.match_workers = workers;
+  opts.record_traces = linked;
   opts.profile = true;
   opts.profile_sample_shift = shift;
   Engine e(opts);
@@ -70,14 +77,18 @@ obs::ProfileSnapshot profiled_run(size_t workers, uint32_t shift) {
 }
 
 TEST(Profiler, ParallelShardMergeMatchesSerialOracle) {
-  const obs::ProfileSnapshot serial = profiled_run(0, 0);
-  const obs::ProfileSnapshot par = profiled_run(4, 0);
+  // Linked on both sides: with right unlinking, whether an alpha-memory add
+  // beats a relink in the same drain (and so sends a right activation) is
+  // up to the schedule, so only linked runs count the same tasks.
+  const obs::ProfileSnapshot serial = profiled_run(0, 0, /*linked=*/true);
+  const obs::ProfileSnapshot par = profiled_run(4, 0, /*linked=*/true);
 
   ASSERT_GT(serial.total_activations, 0u);
   EXPECT_EQ(par.total_activations, serial.total_activations);
 
-  // Per-node counts are schedule-invariant; the parallel run's shard merge
-  // must reproduce the serial single-shard numbers cell for cell.
+  // Per-node counts of linked runs are schedule-invariant; the parallel
+  // run's shard merge must reproduce the serial single-shard numbers cell
+  // for cell.
   ASSERT_EQ(par.nodes.size(), serial.nodes.size());
   for (size_t id = 0; id < serial.nodes.size(); ++id) {
     EXPECT_EQ(par.nodes[id].activations, serial.nodes[id].activations)

@@ -1,7 +1,9 @@
 // Sanitizer-targeted stress tests: repeated parallel match cycles on a live
 // network, run-time production addition whose §5.2 state update drains
-// through the ParallelMatcher at full width, park/unpark under uneven load,
-// and the conflict-set lock under direct many-thread fire. These exist primarily to give
+// through the ParallelMatcher at full width, right unlinking's relink racing
+// the alpha-memory adds it must not miss or double (and the sweep that
+// unlinks the joins again), park/unpark under uneven load, and the
+// conflict-set lock under direct many-thread fire. These exist primarily to give
 // ThreadSanitizer (the `tsan` preset) real interleavings to chew on; they
 // also assert serial-equivalence so they are meaningful correctness tests in
 // every build.
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/verify.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
 #include "par/parallel_match.h"
@@ -228,6 +231,72 @@ TEST_P(RaceStressTuning, RuntimeAddWithParallelUpdateMatchesUpfrontLoad) {
   }
   parallel_cycle(live, adds, {}, c, &matcher);
   EXPECT_EQ(cs_fingerprint(ref), cs_fingerprint(live));
+}
+
+TEST_P(RaceStressTuning, RelinkRacesAlphaAddsThenUnlinks) {
+  // Right unlinking with real threads (DESIGN.md §16). Each round's first
+  // cycle adds a-, b- and c-wmes together, so the first left tokens reach
+  // the unlinked joins — and relink them from the b and c alpha memories —
+  // while other workers are still adding wmes to those memories: every
+  // (token, wme) pair must be joined once, whichever side wins the alpha
+  // lock. The second cycle removes every a and c wme, which empties the
+  // joins' left memories, and the end-of-cycle sweep unlinks them again.
+  // The linked serial engine (record_traces) is the oracle after each
+  // cycle, and the verifier checks the link states.
+  const int rounds = PSME_SANITIZED_BUILD ? 3 : 10;
+  const RaceCase c = GetParam();
+  const std::string prods =
+      "(p rl-j2 (a ^v <x>) (b ^v <x>) --> (halt))"
+      "(p rl-j3 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))"
+      "(p rl-cross (c ^w <y>) (b ^v <x>) --> (halt))";
+  // Declared first: the sink must outlive the engine that calls it. It
+  // yields after each instantiation so helpers run mid-cycle however few
+  // cores the host has.
+  std::unique_ptr<test::YieldingSink> sink;
+  Engine linked(test::recorded());
+  EngineOptions opts;
+  opts.match_workers = c.workers;
+  Engine par(opts);
+  sink = std::make_unique<test::YieldingSink>(*par.state().sink);
+  par.state().sink = sink.get();
+  for (Engine* e : {&linked, &par}) e->load(prods);
+
+  auto remove_class = [](Engine& e, std::string_view cls, int every) {
+    int i = 0;
+    for (const Wme* w : e.wm().live()) {
+      if (e.syms().name(w->cls) == cls && ++i % every == 0) e.remove_wme(w);
+    }
+  };
+  for (int r = 0; r < rounds; ++r) {
+    for (Engine* e : {&linked, &par}) {
+      for (int i = 0; i < 21; ++i) {
+        const std::string v = std::to_string((i + r) % 7);
+        e->add_wme_text("(a ^v " + v + ")");
+        e->add_wme_text("(b ^v " + v + ")");
+        if (i % 3 == 0) e->add_wme_text("(c ^v " + v + " ^w " + v + ")");
+      }
+      e->match();
+    }
+    ASSERT_EQ(cs_fingerprint(linked), cs_fingerprint(par))
+        << "relink round " << r;
+    ASSERT_TRUE(par.verify_network().ok())
+        << par.verify_network().to_string();
+
+    for (Engine* e : {&linked, &par}) {
+      remove_class(*e, "a", 1);
+      remove_class(*e, "c", 1);
+      remove_class(*e, "b", 2);
+      e->match();
+    }
+    ASSERT_EQ(cs_fingerprint(linked), cs_fingerprint(par))
+        << "unlink round " << r;
+    ASSERT_TRUE(par.verify_network().ok())
+        << par.verify_network().to_string();
+  }
+  const MatchCounters mc = par.match_counters();
+  EXPECT_GE(mc.relinks, static_cast<uint64_t>(rounds));
+  EXPECT_GE(mc.unlinks, static_cast<uint64_t>(rounds));
+  EXPECT_EQ(linked.match_counters().relinks, 0u);
 }
 
 TEST(RaceStress, StealParkingUnderUnevenLoad) {

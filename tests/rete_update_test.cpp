@@ -260,9 +260,11 @@ TEST(Update, ScratchReplayIsAllocationFlat) {
           e, "(p " + name +
                  " (a ^v <x>) (b ^v <x>) (c ^v <x>) (d ^v <x>) (e ^v <x>)"
                  " (f ^v <x>) --> (halt))")));
-      // Structural compile may allocate (new nodes, code); only the state
-      // update itself is measured.
+      // Structural compile may allocate (new nodes, code, and the agent's
+      // per-node link states, grown beside it as CompiledNetwork::compile
+      // does); only the state update itself is measured.
       CompiledProduction cp = builder.add_production(*keep.back());
+      e.state().ensure_links(e.net().node_count());
       const uint64_t before = heap_allocs();
       run_update(drain, e.net(), e.state(), cp, wm, 0, scratch);
       const uint64_t used = heap_allocs() - before;

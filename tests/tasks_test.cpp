@@ -1,8 +1,12 @@
 // The three paper tasks: production counts, runs complete, chunks are built
-#include <algorithm>
-// during learning, learned chunks transfer.
+// during learning, learned chunks transfer, and a learning run's conflict
+// set agrees with the independent oracle (tests/oracle.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "oracle.h"
 #include "tasks/registry.h"
 #include "test_util.h"
 
@@ -54,6 +58,36 @@ TEST_P(TaskRuns, ChunksAreReloadable) {
             run_task(task, false).production_count +
                 during.stats.chunk_texts.size());
   EXPECT_GT(after.stats.elab_cycles, 0u);
+}
+
+/// The conflict set equals the oracle's matches after every decision of a
+/// learning run, learned chunks included, and at the end of the run. The
+/// oracle's slot-value buckets keep a check to a few ms even on cypress's
+/// ~1,250 wmes.
+TEST_P(TaskRuns, LearningRunAgreesWithOracle) {
+  const Task task = make_task(GetParam());
+  SoarOptions opts;
+  opts.learning = true;
+  opts.max_decisions = task.max_decisions;
+  SoarKernel kernel(opts);
+  kernel.load_productions(task.productions);
+  task.init(kernel);
+  uint64_t checks = 0;
+  std::string first_diff;
+  kernel.set_decision_listener([&](SoarKernel& k) {
+    if (!first_diff.empty()) return;
+    ++checks;
+    const std::string diff = test::oracle_diff(k.engine());
+    if (!diff.empty()) {
+      first_diff = "after decision " + std::to_string(checks) + ":\n" + diff;
+    }
+  });
+  const SoarRunStats stats = kernel.run();
+  EXPECT_TRUE(first_diff.empty()) << first_diff;
+  EXPECT_EQ(checks, stats.decisions);
+  EXPECT_GE(stats.chunks_built, 1u);
+  const std::string last = test::oracle_diff(kernel.engine());
+  EXPECT_TRUE(last.empty()) << "at the end of the run:\n" << last;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTasks, TaskRuns,
