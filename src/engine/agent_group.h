@@ -87,7 +87,8 @@ class AgentGroup {
   std::vector<const Production*> load(std::string_view src);
 
   /// One batched group cycle: drains every agent's pending removals in one
-  /// shared cycle, then every agent's pending additions in another. Each
+  /// shared cycle, then every agent's pending additions in another, then
+  /// runs one unlink sweep (ParallelMatcher::run_match). Each
   /// agent ends exactly as if it had run Engine::match() alone (same final
   /// state; the drains just share workers). Returns the accumulated
   /// scheduler stats of both drains (also stored on every participant as
@@ -106,7 +107,9 @@ class AgentGroup {
   std::unique_ptr<ParallelMatcher> matcher_;
   std::vector<std::unique_ptr<Engine>> owned_;
   std::vector<Engine*> agents_;           // owned_, as step_all's span
-  std::vector<Activation> seed_scratch_;  // batched seeds, capacity reused
+  // Batched removal and addition seeds, capacity reused.
+  std::vector<Activation> remove_seeds_;
+  std::vector<Activation> add_seeds_;
 };
 
 }  // namespace psme

@@ -13,6 +13,12 @@
 // per-insert map node). At steady state — CS population oscillating below
 // its high-water mark — an insert/retract pair touches no heap at all, which
 // is what tests/engine_alloc_test.cpp asserts across full engine cycles.
+//
+// The list keeps the fired instantiations apart from the unfired ones:
+// mark_fired moves a node to the head, inserts append at the tail, and
+// nothing goes from fired back to unfired, so the unfired ones are always a
+// tail starting at `unfired_`. A harvest (unfired_into, select_lex) walks
+// only that tail.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +59,8 @@ class ConflictSet final : public MatchSink {
   [[nodiscard]] std::vector<const Instantiation*> unfired() const;
 
   /// Same, into a caller-owned buffer (cleared first, capacity retained) so
-  /// the per-cycle harvest stops allocating once the buffer has grown.
+  /// the per-cycle harvest stops allocating once the buffer has grown. Visits
+  /// only the unfired instantiations, and sorts keys copied out once.
   void unfired_into(std::vector<const Instantiation*>& out) const;
 
   void mark_fired(const Instantiation* inst);
@@ -67,7 +74,8 @@ class ConflictSet final : public MatchSink {
   /// nullptr if no unfired instantiation exists.
   [[nodiscard]] const Instantiation* select_lex() const;
 
-  /// All current instantiations (tests/diagnostics).
+  /// All current instantiations (tests/diagnostics): the fired ones, then
+  /// the unfired ones; callers that need an order sort.
   [[nodiscard]] std::vector<const Instantiation*> all() const;
 
   [[nodiscard]] uint64_t total_inserts() const {
@@ -131,6 +139,8 @@ class ConflictSet final : public MatchSink {
   void free_node(Node* n) PSME_REQUIRES(lock_);
   /// Unlinks from both the arrival list and the index chain.
   void unlink(Node* n) PSME_REQUIRES(lock_);
+  /// Unlinks from the arrival list only.
+  void unlink_list(Node* n) PSME_REQUIRES(lock_);
   void grow_buckets() PSME_REQUIRES(lock_);
   [[nodiscard]] bool lex_less(const Instantiation* a,
                               const Instantiation* b) const PSME_REQUIRES(lock_);
@@ -138,8 +148,11 @@ class ConflictSet final : public MatchSink {
   mutable Spinlock lock_{LockRank::ConflictSet, "conflict-set"};
   std::vector<std::unique_ptr<Node[]>> slabs_ PSME_GUARDED_BY(lock_);
   Node* free_ PSME_GUARDED_BY(lock_) = nullptr;
-  Node* head_ PSME_GUARDED_BY(lock_) = nullptr;  // arrival order
+  // Fired instantiations (most recently fired first), then the unfired ones
+  // in arrival order from unfired_ (nullptr: none) to tail_.
+  Node* head_ PSME_GUARDED_BY(lock_) = nullptr;
   Node* tail_ PSME_GUARDED_BY(lock_) = nullptr;
+  Node* unfired_ PSME_GUARDED_BY(lock_) = nullptr;
   std::vector<Node*> buckets_ PSME_GUARDED_BY(lock_);
   size_t bucket_mask_ PSME_GUARDED_BY(lock_) = 0;
   size_t count_ PSME_GUARDED_BY(lock_) = 0;
@@ -154,6 +167,15 @@ class ConflictSet final : public MatchSink {
   // LEX comparison scratch (timetag sort buffers), reused across calls.
   mutable std::vector<uint64_t> lex_a_ PSME_GUARDED_BY(lock_);
   mutable std::vector<uint64_t> lex_b_ PSME_GUARDED_BY(lock_);
+  // Harvest scratch, reused across calls: one sort key per unfired
+  // instantiation, copied out of its node once per harvest.
+  struct HarvestKey {
+    uint64_t stamp;          // the P-node's creation stamp
+    uint32_t size;           // token arity
+    const Wme* const* wmes;  // the token's wmes
+    const Instantiation* inst;
+  };
+  mutable std::vector<HarvestKey> harvest_keys_ PSME_GUARDED_BY(lock_);
 };
 
 }  // namespace psme

@@ -232,31 +232,22 @@ void Engine::end_cycle() {
 
 ParallelStats Engine::drain_threaded(ParallelMatcher& m,
                                      std::span<Engine* const> agents,
-                                     std::vector<Activation>& seeds,
-                                     obs::Tracer* tracer, size_t track) {
+                                     std::vector<Activation>& removes,
+                                     std::vector<Activation>& adds,
+                                     size_t track) {
   // The removals drain to quiescence before the additions: a delete token
   // racing a sibling addition is order-dependent (a join can install a new
   // PI behind a delete token that already passed that memory), so each
   // threaded drain gets a homogeneous seed batch. Serial injection order
   // (removes first) makes the final state identical. Seeds may mix agents:
   // each tagged task touches only its own agent's state.
-  seeds.clear();
-  bool any_adds = false;
+  removes.clear();
+  adds.clear();
   for (Engine* a : agents) {
-    a->collect_seeds(false, seeds);
-    any_adds |= !a->pending_adds_.empty();
+    a->collect_seeds(false, removes);
+    a->collect_seeds(true, adds);
   }
-  ParallelStats total;
-  if (!seeds.empty() || !any_adds) {
-    obs::Span span(tracer, track, obs::EventKind::DrainRemoves);
-    total = m.run_cycle(seeds);
-    seeds.clear();
-  }
-  if (any_adds) {
-    obs::Span span(tracer, track, obs::EventKind::DrainAdds);
-    for (Engine* a : agents) a->collect_seeds(true, seeds);
-    total.accumulate(m.run_cycle(seeds));
-  }
+  const ParallelStats total = m.run_match(removes, adds, track);
   for (Engine* a : agents) {
     a->end_cycle();
     // Shared scheduler numbers, but each agent's own arena snapshot (the
@@ -275,7 +266,9 @@ CycleTrace Engine::match() {
     // Threaded drain on the persistent matcher; no per-task trace.
     Engine* self = this;
     last_match_tasks_ =
-        drain_threaded(matcher(), {&self, 1}, seeds, tracer(), track()).tasks;
+        drain_threaded(matcher(), {&self, 1}, seeds, add_seed_scratch_,
+                       track())
+            .tasks;
     return {};
   }
   seeds.clear();

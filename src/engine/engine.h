@@ -318,15 +318,17 @@ class Engine {
   void apply_delta(const WmeDelta& delta, bool dedup_adds);
   ParallelMatcher& matcher();
   /// The threaded cycle of match() and AgentGroup::step_all, for every
-  /// engine in `agents` (all registered with `m`): drains their pending
-  /// removals, then their additions (an empty removal drain stands in when
-  /// nobody has additions), closes each one's wme cycle and stores the
-  /// accumulated stats on each with its own arena snapshot. `seeds` is
-  /// caller-owned scratch; the drain spans go to `tracer` on `track`.
+  /// engine in `agents` (all registered with `m`): one
+  /// ParallelMatcher::run_match over their pending removals and additions,
+  /// then closes each one's wme cycle and stores the accumulated stats on
+  /// each with its own arena snapshot. `removes` and `adds` are
+  /// caller-owned seed scratch; the drain spans go to `m.tracer()` on
+  /// `track`.
   static ParallelStats drain_threaded(ParallelMatcher& m,
                                       std::span<Engine* const> agents,
-                                      std::vector<Activation>& seeds,
-                                      obs::Tracer* tracer, size_t track);
+                                      std::vector<Activation>& removes,
+                                      std::vector<Activation>& adds,
+                                      size_t track);
   /// Injects this session's pending removes (adds=false) or adds
   /// (adds=true) as agent-tagged seeds into `out`.
   void collect_seeds(bool adds, std::vector<Activation>& out);
@@ -359,10 +361,12 @@ class Engine {
   std::unique_ptr<obs::MatchProfiler> profiler_;  // when opts.profile
   // Steady-state scratch, alive for the Engine's lifetime so repeated
   // cycles and §5.2 updates reuse high-water capacity (DESIGN.md §10): the
-  // serial executor (ring + trace state), the per-cycle seed vector, the
-  // update's seed buffers, and the fire delta.
+  // serial executor (ring + trace state), the per-cycle seed vectors (the
+  // threaded match keeps its addition seeds apart), the update's seed
+  // buffers, and the fire delta.
   TraceExecutor serial_exec_;
   std::vector<Activation> seed_scratch_;
+  std::vector<Activation> add_seed_scratch_;
   UpdateScratch update_scratch_;
   WmeDelta fire_delta_;
 };

@@ -12,7 +12,9 @@ WorkingMemory::WorkingMemory() {
 WorkingMemory::Rec* WorkingMemory::alloc_rec() {
   if (free_ == nullptr) {
     auto slab = std::make_unique<Rec[]>(kSlabRecs);
+    const size_t base = record_capacity();
     for (size_t i = 0; i < kSlabRecs; ++i) {
+      slab[i].index = static_cast<uint32_t>(base + i);
       slab[i].next = free_;
       free_ = &slab[i];
     }
@@ -87,11 +89,7 @@ const Wme* WorkingMemory::find(Symbol cls, const Value* fields,
 std::vector<const Wme*> WorkingMemory::live() const {
   std::vector<const Wme*> out;
   out.reserve(live_count_);
-  for (const auto& slab : slabs_) {
-    for (size_t i = 0; i < kSlabRecs; ++i) {
-      if (slab[i].state == Rec::State::Live) out.push_back(&slab[i].wme);
-    }
-  }
+  for_each_live([&](const Wme* w) { out.push_back(w); });
   std::sort(out.begin(), out.end(), [](const Wme* a, const Wme* b) {
     return a->timetag < b->timetag;
   });

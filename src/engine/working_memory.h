@@ -50,10 +50,33 @@ class WorkingMemory {
     return rec_of(w)->state == Rec::State::Live;
   }
 
-  /// Snapshot of live wmes ordered by timetag.
+  /// Calls `f(const Wme*)` for every live wme, in storage order (not
+  /// timetag order). Allocation-free; visits every record, removed ones
+  /// retained under set_retain_removed included, so it costs O(records).
+  template <class F>
+  void for_each_live(F&& f) const {
+    for (const auto& slab : slabs_) {
+      for (size_t i = 0; i < kSlabRecs; ++i) {
+        if (slab[i].state == Rec::State::Live) f(&slab[i].wme);
+      }
+    }
+  }
+
+  /// Snapshot of live wmes ordered by timetag (for_each_live, then a sort).
   [[nodiscard]] std::vector<const Wme*> live() const;
 
   [[nodiscard]] size_t size() const { return live_count_; }
+
+  /// Dense index of `w`'s record, fixed when its slab was carved and below
+  /// record_capacity(): callers keep per-wme side tables as arrays indexed
+  /// by it. A recycled record keeps its index, so a side table must reset
+  /// an entry when its wme is removed (the Soar kernel does).
+  [[nodiscard]] static uint32_t record_index(const Wme* w) {
+    return rec_of(w)->index;
+  }
+  [[nodiscard]] size_t record_capacity() const {
+    return slabs_.size() * kSlabRecs;
+  }
 
   /// Recycles wmes removed during the cycle. Call only at quiescence. With
   /// retain_removed set, removed wmes stay allocated (the Soar kernel keeps
@@ -75,9 +98,12 @@ class WorkingMemory {
     Wme wme;
     Rec* next = nullptr;  // content-bucket chain (Live) or free list (Free)
     enum class State : uint8_t { Free, Live, Limbo } state = State::Free;
+    uint32_t index = 0;  // record_index(); fits the padding after state
   };
   static_assert(std::is_standard_layout_v<Rec>,
                 "Wme* <-> Rec* relies on first-member layout");
+  static_assert(sizeof(Rec) == sizeof(Wme) + 2 * sizeof(void*),
+                "the record index must fit the padding after state");
 
   static constexpr size_t kSlabRecs = 64;
   static constexpr size_t kInitialBuckets = 64;

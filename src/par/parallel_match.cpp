@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstddef>
 
+#include "obs/tracer.h"
+
 namespace psme {
 namespace {
 
@@ -159,6 +161,31 @@ void ParallelMatcher::reset_slots() {
 
 ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
                                          const UpdateFilter& filter) {
+  return run_pass(seeds, filter, /*sweep=*/true);
+}
+
+ParallelStats ParallelMatcher::run_match(std::vector<Activation>& removes,
+                                         std::vector<Activation>& adds,
+                                         size_t track) {
+  // One unlink sweep, after both drains: a join the removals empty stays
+  // linked through the additions, so a left token they bring finds it
+  // linked instead of relinking it (DESIGN.md §16.2). An empty removal
+  // drain stands in when there are no additions.
+  ParallelStats st;
+  if (!removes.empty() || adds.empty()) {
+    obs::Span span(tracer_, track, obs::EventKind::DrainRemoves);
+    st = run_pass(removes, {}, /*sweep=*/adds.empty());
+  }
+  if (!adds.empty()) {
+    obs::Span span(tracer_, track, obs::EventKind::DrainAdds);
+    st.accumulate(run_pass(adds, {}, /*sweep=*/true));
+  }
+  return st;
+}
+
+ParallelStats ParallelMatcher::run_pass(std::vector<Activation>& seeds,
+                                        const UpdateFilter& filter,
+                                        bool sweep) {
   // Epoch lifecycle, pinned to the drain: every worker of this cycle enters
   // the new epoch before dispatch; the sweep runs after the pool join (the
   // ParkingLot exit cascade has completed and all workers are parked), when
@@ -219,13 +246,15 @@ ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
           .count();
   for (const auto& s : slots_) st.accumulate(s->stats);
   // Quiescent: unlink the joins whose left memory emptied (DESIGN.md §16).
-  // A list an aborted cycle left behind is swept here too: the sweep reads
-  // only the state at hand.
-  for (const auto& s : slots_) {
-    for (const EmptiedJoin& e : s->emptied) {
-      net_.unlink_if_empty(e.join, *states_[e.agent], st.counters);
+  // The lists of a pass that did not sweep, or of an aborted cycle, are
+  // swept here too: the sweep reads only the state at hand.
+  if (sweep) {
+    for (const auto& s : slots_) {
+      for (const EmptiedJoin& e : s->emptied) {
+        net_.unlink_if_empty(e.join, *states_[e.agent], st.counters);
+      }
+      s->emptied.clear();
     }
-    s->emptied.clear();
   }
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
   if (!states_.empty()) st.arena = states_[0]->arena.stats();

@@ -145,8 +145,8 @@ class ParallelMatcher final : public Drain {
   /// racing a sibling addition through the same memories is
   /// order-dependent (the join can install a fresh PI behind a delete token
   /// that already swept that line). Callers with a mixed wme batch drain
-  /// the removals as their own cycle first, which yields the serial
-  /// executor's final state (see Engine::match). Seeds may mix *agents*
+  /// the removals to quiescence first (run_match), which yields the serial
+  /// executor's final state. Seeds may mix *agents*
   /// freely (each tagged task only touches its own agent's state; the
   /// homogeneity rule applies per agent and holds trivially across agents)
   /// — this is how AgentGroup batches N agents' cycles into one drain,
@@ -154,9 +154,17 @@ class ParallelMatcher final : public Drain {
   /// task filter, applied at emit time: a run_update phase passes it, so the
   /// new production's state update enjoys the full parallelism of the match
   /// (what Figure 6-9 measures). After the pool join the cycle unlinks every
-  /// join its tasks left with an empty left memory (DESIGN.md §16).
+  /// join its tasks left with an empty left memory (DESIGN.md §16); a mixed
+  /// batch drained with run_match sweeps once, after its second drain.
   ParallelStats run_cycle(std::vector<Activation>& seeds,
                           const UpdateFilter& filter = {});
+
+  /// One match of a mixed wme batch: drains `removes` to quiescence, then
+  /// `adds`, then runs run_cycle's unlink sweep once for both (DESIGN.md
+  /// §16.2). Both vectors are caller-owned scratch, consumed like
+  /// run_cycle's seeds. The drains are spanned on `track` of tracer().
+  ParallelStats run_match(std::vector<Activation>& removes,
+                          std::vector<Activation>& adds, size_t track);
 
   /// Drain: run_cycle's executed-task count.
   uint64_t drain(std::vector<Activation>& seeds,
@@ -221,6 +229,9 @@ class ParallelMatcher final : public Drain {
     }
   };
 
+  /// run_cycle, with the closing unlink sweep only when `sweep` is set.
+  ParallelStats run_pass(std::vector<Activation>& seeds,
+                         const UpdateFilter& filter, bool sweep);
   void steal_loop(size_t worker, const UpdateFilter& filter,
                   std::atomic<bool>& abort);
   void run_root(size_t worker, ExecContext& ctx,

@@ -13,8 +13,7 @@ namespace psme {
 std::optional<Production> Chunker::build_chunk(const Wme* result,
                                                int result_level,
                                                std::string* signature) {
-  auto prov_it = k_.provenance_.find(result);
-  if (prov_it == k_.provenance_.end()) return std::nullopt;
+  if (k_.provenance(result) == nullptr) return std::nullopt;
 
   // Backtrace: collect supergoal-level condition wmes, and remember every
   // traced instantiation so its negated conditions can be transferred.
@@ -28,14 +27,13 @@ std::optional<Production> Chunker::build_chunk(const Wme* result,
     const Wme* w = frontier.back();
     frontier.pop_back();
     if (!visited.insert(w).second) continue;
-    auto pit = k_.provenance_.find(w);
-    if (pit == k_.provenance_.end()) continue;  // architectural: trace stops
-    if (traced_insts
-            .insert({pit->second.prod, token_identity_hash(pit->second.token)})
+    const Provenance* prov = k_.provenance(w);
+    if (prov == nullptr) continue;  // architectural: trace stops
+    if (traced_insts.insert({prov->prod, token_identity_hash(prov->token)})
             .second) {
-      traced.push_back(&pit->second);
+      traced.push_back(prov);
     }
-    for (const Wme* cond : pit->second.token) {
+    for (const Wme* cond : prov->token) {
       if (k_.wme_level(cond) <= result_level) {
         if (cond_set.insert(cond).second) conditions.push_back(cond);
       } else {

@@ -19,23 +19,30 @@ std::vector<SoarKernel::Candidate> SoarKernel::slot_candidates(
   std::vector<Symbol> rejects, bests, indiffs;
   std::vector<std::pair<Symbol, Symbol>> betters;  // (better, worse)
 
+  // The slot's preferences, in timetag order: the better/worse filter below
+  // applies them in sequence, so their order is observable.
   const bool state_scoped = role == sym_op_ || role == sym_state_;
-  for (const Wme* w : engine_.wm().live()) {
-    if (w->cls != cls_pref_) continue;
-    if (w->field(0) != Value(g.id)) continue;
-    if (w->field(2) != Value(role)) continue;
+  std::vector<const Wme*>& prefs = wm_scratch_;
+  prefs.clear();
+  engine_.wm().for_each_live([&](const Wme* w) {
+    if (w->cls != cls_pref_) return;
+    if (w->field(0) != Value(g.id)) return;
+    if (w->field(2) != Value(role)) return;
     if (state_scoped && !w->field(1).is_nil() &&
         w->field(1) != Value(g.state)) {
-      continue;  // preference is scoped to a state no longer current
+      return;  // preference is scoped to a state no longer current
     }
+    prefs.push_back(w);
+  });
+  sort_by_timetag(prefs);
+  for (const Wme* w : prefs) {
     if (!w->field(3).is_sym()) continue;
     const Symbol v = w->field(3).sym();
     // A finished operator never becomes a candidate again: its acceptable
     // preference is a plain wme (productions only add), so candidacy is
     // filtered here instead of by preference retraction.
-    if (role == sym_op_ &&
-        engine_.wm().find(cls_wme_, {Value(v), Value(sym_done_),
-                                     Value(sym_yes_)}) != nullptr) {
+    const Value done[] = {Value(v), Value(sym_done_), Value(sym_yes_)};
+    if (role == sym_op_ && engine_.wm().find(cls_wme_, done, 3) != nullptr) {
       continue;
     }
     const Value kind = w->field(4);
@@ -186,9 +193,8 @@ bool SoarKernel::decide(SoarRunStats& stats) {
 
     // Operator completion without a state change (monotonic tasks mark the
     // operator (o ^done yes) instead of proposing a successor state).
-    if (g.op.valid() &&
-        engine_.wm().find(cls_wme_, {Value(g.op), Value(sym_done_),
-                                     Value(sym_yes_)}) != nullptr) {
+    const Value done[] = {Value(g.op), Value(sym_done_), Value(sym_yes_)};
+    if (g.op.valid() && engine_.wm().find(cls_wme_, done, 3) != nullptr) {
       remove_triple(g.id, sym_op_, Value(g.op));
       g.op = Symbol();
       pop_goals_below(g.level);

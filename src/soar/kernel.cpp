@@ -77,17 +77,35 @@ Symbol SoarKernel::make_id(std::string_view prefix, int level) {
 }
 
 void SoarKernel::register_id(Symbol s, int level) {
-  id_level_.emplace(s, level);
+  const uint32_t i = s.raw();
+  if (i >= id_level_.size()) {
+    // Symbols are dense intern indexes: cover every symbol interned so far.
+    id_level_.resize(std::max<size_t>(i + 1, engine_.syms().size()), 0);
+  }
+  if (id_level_[i] == 0) id_level_[i] = level;
 }
 
-int SoarKernel::id_level(Symbol s) const {
-  auto it = id_level_.find(s);
-  return it == id_level_.end() ? 0 : it->second;
+SoarKernel::WmeEntry& SoarKernel::entry(const Wme* w) {
+  const uint32_t i = WorkingMemory::record_index(w);
+  if (i >= wme_entries_.size()) {
+    wme_entries_.resize(engine_.wm().record_capacity());
+  }
+  return wme_entries_[i];
+}
+
+const SoarKernel::WmeEntry* SoarKernel::find_entry(const Wme* w) const {
+  const uint32_t i = WorkingMemory::record_index(w);
+  return i < wme_entries_.size() ? &wme_entries_[i] : nullptr;
+}
+
+const Provenance* SoarKernel::provenance(const Wme* w) const {
+  const WmeEntry* e = find_entry(w);
+  return e != nullptr && e->prov.prod != nullptr ? &e->prov : nullptr;
 }
 
 int SoarKernel::wme_level(const Wme* w) const {
-  auto it = wme_level_.find(w);
-  return it == wme_level_.end() ? 1 : it->second;
+  const WmeEntry* e = find_entry(w);
+  return e != nullptr && e->level > 0 ? e->level : 1;
 }
 
 const Wme* SoarKernel::add_triple(Symbol id, std::string_view attr, Value v) {
@@ -101,16 +119,15 @@ const Wme* SoarKernel::add_triple(Symbol id, Symbol attr, Value v) {
   }
   const Wme* w = engine_.add_wme(cls_wme_, std::move(fields));
   const int lvl = id_level(id);
-  wme_level_[w] = lvl > 0 ? lvl : 1;
+  entry(w).level = lvl > 0 ? lvl : 1;
   return w;
 }
 
 void SoarKernel::remove_triple(Symbol id, Symbol attr, Value v) {
-  const Wme* w = engine_.wm().find(cls_wme_, {Value(id), Value(attr), v});
+  const Value fields[] = {Value(id), Value(attr), v};
+  const Wme* w = engine_.wm().find(cls_wme_, fields, 3);
   if (w == nullptr) return;
-  drop_provenance(w);
-  wme_level_.erase(w);
-  engine_.remove_wme(w);
+  retract(w);
 }
 
 Symbol SoarKernel::create_top_goal(Symbol problem_space, Symbol initial_state) {
@@ -131,28 +148,30 @@ bool SoarKernel::has_triple_attr(std::string_view attr,
   const Symbol a = engine_.syms().find(attr);
   const Symbol v = engine_.syms().find(value);
   if (!a.valid() || !v.valid()) return false;
-  for (const Wme* w : engine_.wm().live()) {
-    if (w->cls == cls_wme_ && w->field(1) == Value(a) &&
-        w->field(2) == Value(v)) {
-      return true;
-    }
-  }
-  return false;
+  bool found = false;
+  engine_.wm().for_each_live([&](const Wme* w) {
+    found = found || (w->cls == cls_wme_ && w->field(1) == Value(a) &&
+                      w->field(2) == Value(v));
+  });
+  return found;
 }
 
 void SoarKernel::set_provenance(const Wme* w, const Production* prod,
                                 const Token& tok, int level) {
-  Provenance& slot = provenance_[w];
-  slot.token.unpin();  // no-op for the freshly default-constructed slot
+  Provenance& slot = entry(w).prov;
+  slot.token.unpin();  // no-op for an empty slot
   slot = Provenance{prod, tok, level};
   slot.token.pin();
 }
 
-void SoarKernel::drop_provenance(const Wme* w) {
-  auto it = provenance_.find(w);
-  if (it == provenance_.end()) return;
-  it->second.token.unpin();
-  provenance_.erase(it);
+void SoarKernel::retract(const Wme* w) {
+  const uint32_t i = WorkingMemory::record_index(w);
+  if (i < wme_entries_.size()) {
+    WmeEntry& e = wme_entries_[i];
+    e.prov.token.unpin();  // no-op for an empty slot
+    e = WmeEntry{};
+  }
+  engine_.remove_wme(w);
 }
 
 int SoarKernel::instantiation_level(const Token& token) const {
@@ -186,7 +205,7 @@ void SoarKernel::apply_fire_delta(const Instantiation* inst,
       const int l0 = id_level(add.fields[0].sym());
       if (l0 > 0) wl = l0;
     }
-    wme_level_[w] = wl;
+    entry(w).level = wl;
     set_provenance(w, prod, inst->token, lvl);
     if (opts_.learning && lvl > 1 && wl < lvl) {
       // Indifference results are deliberately not chunked: an over-general
@@ -200,11 +219,7 @@ void SoarKernel::apply_fire_delta(const Instantiation* inst,
       if (!indifferent_pref) pending_results_.push_back({w, wl});
     }
   }
-  for (const Wme* rm : delta.removes) {
-    drop_provenance(rm);
-    wme_level_.erase(rm);
-    engine_.remove_wme(rm);
-  }
+  for (const Wme* rm : delta.removes) retract(rm);
 }
 
 void SoarKernel::flush_chunks(SoarRunStats& stats) {
@@ -250,15 +265,13 @@ void SoarKernel::flush_chunks(SoarRunStats& stats) {
 }
 
 Engine::RuntimeRemoveResult SoarKernel::excise(const Production* p) {
-  // Provenance first: the map holds pinned tokens whose nodes the removal
+  // Provenance first: the table holds pinned tokens whose nodes the removal
   // drain is about to make reclaimable. The wmes keep their level and stay
   // live — only the backtrace trail to this production is severed.
-  for (auto it = provenance_.begin(); it != provenance_.end();) {
-    if (it->second.prod == p) {
-      it->second.token.unpin();
-      it = provenance_.erase(it);
-    } else {
-      ++it;
+  for (WmeEntry& e : wme_entries_) {
+    if (e.prov.prod == p) {
+      e.prov.token.unpin();
+      e.prov = Provenance{};
     }
   }
   const auto sig = chunk_sigs_.find(p);
@@ -361,15 +374,35 @@ void SoarKernel::pop_goals_below(int level) {
   while (!stack_.empty() && stack_.back().level > level) stack_.pop_back();
 }
 
+void SoarKernel::sort_by_timetag(std::vector<const Wme*>& wmes) {
+  std::sort(wmes.begin(), wmes.end(), [](const Wme* a, const Wme* b) {
+    return a->timetag < b->timetag;
+  });
+}
+
 void SoarKernel::gc_unreachable() {
   // Reachable identifiers: start from the context stack (goal ids and slot
   // values), follow wme triples id -> value, and let preferences scoped to a
-  // *current* state keep their operator objects alive.
-  std::unordered_map<Symbol, bool> reachable;
+  // *current* state keep their operator objects alive. A mark is the
+  // call's epoch stored at the identifier's index, so no call clears or
+  // allocates a set.
+  if (++gc_epoch_ == 0) {  // wrapped: a stale mark could read as current
+    std::fill(gc_marks_.begin(), gc_marks_.end(), 0);
+    gc_epoch_ = 1;
+  }
+  if (gc_marks_.size() < id_level_.size()) {
+    gc_marks_.resize(id_level_.size(), 0);
+  }
+  const uint32_t epoch = gc_epoch_;
+  auto reachable = [&](Symbol s) {
+    return s.raw() < gc_marks_.size() && gc_marks_[s.raw()] == epoch;
+  };
   auto mark = [&](Symbol s) -> bool {
-    if (id_level_.count(s) == 0) return false;  // constants need no marking
-    auto [it, inserted] = reachable.emplace(s, true);
-    return inserted;
+    if (id_level(s) == 0) return false;  // constants need no marking
+    uint32_t& m = gc_marks_[s.raw()];
+    if (m == epoch) return false;
+    m = epoch;
+    return true;
   };
   for (const GoalEntry& g : stack_) {
     mark(g.id);
@@ -377,7 +410,12 @@ void SoarKernel::gc_unreachable() {
     if (g.state.valid()) mark(g.state);
     if (g.op.valid()) mark(g.op);
   }
-  const auto live = engine_.wm().live();
+  // Only triples and preferences can be collected or extend reachability.
+  std::vector<const Wme*>& live = wm_scratch_;
+  live.clear();
+  engine_.wm().for_each_live([&](const Wme* w) {
+    if (w->cls == cls_wme_ || w->cls == cls_pref_) live.push_back(w);
+  });
   auto current_state = [&](const Value& sid) {
     if (sid.is_nil()) return true;
     if (!sid.is_sym()) return false;
@@ -386,6 +424,7 @@ void SoarKernel::gc_unreachable() {
     }
     return false;
   };
+  // The fixpoint does not depend on the order of `live`.
   bool grew = true;
   while (grew) {
     grew = false;
@@ -397,12 +436,12 @@ void SoarKernel::gc_unreachable() {
         if (w->field(1) == Value(sym_prev_)) continue;
         const Value id = w->field(0);
         const Value v = w->field(2);
-        if (id.is_sym() && reachable.count(id.sym()) != 0 && v.is_sym()) {
+        if (id.is_sym() && reachable(id.sym()) && v.is_sym()) {
           grew |= mark(v.sym());
         }
-      } else if (w->cls == cls_pref_) {
+      } else {
         const Value gid = w->field(0);
-        if (gid.is_sym() && reachable.count(gid.sym()) != 0 &&
+        if (gid.is_sym() && reachable(gid.sym()) &&
             current_state(w->field(1))) {
           if (w->field(3).is_sym()) grew |= mark(w->field(3).sym());
           if (w->field(5).is_sym()) grew |= mark(w->field(5).sym());
@@ -410,38 +449,30 @@ void SoarKernel::gc_unreachable() {
       }
     }
   }
-  // Retract everything inaccessible from the context stack.
-  for (const Wme* w : live) {
-    bool keep = true;
+  // Retract everything inaccessible from the context stack, in timetag
+  // order.
+  auto keep = [&](const Wme* w) {
     if (w->cls == cls_wme_) {
       const Value id = w->field(0);
-      keep = !id.is_sym() || id_level_.count(id.sym()) == 0 ||
-             reachable.count(id.sym()) != 0;
-    } else if (w->cls == cls_pref_) {
-      keep = current_state(w->field(1));
-      if (keep && w->field(3).is_sym() &&
-          id_level_.count(w->field(3).sym()) != 0) {
-        keep = reachable.count(w->field(3).sym()) != 0;
-      }
+      return !id.is_sym() || id_level(id.sym()) == 0 || reachable(id.sym());
     }
-    if (!keep) {
-      drop_provenance(w);
-      wme_level_.erase(w);
-      engine_.remove_wme(w);
-    }
-  }
+    if (!current_state(w->field(1))) return false;
+    const Value v = w->field(3);
+    return !v.is_sym() || id_level(v.sym()) == 0 || reachable(v.sym());
+  };
+  live.erase(std::remove_if(live.begin(), live.end(), keep), live.end());
+  sort_by_timetag(live);
+  for (const Wme* w : live) retract(w);
 }
 
 void SoarKernel::gc_wmes_above(int level) {
-  for (const Wme* w : engine_.wm().live()) {
-    auto it = wme_level_.find(w);
-    const int wl = it == wme_level_.end() ? 1 : it->second;
-    if (wl > level) {
-      drop_provenance(w);
-      wme_level_.erase(w);
-      engine_.remove_wme(w);
-    }
-  }
+  std::vector<const Wme*>& victims = wm_scratch_;
+  victims.clear();
+  engine_.wm().for_each_live([&](const Wme* w) {
+    if (wme_level(w) > level) victims.push_back(w);
+  });
+  sort_by_timetag(victims);
+  for (const Wme* w : victims) retract(w);
 }
 
 }  // namespace psme

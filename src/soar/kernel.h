@@ -122,11 +122,14 @@ class SoarKernel {
   void load_productions(std::string_view src);
 
   // ---- identifiers -------------------------------------------------------
-  /// Creates and registers a fresh identifier at `level`.
+  /// Creates and registers a fresh identifier at `level` (≥ 1).
   Symbol make_id(std::string_view prefix, int level);
+  /// The first registration of `s` wins; later ones keep its level.
   void register_id(Symbol s, int level);
   /// Goal level of an identifier; 0 if `s` is not a registered identifier.
-  [[nodiscard]] int id_level(Symbol s) const;
+  [[nodiscard]] int id_level(Symbol s) const {
+    return s.raw() < id_level_.size() ? id_level_[s.raw()] : 0;
+  }
 
   // ---- task setup --------------------------------------------------------
   /// Adds a task triple (wme ^id ^attr ^value); architectural (no creator).
@@ -227,12 +230,32 @@ class SoarKernel {
   void apply_fire_delta(const Instantiation* inst, SoarRunStats& stats);
   int instantiation_level(const Token& token) const;
 
-  // All provenance_ mutation goes through these two: a Provenance token is
-  // held across elaboration cycles, so the map owns a pinned copy (the
-  // chunker backtraces through it long after the creating drain ended).
+  // Per-wme kernel state, one entry per working-memory record
+  // (WorkingMemory::record_index).
+  struct WmeEntry {
+    int level = 0;    // goal level; 0: none recorded (wme_level reads 1)
+    Provenance prov;  // prov.prod == nullptr: architectural, no creator
+  };
+  // entry() grows the table to the records WM has carved; find_entry()
+  // returns nullptr past its end.
+  WmeEntry& entry(const Wme* w);
+  [[nodiscard]] const WmeEntry* find_entry(const Wme* w) const;
+  // The creating instantiation of `w`, or nullptr for an architectural wme.
+  [[nodiscard]] const Provenance* provenance(const Wme* w) const;
+
+  // A Provenance token is held across elaboration cycles, so the table owns
+  // a pinned copy (the chunker backtraces through it long after the
+  // creating drain ended): set_provenance pins it, and retract and excise
+  // unpin it.
   void set_provenance(const Wme* w, const Production* prod, const Token& tok,
                       int level);
-  void drop_provenance(const Wme* w);
+  // Retracts `w` and forgets its level and provenance.
+  void retract(const Wme* w);
+  // Passes that collect wmes with WorkingMemory::for_each_live (storage
+  // order) sort them back into timetag order wherever order is observable:
+  // a removal sequence orders the next match's seeds, and through them the
+  // recorded task DAGs; a slot's preferences feed the better/worse filter.
+  static void sort_by_timetag(std::vector<const Wme*>& wmes);
 
   // Builds and installs chunks for the pending results (end of elaboration
   // cycle; WM is consistent with the network at this point).
@@ -254,9 +277,18 @@ class SoarKernel {
   Symbol sym_tie_, sym_nochange_;
   Symbol sym_done_, sym_yes_, sym_prev_;
 
-  std::unordered_map<Symbol, int> id_level_;
-  std::unordered_map<const Wme*, Provenance> provenance_;
-  std::unordered_map<const Wme*, int> wme_level_;
+  // Goal level by Symbol::raw(), 0 for a symbol that is not an identifier;
+  // grown by register_id.
+  std::vector<int> id_level_;
+  // WmeEntry by WorkingMemory::record_index. The kernel retains removed
+  // wmes, so a record is never reused; retract() resets the entry anyway.
+  std::vector<WmeEntry> wme_entries_;
+  // GC reachability marks by Symbol::raw(): an identifier is reachable in
+  // the running gc_unreachable call when its mark equals gc_epoch_.
+  std::vector<uint32_t> gc_marks_;
+  uint32_t gc_epoch_ = 0;
+  // Wmes a GC pass or a slot scan collected from WM (capacity kept).
+  std::vector<const Wme*> wm_scratch_;
   std::vector<GoalEntry> stack_;
 
   // Results awaiting chunking at the end of the current elaboration cycle.

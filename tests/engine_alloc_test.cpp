@@ -16,16 +16,27 @@
 // placement changes must not trigger growth once high-water capacity exists.
 // A relinking variant adds a join whose left memory the thing fills and
 // empties, so every cycle also relinks it or unlinks it (DESIGN.md §16).
+// A Soar case checks the kernel's per-decision GC and the conflict set's
+// unfired harvest the same way.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "alloc_probe.h"
 #include "engine/engine.h"
 #include "par/parallel_match.h"
+#include "soar/kernel.h"
+#include "tasks/registry.h"
 #include "test_util.h"
 
 namespace psme {
+
+/// The kernel's GC, called on its own (friend of SoarKernel).
+struct SoarAccess {
+  static void gc_unreachable(SoarKernel& k) { k.gc_unreachable(); }
+};
+
 namespace {
 
 using test::heap_allocs;
@@ -186,6 +197,42 @@ TEST(EngineAlloc, SerialCycleIsAllocationFreeWithProfiling) {
 
 TEST(EngineAlloc, StealCycleIsAllocationFreeWithProfiling) {
   expect_allocation_free_cycles(4, false, /*profiling=*/true);
+}
+
+// The kernel's GC marks reachability in epoch-stamped arrays and walks WM
+// into kept scratch, and the harvest sorts keys in kept scratch: after
+// warm-up decisions neither allocates. At every decision of a learning
+// eight-puzzle run the listener re-runs the decision's GC (collecting
+// nothing more) and, after the next match, harvests twice; the second of
+// each is measured.
+TEST(EngineAlloc, SoarGcAndHarvestAreAllocationFree) {
+  const Task task = make_eight_puzzle();
+  SoarKernel k(SoarOptions{});
+  k.load_productions(task.productions);
+  task.init(k);
+  std::vector<const Instantiation*> harvest;
+  uint64_t decisions = 0, measured = 0, gc_allocs = 0, harvest_allocs = 0;
+  size_t most_unfired = 0;
+  k.set_decision_listener([&](SoarKernel& kk) {
+    if (++decisions <= 5) return;  // warm-up
+    ++measured;
+    SoarAccess::gc_unreachable(kk);
+    uint64_t before = heap_allocs();
+    SoarAccess::gc_unreachable(kk);
+    gc_allocs += heap_allocs() - before;
+    kk.engine().match();  // the next elaboration cycle's match, run early
+    kk.engine().cs().unfired_into(harvest);
+    before = heap_allocs();
+    kk.engine().cs().unfired_into(harvest);
+    harvest_allocs += heap_allocs() - before;
+    most_unfired = std::max(most_unfired, harvest.size());
+  });
+  const SoarRunStats st = k.run();
+  EXPECT_TRUE(st.goal_achieved);
+  EXPECT_GT(measured, 20u);
+  EXPECT_GT(most_unfired, 1u) << "the harvests sorted nothing";
+  EXPECT_EQ(gc_allocs, 0u);
+  EXPECT_EQ(harvest_allocs, 0u);
 }
 
 }  // namespace

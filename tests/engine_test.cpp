@@ -2,6 +2,11 @@
 // resolution, RHS actions, working memory bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
+#include "base/rng.h"
 #include "engine/engine.h"
 #include "test_util.h"
 
@@ -182,6 +187,96 @@ TEST(ConflictSet, InsertRetractBookkeeping) {
   e.match();
   EXPECT_EQ(e.cs().total_retracts(), 1u);
   EXPECT_EQ(e.cs().size(), 0u);
+}
+
+TEST(ConflictSet, UnfiredHarvestMatchesFilteredSortUnderRandomOps) {
+  // unfired_into walks only the unfired tail and sorts copied-out keys; it
+  // must still return exactly all() filtered to the unfired instantiations
+  // in det_less order: (P-node stamp, token size, token timetags).
+  constexpr size_t kWmes = 10;
+  std::vector<Wme> wmes(kWmes);
+  for (size_t i = 0; i < kWmes; ++i) wmes[i].timetag = 1 + (i * 7) % kWmes;
+  Production prod;
+  std::vector<ProdNode> pnodes(4);
+  for (size_t i = 0; i < pnodes.size(); ++i) {
+    pnodes[i].prod = &prod;
+    pnodes[i].id = static_cast<uint32_t>(i);
+    pnodes[i].stamp = 40 - 10 * i;  // stamps run against ids
+  }
+  TokenArena arena;
+  using Key = std::pair<size_t, std::vector<size_t>>;  // (pnode, wmes)
+  auto token_of = [&](const std::vector<size_t>& idx) {
+    std::vector<const Wme*> ws;
+    for (size_t i : idx) ws.push_back(&wmes[i]);
+    return token_make(ws.data(), static_cast<uint32_t>(ws.size()), nullptr,
+                      0, arena, 0);
+  };
+  auto expected = [](const ConflictSet& cs) {
+    std::vector<const Instantiation*> out;
+    for (const Instantiation* i : cs.all()) {
+      if (!i->fired) out.push_back(i);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Instantiation* a, const Instantiation* b) {
+                if (a->pnode->stamp != b->pnode->stamp) {
+                  return a->pnode->stamp < b->pnode->stamp;
+                }
+                if (a->token.size() != b->token.size()) {
+                  return a->token.size() < b->token.size();
+                }
+                for (size_t i = 0; i < a->token.size(); ++i) {
+                  if (a->token[i]->timetag != b->token[i]->timetag) {
+                    return a->token[i]->timetag < b->token[i]->timetag;
+                  }
+                }
+                return false;
+              });
+    return out;
+  };
+
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    ConflictSet cs;
+    std::set<Key> present, overtaken;
+    std::vector<const Instantiation*> got;
+    for (int step = 0; step < 400; ++step) {
+      Key k;
+      k.first = rng.below(pnodes.size());
+      const size_t n = 1 + rng.below(6);  // past kInlineCap: spills too
+      for (size_t i = 0; i < n; ++i) k.second.push_back(rng.below(kWmes));
+      const uint64_t op = rng.below(10);
+      if (op < 4) {
+        if (present.count(k) != 0) continue;  // the CS holds no duplicates
+        cs.on_insert(pnodes[k.first], token_of(k.second));
+        if (overtaken.erase(k) == 0) present.insert(k);
+      } else if (op < 6) {
+        // Either retracts a present instantiation or, when the key is
+        // absent, overtakes its insert and waits for it.
+        if (present.count(k) == 0 && overtaken.count(k) != 0) continue;
+        cs.on_retract(pnodes[k.first], token_of(k.second));
+        if (present.erase(k) == 0) overtaken.insert(k);
+      } else if (op < 9) {
+        const auto all = cs.all();
+        if (all.empty()) continue;
+        cs.mark_fired(all[rng.below(all.size())]);
+      } else {
+        const auto all = cs.all();
+        if (all.empty()) continue;
+        const Instantiation* victim = all[rng.below(all.size())];
+        Key vk;
+        vk.first = static_cast<size_t>(victim->pnode - pnodes.data());
+        for (const Wme* w : victim->token) {
+          vk.second.push_back(static_cast<size_t>(w - wmes.data()));
+        }
+        present.erase(vk);
+        cs.remove(victim);
+      }
+      cs.unfired_into(got);
+      ASSERT_EQ(got, expected(cs)) << "seed " << seed << " step " << step;
+      ASSERT_EQ(cs.size(), present.size());
+      ASSERT_EQ(cs.pending_retracts(), overtaken.size());
+    }
+  }
 }
 
 }  // namespace

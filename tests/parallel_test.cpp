@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/verify.h"
+#include "engine/agent_group.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
 #include "par/parallel_match.h"
@@ -393,6 +395,64 @@ TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {
   add_workload_wmes(par, 6);
   par.match();
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par));
+}
+
+/// One match whose batch retracts a join's only left token and adds a new
+/// one: a join the removals empty stays linked through the additions, so
+/// the match neither unlinks nor relinks it (DESIGN.md §16.2), at one
+/// worker (the serial executor), at four, and in a one-worker group (the
+/// threaded drain on one thread).
+TEST(RightUnlinking, MixedBatchNeitherUnlinksNorRelinks) {
+  const char* kJoin = "(p j (a ^v <x>) (b ^v <x>) --> (halt))";
+  auto setup = [&](Engine& e) {
+    e.load(kJoin);
+    const Wme* a1 = e.add_wme_text("(a ^v 1)");
+    e.add_wme_text("(b ^v 1)");
+    e.add_wme_text("(b ^v 2)");
+    e.match();
+    return a1;
+  };
+  auto batch = [](Engine& e, const Wme* a1) {
+    e.remove_wme(a1);
+    e.add_wme_text("(a ^v 2)");
+  };
+  Engine serial;
+  batch(serial, setup(serial));
+  serial.match();
+  ASSERT_EQ(serial.cs().size(), 1u);
+
+  auto check = [&](Engine& e, const MatchCounters& before,
+                   const std::string& what) {
+    const MatchCounters after = e.match_counters();
+    EXPECT_EQ(after.unlinks - before.unlinks, 0u) << what;
+    EXPECT_EQ(after.relinks - before.relinks, 0u) << what;
+    EXPECT_EQ(cs_fingerprint(e), cs_fingerprint(serial)) << what;
+    const analysis::VerifyReport report = e.verify_network();
+    EXPECT_TRUE(report.ok()) << what << "\n" << report.to_string();
+  };
+  for (const size_t workers : {1u, 4u}) {
+    EngineOptions opts;
+    opts.match_workers = workers;
+    Engine e(opts);
+    const Wme* a1 = setup(e);
+    const MatchCounters before = e.match_counters();
+    batch(e, a1);
+    e.match();
+    check(e, before, "match_workers " + std::to_string(workers));
+  }
+  AgentGroupOptions gopts;
+  gopts.workers = 1;
+  AgentGroup group(gopts);
+  group.load(kJoin);
+  Engine& agent = group.add_agent();
+  const Wme* a1 = agent.add_wme_text("(a ^v 1)");
+  agent.add_wme_text("(b ^v 1)");
+  agent.add_wme_text("(b ^v 2)");
+  group.step_all();
+  const MatchCounters before = agent.match_counters();
+  batch(agent, a1);
+  group.step_all();
+  check(agent, before, "one-worker group");
 }
 
 /// WorkerPool::run over a captureless trampoline, the way ParallelMatcher

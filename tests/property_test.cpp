@@ -3,6 +3,8 @@
 //    equals the from-scratch match of the surviving wmes;
 //  * incremental production addition == rebuild, under random batches;
 //  * serial == parallel for random workloads.
+// After each case's final match, every engine it built must also agree with
+// the independent matcher of tests/oracle.h.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +13,7 @@
 #include "base/rng.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
+#include "oracle.h"
 #include "par/parallel_match.h"
 #include "test_util.h"
 
@@ -98,6 +101,8 @@ TEST_P(ReteInvariant, IncrementalEqualsFromScratch) {
   // Memory-state sanity: there are no leaked right entries for dead wmes.
   EXPECT_EQ(inc.state().tables.total_right_entries(),
             scratch.state().tables.total_right_entries());
+  EXPECT_EQ(test::oracle_diff(inc), "") << "seed " << seed;
+  EXPECT_EQ(test::oracle_diff(scratch), "") << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReteInvariant,
@@ -127,6 +132,8 @@ TEST_P(IncrementalAddProperty, AddAfterWmesEqualsBefore) {
     inc.add_production_runtime(parser.parse_production(prods[i]));
   }
   EXPECT_EQ(cs_fingerprint(ref), cs_fingerprint(inc)) << "seed " << seed;
+  EXPECT_EQ(test::oracle_diff(ref), "") << "seed " << seed;
+  EXPECT_EQ(test::oracle_diff(inc), "") << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalAddProperty,
@@ -159,6 +166,8 @@ TEST_P(SerialParallelProperty, ParallelMatchesSerial) {
   matcher.run_cycle(collector.seeds);
 
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par)) << "seed " << seed;
+  EXPECT_EQ(test::oracle_diff(serial), "") << "seed " << seed;
+  EXPECT_EQ(test::oracle_diff(par), "") << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerialParallelProperty,

@@ -2,9 +2,23 @@
 // "automatically garbage collects inaccessible wmes").
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "soar/kernel.h"
+#include "tasks/registry.h"
 
 namespace psme {
+
+/// The kernel's phases, one at a time (friend of SoarKernel).
+struct SoarAccess {
+  static void elaborate(SoarKernel& k, SoarRunStats& st) { k.elaborate(st); }
+  static bool decide(SoarKernel& k, SoarRunStats& st) { return k.decide(st); }
+  static void gc_unreachable(SoarKernel& k) { k.gc_unreachable(); }
+  static void gc_wmes_above(SoarKernel& k, int level) {
+    k.gc_wmes_above(level);
+  }
+};
+
 namespace {
 
 /// A two-step task whose operator application replaces the state; old states
@@ -138,6 +152,61 @@ TEST(SoarGc, ChunkProvenanceSurvivesCollection) {
   setup(k);
   const auto stats = k.run();
   EXPECT_TRUE(stats.goal_achieved);  // and no crash while chunking
+}
+
+/// The removals queued since `from`, checked to be in timetag order;
+/// returns how many there are.
+size_t check_removal_order(SoarKernel& k, size_t from) {
+  const auto& rm = k.engine().pending_removes();
+  EXPECT_TRUE(std::is_sorted(rm.begin() + static_cast<ptrdiff_t>(from),
+                             rm.end(), [](const Wme* a, const Wme* b) {
+                               return a->timetag < b->timetag;
+                             }));
+  return rm.size() - from;
+}
+
+TEST(SoarGc, CollectedWmesAreRetractedInTimetagOrder) {
+  // A GC pass collects in storage order; its removals must still reach the
+  // next match in timetag order (they order its seeds).
+  SoarOptions opts;
+  opts.learning = false;
+  SoarKernel k(opts);
+  setup(k);
+  SoarRunStats st;
+  size_t most = 0;
+  for (int d = 0; d < 30; ++d) {
+    SoarAccess::elaborate(k, st);
+    if (k.has_triple_attr("success", "yes")) break;
+    if (!SoarAccess::decide(k, st)) break;
+    const size_t from = k.engine().pending_removes().size();
+    SoarAccess::gc_unreachable(k);
+    most = std::max(most, check_removal_order(k, from));
+  }
+  EXPECT_GE(most, 3u);  // some decision's GC retracted several wmes
+}
+
+TEST(SoarGc, SubgoalWmesAreRetractedInTimetagOrder) {
+  // gc_wmes_above, which terminates subgoals, keeps the same order.
+  const Task task = make_eight_puzzle();
+  SoarOptions opts;
+  opts.learning = false;
+  SoarKernel k(opts);
+  k.load_productions(task.productions);
+  task.init(k);
+  SoarRunStats st;
+  bool popped = false;
+  for (int d = 0; d < 40 && !popped; ++d) {
+    SoarAccess::elaborate(k, st);
+    if (k.goal_stack().size() > 1) {
+      const size_t from = k.engine().pending_removes().size();
+      SoarAccess::gc_wmes_above(k, 1);
+      EXPECT_GE(check_removal_order(k, from), 3u);
+      popped = true;
+    } else if (!SoarAccess::decide(k, st)) {
+      break;
+    }
+  }
+  EXPECT_TRUE(popped) << "eight-puzzle raised no subgoal";
 }
 
 }  // namespace
