@@ -5,11 +5,10 @@
 namespace psme {
 
 Symbol SymbolTable::intern(std::string_view s) {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it != index_.end()) return Symbol(it->second);
   const auto raw = static_cast<uint32_t>(names_.size());
-  names_.emplace_back(s);
-  index_.emplace(names_.back(), raw);
+  index_.emplace(names_.emplace_back(s), raw);
   return Symbol(raw);
 }
 
@@ -20,7 +19,7 @@ std::string_view SymbolTable::name(Symbol sym) const {
 }
 
 Symbol SymbolTable::find(std::string_view s) const {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   return it == index_.end() ? Symbol() : Symbol(it->second);
 }
 

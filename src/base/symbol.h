@@ -5,14 +5,17 @@
 // Symbol comparison is therefore a single integer compare, which is what makes
 // constant-test nodes and the join hash function cheap (PSM-E compiled these
 // to immediate compares in machine code; an interned index is the portable
-// equivalent).
+// equivalent). Indexes are handed out in first-intern order, and that order
+// is load-bearing: Value::hash derives a symbol's hash from its index, so it
+// fixes the join hash lines (DESIGN.md §17).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace psme {
 
@@ -39,13 +42,20 @@ class Symbol {
 /// Intern table. One per engine instance; not thread-safe for interning (all
 /// interning happens at compile/parse time or between cycles, never inside the
 /// parallel match), but lookup by Symbol is immutable-after-publish and safe.
+///
+/// Each name is stored once, in a deque (whose elements never move, so a
+/// short name kept inside its std::string never moves either), and indexed
+/// by a view of it: a view from name() stays valid for the table's lifetime,
+/// and interning or finding a name that is already present allocates
+/// nothing.
 class SymbolTable {
  public:
   SymbolTable() = default;
   SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
 
-  /// Interns `s`, returning the existing Symbol if already present.
+  /// Interns `s`, returning the existing Symbol if already present. Ids are
+  /// handed out densely in first-intern order.
   Symbol intern(std::string_view s);
 
   /// Name of an interned symbol. `sym` must come from this table.
@@ -62,8 +72,8 @@ class SymbolTable {
   Symbol gensym(std::string_view prefix);
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
-  std::vector<std::string> names_;
+  std::deque<std::string> names_;  // by id
+  std::unordered_map<std::string_view, uint32_t> index_;  // views names_
   uint64_t gensym_counter_ = 0;
 };
 

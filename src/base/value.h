@@ -60,7 +60,10 @@ class Value {
     if (kind_ == Kind::Float) {
       const double d = f_;
       // Canonicalize integral floats so 3 and 3.0 hash alike (they compare ==).
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
+      // The range test comes first: converting NaN, ±inf or a double beyond
+      // int64_t's range to int64_t is undefined.
+      if (d >= -0x1p63 && d < 0x1p63 &&
+          d == static_cast<double>(static_cast<int64_t>(d))) {
         h = static_cast<uint64_t>(static_cast<int64_t>(d)) ^ 0x517cc1b727220a95ull;
       } else {
         uint64_t bits;

@@ -170,38 +170,42 @@ const Wme* Engine::add_wme(Symbol cls, const Value* fields, size_t n) {
 }
 
 const Wme* Engine::add_wme_text(std::string_view text) {
-  const auto toks = lex(text);
-  size_t i = 0;
+  Lexer lx(text);
+  LexToken t = lx.next();
   auto expect = [&](Tok k, const char* what) {
-    if (toks[i].kind != k) {
-      throw ParseError(std::string("wme literal: expected ") + what,
-                       toks[i].line);
+    if (t.kind != k) {
+      throw ParseError(std::string("wme literal: expected ") + what, t.line);
     }
-    return toks[i++];
+    const LexToken got = t;
+    t = lx.next();
+    return got;
   };
   expect(Tok::LParen, "'('");
-  const LexToken cls_tok = expect(Tok::Sym, "class name");
-  const Symbol cls = syms().intern(cls_tok.text);
-  std::vector<Value> fields(static_cast<size_t>(schemas().arity(cls)));
-  while (toks[i].kind == Tok::Hat) {
-    const Symbol attr = syms().intern(toks[i++].text);
+  const Symbol cls = syms().intern(expect(Tok::Sym, "class name").text);
+  std::vector<Value>& fields = text_fields_;
+  fields.assign(static_cast<size_t>(schemas().arity(cls)), Value());
+  while (t.kind == Tok::Hat) {
+    const Symbol attr = syms().intern(t.text);
     const int slot = schemas().slot(cls, attr);
     if (slot >= static_cast<int>(fields.size())) {
       fields.resize(static_cast<size_t>(slot) + 1);
     }
+    t = lx.next();
     Value v;
-    switch (toks[i].kind) {
-      case Tok::Sym: v = Value(syms().intern(toks[i].text)); break;
-      case Tok::Int: v = Value(toks[i].int_val); break;
-      case Tok::Float: v = Value(toks[i].float_val); break;
+    switch (t.kind) {
+      case Tok::Sym: v = Value(syms().intern(t.text)); break;
+      case Tok::Int: v = Value(t.int_val); break;
+      case Tok::Float: v = Value(t.float_val); break;
       default:
-        throw ParseError("wme literal: expected constant value", toks[i].line);
+        throw ParseError("wme literal: expected constant value", t.line);
     }
-    ++i;
+    t = lx.next();
     fields[static_cast<size_t>(slot)] = v;
   }
   expect(Tok::RParen, "')'");
-  return add_wme(cls, std::move(fields));
+  // Whatever follows the literal is ignored, but it must still lex.
+  while (t.kind != Tok::End) t = lx.next();
+  return add_wme(cls, fields);
 }
 
 void Engine::remove_wme(const Wme* w) {
@@ -291,18 +295,15 @@ void Engine::apply_delta(const WmeDelta& delta, bool dedup_adds) {
   for (const auto& s : delta.writes) output_.push_back(s);
 }
 
-WmeDelta Engine::evaluate(const Instantiation* inst) {
+void Engine::evaluate(const Instantiation* inst, WmeDelta& delta) {
   const CompiledProduction& cp = record(inst->pnode->prod).compiled;
-  WmeDelta delta;
+  delta.reset();
   rhs_.fire(cp, inst->token, delta);
-  return delta;
 }
 
 bool Engine::fire(const Instantiation* inst, bool remove_after_fire,
                   bool dedup_adds) {
-  const CompiledProduction& cp = record(inst->pnode->prod).compiled;
-  fire_delta_.reset();  // persistent delta: slot capacity reused every fire
-  rhs_.fire(cp, inst->token, fire_delta_);
+  evaluate(inst, fire_delta_);  // persistent delta: slot capacity reused
   cs_.mark_fired(inst);
   if (remove_after_fire) cs_.remove(inst);
   apply_delta(fire_delta_, dedup_adds);

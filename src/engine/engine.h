@@ -182,7 +182,9 @@ class Engine {
     return add_wme(cls, fields.data(), fields.size());
   }
 
-  /// Convenience: parses a wme literal like "(block ^name b1 ^size 3)".
+  /// Convenience: parses a wme literal like "(block ^name b1 ^size 3)"
+  /// with the production lexer, straight from `text` into a kept field
+  /// buffer.
   const Wme* add_wme_text(std::string_view text);
 
   /// Removes `w` from WM now and queues its retraction for the next match().
@@ -203,9 +205,11 @@ class Engine {
   bool fire(const Instantiation* inst, bool remove_after_fire,
             bool dedup_adds);
 
-  /// Evaluates an instantiation's RHS without applying anything (the Soar
-  /// kernel applies the delta itself to record provenance and levels).
-  WmeDelta evaluate(const Instantiation* inst);
+  /// Evaluates an instantiation's RHS into `delta` without applying
+  /// anything (the Soar kernel applies the delta itself to record provenance
+  /// and levels). `delta` is reset first, so a kept delta reuses its slot
+  /// capacity.
+  void evaluate(const Instantiation* inst, WmeDelta& delta);
 
   /// See RhsExecutor::set_gensym_hook.
   void set_gensym_hook(std::function<void(Symbol)> fn) {
@@ -363,12 +367,13 @@ class Engine {
   // cycles and §5.2 updates reuse high-water capacity (DESIGN.md §10): the
   // serial executor (ring + trace state), the per-cycle seed vectors (the
   // threaded match keeps its addition seeds apart), the update's seed
-  // buffers, and the fire delta.
+  // buffers, the fire delta, and add_wme_text's fields.
   TraceExecutor serial_exec_;
   std::vector<Activation> seed_scratch_;
   std::vector<Activation> add_seed_scratch_;
   UpdateScratch update_scratch_;
   WmeDelta fire_delta_;
+  std::vector<Value> text_fields_;
 };
 
 }  // namespace psme

@@ -1,5 +1,7 @@
 #include "lang/ast.h"
 
+#include <algorithm>
+
 namespace psme {
 
 const char* pred_name(Pred p) {
@@ -38,41 +40,36 @@ bool eval_pred(Pred p, const Value& lhs, const Value& rhs) {
   }
 }
 
+const std::vector<Symbol>* ClassSchemas::attrs_of(Symbol cls) const {
+  return cls.raw() < attrs_.size() ? &attrs_[cls.raw()] : nullptr;
+}
+
 int ClassSchemas::slot(Symbol cls, Symbol attr) {
-  PerClass& pc = classes_[cls];
-  auto it = pc.index.find(attr);
-  if (it != pc.index.end()) return it->second;
-  const int s = static_cast<int>(pc.attrs.size());
-  pc.attrs.push_back(attr);
-  pc.index.emplace(attr, s);
-  return s;
+  if (cls.raw() >= attrs_.size()) attrs_.resize(size_t{cls.raw()} + 1);
+  std::vector<Symbol>& attrs = attrs_[cls.raw()];
+  const auto it = std::find(attrs.begin(), attrs.end(), attr);
+  if (it != attrs.end()) return static_cast<int>(it - attrs.begin());
+  attrs.push_back(attr);
+  return static_cast<int>(attrs.size()) - 1;
 }
 
 int ClassSchemas::find_slot(Symbol cls, Symbol attr) const {
-  auto c = classes_.find(cls);
-  if (c == classes_.end()) return -1;
-  auto it = c->second.index.find(attr);
-  return it == c->second.index.end() ? -1 : it->second;
+  const std::vector<Symbol>* attrs = attrs_of(cls);
+  if (attrs == nullptr) return -1;
+  const auto it = std::find(attrs->begin(), attrs->end(), attr);
+  return it == attrs->end() ? -1 : static_cast<int>(it - attrs->begin());
 }
 
 int ClassSchemas::arity(Symbol cls) const {
-  auto c = classes_.find(cls);
-  return c == classes_.end() ? 0 : static_cast<int>(c->second.attrs.size());
+  const std::vector<Symbol>* attrs = attrs_of(cls);
+  return attrs == nullptr ? 0 : static_cast<int>(attrs->size());
 }
 
 Symbol ClassSchemas::attr_name(Symbol cls, int slot) const {
-  auto c = classes_.find(cls);
-  if (c == classes_.end() || slot < 0 ||
-      slot >= static_cast<int>(c->second.attrs.size()))
+  const std::vector<Symbol>* attrs = attrs_of(cls);
+  if (attrs == nullptr || slot < 0 || slot >= static_cast<int>(attrs->size()))
     return Symbol();
-  return c->second.attrs[static_cast<size_t>(slot)];
-}
-
-std::vector<Symbol> ClassSchemas::classes() const {
-  std::vector<Symbol> out;
-  out.reserve(classes_.size());
-  for (const auto& [cls, pc] : classes_) out.push_back(cls);
-  return out;
+  return (*attrs)[static_cast<size_t>(slot)];
 }
 
 int Production::positive_ce_count() const {

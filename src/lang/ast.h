@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,14 +55,12 @@ class ClassSchemas {
   /// Attribute name of `slot` in `cls`.
   [[nodiscard]] Symbol attr_name(Symbol cls, int slot) const;
 
-  [[nodiscard]] std::vector<Symbol> classes() const;
-
  private:
-  struct PerClass {
-    std::vector<Symbol> attrs;                 // slot -> attr symbol
-    std::map<Symbol, int> index;               // attr symbol -> slot
-  };
-  std::map<Symbol, PerClass> classes_;
+  [[nodiscard]] const std::vector<Symbol>* attrs_of(Symbol cls) const;
+
+  // Slot -> attr symbol, by class Symbol::raw() (symbol ids are dense). A
+  // class has a handful of attributes, so a slot lookup is a short scan.
+  std::vector<std::vector<Symbol>> attrs_;
 };
 
 /// A test of one wme slot against a constant.

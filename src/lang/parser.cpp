@@ -1,5 +1,7 @@
 #include "lang/parser.h"
 
+#include <iterator>
+
 namespace psme {
 namespace {
 
@@ -21,7 +23,7 @@ Pred pred_of(Tok t) {
 void Parser::expect(Cursor& c, Tok kind, const char* what) {
   if (c.peek().kind != kind)
     throw ParseError(std::string("expected ") + what + ", got '" +
-                         c.peek().text + "'",
+                         std::string(c.peek().text) + "'",
                      c.peek().line);
   c.next();
 }
@@ -32,36 +34,33 @@ Value Parser::const_value(const LexToken& t) {
     case Tok::Int: return Value(t.int_val);
     case Tok::Float: return Value(t.float_val);
     default:
-      throw ParseError("expected a constant, got '" + t.text + "'", t.line);
+      throw ParseError("expected a constant, got '" + std::string(t.text) + "'",
+                       t.line);
   }
 }
 
-uint32_t Parser::var_id(const std::string& name, Production& p,
-                        std::vector<std::string>& var_names) {
-  for (uint32_t i = 0; i < var_names.size(); ++i)
-    if (var_names[i] == name) return i;
-  var_names.push_back(name);
-  p.num_vars = static_cast<uint32_t>(var_names.size());
-  return p.num_vars - 1;
+uint32_t Parser::var_id(std::string_view name) {
+  for (uint32_t i = 0; i < var_names_.size(); ++i)
+    if (var_names_[i] == name) return i;
+  var_names_.push_back(name);
+  return static_cast<uint32_t>(var_names_.size() - 1);
 }
 
 std::vector<Production> Parser::parse_file(std::string_view src) {
-  const auto toks = lex(src);
-  Cursor c{&toks};
+  Cursor c(src);
   std::vector<Production> out;
   while (c.peek().kind != Tok::End) {
     expect(c, Tok::LParen, "'('");
-    const LexToken& head = c.peek();
+    const LexToken head = c.next();
     if (head.kind != Tok::Sym)
       throw ParseError("expected 'p' or 'literalize'", head.line);
     if (head.text == "p") {
-      c.next();
       out.push_back(parse_p(c));
     } else if (head.text == "literalize") {
-      c.next();
       parse_literalize(c);
     } else {
-      throw ParseError("unknown top-level form '" + head.text + "'", head.line);
+      throw ParseError("unknown top-level form '" + std::string(head.text) + "'",
+                       head.line);
     }
   }
   return out;
@@ -75,10 +74,10 @@ Production Parser::parse_production(std::string_view src) {
 }
 
 void Parser::parse_literalize(Cursor& c) {
-  const LexToken& cls_tok = c.peek();
+  const LexToken cls_tok = c.next();
   if (cls_tok.kind != Tok::Sym)
     throw ParseError("literalize: expected class name", cls_tok.line);
-  const Symbol cls = syms_.intern(c.next().text);
+  const Symbol cls = syms_.intern(cls_tok.text);
   while (c.peek().kind == Tok::Sym) {
     schemas_.slot(cls, syms_.intern(c.next().text));
   }
@@ -87,111 +86,116 @@ void Parser::parse_literalize(Cursor& c) {
 
 Production Parser::parse_p(Cursor& c) {
   Production p;
-  const LexToken& name_tok = c.peek();
+  const LexToken name_tok = c.next();
   if (name_tok.kind != Tok::Sym)
     throw ParseError("expected production name", name_tok.line);
-  p.name = syms_.intern(c.next().text);
+  p.name = syms_.intern(name_tok.text);
 
-  std::vector<std::string> var_names;
+  var_names_.clear();
+  ces_.clear();
   // Conditions until -->
   while (c.peek().kind != Tok::Arrow) {
     if (c.peek().kind == Tok::End)
       throw ParseError("unterminated production '" +
                            std::string(syms_.name(p.name)) + "'",
                        c.peek().line);
-    p.conditions.push_back(parse_ce(c, p, var_names));
+    parse_ce(c, ces_.emplace_back());
   }
   c.next();  // -->
+  p.conditions.assign(std::make_move_iterator(ces_.begin()),
+                      std::make_move_iterator(ces_.end()));
   if (p.conditions.empty())
     throw ParseError("production has no conditions", name_tok.line);
   if (p.conditions.front().negated || p.conditions.front().is_ncc())
     throw ParseError("first condition element must be positive", name_tok.line);
 
+  actions_.clear();
   while (c.peek().kind == Tok::LParen) {
-    p.actions.push_back(parse_action(c, p, var_names));
+    parse_action(c, p, actions_.emplace_back());
   }
   expect(c, Tok::RParen, "')' closing production");
-  p.var_names = std::move(var_names);
+  p.actions.assign(std::make_move_iterator(actions_.begin()),
+                   std::make_move_iterator(actions_.end()));
+  p.num_vars = static_cast<uint32_t>(var_names_.size());
+  p.var_names.assign(var_names_.begin(), var_names_.end());
   return p;
 }
 
-Condition Parser::parse_ce(Cursor& c, Production& p,
-                           std::vector<std::string>& var_names) {
+void Parser::parse_ce(Cursor& c, Condition& ce) {
   bool negated = false;
   if (c.peek().kind == Tok::Dash) {
     negated = true;
     c.next();
     if (c.peek().kind == Tok::LBrace) {
-      // Conjunctive negation: -{ CE+ }
+      // Conjunctive negation: -{ CE+ }. The group itself is not `negated`.
       c.next();
-      Condition group;
       while (c.peek().kind != Tok::RBrace) {
         if (c.peek().kind == Tok::End)
           throw ParseError("unterminated '-{'", c.peek().line);
-        Condition inner = parse_ce(c, p, var_names);
+        Condition& inner = ce.ncc.emplace_back();
+        parse_ce(c, inner);
         if (inner.negated || inner.is_ncc())
           throw ParseError("conditions inside -{ } must be positive",
                            c.peek().line);
-        group.ncc.push_back(std::move(inner));
       }
       c.next();  // }
-      if (group.ncc.empty())
+      if (ce.ncc.empty())
         throw ParseError("empty conjunctive negation", c.peek().line);
-      return group;
+      return;
     }
   }
   expect(c, Tok::LParen, "'(' starting a condition element");
-  const LexToken& cls_tok = c.peek();
+  const LexToken cls_tok = c.next();
   if (cls_tok.kind != Tok::Sym)
     throw ParseError("expected class name in condition", cls_tok.line);
-  Condition ce;
-  ce.cls = syms_.intern(c.next().text);
+  ce.cls = syms_.intern(cls_tok.text);
   ce.negated = negated;
-  parse_attr_tests(c, ce.cls, ce, p, var_names);
+  parse_attr_tests(c, ce);
   expect(c, Tok::RParen, "')' closing condition");
-  return ce;
 }
 
-void Parser::parse_attr_tests(Cursor& c, Symbol cls, Condition& ce,
-                              Production& p,
-                              std::vector<std::string>& var_names) {
+void Parser::parse_attr_tests(Cursor& c, Condition& ce) {
+  consts_.clear();
+  disjs_.clear();
+  vars_.clear();
   while (c.peek().kind == Tok::Hat) {
     const Symbol attr = syms_.intern(c.next().text);
-    const int slot = schemas_.slot(cls, attr);
+    const int slot = schemas_.slot(ce.cls, attr);
     if (c.peek().kind == Tok::LBrace) {
       c.next();
       while (c.peek().kind != Tok::RBrace) {
         if (c.peek().kind == Tok::End)
           throw ParseError("unterminated '{' test group", c.peek().line);
-        parse_one_test(c, cls, slot, ce, p, var_names);
+        parse_one_test(c, slot);
       }
       c.next();  // }
     } else {
-      parse_one_test(c, cls, slot, ce, p, var_names);
+      parse_one_test(c, slot);
     }
   }
+  ce.consts.assign(consts_.begin(), consts_.end());
+  ce.disjs.assign(std::make_move_iterator(disjs_.begin()),
+                  std::make_move_iterator(disjs_.end()));
+  ce.vars.assign(vars_.begin(), vars_.end());
 }
 
-void Parser::parse_one_test(Cursor& c, Symbol /*cls*/, int slot, Condition& ce,
-                            Production& p,
-                            std::vector<std::string>& var_names) {
-  const LexToken& t = c.peek();
+void Parser::parse_one_test(Cursor& c, int slot) {
+  const LexToken t = c.next();
   if (t.is_pred()) {
-    const Pred pr = pred_of(c.next().kind);
-    const LexToken& operand = c.next();
+    const Pred pr = pred_of(t.kind);
+    const LexToken operand = c.next();
     if (operand.kind == Tok::Variable) {
-      ce.vars.push_back({slot, pr, var_id(operand.text, p, var_names)});
+      vars_.push_back({slot, pr, var_id(operand.text)});
     } else {
-      ce.consts.push_back({slot, pr, const_value(operand)});
+      consts_.push_back({slot, pr, const_value(operand)});
     }
     return;
   }
   if (t.kind == Tok::Variable) {
-    ce.vars.push_back({slot, Pred::Eq, var_id(c.next().text, p, var_names)});
+    vars_.push_back({slot, Pred::Eq, var_id(t.text)});
     return;
   }
   if (t.kind == Tok::LDisj) {
-    c.next();
     DisjTest d;
     d.slot = slot;
     while (c.peek().kind != Tok::RDisj) {
@@ -202,26 +206,23 @@ void Parser::parse_one_test(Cursor& c, Symbol /*cls*/, int slot, Condition& ce,
     c.next();  // >>
     if (d.options.empty())
       throw ParseError("empty disjunction '<< >>'", t.line);
-    ce.disjs.push_back(std::move(d));
+    disjs_.push_back(std::move(d));
     return;
   }
-  ce.consts.push_back({slot, Pred::Eq, const_value(c.next())});
+  consts_.push_back({slot, Pred::Eq, const_value(t)});
 }
 
-RhsValue Parser::parse_rhs_value(Cursor& c, Production& p,
-                                 std::vector<std::string>& var_names) {
+RhsValue Parser::parse_rhs_value(Cursor& c) {
   RhsValue v;
-  const LexToken& t = c.peek();
+  const LexToken t = c.next();
   if (t.kind == Tok::Variable) {
     v.kind = RhsValue::Kind::Var;
-    v.var = var_id(c.next().text, p, var_names);
+    v.var = var_id(t.text);
     return v;
   }
   if (t.kind == Tok::LParen) {
-    c.next();
-    const LexToken& head = c.peek();
+    const LexToken head = c.next();
     if (head.kind == Tok::Sym && head.text == "genatom") {
-      c.next();
       v.kind = RhsValue::Kind::Gensym;
       if (c.peek().kind == Tok::Sym)
         v.gensym_prefix = syms_.intern(c.next().text);
@@ -231,11 +232,10 @@ RhsValue Parser::parse_rhs_value(Cursor& c, Production& p,
       return v;
     }
     if (head.kind == Tok::Sym && head.text == "compute") {
-      c.next();
       v.kind = RhsValue::Kind::Compute;
       v.arith.lhs = arena_.make();
-      *v.arith.lhs = parse_rhs_value(c, p, var_names);
-      const LexToken& op = c.next();
+      *v.arith.lhs = parse_rhs_value(c);
+      const LexToken op = c.next();
       if (op.kind == Tok::Dash) {
         v.arith.op = '-';
       } else if (op.kind == Tok::Sym &&
@@ -243,45 +243,39 @@ RhsValue Parser::parse_rhs_value(Cursor& c, Production& p,
                   op.text == "/")) {
         v.arith.op = op.text[0];
       } else {
-        throw ParseError("compute: expected + - * /, got '" + op.text + "'",
-                         op.line);
+        throw ParseError(
+            "compute: expected + - * /, got '" + std::string(op.text) + "'",
+            op.line);
       }
       v.arith.rhs = arena_.make();
-      *v.arith.rhs = parse_rhs_value(c, p, var_names);
+      *v.arith.rhs = parse_rhs_value(c);
       expect(c, Tok::RParen, "')' after compute");
       return v;
     }
-    throw ParseError("unknown RHS value form '" + head.text + "'", head.line);
+    throw ParseError("unknown RHS value form '" + std::string(head.text) + "'",
+                     head.line);
   }
   v.kind = RhsValue::Kind::Const;
-  v.constant = const_value(c.next());
+  v.constant = const_value(t);
   return v;
 }
 
-Action Parser::parse_action(Cursor& c, Production& p,
-                            std::vector<std::string>& var_names) {
+void Parser::parse_action(Cursor& c, const Production& p, Action& a) {
   expect(c, Tok::LParen, "'(' starting an action");
-  const LexToken& head = c.peek();
+  const LexToken head = c.next();
   if (head.kind != Tok::Sym)
     throw ParseError("expected action keyword", head.line);
-  Action a;
-  const std::string kw = c.next().text;
+  const std::string_view kw = head.text;
   if (kw == "make") {
     a.kind = Action::Kind::Make;
-    const LexToken& cls_tok = c.peek();
+    const LexToken cls_tok = c.next();
     if (cls_tok.kind != Tok::Sym)
       throw ParseError("make: expected class name", cls_tok.line);
-    a.cls = syms_.intern(c.next().text);
-    while (c.peek().kind == Tok::Hat) {
-      const Symbol attr = syms_.intern(c.next().text);
-      RhsAssignment asg;
-      asg.slot = schemas_.slot(a.cls, attr);
-      asg.value = parse_rhs_value(c, p, var_names);
-      a.sets.push_back(std::move(asg));
-    }
+    a.cls = syms_.intern(cls_tok.text);
+    parse_assignments(c, a.cls, a);
   } else if (kw == "modify") {
     a.kind = Action::Kind::Modify;
-    const LexToken& idx = c.next();
+    const LexToken idx = c.next();
     if (idx.kind != Tok::Int)
       throw ParseError("modify: expected CE index", idx.line);
     a.ce_index = static_cast<int>(idx.int_val);
@@ -297,16 +291,10 @@ Action Parser::parse_action(Cursor& c, Production& p,
     }
     if (!cls.valid())
       throw ParseError("modify: CE index out of range", idx.line);
-    while (c.peek().kind == Tok::Hat) {
-      const Symbol attr = syms_.intern(c.next().text);
-      RhsAssignment asg;
-      asg.slot = schemas_.slot(cls, attr);
-      asg.value = parse_rhs_value(c, p, var_names);
-      a.sets.push_back(std::move(asg));
-    }
+    parse_assignments(c, cls, a);
   } else if (kw == "remove") {
     a.kind = Action::Kind::Remove;
-    const LexToken& idx = c.next();
+    const LexToken idx = c.next();
     if (idx.kind != Tok::Int)
       throw ParseError("remove: expected CE index", idx.line);
     a.ce_index = static_cast<int>(idx.int_val);
@@ -315,22 +303,32 @@ Action Parser::parse_action(Cursor& c, Production& p,
     while (c.peek().kind != Tok::RParen) {
       if (c.peek().kind == Tok::End)
         throw ParseError("unterminated write", c.peek().line);
-      a.write_args.push_back(parse_rhs_value(c, p, var_names));
+      a.write_args.push_back(parse_rhs_value(c));
     }
   } else if (kw == "bind") {
     a.kind = Action::Kind::Bind;
-    const LexToken& var = c.peek();
+    const LexToken var = c.next();
     if (var.kind != Tok::Variable)
       throw ParseError("bind: expected variable", var.line);
-    a.bind_var = var_id(c.next().text, p, var_names);
-    a.bind_value = parse_rhs_value(c, p, var_names);
+    a.bind_var = var_id(var.text);
+    a.bind_value = parse_rhs_value(c);
   } else if (kw == "halt") {
     a.kind = Action::Kind::Halt;
   } else {
-    throw ParseError("unknown action '" + kw + "'", head.line);
+    throw ParseError("unknown action '" + std::string(kw) + "'", head.line);
   }
   expect(c, Tok::RParen, "')' closing action");
-  return a;
+}
+
+void Parser::parse_assignments(Cursor& c, Symbol cls, Action& a) {
+  sets_.clear();
+  while (c.peek().kind == Tok::Hat) {
+    const Symbol attr = syms_.intern(c.next().text);
+    RhsAssignment& asg = sets_.emplace_back();
+    asg.slot = schemas_.slot(cls, attr);
+    asg.value = parse_rhs_value(c);
+  }
+  a.sets.assign(sets_.begin(), sets_.end());
 }
 
 }  // namespace psme

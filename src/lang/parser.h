@@ -42,27 +42,30 @@ class Parser {
   Production parse_production(std::string_view src);
 
  private:
+  /// One token of lookahead over a pull lexer. next() refills the lookahead
+  /// slot, so a reference from peek() dies at the next next(); a token the
+  /// parser keeps is a copy (its text still views the source).
   struct Cursor {
-    const std::vector<LexToken>* toks;
-    size_t pos = 0;
-    [[nodiscard]] const LexToken& peek() const { return (*toks)[pos]; }
-    const LexToken& next() { return (*toks)[pos++]; }
+    explicit Cursor(std::string_view src) : lex(src), tok(lex.next()) {}
+    [[nodiscard]] const LexToken& peek() const { return tok; }
+    LexToken next() {
+      const LexToken t = tok;
+      tok = lex.next();
+      return t;
+    }
+    Lexer lex;
+    LexToken tok;
   };
 
   Production parse_p(Cursor& c);
   void parse_literalize(Cursor& c);
-  Condition parse_ce(Cursor& c, Production& p,
-                     std::vector<std::string>& var_names);
-  void parse_attr_tests(Cursor& c, Symbol cls, Condition& ce, Production& p,
-                        std::vector<std::string>& var_names);
-  void parse_one_test(Cursor& c, Symbol cls, int slot, Condition& ce,
-                      Production& p, std::vector<std::string>& var_names);
-  Action parse_action(Cursor& c, Production& p,
-                      std::vector<std::string>& var_names);
-  RhsValue parse_rhs_value(Cursor& c, Production& p,
-                           std::vector<std::string>& var_names);
-  uint32_t var_id(const std::string& name, Production& p,
-                  std::vector<std::string>& var_names);
+  void parse_ce(Cursor& c, Condition& ce);
+  void parse_attr_tests(Cursor& c, Condition& ce);
+  void parse_one_test(Cursor& c, int slot);
+  void parse_action(Cursor& c, const Production& p, Action& a);
+  void parse_assignments(Cursor& c, Symbol cls, Action& a);
+  RhsValue parse_rhs_value(Cursor& c);
+  uint32_t var_id(std::string_view name);
   Value const_value(const LexToken& t);
 
   void expect(Cursor& c, Tok kind, const char* what);
@@ -70,6 +73,18 @@ class Parser {
   SymbolTable& syms_;
   ClassSchemas& schemas_;
   RhsArena& arena_;
+  // Scratch kept across productions, so each AST vector is allocated once,
+  // at its final size: the production's variable names by id (views into
+  // the source, copied into Production::var_names once), its conditions and
+  // actions, and the tests of the CE or the assignments of the action being
+  // parsed.
+  std::vector<std::string_view> var_names_;
+  std::vector<Condition> ces_;
+  std::vector<Action> actions_;
+  std::vector<ConstTest> consts_;
+  std::vector<DisjTest> disjs_;
+  std::vector<VarTest> vars_;
+  std::vector<RhsAssignment> sets_;
 };
 
 }  // namespace psme

@@ -8,7 +8,9 @@
 namespace psme {
 
 QuerySession::QuerySession(Engine& e)
-    : engine_(e), head_("(p query-a" + std::to_string(e.agent_id()) + " ") {}
+    : engine_(e),
+      head_("(p query-a" + std::to_string(e.agent_id()) + " "),
+      parser_(e.syms(), e.schemas(), e.network().ast_arena()) {}
 
 QuerySession::~QuerySession() {
   if (prod_ == nullptr) return;
@@ -35,11 +37,10 @@ Engine::RuntimeAddResult QuerySession::begin(std::string_view cue_ces) {
   // diagnostics, but nothing per ask: the parser interns every production
   // name, and one name per session keeps the symbol table flat under
   // resident query traffic.
-  std::string src = head_;
-  src.append(cue_ces);
-  src += "\n --> (halt))";
-  Parser parser(engine_.syms(), engine_.schemas(), engine_.network().ast_arena());
-  Production ast = parser.parse_production(src);
+  src_.assign(head_);
+  src_.append(cue_ces);
+  src_ += "\n --> (halt))";
+  Production ast = parser_.parse_production(src_);
   for (const Condition& ce : ast.conditions) {
     if (ce.negated || ce.is_ncc()) {
       throw std::invalid_argument(

@@ -116,6 +116,10 @@ class QuerySession {
   Engine& engine_;
   const Production* prod_ = nullptr;  // the active transient production
   std::string head_;                  // "(p query-a<agent> ", see begin()
+  // Kept across asks, so a cue's source text and the parser's scratch
+  // reuse their capacity: a cue parse allocates only the AST.
+  std::string src_;
+  Parser parser_;
 };
 
 }  // namespace psme

@@ -39,7 +39,12 @@ size_t modeled_node_bytes(const Node& n) {
 
 void generate_code(const Node& n, std::vector<uint8_t>& image) {
   const size_t bytes = modeled_node_bytes(n);
-  image.reserve(image.size() + bytes);
+  // The image grows geometrically (a production's nodes append to one
+  // image), and the bytes are written through a pointer: a per-byte
+  // push_back would reload the vector's end after every store.
+  const size_t at = image.size();
+  image.resize(at + bytes);
+  uint8_t* out = image.data() + at;
   // Deterministic filler derived from the node identity; writing every byte
   // keeps generation cost proportional to generated size.
   uint32_t x = n.id * 0x9e3779b9u + static_cast<uint32_t>(n.type) + 1u;
@@ -47,7 +52,7 @@ void generate_code(const Node& n, std::vector<uint8_t>& image) {
     x ^= x << 13;
     x ^= x >> 17;
     x ^= x << 5;
-    image.push_back(static_cast<uint8_t>(x));
+    out[i] = static_cast<uint8_t>(x);
   }
 }
 

@@ -13,11 +13,19 @@
 
 namespace psme {
 
-std::vector<SoarKernel::Candidate> SoarKernel::slot_candidates(
+std::vector<SoarKernel::Candidate>& SoarKernel::slot_candidates(
     const GoalEntry& g, Symbol role) {
-  std::vector<Symbol> acceptable;
-  std::vector<Symbol> rejects, bests, indiffs;
-  std::vector<std::pair<Symbol, Symbol>> betters;  // (better, worse)
+  SlotScratch& sc = slot_scratch_;
+  std::vector<Symbol>& acceptable = sc.acceptable;
+  std::vector<Symbol>& rejects = sc.rejects;
+  std::vector<Symbol>& bests = sc.bests;
+  std::vector<Symbol>& indiffs = sc.indiffs;
+  std::vector<std::pair<Symbol, Symbol>>& betters = sc.betters;
+  acceptable.clear();
+  rejects.clear();
+  bests.clear();
+  indiffs.clear();
+  betters.clear();
 
   // The slot's preferences, in timetag order: the better/worse filter below
   // applies them in sequence, so their order is observable.
@@ -65,7 +73,8 @@ std::vector<SoarKernel::Candidate> SoarKernel::slot_candidates(
   // Deterministic candidate order: acceptable preferences by symbol id.
   std::sort(acceptable.begin(), acceptable.end());
 
-  std::vector<Candidate> out;
+  std::vector<Candidate>& out = sc.out;
+  out.clear();
   auto contains = [](const std::vector<Symbol>& v, Symbol s) {
     return std::find(v.begin(), v.end(), s) != v.end();
   };
@@ -183,7 +192,7 @@ bool SoarKernel::decide(SoarRunStats& stats) {
 
     // Problem-space slot (tasks usually pre-install it at setup).
     if (!g.problem_space.valid()) {
-      auto cands = slot_candidates(g, sym_ps_);
+      const auto& cands = slot_candidates(g, sym_ps_);
       if (auto pick = choose(cands)) {
         install(g, sym_ps_, *pick);
         pop_goals_below(g.level);
@@ -203,7 +212,7 @@ bool SoarKernel::decide(SoarRunStats& stats) {
 
     // State slot: operator applications propose the successor state.
     {
-      auto cands = slot_candidates(g, sym_state_);
+      auto& cands = slot_candidates(g, sym_state_);
       cands.erase(std::remove_if(cands.begin(), cands.end(),
                                  [&](const Candidate& c) {
                                    return c.value == g.state;
@@ -226,7 +235,7 @@ bool SoarKernel::decide(SoarRunStats& stats) {
 
     // Operator slot.
     if (!g.op.valid() && g.state.valid()) {
-      auto cands = slot_candidates(g, sym_op_);
+      const auto& cands = slot_candidates(g, sym_op_);
       if (!cands.empty()) {
         if (auto pick = choose(cands)) {
           install(g, sym_op_, *pick);

@@ -113,11 +113,11 @@ const Wme* SoarKernel::add_triple(Symbol id, std::string_view attr, Value v) {
 }
 
 const Wme* SoarKernel::add_triple(Symbol id, Symbol attr, Value v) {
-  std::vector<Value> fields{Value(id), Value(attr), v};
-  if (const Wme* existing = engine_.wm().find(cls_wme_, fields)) {
+  const Value fields[] = {Value(id), Value(attr), v};
+  if (const Wme* existing = engine_.wm().find(cls_wme_, fields, 3)) {
     return existing;
   }
-  const Wme* w = engine_.add_wme(cls_wme_, std::move(fields));
+  const Wme* w = engine_.add_wme(cls_wme_, fields, 3);
   const int lvl = id_level(id);
   entry(w).level = lvl > 0 ? lvl : 1;
   return w;
@@ -190,7 +190,8 @@ void SoarKernel::apply_fire_delta(const Instantiation* inst,
   const Production* prod = inst->pnode->prod;
   const int lvl = instantiation_level(inst->token);
   current_fire_level_ = lvl;
-  WmeDelta delta = engine_.evaluate(inst);
+  engine_.evaluate(inst, fire_delta_);
+  const WmeDelta& delta = fire_delta_;
   engine_.cs().mark_fired(inst);
 
   for (const auto& add : delta.adds) {

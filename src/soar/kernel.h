@@ -211,7 +211,9 @@ class SoarKernel {
   // Returns false when nothing at all can change (system quiescent).
   bool decide(SoarRunStats& stats);
 
-  std::vector<Candidate> slot_candidates(const GoalEntry& g, Symbol role);
+  // The slot's candidates, in slot_scratch_.out (valid until the next
+  // call).
+  std::vector<Candidate>& slot_candidates(const GoalEntry& g, Symbol role);
 
   void install(GoalEntry& g, Symbol role, Symbol value);
   void push_subgoal(GoalEntry& g, Symbol role, Symbol type,
@@ -289,6 +291,14 @@ class SoarKernel {
   uint32_t gc_epoch_ = 0;
   // Wmes a GC pass or a slot scan collected from WM (capacity kept).
   std::vector<const Wme*> wm_scratch_;
+  // slot_candidates' preference lists and result (capacity kept).
+  struct SlotScratch {
+    std::vector<Symbol> acceptable, rejects, bests, indiffs;
+    std::vector<std::pair<Symbol, Symbol>> betters;  // (better, worse)
+    std::vector<Candidate> out;
+  } slot_scratch_;
+  // The firing instantiation's RHS result (slot capacity kept).
+  WmeDelta fire_delta_;
   std::vector<GoalEntry> stack_;
 
   // Results awaiting chunking at the end of the current elaboration cycle.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "base/rng.h"
@@ -42,6 +45,35 @@ TEST(SymbolTable, GensymNeverCollides) {
   }
 }
 
+// Names live in storage that never moves: a view taken before later interns
+// (short names included, which a std::string keeps inline) still reads the
+// same bytes afterwards.
+TEST(SymbolTable, NameViewsSurviveLaterInterns) {
+  SymbolTable t;
+  const Symbol s = t.intern("short");
+  const std::string_view view = t.name(s);
+  for (int i = 0; i < 100; ++i) t.intern("name-" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) t.gensym("g");
+  EXPECT_EQ(view, "short");
+  EXPECT_EQ(view.data(), t.name(s).data());
+}
+
+// Ids are dense and handed out in first-intern order; Symbol ids feed
+// Value::hash, so the order is observable in every join hash line.
+TEST(SymbolTable, IdsFollowFirstInternOrder) {
+  SymbolTable t;
+  for (uint32_t i = 0; i < 500; ++i) {
+    EXPECT_EQ(t.intern("s" + std::to_string(i)).raw(), i);
+  }
+  for (uint32_t i = 0; i < 500; ++i) {
+    EXPECT_EQ(t.intern("s" + std::to_string(i)).raw(), i);
+    EXPECT_EQ(t.find("s" + std::to_string(i)).raw(), i);
+  }
+  EXPECT_EQ(t.intern("").raw(), 500u);
+  EXPECT_EQ(t.name(Symbol(500)), "");
+  EXPECT_EQ(t.size(), 501u);
+}
+
 TEST(SymbolTable, NameThrowsOnInvalid) {
   SymbolTable t;
   EXPECT_THROW(t.name(Symbol()), std::out_of_range);
@@ -72,6 +104,21 @@ TEST(Value, EqualValuesHashEqually) {
   SymbolTable t;
   const Symbol s = t.intern("x");
   EXPECT_EQ(Value(s).hash(), Value(s).hash());
+}
+
+// Floats outside int64_t's range (NaN, infinities, 1e300) hash by their bits:
+// converting them to int64_t first would be undefined. In-range integral
+// floats still hash like the equal integer.
+TEST(Value, FloatsOutsideInt64RangeHashByBits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double d : {nan, inf, -inf, 1e300, -1e300, 0x1p63}) {
+    EXPECT_EQ(Value(d).hash(), Value(d).hash());
+  }
+  EXPECT_NE(Value(inf).hash(), Value(-inf).hash());
+  EXPECT_EQ(Value(-0x1p63).hash(),
+            Value(std::numeric_limits<int64_t>::min()).hash());
+  EXPECT_EQ(Value(0x1p62).hash(), Value(int64_t{1} << 62).hash());
 }
 
 TEST(Value, SymbolAndIntDoNotCompareEqual) {

@@ -32,9 +32,23 @@
 
 namespace psme {
 
-/// The kernel's GC, called on its own (friend of SoarKernel).
+/// Kernel internals, called on their own (friend of SoarKernel).
 struct SoarAccess {
   static void gc_unreachable(SoarKernel& k) { k.gc_unreachable(); }
+  /// Decide's scan of every slot of every goal; returns the candidates.
+  static size_t scan_slots(SoarKernel& k) {
+    size_t n = 0;
+    for (const SoarKernel::GoalEntry& g : k.stack_) {
+      for (const Symbol role : {k.sym_ps_, k.sym_state_, k.sym_op_}) {
+        n += k.slot_candidates(g, role).size();
+      }
+    }
+    return n;
+  }
+  /// Evaluates `inst`'s RHS into the kernel's fire delta, as a fire does.
+  static void evaluate(SoarKernel& k, const Instantiation* inst) {
+    k.engine().evaluate(inst, k.fire_delta_);
+  }
 };
 
 namespace {
@@ -62,6 +76,29 @@ constexpr const char* kWidePingPong =
 /// removal empties it, which unlinks it at the end of the match.
 constexpr const char* kRelinker =
     "(p relinker (thing ^v <x>) (ctl ^phase <x>) --> (halt))";
+
+/// Does evaluating `v` mint a symbol ((genatom), directly or in a compute)?
+bool mints_symbol(const RhsValue& v) {
+  switch (v.kind) {
+    case RhsValue::Kind::Gensym: return true;
+    case RhsValue::Kind::Compute:
+      return mints_symbol(*v.arith.lhs) || mints_symbol(*v.arith.rhs);
+    default: return false;
+  }
+}
+
+bool mints_symbol(const Production& p) {
+  for (const Action& a : p.actions) {
+    for (const RhsAssignment& s : a.sets) {
+      if (mints_symbol(s.value)) return true;
+    }
+    for (const RhsValue& v : a.write_args) {
+      if (mints_symbol(v)) return true;
+    }
+    if (a.kind == Action::Kind::Bind && mints_symbol(a.bind_value)) return true;
+  }
+  return false;
+}
 
 /// One engine cycle: fire the single unfired instantiation (in place; the
 /// next match's retraction removes it) and drain the match.
@@ -200,18 +237,22 @@ TEST(EngineAlloc, StealCycleIsAllocationFreeWithProfiling) {
 }
 
 // The kernel's GC marks reachability in epoch-stamped arrays and walks WM
-// into kept scratch, and the harvest sorts keys in kept scratch: after
-// warm-up decisions neither allocates. At every decision of a learning
-// eight-puzzle run the listener re-runs the decision's GC (collecting
-// nothing more) and, after the next match, harvests twice; the second of
-// each is measured.
+// into kept scratch, the harvest sorts keys in kept scratch, Decide's slot
+// scan fills kept preference lists, and a fire evaluates into the kernel's
+// kept delta: after warm-up decisions none of them allocates. At every
+// decision of a learning eight-puzzle run the listener re-runs the
+// decision's GC (collecting nothing more) and Decide's scan of every slot,
+// and, after the next match, harvests and evaluates each unfired
+// instantiation whose RHS mints no symbol (a (genatom) grows the symbol
+// table) twice; the second of each is measured.
 TEST(EngineAlloc, SoarGcAndHarvestAreAllocationFree) {
   const Task task = make_eight_puzzle();
   SoarKernel k(SoarOptions{});
   k.load_productions(task.productions);
   task.init(k);
   std::vector<const Instantiation*> harvest;
-  uint64_t decisions = 0, measured = 0, gc_allocs = 0, harvest_allocs = 0;
+  uint64_t decisions = 0, measured = 0, gc_allocs = 0, harvest_allocs = 0,
+           slot_allocs = 0, eval_allocs = 0, evaluations = 0, candidates = 0;
   size_t most_unfired = 0;
   k.set_decision_listener([&](SoarKernel& kk) {
     if (++decisions <= 5) return;  // warm-up
@@ -220,19 +261,35 @@ TEST(EngineAlloc, SoarGcAndHarvestAreAllocationFree) {
     uint64_t before = heap_allocs();
     SoarAccess::gc_unreachable(kk);
     gc_allocs += heap_allocs() - before;
+    SoarAccess::scan_slots(kk);
+    before = heap_allocs();
+    candidates += SoarAccess::scan_slots(kk);
+    slot_allocs += heap_allocs() - before;
     kk.engine().match();  // the next elaboration cycle's match, run early
     kk.engine().cs().unfired_into(harvest);
     before = heap_allocs();
     kk.engine().cs().unfired_into(harvest);
     harvest_allocs += heap_allocs() - before;
     most_unfired = std::max(most_unfired, harvest.size());
+    for (const Instantiation* inst : harvest) {
+      if (mints_symbol(*inst->pnode->prod)) continue;
+      SoarAccess::evaluate(kk, inst);
+      before = heap_allocs();
+      SoarAccess::evaluate(kk, inst);
+      eval_allocs += heap_allocs() - before;
+      ++evaluations;
+    }
   });
   const SoarRunStats st = k.run();
   EXPECT_TRUE(st.goal_achieved);
   EXPECT_GT(measured, 20u);
   EXPECT_GT(most_unfired, 1u) << "the harvests sorted nothing";
+  EXPECT_GT(candidates, 0u) << "the slot scans found no candidate";
+  EXPECT_GT(evaluations, 100u);
   EXPECT_EQ(gc_allocs, 0u);
   EXPECT_EQ(harvest_allocs, 0u);
+  EXPECT_EQ(slot_allocs, 0u);
+  EXPECT_EQ(eval_allocs, 0u);
 }
 
 }  // namespace

@@ -136,6 +136,31 @@ TEST(Engine, GensymCreatesFreshSymbols) {
   EXPECT_EQ(ids.size(), 2u);
 }
 
+// `nan` and `inf` are symbols, so each production matches its own wme; a
+// float beyond int64_t's range (1e300) hashes and matches like any other.
+TEST(Engine, NanAndInfAtomsMatchAsSymbols) {
+  Engine e;
+  e.load(
+      "(p p-nan (a ^v nan) --> (halt))\n"
+      "(p p-inf (a ^v inf) --> (halt))\n"
+      "(p p-foo (a ^v foo) --> (halt))\n"
+      "(p p-big (a ^v 1e300) --> (halt))\n"
+      "(p p-join (a ^v <x>) (b ^w <x>) --> (halt))");
+  for (const char* v : {"nan", "inf", "foo", "1e300"}) {
+    e.add_wme_text(std::string("(a ^v ") + v + ")");
+    e.add_wme_text(std::string("(b ^w ") + v + ")");
+  }
+  e.match();
+  std::multiset<std::string> fired;
+  for (const Instantiation* inst : e.cs().all()) {
+    fired.insert(std::string(e.syms().name(inst->pnode->prod->name)));
+  }
+  const std::multiset<std::string> expected = {
+      "p-nan", "p-inf", "p-foo", "p-big", "p-join", "p-join", "p-join",
+      "p-join"};
+  EXPECT_EQ(fired, expected);
+}
+
 TEST(Engine, TraceRecordsTasksAndParents) {
   Engine e(test::recorded());
   e.load("(p j (a ^v <x>) (b ^v <x>) --> (halt))");

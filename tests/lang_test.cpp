@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "alloc_probe.h"
 #include "lang/lexer.h"
 #include "lang/parser.h"
 #include "lang/print.h"
+#include "tasks/registry.h"
 
 namespace psme {
 namespace {
@@ -44,6 +49,71 @@ TEST(Lexer, NegativeNumbersVsDash) {
   EXPECT_EQ(toks[0].int_val, -3);
   EXPECT_EQ(toks[1].kind, Tok::Dash);
   EXPECT_EQ(toks[2].kind, Tok::Sym);  // "-x" is a symbol
+}
+
+// An atom is a number only if it has a digit and from_chars takes all of
+// it: the spellings from_chars reads as NaN or infinity stay symbols.
+TEST(Lexer, NumbersNeedADigit) {
+  const auto toks =
+      lex("nan NaN inf -inf INF infinity -Infinity inf1 1e3 1e300 +3 1x");
+  const std::vector<Tok> expected = {
+      Tok::Sym, Tok::Sym, Tok::Sym,   Tok::Sym,   Tok::Sym, Tok::Sym,
+      Tok::Sym, Tok::Sym, Tok::Float, Tok::Float, Tok::Sym, Tok::Sym,
+      Tok::End};
+  std::vector<Tok> kinds;
+  for (const auto& t : toks) kinds.push_back(t.kind);
+  EXPECT_EQ(kinds, expected);
+  EXPECT_EQ(toks[0].text, "nan");
+  EXPECT_EQ(toks[3].text, "-inf");
+  EXPECT_DOUBLE_EQ(toks[8].float_val, 1000.0);
+}
+
+// The pull API: one token per next(), views into the source, and End again
+// after the end.
+TEST(Lexer, PullsTokensThatViewTheSource) {
+  const std::string src = "(p x ^attr <v> 7)";
+  Lexer lx(src);
+  const LexToken open = lx.next();
+  EXPECT_EQ(open.kind, Tok::LParen);
+  EXPECT_EQ(open.text.data(), src.data());
+  const LexToken p = lx.next();
+  const LexToken x = lx.next();
+  const LexToken attr = lx.next();
+  EXPECT_EQ(attr.kind, Tok::Hat);
+  EXPECT_EQ(attr.text, "attr");
+  EXPECT_EQ(attr.text.data(), src.data() + 6);
+  EXPECT_EQ(lx.next().kind, Tok::Variable);
+  const LexToken seven = lx.next();
+  EXPECT_EQ(seven.kind, Tok::Int);
+  EXPECT_EQ(seven.int_val, 7);
+  EXPECT_EQ(lx.next().kind, Tok::RParen);
+  EXPECT_EQ(lx.next().kind, Tok::End);
+  EXPECT_EQ(lx.next().kind, Tok::End);
+  // Tokens kept by value stay valid after later pulls.
+  EXPECT_EQ(p.text, "p");
+  EXPECT_EQ(x.text, "x");
+}
+
+// One pull-lexer pass over each task's source allocates nothing.
+TEST(Lexer, PassOverTaskSourcesIsAllocationFree) {
+  for (const Task& task : {make_eight_puzzle(), make_strips(), make_cypress()}) {
+    const size_t expected = lex(task.productions).size() - 1;  // End
+    size_t tokens = 0;
+    const uint64_t before = test::heap_allocs();
+    Lexer lx(task.productions);
+    while (lx.next().kind != Tok::End) ++tokens;
+    EXPECT_EQ(test::heap_allocs() - before, 0u) << task.name;
+    EXPECT_EQ(tokens, expected) << task.name;
+    EXPECT_GT(tokens, 9000u) << task.name;
+  }
+}
+
+TEST_F(ParserTest, NonNumericSpellingsParseAsSymbols) {
+  const auto p = parse("(p p1 (a ^v nan ^w inf ^x 1e300) --> (halt))");
+  ASSERT_EQ(p.conditions[0].consts.size(), 3u);
+  EXPECT_TRUE(p.conditions[0].consts[0].value.is_sym());
+  EXPECT_TRUE(p.conditions[0].consts[1].value.is_sym());
+  EXPECT_EQ(p.conditions[0].consts[2].value.kind(), Value::Kind::Float);
 }
 
 TEST_F(ParserTest, SimpleProduction) {
@@ -132,6 +202,148 @@ TEST_F(ParserTest, Errors) {
   EXPECT_THROW(parse("(p x -(a ^v 1) --> (halt))"), ParseError);  // neg first
   EXPECT_THROW(parse("(p x (a ^v 1) --> (explode))"), ParseError);
   EXPECT_THROW(parse("(p x (a ^v << >>) --> (halt))"), ParseError);
+}
+
+/// The message and line of the ParseError that parsing `src` throws.
+struct ErrorAt {
+  std::string what;
+  int line = 0;
+};
+
+ErrorAt parse_error_of(std::string_view src) {
+  SymbolTable syms;
+  ClassSchemas schemas;
+  RhsArena arena;
+  Parser p(syms, schemas, arena);
+  try {
+    p.parse_file(src);
+  } catch (const ParseError& e) {
+    return {e.what(), e.line()};
+  }
+  ADD_FAILURE() << "no ParseError for: " << src;
+  return {};
+}
+
+// Each error kind's message and line, pinned on inputs that hold exactly
+// one error.
+TEST(ParseErrors, BareHat) {
+  const ErrorAt e = parse_error_of("(p x\n (a ^ 1) --> (halt))");
+  EXPECT_EQ(e.what, "parse error (line 2): bare '^' is not an attribute");
+  EXPECT_EQ(e.line, 2);
+}
+
+TEST(ParseErrors, UnterminatedProductionAtEndOfInput) {
+  const ErrorAt e = parse_error_of("(p broken\n (a ^v 1)\n");
+  EXPECT_EQ(e.what, "parse error (line 3): unterminated production 'broken'");
+  EXPECT_EQ(e.line, 3);
+}
+
+TEST(ParseErrors, UnknownAction) {
+  const ErrorAt e = parse_error_of("(p x (a ^v 1)\n -->\n (explode))");
+  EXPECT_EQ(e.what, "parse error (line 3): unknown action 'explode'");
+  EXPECT_EQ(e.line, 3);
+}
+
+TEST(ParseErrors, EmptyDisjunctionReportsItsOpeningLine) {
+  const ErrorAt e = parse_error_of("(p x\n (a ^v <<\n >>) --> (halt))");
+  EXPECT_EQ(e.what, "parse error (line 2): empty disjunction '<< >>'");
+  EXPECT_EQ(e.line, 2);
+}
+
+TEST(ParseErrors, NegatedFirstConditionReportsTheNameLine) {
+  const ErrorAt e = parse_error_of("(p\n x\n -(a ^v 1)\n --> (halt))");
+  EXPECT_EQ(e.what,
+            "parse error (line 2): first condition element must be positive");
+  EXPECT_EQ(e.line, 2);
+}
+
+/// 64-bit FNV-1a, continued from `h`.
+uint64_t fnv1a(std::string_view s, uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct ParseFingerprint {
+  size_t productions = 0;
+  uint64_t text_hash = 0;     // over every production_to_text, in order
+  uint64_t tests_hash = 0;    // over every CE's tests, in AST order
+  size_t symbols = 0;         // symbol-table size after the parse
+  uint64_t names_hash = 0;    // over the symbol names, in id order
+};
+
+/// The CE's tests in vector order. The printer groups a CE's tests by slot,
+/// but the builder reads `vars` in order (the first Eq occurrence binds).
+void append_tests(const Condition& ce, const SymbolTable& syms,
+                  std::string& out) {
+  out += ce.negated ? "-(" : "(";
+  out += std::to_string(ce.cls.raw());
+  for (const ConstTest& t : ce.consts) {
+    out += " c" + std::to_string(t.slot) + pred_name(t.pred) +
+           t.value.to_string(syms);
+  }
+  for (const DisjTest& t : ce.disjs) {
+    out += " d" + std::to_string(t.slot);
+    for (const Value& v : t.options) out += "," + v.to_string(syms);
+  }
+  for (const VarTest& t : ce.vars) {
+    out += " v" + std::to_string(t.slot) + pred_name(t.pred) +
+           std::to_string(t.var);
+  }
+  for (const Condition& inner : ce.ncc) append_tests(inner, syms, out);
+  out += ')';
+}
+
+ParseFingerprint fingerprint(const Task& task) {
+  SymbolTable syms;
+  ClassSchemas schemas;
+  RhsArena arena;
+  Parser parser(syms, schemas, arena);
+  const std::vector<Production> prods = parser.parse_file(task.productions);
+  ParseFingerprint f;
+  f.productions = prods.size();
+  f.text_hash = fnv1a("");
+  f.tests_hash = fnv1a("");
+  for (const Production& p : prods) {
+    f.text_hash = fnv1a(production_to_text(p, syms, schemas), f.text_hash);
+    f.text_hash = fnv1a("\n", f.text_hash);
+    std::string tests;
+    for (const Condition& ce : p.conditions) append_tests(ce, syms, tests);
+    f.tests_hash = fnv1a(tests + "\n", f.tests_hash);
+  }
+  f.symbols = syms.size();
+  f.names_hash = fnv1a("");
+  for (uint32_t i = 0; i < syms.size(); ++i) {
+    f.names_hash = fnv1a(syms.name(Symbol(i)), f.names_hash);
+    f.names_hash = fnv1a("\n", f.names_hash);
+  }
+  return f;
+}
+
+// The three tasks' parse, fixed as constants: the productions (through the
+// printer) and the symbol table in id order. Symbol ids feed Value::hash,
+// so a change in intern order moves every join hash line and golden.
+TEST(ParseFingerprint, ThreeTasks) {
+  const ParseFingerprint ep = fingerprint(make_eight_puzzle());
+  EXPECT_EQ(ep.productions, 71u);
+  EXPECT_EQ(ep.text_hash, 1601312237228856210ull);
+  EXPECT_EQ(ep.tests_hash, 15360967353434177827ull);
+  EXPECT_EQ(ep.symbols, 146u);
+  EXPECT_EQ(ep.names_hash, 6908736654150322848ull);
+  const ParseFingerprint st = fingerprint(make_strips());
+  EXPECT_EQ(st.productions, 105u);
+  EXPECT_EQ(st.text_hash, 12526469540043710951ull);
+  EXPECT_EQ(st.tests_hash, 8358333859215541251ull);
+  EXPECT_EQ(st.symbols, 241u);
+  EXPECT_EQ(st.names_hash, 17198314018973763694ull);
+  const ParseFingerprint cy = fingerprint(make_cypress());
+  EXPECT_EQ(cy.productions, 196u);
+  EXPECT_EQ(cy.text_hash, 7101724453189742257ull);
+  EXPECT_EQ(cy.tests_hash, 12737015258221730635ull);
+  EXPECT_EQ(cy.symbols, 409u);
+  EXPECT_EQ(cy.names_hash, 162358156170419321ull);
 }
 
 TEST_F(ParserTest, RoundTripThroughPrinter) {
