@@ -1,6 +1,6 @@
 // The threaded matcher on a synthetic workload: N match processes pull node
 // activations through the lock-free work-stealing scheduler at 1..13
-// workers. Verifies that every worker count produces the serial executor's
+// workers. Verifies that every worker count produces the trace recorder's
 // conflict set and prints the scheduler statistics.
 //
 // On a host with fewer cores than workers the threads interleave; the
@@ -13,7 +13,7 @@
 // over ONE shared CompiledNetwork and ONE worker pool (AgentGroup): each
 // agent gets its own working memory and conflict set, the group drains all
 // sessions' cycles through batched fork-joins, and every agent's conflict
-// set is checked against an isolated serial engine running the same script.
+// set is checked against an isolated engine running the same script.
 //
 //   $ ./parallel_match --agents 16
 //
@@ -153,12 +153,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Reference: the serial executor.
-  Engine serial;
-  load_workload(serial);
-  serial.match();
-  const size_t expected = serial.cs().size();
-  std::printf("serial executor: %zu instantiations\n\n", expected);
+  // Reference: the trace recorder, every join linked.
+  EngineOptions recorded;
+  recorded.record_traces = true;
+  Engine reference(recorded);
+  load_workload(reference);
+  reference.match();
+  const size_t expected = reference.cs().size();
+  std::printf("trace recorder: %zu instantiations\n\n", expected);
 
   std::printf("%-8s %10s %8s %12s %8s %10s  %s\n", "workers", "tasks",
               "steals", "fail-sweeps", "parks", "wall(ms)", "CS ok?");

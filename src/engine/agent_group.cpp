@@ -38,8 +38,7 @@ std::vector<const Production*> AgentGroup::load(std::string_view src) {
 
 ParallelStats AgentGroup::step_all() {
   obs::Span cycle_span(tracer_.get(), 0, obs::EventKind::MatchCycle);
-  return Engine::drain_threaded(*matcher_, agents_, remove_seeds_, add_seeds_,
-                                0);
+  return Engine::drain_on_matcher(*matcher_, agents_, seeds_, 0);
 }
 
 void AgentGroup::collect_metrics(obs::MetricsRegistry& m) const {

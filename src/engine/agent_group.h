@@ -42,8 +42,9 @@ struct TaskQueueSet {
 };
 
 struct AgentGroupOptions {
-  /// Worker threads of the shared matcher (>=1; the calling thread is
-  /// worker 0, exactly as in a standalone parallel Engine).
+  /// Worker threads of the shared matcher (0 reads as 1; the calling thread
+  /// is worker 0, exactly as in a standalone Engine, and one worker starts
+  /// no thread).
   size_t workers = 4;
   TaskQueueSet::Policy policy = TaskQueueSet::Policy::Steal;  // unused
   /// Engine options for every agent session. builder configures the shared
@@ -107,9 +108,8 @@ class AgentGroup {
   std::unique_ptr<ParallelMatcher> matcher_;
   std::vector<std::unique_ptr<Engine>> owned_;
   std::vector<Engine*> agents_;           // owned_, as step_all's span
-  // Batched removal and addition seeds, capacity reused.
-  std::vector<Activation> remove_seeds_;
-  std::vector<Activation> add_seeds_;
+  // Batched seeds (every agent's removals, then additions), capacity reused.
+  std::vector<Activation> seeds_;
 };
 
 }  // namespace psme

@@ -43,12 +43,11 @@ Engine::Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
                     ? std::make_unique<obs::MatchProfiler>(
                           opts.profile_sample_shift)
                     : nullptr),
-      serial_exec_(cnet_->net(), state_, opts.record_traces,
-                   obs::TaskObserver(tracer(), track(), profiler(), 0)) {
+      recorder_(cnet_->net(), state_,
+                obs::TaskObserver(tracer(), track(), profiler(), 0)) {
   state_.sink = &cs_;
   state_.ensure_alpha(net().alpha_mem_count());
   state_.ensure_links(net().node_count());
-  serial_exec_.agent = agent_;
   cnet_->attach(this);
 }
 
@@ -101,15 +100,16 @@ Engine::RuntimeAddResult Engine::add_production_runtime(Production&& ast) {
 uint64_t Engine::apply_runtime_update(const CompiledProduction& cp,
                                       RuntimeAddResult* res) {
   // The §5.2 state update drains through the same executor as this
-  // session's match cycles — with full match parallelism when threaded
+  // session's match cycles — with full match parallelism on a wide matcher
   // (Figure 6-9's regime).
   const auto wm_snapshot = wm_.live();
-  Drain& drain = parallel() ? static_cast<Drain&>(matcher()) : serial_exec_;
+  Drain& drain =
+      records_traces() ? static_cast<Drain&>(recorder_) : matcher();
   const UpdateTasks n = run_update(drain, net(), state_, cp, wm_snapshot,
                                    agent_, update_scratch_, tracer(), track());
   if (records_traces()) {
     // Always taken, so a peer's update DAG never leaks into its next cycle.
-    CycleTrace dag = serial_exec_.take_trace();
+    CycleTrace dag = recorder_.take_trace();
     if (res != nullptr) {
       res->c = dag.split_off(n.ab);
       res->ab = std::move(dag);
@@ -203,8 +203,10 @@ const Wme* Engine::add_wme_text(std::string_view text) {
     fields[static_cast<size_t>(slot)] = v;
   }
   expect(Tok::RParen, "')'");
-  // Whatever follows the literal is ignored, but it must still lex.
-  while (t.kind != Tok::End) t = lx.next();
+  // One literal per call: a second one would otherwise be dropped unseen.
+  if (t.kind != Tok::End) {
+    throw ParseError("wme literal: unexpected text after ')'", t.line);
+  }
   return add_wme(cls, fields);
 }
 
@@ -234,30 +236,24 @@ void Engine::end_cycle() {
   wm_.end_cycle();
 }
 
-ParallelStats Engine::drain_threaded(ParallelMatcher& m,
-                                     std::span<Engine* const> agents,
-                                     std::vector<Activation>& removes,
-                                     std::vector<Activation>& adds,
-                                     size_t track) {
+ParallelStats Engine::drain_on_matcher(ParallelMatcher& m,
+                                       std::span<Engine* const> agents,
+                                       std::vector<Activation>& seeds,
+                                       size_t track) {
   // The removals drain to quiescence before the additions: a delete token
   // racing a sibling addition is order-dependent (a join can install a new
   // PI behind a delete token that already passed that memory), so each
-  // threaded drain gets a homogeneous seed batch. Serial injection order
+  // drain gets a homogeneous seed batch. The recorder's injection order
   // (removes first) makes the final state identical. Seeds may mix agents:
   // each tagged task touches only its own agent's state.
-  removes.clear();
-  adds.clear();
-  for (Engine* a : agents) {
-    a->collect_seeds(false, removes);
-    a->collect_seeds(true, adds);
-  }
-  const ParallelStats total = m.run_match(removes, adds, track);
+  seeds.clear();
+  for (Engine* a : agents) a->collect_seeds(false, seeds);
+  const size_t n_removes = seeds.size();
+  for (Engine* a : agents) a->collect_seeds(true, seeds);
+  const ParallelStats total = m.run_match(seeds, n_removes, track);
   for (Engine* a : agents) {
     a->end_cycle();
-    // Shared scheduler numbers, but each agent's own arena snapshot (the
-    // matcher's snapshot covers only agent 0's arena).
     a->last_parallel_stats_ = total;
-    a->last_parallel_stats_.arena = a->state_.arena.stats();
     a->counters_.accumulate(total.counters);
   }
   return total;
@@ -266,21 +262,18 @@ ParallelStats Engine::drain_threaded(ParallelMatcher& m,
 CycleTrace Engine::match() {
   obs::Span cycle_span(tracer(), track(), obs::EventKind::MatchCycle);
   std::vector<Activation>& seeds = seed_scratch_;  // capacity reused per cycle
-  if (parallel()) {
-    // Threaded drain on the persistent matcher; no per-task trace.
+  if (!records_traces()) {
     Engine* self = this;
     last_match_tasks_ =
-        drain_threaded(matcher(), {&self, 1}, seeds, add_seed_scratch_,
-                       track())
-            .tasks;
+        drain_on_matcher(matcher(), {&self, 1}, seeds, track()).tasks;
     return {};
   }
   seeds.clear();
   collect_seeds(false, seeds);
   collect_seeds(true, seeds);
-  last_match_tasks_ = serial_exec_.drain(seeds, {});
+  last_match_tasks_ = recorder_.drain(seeds, {});
   end_cycle();
-  return serial_exec_.take_trace();
+  return recorder_.take_trace();
 }
 
 void Engine::apply_delta(const WmeDelta& delta, bool dedup_adds) {
@@ -311,12 +304,8 @@ bool Engine::fire(const Instantiation* inst, bool remove_after_fire,
 }
 
 void Engine::collect_metrics(obs::MetricsRegistry& m) const {
-  if (parallel()) {
-    // Includes the arena snapshot taken at the end of the last cycle.
-    obs::collect(m, last_parallel_stats_);
-  } else {
-    obs::collect(m, state_.arena.stats());
-  }
+  if (!records_traces()) obs::collect(m, last_parallel_stats_);
+  obs::collect(m, state_.arena.stats());
   obs::collect(m, match_counters());
   if (tracer_ != nullptr) obs::collect(m, *tracer_);
   // Own profiler only: a group-shared profiler holds every session's cells
@@ -326,7 +315,7 @@ void Engine::collect_metrics(obs::MetricsRegistry& m) const {
 
 MatchCounters Engine::match_counters() const {
   MatchCounters c = counters_;
-  c.accumulate(serial_exec_.counters);
+  c.accumulate(recorder_.counters);
   return c;
 }
 

@@ -42,27 +42,27 @@ struct VerifyReport;
 
 struct EngineOptions {
   BuilderOptions builder;  // ignored in attach mode (the network exists)
-  /// Records every serial cycle's task DAG (CycleTrace) for the virtual
-  /// multiprocessor. Off by default: a recorded DAG allocates per task and
-  /// a Soar run keeps one per elaboration cycle. The figure benches, psim
-  /// and the tests that read traces turn it on. It also turns right
-  /// unlinking off on either executor (DESIGN.md §16): every join stays
-  /// linked, so a recorded DAG counts every activation PSM-E would run, and
-  /// such an engine is the linked reference of the differential tests.
+  /// Records every cycle's task DAG (CycleTrace) for the virtual
+  /// multiprocessor on the FIFO trace recorder, which then runs match() and
+  /// the §5.2 update (records_traces()). Off by default: a recorded DAG
+  /// allocates per task and a Soar run keeps one per elaboration cycle. It
+  /// also turns right unlinking off on either executor (DESIGN.md §16):
+  /// every join stays linked, so a recorded DAG counts every activation
+  /// PSM-E would run, and such an engine is the linked reference of the
+  /// differential tests.
   bool record_traces = false;
 
-  /// >1 switches match() and the §5.2 runtime-add state update to the
-  /// threaded ParallelMatcher with this many workers. The matcher (and its
-  /// worker pool) is created once and persists across cycles. Parallel
-  /// cycles record no per-task trace (CycleTrace comes back empty), so keep
-  /// the serial default for psim trace collection. Ignored in attach mode
-  /// (the shared matcher's worker count governs).
-  size_t match_workers = 0;
+  /// Workers of the ParallelMatcher that runs match() and the §5.2 update
+  /// of every engine that records no traces (0 reads as 1; one worker runs
+  /// on the calling thread and starts no thread). The matcher is created at
+  /// the first drain and persists. Ignored in attach mode (the shared
+  /// matcher's worker count governs).
+  size_t match_workers = 1;
 
   /// Tracing (src/obs). When enabled a standalone engine owns a Tracer:
   /// track 0 carries engine-level spans (match cycles, drain sub-phases,
-  /// chunk compiles, the §5.2 update phases, serial task spans) and tracks
-  /// 1..N the parallel workers' task/steal/park events. All rings are
+  /// chunk compiles, the §5.2 update phases, the recorder's task spans) and
+  /// tracks 1..N the matcher workers' task/steal/park events. All rings are
   /// preallocated (at Engine construction and ParallelMatcher::prewarm),
   /// so tracing preserves the §10 zero-allocation guarantee. In attach mode
   /// this flag is ignored: the engine records into the shared matcher's
@@ -70,11 +70,11 @@ struct EngineOptions {
   obs::TraceOptions trace;
 
   /// Match profiling (obs/profiler.h). When enabled the engine owns a
-  /// MatchProfiler wired into both executors (serial and parallel): every
+  /// MatchProfiler wired into both executors (matcher and recorder): every
   /// executed task is attributed to its (node, agent) cell in the executing
   /// worker's shard. Shards are preallocated/grown only at quiescent drain
-  /// boundaries, so profiling preserves the §10 guarantee under both
-  /// executors (engine_alloc_test proves it). Read via profiler()/snapshot
+  /// boundaries, so profiling preserves the matcher's §10 guarantee
+  /// (engine_alloc_test proves it). Read via profiler()/snapshot
   /// at quiescence; production attribution happens at reporting time
   /// (analysis/profile_report.h). In attach mode this flag is ignored: the
   /// engine borrows the shared matcher's profiler, if it has one.
@@ -93,7 +93,7 @@ class Engine {
 
   /// Attach mode (multi-agent serving): joins `cnet` as a new agent session.
   /// When `shared_matcher` is non-null the session registers its MatchState
-  /// with it and all parallel drains multiplex over that matcher's workers
+  /// with it and all its drains multiplex over that matcher's workers
   /// (opts.match_workers is ignored); its agent tag is stamped on every
   /// seed. The matcher and network must outlive the engine.
   Engine(std::shared_ptr<CompiledNetwork> cnet, EngineOptions opts,
@@ -182,9 +182,10 @@ class Engine {
     return add_wme(cls, fields.data(), fields.size());
   }
 
-  /// Convenience: parses a wme literal like "(block ^name b1 ^size 3)"
+  /// Convenience: parses one wme literal like "(block ^name b1 ^size 3)"
   /// with the production lexer, straight from `text` into a kept field
-  /// buffer.
+  /// buffer. Only comments may follow the closing paren: any other token
+  /// throws ParseError and working memory is left unchanged.
   const Wme* add_wme_text(std::string_view text);
 
   /// Removes `w` from WM now and queues its retraction for the next match().
@@ -241,26 +242,23 @@ class Engine {
     return pending_removes_;
   }
 
-  /// True when match() drains on a threaded matcher (own or shared).
-  [[nodiscard]] bool parallel() const {
-    return external_matcher_ != nullptr || opts_.match_workers > 1;
-  }
-  /// True when match() and the §5.2 update hand back a recorded task DAG:
-  /// options().record_traces on the serial executor. The threaded matcher
-  /// records none.
+  /// True when match() and the §5.2 update drain on the trace recorder and
+  /// hand back a recorded task DAG: options().record_traces on a standalone
+  /// one-worker engine. Every other engine drains on its ParallelMatcher
+  /// (a wider one still linked when record_traces is set).
   [[nodiscard]] bool records_traces() const {
-    return opts_.record_traces && !parallel();
+    return opts_.record_traces && external_matcher_ == nullptr &&
+           opts_.match_workers <= 1;
   }
 
-  /// The persistent parallel matcher: the shared one in attach mode, else
-  /// the privately owned one (created on first parallel match()); nullptr
-  /// while serial or before the first cycle.
+  /// The persistent matcher: the shared one in attach mode, else the
+  /// privately owned one (created at the first drain); nullptr for a
+  /// recording engine and before the first drain.
   [[nodiscard]] ParallelMatcher* parallel_matcher() const {
     return external_matcher_ != nullptr ? external_matcher_ : matcher_.get();
   }
-  /// Scheduler statistics of the most recent parallel cycle this session
-  /// ran (in a group, step_all's aggregate lands on every participant),
-  /// with this session's own arena snapshot.
+  /// Scheduler statistics of the most recent matcher cycle this session
+  /// ran (in a group, step_all's aggregate lands on every participant).
   [[nodiscard]] const ParallelStats& last_parallel_stats() const {
     return last_parallel_stats_;
   }
@@ -281,7 +279,7 @@ class Engine {
                : 0;
   }
 
-  /// The match profiler both executors record into: own when standalone and
+  /// The match profiler either executor records into: own when standalone and
   /// options().profile, the shared matcher's in attach mode; null when
   /// profiling is off. Snapshot/reset only at quiescence.
   [[nodiscard]] obs::MatchProfiler* profiler() const {
@@ -295,9 +293,9 @@ class Engine {
   /// group's totals over the cycles it took part in, as with "par.*".
   [[nodiscard]] MatchCounters match_counters() const;
 
-  /// Dumps the engine's current stats — last parallel cycle ("par.*"),
-  /// token arena ("arena.*"), match counters ("rete.*"), tracer accounting
-  /// ("obs.*") — into `m`.
+  /// Dumps the engine's current stats — last matcher cycle ("par.*", unless
+  /// records_traces()), token arena ("arena.*"), match counters ("rete.*"),
+  /// tracer accounting ("obs.*") — into `m`.
   /// Reporting-time only: allocates, never call from the match hot path.
   void collect_metrics(obs::MetricsRegistry& m) const;
 
@@ -321,18 +319,17 @@ class Engine {
 
   void apply_delta(const WmeDelta& delta, bool dedup_adds);
   ParallelMatcher& matcher();
-  /// The threaded cycle of match() and AgentGroup::step_all, for every
+  /// The matcher cycle of match() and AgentGroup::step_all, for every
   /// engine in `agents` (all registered with `m`): one
   /// ParallelMatcher::run_match over their pending removals and additions,
   /// then closes each one's wme cycle and stores the accumulated stats on
-  /// each with its own arena snapshot. `removes` and `adds` are
-  /// caller-owned seed scratch; the drain spans go to `m.tracer()` on
+  /// each. `seeds` is caller-owned scratch (every agent's removals, then
+  /// every agent's additions); the drain spans go to `m.tracer()` on
   /// `track`.
-  static ParallelStats drain_threaded(ParallelMatcher& m,
-                                      std::span<Engine* const> agents,
-                                      std::vector<Activation>& removes,
-                                      std::vector<Activation>& adds,
-                                      size_t track);
+  static ParallelStats drain_on_matcher(ParallelMatcher& m,
+                                        std::span<Engine* const> agents,
+                                        std::vector<Activation>& seeds,
+                                        size_t track);
   /// Injects this session's pending removes (adds=false) or adds
   /// (adds=true) as agent-tagged seeds into `out`.
   void collect_seeds(bool adds, std::vector<Activation>& out);
@@ -356,7 +353,7 @@ class Engine {
   ParallelMatcher* external_matcher_ = nullptr;  // attach mode (group-owned)
   std::unique_ptr<ParallelMatcher> matcher_;     // standalone, persistent
   ParallelStats last_parallel_stats_;
-  // Seed injection and threaded drains; the serial executor keeps its own.
+  // Seed injection and matcher drains; the recorder keeps its own.
   MatchCounters counters_;
   uint64_t last_match_tasks_ = 0;
   uint32_t agent_ = 0;  // tag in the shared matcher (attach mode)
@@ -365,12 +362,11 @@ class Engine {
   std::unique_ptr<obs::MatchProfiler> profiler_;  // when opts.profile
   // Steady-state scratch, alive for the Engine's lifetime so repeated
   // cycles and §5.2 updates reuse high-water capacity (DESIGN.md §10): the
-  // serial executor (ring + trace state), the per-cycle seed vectors (the
-  // threaded match keeps its addition seeds apart), the update's seed
-  // buffers, the fire delta, and add_wme_text's fields.
-  TraceExecutor serial_exec_;
+  // trace recorder (ring + trace state; drained only when records_traces()),
+  // the per-cycle seed vector, the update's seed buffers, the fire delta,
+  // and add_wme_text's fields.
+  TraceExecutor recorder_;
   std::vector<Activation> seed_scratch_;
-  std::vector<Activation> add_seed_scratch_;
   UpdateScratch update_scratch_;
   WmeDelta fire_delta_;
   std::vector<Value> text_fields_;

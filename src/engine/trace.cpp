@@ -1,5 +1,6 @@
 #include "engine/trace.h"
 
+#include <cassert>
 #include <utility>
 
 namespace psme {
@@ -22,6 +23,7 @@ void TraceExecutor::emit(Activation&& a) {
 
 uint64_t TraceExecutor::drain(std::vector<Activation>& seeds,
                               const UpdateFilter& f) {
+  assert(!state->unlinking && "the recorder keeps every join linked");
   filter = f;
   queue_.clear();  // residue of a drain an exception cut short
   // Quiescent drain boundary: alpha state and node ids compiled since the
@@ -41,27 +43,20 @@ uint64_t TraceExecutor::drain(std::vector<Activation>& seeds,
     queue_.pop_front();
     if (!net_.should_execute(task.act, *this)) continue;
     ++executed;
-    if (record_) {
-      current_parent_ = static_cast<uint32_t>(trace_.tasks.size());
-      TaskRecord r;
-      r.parent = task.parent;
-      r.node = task.act.node;
-      r.type = net_.node(task.act.node)->type;
-      r.side = task.act.side;
-      r.add = task.act.add;
-      trace_.tasks.push_back(std::move(r));
-      stats.reset();
-    }
+    current_parent_ = static_cast<uint32_t>(trace_.tasks.size());
+    TaskRecord r;
+    r.parent = task.parent;
+    r.node = task.act.node;
+    r.type = net_.node(task.act.node)->type;
+    r.side = task.act.side;
+    r.add = task.act.add;
+    trace_.tasks.push_back(std::move(r));
+    stats.reset();
     observer_.before(stats);
     net_.execute(task.act, *this);
     observer_.after(task.act, stats);
-    if (record_) trace_.tasks[current_parent_].stats = stats;
+    trace_.tasks[current_parent_].stats = stats;
   }
-  // Quiescent: unlink the joins whose left memory emptied (DESIGN.md §16).
-  for (const EmptiedJoin& e : emptied) {
-    net_.unlink_if_empty(e.join, *state, counters);
-  }
-  emptied.clear();
   state->arena.reclaim_at_quiescence();
   return executed;
 }

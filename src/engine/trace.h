@@ -1,12 +1,13 @@
-// Serial executor and task-trace recorder.
+// Task-trace recorder: the executor of an engine that records traces (an
+// engine that records nothing drains on its ParallelMatcher).
 //
-// This is the reference executor: it drains node activations in FIFO order
-// (like PSM-E's shared task queue, minus the other processes) and, when
-// recording, notes for every task which task spawned it and how much raw
-// work it did. That trace is the exact task DAG of the cycle; the virtual
+// It drains node activations in FIFO order (like PSM-E's shared task queue,
+// minus the other processes) and notes for every task which task spawned it
+// and how much raw work it did. With every join linked, that trace is the
+// exact task DAG of the cycle at the paper's granularity; the virtual
 // multiprocessor (src/psim) schedules it on P processors to produce the
-// paper's speedup figures, and the threaded matcher's results are checked
-// against this executor's for equivalence.
+// paper's speedup figures, and the matcher's results are checked against
+// this executor's for equivalence.
 #pragma once
 
 #include <cstdint>
@@ -41,26 +42,22 @@ struct CycleTrace {
 class TraceExecutor final : public ExecContext, public Drain {
  public:
   /// `observer` is this executor's per-task instrumentation (task spans,
-  /// profiler shard 0), bound for its whole life.
-  TraceExecutor(Network& net, MatchState& ms, bool record_tasks,
-                obs::TaskObserver observer = {})
-      : net_(net), record_(record_tasks), observer_(observer) {
+  /// profiler shard 0), bound for its whole life. `ms` must keep every join
+  /// linked (MatchState::unlinking off): the recorder runs no unlink sweep.
+  TraceExecutor(Network& net, MatchState& ms, obs::TaskObserver observer = {})
+      : net_(net), observer_(observer) {
     state = &ms;
   }
 
   void emit(Activation&& a) override;
 
   /// Drains `seeds` and everything they spawn under `filter`, as one arena
-  /// epoch, then unlinks the joins it left with an empty left memory;
-  /// returns the number of tasks executed. When recording, the tasks
-  /// are appended to the DAG that take_trace() hands over. With recording
-  /// off a whole drain is heap-free once the ring and scratch buffers have
-  /// reached their high-water capacity — Engine holds one TraceExecutor
-  /// across all cycles and §5.2 updates for exactly this.
+  /// epoch, and appends the tasks to the DAG that take_trace() hands over;
+  /// returns the number of tasks executed.
   uint64_t drain(std::vector<Activation>& seeds,
                  const UpdateFilter& filter) override;
 
-  /// The DAG recorded since the last take (empty when recording is off).
+  /// The DAG recorded since the last take.
   CycleTrace take_trace();
 
  private:
@@ -73,7 +70,6 @@ class TraceExecutor final : public ExecContext, public Drain {
   static_assert(std::is_trivially_copyable_v<QueuedTask>);
 
   Network& net_;
-  bool record_;
   obs::TaskObserver observer_;
   uint32_t current_parent_ = UINT32_MAX;
   RingBuffer<QueuedTask> queue_;

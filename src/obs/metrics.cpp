@@ -84,7 +84,6 @@ void collect(MetricsRegistry& m, const ParallelStats& st) {
   }
   m.gauge("par.pool_slabs", st.pool_slabs);
   m.counter("par.wall_us", static_cast<uint64_t>(st.wall_seconds * 1e6));
-  collect(m, st.arena);
 }
 
 void collect(MetricsRegistry& m, const MatchStats& st) {

@@ -7,8 +7,8 @@
 //   * ensure_workers()/ensure_nodes()/ensure_agents() are quiescent-only —
 //     binding an obs::TaskObserver (obs/record.h) to a shard grows the
 //     shard set; ParallelMatcher grows the cells at the drain boundary of
-//     run_cycle (next to MatchState::ensure_alpha) and the serial
-//     TraceExecutor at the top of its drain. Once the network and agent set
+//     run_cycle (next to MatchState::ensure_alpha) and the trace recorder
+//     (TraceExecutor) at the top of its drain. Once the network and agent set
 //     stop growing these are integer compares per cycle.
 //   * sample()/record() are the hot path, called only by TaskObserver: a
 //     shard-local tick, at most two steady-clock reads, and a handful of

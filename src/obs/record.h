@@ -17,7 +17,7 @@ namespace psme::obs {
 /// clocks, folds the task into its profiler cell and pushes its TaskExec
 /// span. With both instruments off each call is two null tests. The state
 /// between before() and after() lives here, so an observer is owned by
-/// exactly one thread — the serial executor or one scheduler worker.
+/// exactly one thread — the trace recorder or one matcher worker.
 class TaskObserver {
  public:
   TaskObserver() = default;

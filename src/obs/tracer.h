@@ -1,7 +1,7 @@
 // Trace session: one clock, one event ring per track (DESIGN.md §11).
 //
 // Track layout: track 0 is the engine/coordinator thread (cycle spans,
-// Decide, chunk compiles, the §5.2 phases, serial task spans); tracks
+// Decide, chunk compiles, the §5.2 phases, the recorder's task spans); tracks
 // 1..N are the parallel matcher's workers 0..N-1 (task spans, steal
 // attempts, parks, queue-depth samples). A pool's worker 0 is the same OS
 // thread as the coordinator, but it gets its own track: what it does *as a

@@ -1,5 +1,6 @@
 #include "par/parallel_match.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 
@@ -159,18 +160,19 @@ void ParallelMatcher::reset_slots() {
   hungry_.store(0, std::memory_order_relaxed);
 }
 
-ParallelStats ParallelMatcher::run_cycle(std::vector<Activation>& seeds,
+ParallelStats ParallelMatcher::run_cycle(std::span<const Activation> seeds,
                                          const UpdateFilter& filter) {
   return run_pass(seeds, filter, /*sweep=*/true);
 }
 
-ParallelStats ParallelMatcher::run_match(std::vector<Activation>& removes,
-                                         std::vector<Activation>& adds,
-                                         size_t track) {
+ParallelStats ParallelMatcher::run_match(std::span<const Activation> seeds,
+                                         size_t n_removes, size_t track) {
   // One unlink sweep, after both drains: a join the removals empty stays
   // linked through the additions, so a left token they bring finds it
   // linked instead of relinking it (DESIGN.md §16.2). An empty removal
   // drain stands in when there are no additions.
+  const std::span<const Activation> removes = seeds.first(n_removes);
+  const std::span<const Activation> adds = seeds.subspan(n_removes);
   ParallelStats st;
   if (!removes.empty() || adds.empty()) {
     obs::Span span(tracer_, track, obs::EventKind::DrainRemoves);
@@ -183,7 +185,7 @@ ParallelStats ParallelMatcher::run_match(std::vector<Activation>& removes,
   return st;
 }
 
-ParallelStats ParallelMatcher::run_pass(std::vector<Activation>& seeds,
+ParallelStats ParallelMatcher::run_pass(std::span<const Activation> seeds,
                                         const UpdateFilter& filter,
                                         bool sweep) {
   // Epoch lifecycle, pinned to the drain: every worker of this cycle enters
@@ -208,16 +210,17 @@ ParallelStats ParallelMatcher::run_pass(std::vector<Activation>& seeds,
   reset_slots();
 
   // The filtered seeds go onto the caller's private stack (worker 0 runs on
-  // the calling thread) as one counted root: the caller drains them
-  // depth-first and shares them only when a helper runs dry. Workers are not
-  // running yet, so writing worker 0's stack and counter from here is safe;
-  // the pool dispatch publishes both before the first worker looks. Seeds
-  // pass through the same §5.2 filter as emitted tasks.
+  // the calling thread) as one counted root, last first so the first runs
+  // first: the caller drains them depth-first and shares them only when a
+  // helper runs dry. Workers are not running yet, so writing worker 0's
+  // stack and counter from here is safe; the pool dispatch publishes both
+  // before the first worker looks. Seeds pass through the same §5.2 filter
+  // as emitted tasks.
   {
     StackCtx seed_ctx(net_, filter);
     WorkerSlot& caller = *slots_[0];
-    for (const Activation& s : seeds) {
-      if (net_.should_execute(s, seed_ctx)) caller.stack.push_back(s);
+    for (auto s = seeds.rbegin(); s != seeds.rend(); ++s) {
+      if (net_.should_execute(*s, seed_ctx)) caller.stack.push_back(*s);
     }
     if (!caller.stack.empty()) {
       caller.created.store(1, std::memory_order_relaxed);
@@ -257,7 +260,6 @@ ParallelStats ParallelMatcher::run_pass(std::vector<Activation>& seeds,
     }
   }
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
-  if (!states_.empty()) st.arena = states_[0]->arena.stats();
   for (const auto& s : slots_) st.pool_slabs += s->box_slabs.size();
   lifetime_tasks_ += st.tasks;
   ++lifetime_cycles_;
@@ -327,11 +329,11 @@ Activation* ParallelMatcher::take_task(size_t worker) {
 
 void ParallelMatcher::publish(size_t worker, std::vector<Activation>& stack,
                               size_t n) {
-  // Moves the `n` oldest private activations to the deque: one counter
-  // bump, owner-side pushes, one wake. The count precedes the pushes
-  // (termination invariant). Pushed oldest first, so thieves (top, FIFO)
-  // take the oldest and the owner's own pop (bottom, LIFO) keeps the
-  // depth-first order. unpark_one, not unpark_all: waking every sleeper per
+  // Moves the `n` bottom private activations (those the owner would reach
+  // last) to the deque: one counter bump, owner-side pushes, one wake. The
+  // count precedes the pushes (termination invariant). Pushed bottom first,
+  // so thieves (top, FIFO) take those and the owner's own pop (bottom, LIFO)
+  // keeps its order. unpark_one, not unpark_all: waking every sleeper per
   // publish is a thundering herd at high worker counts (all wake, sweep,
   // fail, re-park); one waker per publish keeps the wake chain proportional
   // to the work supply, and the exit cascade still wakes everyone for the
@@ -356,10 +358,11 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
                                Activation* root, std::atomic<bool>& abort) {
   // Runs one root — a task taken from a deque, or (root == nullptr) the seed
   // batch already on worker 0's stack — and then the private stack it grows,
-  // last-emitted child first: the depth-first order a one-worker drain has
-  // always had. Private work touches no counter, box, deque or parking
-  // lot; it leaves the stack only by publish(), on demand: a peer is hungry,
-  // this deque is empty and two or more are held, so the oldest half goes.
+  // depth first, each task's children in emission order (reversed on the
+  // stack after their task; DESIGN.md §8.5). Private work touches no
+  // counter, box, deque or parking lot; it leaves the stack only by
+  // publish(), on demand: a peer is hungry, this deque is empty and two or
+  // more are held, so the bottom half goes.
   //
   // Termination invariant: the root's `executed` bump waits until the stack
   // is empty, so while any work derived from the root is held privately an
@@ -370,6 +373,7 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
   WorkerSlot& me = *slots_[worker];
   const bool can_share = n_workers_ > 1;
   auto exec = [&](const Activation& a) {
+    const size_t first_child = stack.size();
     me.observer.before(ctx.stats);
     // Re-bind the context to this task's agent: the tag names the only
     // MatchState the task may touch, and emit stamps it onto children.
@@ -378,6 +382,8 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
     net_.execute(a, ctx);
     me.observer.after(a, ctx.stats);
     ++me.stats.tasks;
+    std::reverse(stack.begin() + static_cast<std::ptrdiff_t>(first_child),
+                 stack.end());
   };
   try {
     if (root != nullptr) exec(*root);

@@ -2,19 +2,22 @@
 // the scheduler and execute them against the shared network.
 //
 // The scheduler is work-first: every activation a worker emits goes onto
-// that worker's private LIFO stack and is run next, touching no shared
-// state, and reaches the worker's lock-free Chase–Lev deque (par/ws_deque.h)
-// only when a peer can take it: once some peer has failed a steal sweep and
-// found nothing since, a busy worker publishes the oldest half of its stack.
-// Thieves steal from the deques with randomized CAS-only probes; idle
-// workers back off exponentially across failed whole-pool sweeps and then
-// park on an atomic wait (par/worker_pool.h) instead of hammering locks. A
-// cycle's seeds start on the caller's private stack, so a cycle nobody
-// helps with runs depth-first on the caller's thread with no per-task
-// atomic, box or deque operation. The paper's spinlocked task queues (§2.3;
-// one shared queue or one per process) are modeled by the virtual
-// multiprocessor's QueuePolicy (src/psim), which is what the Figure 6-x
-// reproductions measure.
+// that worker's private stack and is run next, touching no shared state; a
+// task's children, like a cycle's seeds, run in the order they were emitted
+// (DESIGN.md §8.5). Work reaches the worker's lock-free Chase–Lev deque
+// (par/ws_deque.h) only when a peer can take it: once some peer has failed a
+// steal sweep and found nothing since, a busy worker publishes the bottom
+// half of its stack (the work it would reach last). Thieves steal from the
+// deques with randomized CAS-only probes; idle workers back off
+// exponentially across failed whole-pool sweeps and then park on an atomic
+// wait (par/worker_pool.h) instead of hammering locks. A cycle's seeds start
+// on the caller's private stack, so a cycle nobody helps with runs
+// depth-first on the caller's thread with no per-task atomic, box or deque
+// operation, and a one-worker matcher starts no thread at all: it is the
+// executor of every engine that records no task DAG. The paper's spinlocked
+// task queues (§2.3; one shared queue or one per process) are modeled by the
+// virtual multiprocessor's QueuePolicy (src/psim), which is what the Figure
+// 6-x reproductions measure.
 //
 // Worker threads are spawned once per ParallelMatcher lifetime (WorkerPool)
 // and parked between cycles, so a matcher held by an Engine runs thousands
@@ -28,19 +31,19 @@
 // before created totals, so any observed equality implies true quiescence.
 // See DESIGN.md §8.3.
 //
-// On hosts with 1–4 vCPUs a wide pool oversubscribes the cores, so the
-// executor is exercised for *correctness* (its final match state must equal
-// the serial executor's) and for real scheduler statistics. Paper speedup
-// *curves* come from the virtual multiprocessor (src/psim), which schedules
-// recorded task DAGs on P virtual processors.
+// On hosts with 1–4 vCPUs a wide pool oversubscribes the cores, so a wide
+// matcher is exercised for *correctness* (its final match state must equal
+// the one-worker matcher's and the trace recorder's) and for real scheduler
+// statistics. Paper speedup *curves* come from the virtual multiprocessor
+// (src/psim), which schedules recorded task DAGs on P virtual processors.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "base/arena.h"
 #include "base/rng.h"
 #include "obs/record.h"
 #include "par/worker_pool.h"
@@ -68,14 +71,11 @@ struct ParallelStats {
   /// The workers' match counters plus the end-of-cycle unlink sweep's.
   MatchCounters counters;
   double wall_seconds = 0;
-  /// Token-arena snapshot taken at the end of the cycle (counters are
-  /// lifetime totals; benches difference consecutive snapshots).
-  MatchStats arena;
 
   /// Folds another cycle's numbers into this accumulator: traffic counters
-  /// and wall time add; the lifetime gauges (pool slabs, arena snapshot)
-  /// take the newer cycle's value. The one merge rule for every call site
-  /// instead of per-site field lists.
+  /// and wall time add; the lifetime gauge (pool slabs) takes the newer
+  /// cycle's value. The one merge rule for every call site instead of
+  /// per-site field lists.
   void accumulate(const ParallelStats& st) {
     tasks += st.tasks;
     steals += st.steals;
@@ -91,7 +91,6 @@ struct ParallelStats {
     counters.accumulate(st.counters);
     wall_seconds += st.wall_seconds;
     pool_slabs = st.pool_slabs;
-    arena = st.arena;
   }
 };
 
@@ -112,9 +111,7 @@ class ParallelMatcher final : public Drain {
   /// `profiler`, when non-null, attributes every executed task to its
   /// (node, agent) cell in the worker's shard (obs/profiler.h), through the
   /// same observers; the run_cycle drain boundary grows the cells
-  /// quiescently. The profiler must outlive the matcher; it may be shared
-  /// with the serial executor (worker indices line up: shard 0 is the
-  /// engine thread only when the matcher is idle).
+  /// quiescently. The profiler must outlive the matcher.
   ParallelMatcher(Network& net, size_t n_workers,
                   obs::Tracer* tracer = nullptr,
                   obs::MatchProfiler* profiler = nullptr);
@@ -138,16 +135,15 @@ class ParallelMatcher final : public Drain {
   }
 
   /// Drains `seeds` and everything they spawn across all workers; returns
-  /// when the match is quiescent. The seed vector is caller-owned scratch
-  /// (elements are consumed, capacity is retained), so a persistent caller
-  /// (Engine) pays no per-cycle seed-vector allocation. Seeds must be
-  /// homogeneous — all additions or all deletions, not both: a delete token
-  /// racing a sibling addition through the same memories is
-  /// order-dependent (the join can install a fresh PI behind a delete token
-  /// that already swept that line). Callers with a mixed wme batch drain
-  /// the removals to quiescence first (run_match), which yields the serial
-  /// executor's final state. Seeds may mix *agents*
-  /// freely (each tagged task only touches its own agent's state; the
+  /// when the match is quiescent. The seeds are caller-owned scratch, read
+  /// but not kept, so a persistent caller (Engine) pays no per-cycle
+  /// seed-vector allocation. Seeds must be homogeneous — all additions or
+  /// all deletions, not both: a delete token racing a sibling addition
+  /// through the same memories is order-dependent (the join can install a
+  /// fresh PI behind a delete token that already swept that line). Callers
+  /// with a mixed wme batch drain the removals to quiescence first
+  /// (run_match), which yields the recorder's final state. Seeds may mix
+  /// *agents* freely (each tagged task only touches its own agent's state; the
   /// homogeneity rule applies per agent and holds trivially across agents)
   /// — this is how AgentGroup batches N agents' cycles into one drain,
   /// amortizing the pool dispatch across sessions. `filter` is the §5.2
@@ -156,15 +152,16 @@ class ParallelMatcher final : public Drain {
   /// (what Figure 6-9 measures). After the pool join the cycle unlinks every
   /// join its tasks left with an empty left memory (DESIGN.md §16); a mixed
   /// batch drained with run_match sweeps once, after its second drain.
-  ParallelStats run_cycle(std::vector<Activation>& seeds,
+  ParallelStats run_cycle(std::span<const Activation> seeds,
                           const UpdateFilter& filter = {});
 
-  /// One match of a mixed wme batch: drains `removes` to quiescence, then
-  /// `adds`, then runs run_cycle's unlink sweep once for both (DESIGN.md
-  /// §16.2). Both vectors are caller-owned scratch, consumed like
-  /// run_cycle's seeds. The drains are spanned on `track` of tracer().
-  ParallelStats run_match(std::vector<Activation>& removes,
-                          std::vector<Activation>& adds, size_t track);
+  /// One match of a mixed wme batch: `seeds` holds the removals first and
+  /// the additions after, `n_removes` of them removals. Drains the removals
+  /// to quiescence, then the additions, then runs run_cycle's unlink sweep
+  /// once for both (DESIGN.md §16.2). The drains are spanned on `track` of
+  /// tracer().
+  ParallelStats run_match(std::span<const Activation> seeds, size_t n_removes,
+                          size_t track);
 
   /// Drain: run_cycle's executed-task count.
   uint64_t drain(std::vector<Activation>& seeds,
@@ -197,8 +194,9 @@ class ParallelMatcher final : public Drain {
     // the private stack and execute()'s under-lock child buffers reuse
     // their high-water capacity across every cycle this matcher ever runs.
     // The private stack is the worker's unpublished work: every emitted
-    // activation is pushed here and popped next (LIFO), and run_cycle puts
-    // the seeds on worker 0's.
+    // activation is pushed here, a task's children are reversed after it so
+    // the first emitted is popped next, and run_cycle puts the seeds on
+    // worker 0's the same way.
     std::vector<Activation> stack;
     std::vector<Token> scratch_children;
     std::vector<std::pair<Token, bool>> scratch_emissions;
@@ -230,7 +228,7 @@ class ParallelMatcher final : public Drain {
   };
 
   /// run_cycle, with the closing unlink sweep only when `sweep` is set.
-  ParallelStats run_pass(std::vector<Activation>& seeds,
+  ParallelStats run_pass(std::span<const Activation> seeds,
                          const UpdateFilter& filter, bool sweep);
   void steal_loop(size_t worker, const UpdateFilter& filter,
                   std::atomic<bool>& abort);

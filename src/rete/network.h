@@ -121,8 +121,8 @@ class ExecContext {
   uint32_t agent = 0;
 
   /// Which arena pool this context allocates child tokens from. Executors
-  /// that run one context per thread set it to the worker index; serial
-  /// executors keep the default 0.
+  /// that run one context per thread set it to the worker index; the trace
+  /// recorder keeps the default 0.
   size_t worker = 0;
 
   /// The §5.2 task filter of the drain in progress (default: none).
@@ -143,8 +143,8 @@ class ExecContext {
   std::vector<std::pair<Token, bool>> scratch_emissions;  // (token, add)
 };
 
-/// An executor as the §5.2 update (rete/update.h) sees it: the serial
-/// TraceExecutor and the threaded ParallelMatcher both drain seeds under a
+/// An executor as the §5.2 update (rete/update.h) sees it: the trace
+/// recorder (TraceExecutor) and the ParallelMatcher both drain seeds under a
 /// task filter through this one entry point.
 class Drain {
  public:

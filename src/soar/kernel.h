@@ -38,9 +38,11 @@ struct SoarOptions {
   bool learning = true;
   uint64_t max_decisions = 200;
   uint64_t max_elab_cycles = 100000;
-  /// engine.match_workers > 1 drains the whole Soar run (every elaboration
-  /// cycle plus every chunk's §5.2 state update) through one persistent
-  /// ParallelMatcher. Traces are recorded when Engine::records_traces().
+  /// The whole Soar run (every elaboration cycle plus every chunk's §5.2
+  /// state update) drains on one persistent ParallelMatcher with
+  /// engine.match_workers workers — one by default, on the calling thread.
+  /// With engine.record_traces (and one worker) the trace recorder runs it
+  /// instead and SoarRunStats::traces fills (Engine::records_traces()).
   EngineOptions engine;
 
   /// Flight recorder (obs/profiler.h): when non-zero, run() captures a

@@ -76,12 +76,12 @@ INSTANTIATE_TEST_SUITE_P(AllTasks, TaskDeterminism,
 /// Eight-Puzzle LEARNING runs — chunk building included — land on the
 /// identical decision sequence and the byte-identical chunk texts at every
 /// matcher width, with tracing enabled and right unlinking on, as the
-/// linked serial run (record_traces) does.
+/// linked recorder (record_traces) does.
 /// The conflict set orders instantiations by a schedule-invariant content
 /// key (production age, token timetags — see det_less in conflict_set.cpp),
 /// so worker count and steal schedule cannot leak into firing order, chunk
-/// backtraces, or gensym'd identifiers. (Per-task CycleTraces are compared
-/// only at width 1: parallel cycles intentionally return empty traces.)
+/// backtraces, or gensym'd identifiers. (Per-task CycleTraces are not
+/// compared: the matcher records none.)
 TEST(LearningDeterminism, EightPuzzleIdenticalAcrossMatcherWidths) {
   const Task task = make_task("eight-puzzle");
 
@@ -92,8 +92,8 @@ TEST(LearningDeterminism, EightPuzzleIdenticalAcrossMatcherWidths) {
     return run_task(task, /*learning=*/true, nullptr, eo);
   };
 
-  // The linked serial run: every unlinked width must decide and learn as
-  // it does.
+  // The linked recorder's run: every unlinked width must decide and learn
+  // as it does.
   const auto oracle = run_task(task, /*learning=*/true, nullptr, recorded());
   auto decision_signature = [](const SoarRunStats& s) {
     std::ostringstream os;
@@ -102,7 +102,7 @@ TEST(LearningDeterminism, EightPuzzleIdenticalAcrossMatcherWidths) {
     return os.str();
   };
 
-  for (const size_t workers : {0u, 1u, 2u, 4u, 8u}) {
+  for (const size_t workers : {1u, 2u, 4u, 8u}) {
     const auto r = run_at(workers);
     EXPECT_EQ(decision_signature(r.stats), decision_signature(oracle.stats))
         << "match_workers=" << workers;

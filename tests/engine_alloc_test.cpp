@@ -1,8 +1,10 @@
 // Allocation-free engine cycle (DESIGN.md §10): after warm-up, the full
-// match → select → fire → apply loop performs ZERO heap allocations, for
-// both match executors. The workload is a ping-pong pair driven through the
-// network-retraction regime (fire in place, let the match retract the fired
-// instantiation), so every storage structure in the cycle is exercised:
+// match → select → fire → apply loop performs ZERO heap allocations, on the
+// matcher every unrecorded engine drains on: at one worker (the default
+// engine, on the calling thread) and wider. The workload is a ping-pong
+// pair driven through the network-retraction regime (fire in place, let
+// the match retract the fired instantiation), so every storage structure
+// in the cycle is exercised:
 //
 //   make-it fires  -> adds (thing ^v 1)   [negation retracts make-it's PI,
 //                                          join inserts del-it's PI]
@@ -11,9 +13,10 @@
 //
 // Each iteration recycles: a WorkingMemory rec, alpha-memory chunk entries,
 // hash-line right entries, conflict-set slab nodes, the fire delta's add
-// slots, the seed/queue scratch, and (parallel executor) the per-worker
-// batches. Timetags grow monotonically, so hash keys shift every cycle —
-// placement changes must not trigger growth once high-water capacity exists.
+// slots, the seed scratch, the workers' private stacks and (wider
+// matchers) their task boxes. Timetags grow monotonically, so hash keys
+// shift every cycle — placement changes must not trigger growth once
+// high-water capacity exists.
 // A relinking variant adds a join whose left memory the thing fills and
 // empties, so every cycle also relinks it or unlinks it (DESIGN.md §16).
 // A Soar case checks the kernel's per-decision GC and the conflict set's
@@ -59,17 +62,18 @@ constexpr const char* kPingPong =
     "(p make-it (ctl ^phase go) -(thing ^v 1) --> (make thing ^v 1))\n"
     "(p del-it (ctl ^phase go) (thing ^v 1) --> (remove 2))";
 
-/// The ping-pong, loaded between two productions that never match: the
+/// The ping-pong, followed by two productions that never match: the
 /// `(never ^v 0)` wme the test adds keeps their joins linked, and their
-/// join tests never pass. Each gives every thing change one more right
-/// activation before and after the ping-pong's own, so each conflict-set
-/// change happens while the caller still holds two activations, which a
-/// hungry helper can be given.
+/// join tests never pass. Their alpha memory comes after the ping-pong's in
+/// the class's successor list, and a worker runs children in emission
+/// order, so each conflict-set change happens while the caller still holds
+/// that alpha memory's activation and the ping-pong's other one: two
+/// activations, which a hungry helper can be given.
 constexpr const char* kWidePingPong =
-    "(p idle-first (never ^v <x>) (thing ^v <x>) --> (halt))\n"
     "(p make-it (ctl ^phase go) -(thing ^v 1) --> (make thing ^v 1))\n"
     "(p del-it (ctl ^phase go) (thing ^v 1) --> (remove 2))\n"
-    "(p idle-last (never ^v <x>) (thing ^w <x>) --> (halt))";
+    "(p idle-v (never ^v <x>) (thing ^v <x>) --> (halt))\n"
+    "(p idle-w (never ^v <x>) (thing ^w <x>) --> (halt))";
 
 /// Never matches (a thing's v is never `go`), but each thing the ping-pong
 /// adds is the first left token of its join, which relinks it, and each
@@ -182,8 +186,9 @@ void expect_allocation_free_cycles(size_t workers, bool tracing = false,
   }
 }
 
-TEST(EngineAlloc, SerialCycleIsAllocationFree) {
-  expect_allocation_free_cycles(0);
+// The default engine: a one-worker matcher on the calling thread.
+TEST(EngineAlloc, OneWorkerCycleIsAllocationFree) {
+  expect_allocation_free_cycles(1);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFree) {
@@ -200,8 +205,8 @@ TEST(EngineAlloc, StealCycleIsAllocationFreeAtTwoWorkers) {
 // Right unlinking inside the measured window: a relink inserts a right
 // entry from recycled chunks, the sweep erases it, and the per-worker lists
 // of emptied joins keep their capacity.
-TEST(EngineAlloc, SerialCycleIsAllocationFreeWhileRelinking) {
-  expect_allocation_free_cycles(0, false, false, nullptr, /*relinking=*/true);
+TEST(EngineAlloc, OneWorkerCycleIsAllocationFreeWhileRelinking) {
+  expect_allocation_free_cycles(1, false, false, nullptr, /*relinking=*/true);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFreeWhileRelinking) {
@@ -214,22 +219,22 @@ TEST(EngineAlloc, StealCycleIsAllocationFreeWhileSharing) {
   EXPECT_GT(shares, 0u) << "the 8-worker cycles never published";
 }
 
-// Both executors with event tracing on: recording a span is a clock read
-// plus a bump-and-store into a preallocated ring, so the §10 guarantee must
-// hold with the obs layer enabled.
-TEST(EngineAlloc, SerialCycleIsAllocationFreeWithTracing) {
-  expect_allocation_free_cycles(0, true);
+// Event tracing on, at one worker and at four: recording a span is a clock
+// read plus a bump-and-store into a preallocated ring, so the §10 guarantee
+// must hold with the obs layer enabled.
+TEST(EngineAlloc, OneWorkerCycleIsAllocationFreeWithTracing) {
+  expect_allocation_free_cycles(1, true);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFreeWithTracing) {
   expect_allocation_free_cycles(4, true);
 }
 
-// Both executors with the match profiler on: the hot path is a shard-local
-// tick, at most two clock reads, and writes into preallocated cells — §10
-// must hold with profiling enabled.
-TEST(EngineAlloc, SerialCycleIsAllocationFreeWithProfiling) {
-  expect_allocation_free_cycles(0, false, /*profiling=*/true);
+// The match profiler on, at one worker and at four: the hot path is a
+// shard-local tick, at most two clock reads, and writes into preallocated
+// cells — §10 must hold with profiling enabled.
+TEST(EngineAlloc, OneWorkerCycleIsAllocationFreeWithProfiling) {
+  expect_allocation_free_cycles(1, false, /*profiling=*/true);
 }
 
 TEST(EngineAlloc, StealCycleIsAllocationFreeWithProfiling) {

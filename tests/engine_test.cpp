@@ -202,6 +202,46 @@ TEST(Engine, UnknownClassWmeIsIgnoredByMatch) {
   EXPECT_EQ(e.wm().size(), 1u);
 }
 
+TEST(Engine, AddWmeTextRejectsTrailingText) {
+  Engine e;
+  e.load("(p j (a ^v <x>) --> (halt))");
+  EXPECT_THROW(e.add_wme_text("(a ^v 1) (b ^w 2)"), ParseError);
+  EXPECT_THROW(e.add_wme_text("(a ^v 1) x"), ParseError);
+  EXPECT_EQ(e.wm().size(), 0u);
+  EXPECT_FALSE(e.has_pending_changes());
+  // A comment is not text.
+  ASSERT_NE(e.add_wme_text("(a ^v 1) ; note"), nullptr);
+  EXPECT_EQ(e.wm().size(), 1u);
+  e.match();
+  EXPECT_EQ(e.cs().size(), 1u);
+}
+
+// An engine that records nothing drains on its own one-worker matcher, on
+// the calling thread; one that records drains on the trace recorder.
+TEST(Engine, DefaultEngineDrainsOnItsOneWorkerMatcher) {
+  Engine e;
+  Engine rec(test::recorded());
+  EXPECT_FALSE(e.records_traces());
+  EXPECT_TRUE(rec.records_traces());
+  for (Engine* x : {&e, &rec}) {
+    x->load("(p j (a ^v <x>) (b ^v <x>) --> (halt))");
+    x->add_wme_text("(a ^v 1)");
+    x->add_wme_text("(b ^v 1)");
+  }
+  EXPECT_EQ(e.match().task_count(), 0u) << "the matcher records no DAG";
+  ASSERT_NE(e.parallel_matcher(), nullptr);
+  EXPECT_EQ(e.parallel_matcher()->workers(), 1u);
+  EXPECT_GT(e.last_match_tasks(), 0u);
+  EXPECT_EQ(e.last_parallel_stats().tasks, e.last_match_tasks());
+  EXPECT_EQ(e.last_parallel_stats().steals, 0u);
+
+  const CycleTrace t = rec.match();
+  EXPECT_GT(t.task_count(), 0u);
+  EXPECT_EQ(t.task_count(), rec.last_match_tasks());
+  EXPECT_EQ(rec.parallel_matcher(), nullptr);
+  EXPECT_EQ(test::cs_fingerprint(e), test::cs_fingerprint(rec));
+}
+
 TEST(ConflictSet, InsertRetractBookkeeping) {
   Engine e;
   e.load("(p j (a ^v <x>) --> (halt))");

@@ -1,7 +1,9 @@
-// Threaded matcher: final match state must equal the serial executor's
-// across worker counts, with work shared to hungry peers; scheduler
-// statistics are plumbed through. The WorkerPool and ParkingLot waits the
-// scheduler sleeps on are exercised directly at the bottom.
+// Threaded matcher: final match state must equal the one-worker matcher's
+// (the default engine's) across worker counts, with work shared to hungry
+// peers; a one-worker drain visits the network in the trace recorder's
+// order; scheduler statistics are plumbed through. The WorkerPool and
+// ParkingLot waits the scheduler sleeps on are exercised directly at the
+// bottom.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,7 +29,7 @@ namespace {
 using test::cs_fingerprint;
 
 /// Builds the activation seeds for a batch of wme changes (mirrors
-/// Engine::match, which is serial-only).
+/// Engine::collect_seeds).
 class SeedCollector final : public ExecContext {
  public:
   void emit(Activation&& a) override { seeds.push_back(std::move(a)); }
@@ -221,7 +223,7 @@ TEST(ParallelMatcher, DeleteHeavyCycleMatchesSerial) {
 
 TEST(ParallelMatcher, PersistentMatcherReusedAcrossCycles) {
   // One Steal matcher (one worker pool, one deque set) drains several cycles
-  // in a row; the serial engine is the oracle after each. The lifetime
+  // in a row; the one-worker engine is the oracle after each. The lifetime
   // counters prove it is the same scheduler instance doing the work.
   Engine serial, par;
   serial.load(workload_productions());
@@ -335,9 +337,10 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
     owned.push_back(std::make_unique<Production>(std::move(parsed.front())));
     const CompiledProduction cp =
         serial.builder().add_production(*owned.back());
-    TraceExecutor ex(serial.net(), serial.state(), /*record_tasks=*/false);
+    ParallelMatcher one(serial.net(), 1);
+    one.register_agent(serial.state());
     UpdateScratch scratch;
-    run_update(ex, serial.net(), serial.state(), cp, serial.wm().live(), 0,
+    run_update(one, serial.net(), serial.state(), cp, serial.wm().live(), 0,
                scratch);
   }
   for (size_t i = 0; i < par.size(); ++i) {
@@ -356,8 +359,8 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
 
 TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {
   // The whole Engine loop (match via the persistent in-Engine matcher)
-  // against the serial engine as oracle. match_workers flips the Engine's
-  // match() and §5.2 runtime-add onto the ParallelMatcher.
+  // against the default (one-worker) engine as oracle. match_workers widens
+  // the matcher that runs the Engine's match() and §5.2 runtime-add.
   EngineOptions popt;
   popt.match_workers = 4;
   popt.record_traces = false;
@@ -400,8 +403,7 @@ TEST(EngineIntegration, ParallelEngineRunMatchesSerial) {
 /// One match whose batch retracts a join's only left token and adds a new
 /// one: a join the removals empty stays linked through the additions, so
 /// the match neither unlinks nor relinks it (DESIGN.md §16.2), at one
-/// worker (the serial executor), at four, and in a one-worker group (the
-/// threaded drain on one thread).
+/// worker (the default engine), at four, and in a one-worker group.
 TEST(RightUnlinking, MixedBatchNeitherUnlinksNorRelinks) {
   const char* kJoin = "(p j (a ^v <x>) (b ^v <x>) --> (halt))";
   auto setup = [&](Engine& e) {
@@ -453,6 +455,101 @@ TEST(RightUnlinking, MixedBatchNeitherUnlinksNorRelinks) {
   batch(agent, a1);
   group.step_all();
   check(agent, before, "one-worker group");
+}
+
+/// Logs every conflict-set change by content, in the order the match makes
+/// it, and forwards it to the engine's conflict set.
+class OrderLog final : public MatchSink {
+ public:
+  explicit OrderLog(Engine& e) : e_(e), to_(*e.state().sink) {
+    e.state().sink = this;
+  }
+  void on_insert(const ProdNode& p, const Token& t) override {
+    note('+', p, t);
+    to_.on_insert(p, t);
+  }
+  void on_retract(const ProdNode& p, const Token& t) override {
+    note('-', p, t);
+    to_.on_retract(p, t);
+  }
+
+  std::vector<std::string> events;
+
+ private:
+  void note(char sign, const ProdNode& p, const Token& t) {
+    std::string s(1, sign);
+    s += e_.syms().name(p.prod->name);
+    for (const Wme* w : t) s += "|" + w->to_string(e_.syms(), e_.schemas());
+    events.push_back(std::move(s));
+  }
+
+  Engine& e_;
+  MatchSink& to_;
+};
+
+/// A one-worker drain runs a cycle's seeds, and each task's children, in
+/// the order they were emitted (DESIGN.md §8.5), so where every production
+/// sits at the same depth it changes the conflict set in the trace
+/// recorder's FIFO order: here three productions fed by one alpha memory,
+/// a cycle that adds ten wmes, one that removes them all, and one that
+/// mixes both. A drain that ran the last-emitted task first would log each
+/// cycle backwards. Both one-worker forms are checked: the default engine's
+/// own matcher, and an agent of a one-worker group.
+TEST(VisitOrder, OneWorkerDrainKeepsTheRecordersOrder) {
+  const char* kProds =
+      "(p first (a ^v <x>) --> (halt))"
+      "(p second (a ^w <y>) --> (halt))"
+      "(p third (a ^v <x> ^w <y>) --> (halt))";
+  Engine recorded(test::recorded());
+  Engine standalone;
+  AgentGroupOptions gopts;
+  gopts.workers = 1;
+  AgentGroup group(gopts);
+  group.load(kProds);
+  Engine& agent = group.add_agent();
+  std::array<Engine*, 3> engines = {&recorded, &standalone, &agent};
+  recorded.load(kProds);
+  standalone.load(kProds);
+  std::vector<std::unique_ptr<OrderLog>> logs;
+  std::array<std::vector<const Wme*>, 3> wmes;
+  for (Engine* e : engines) logs.push_back(std::make_unique<OrderLog>(*e));
+  auto cycle = [&](const std::string& what) {
+    recorded.match();
+    standalone.match();
+    group.step_all();
+    ASSERT_FALSE(logs[0]->events.empty()) << what;
+    EXPECT_EQ(logs[1]->events, logs[0]->events) << what << ", one worker";
+    EXPECT_EQ(logs[2]->events, logs[0]->events) << what << ", group";
+    for (auto& log : logs) log->events.clear();
+  };
+  for (size_t i = 0; i < engines.size(); ++i) {
+    for (int v = 0; v < 10; ++v) {
+      wmes[i].push_back(engines[i]->add_wme_text(
+          "(a ^v " + std::to_string(v) + " ^w " + std::to_string(v % 3) + ")"));
+    }
+  }
+  cycle("adding ten wmes");
+  for (size_t i = 0; i < engines.size(); ++i) {
+    for (const Wme* w : wmes[i]) engines[i]->remove_wme(w);
+    wmes[i].clear();
+  }
+  cycle("removing them");
+  for (size_t i = 0; i < engines.size(); ++i) {
+    for (int v = 0; v < 6; ++v) {
+      wmes[i].push_back(
+          engines[i]->add_wme_text("(a ^v " + std::to_string(v) + ")"));
+    }
+  }
+  cycle("adding six");
+  for (size_t i = 0; i < engines.size(); ++i) {
+    for (size_t k = 0; k < wmes[i].size(); k += 2) {
+      engines[i]->remove_wme(wmes[i][k]);
+    }
+    for (int v = 0; v < 4; ++v) {
+      engines[i]->add_wme_text("(a ^w " + std::to_string(v) + ")");
+    }
+  }
+  cycle("removing three and adding four");
 }
 
 /// WorkerPool::run over a captureless trampoline, the way ParallelMatcher

@@ -2,11 +2,11 @@
 // of wme adds, wme removes, run-time production additions (the chunking
 // path's §5.2 state update), and run-time production REMOVALS (the
 // unsplice + drain path) is applied identically to five engines — the
-// linked reference (serial, record_traces: every join stays linked), and
-// with right unlinking on, serial and the threaded matcher at 2, 4 and 8
-// workers. After every op each engine's conflict set must equal the
-// independent oracle's matches (tests/oracle.h), and after every match the
-// engines must agree on:
+// linked reference (the trace recorder, record_traces: every join stays
+// linked), and with right unlinking on, the matcher at 1 (the default
+// engine), 2, 4 and 8 workers. After every op each engine's conflict set
+// must equal the independent oracle's matches (tests/oracle.h), and after
+// every match the engines must agree on:
 //
 //   * the conflict set, compared content-by-content (production name + wme
 //     contents per CE) so timetag/arrival tie-breaks and threaded insertion
@@ -70,8 +70,8 @@ constexpr const char* kBaseProductions =
 
 // Engine 0, the linked reference, is what the others are compared with.
 constexpr std::array<const char*, 5> kEngineNames = {
-    "linked", "serial", "steal-w2", "steal-w4", "steal-w8"};
-constexpr std::array<size_t, 5> kEngineWorkers = {0, 0, 2, 4, 8};
+    "linked", "steal-w1", "steal-w2", "steal-w4", "steal-w8"};
+constexpr std::array<size_t, 5> kEngineWorkers = {1, 1, 2, 4, 8};
 using Engines = std::array<std::unique_ptr<Engine>, kEngineNames.size()>;
 
 /// What a corpus run did beyond agreeing: instantiations seen, each
@@ -200,7 +200,7 @@ std::string run_seed(uint64_t seed, size_t max_ops, size_t* fail_op,
     opts.record_traces = i == 0;  // the linked reference
     opts.match_workers = kEngineWorkers[i];
     es[i] = std::make_unique<Engine>(opts);
-    if (kEngineWorkers[i] > 0) {
+    if (kEngineWorkers[i] > 1) {
       sinks[i] = std::make_unique<test::YieldingSink>(*es[i]->state().sink);
       es[i]->state().sink = sinks[i].get();
     }
@@ -299,7 +299,7 @@ TEST(PolicyDifferential, AllPoliciesAgreeAcrossSeeds) {
   // would pass vacuously and test nothing.
   EXPECT_GT(tally.activity, 100u);
   for (size_t i = 1; i < kEngineNames.size(); ++i) {
-    if (kEngineWorkers[i] > 0) {
+    if (kEngineWorkers[i] > 1) {
       EXPECT_GT(tally.shares[i], 0u) << kEngineNames[i] << " never shared";
     }
     EXPECT_LT(tally.tasks[i], tally.tasks[0])

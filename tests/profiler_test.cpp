@@ -1,12 +1,12 @@
 // Runtime match profiler (obs/profiler.h + analysis/profile_report.h):
 //
-//   * shard merge vs the serial oracle — the same monotone-add workload run
-//     serial and 4-worker-steal, every join linked, must produce IDENTICAL
-//     per-node activation and emit counts (counts are schedule-invariant;
-//     only timing samples vary), and the merged totals must be internally
-//     consistent;
+//   * shard merge vs the recorder — the same monotone-add workload run on
+//     the trace recorder and 4-worker-steal, every join linked, must produce
+//     IDENTICAL per-node activation and emit counts (counts are
+//     schedule-invariant; only timing samples vary), and the merged totals
+//     must be internally consistent;
 //   * sampling bounds — shift s times exactly ceil(n / 2^s) activations on
-//     the serial path (one shard, contiguous ticks) and within ±workers of
+//     one worker (one shard, contiguous ticks) and within ±workers of
 //     n / 2^s across parallel shards;
 //   * per-agent isolation — an idle agent session in a profiled AgentGroup
 //     accumulates ZERO activations while its busy sibling accumulates all;
@@ -80,7 +80,7 @@ TEST(Profiler, ParallelShardMergeMatchesSerialOracle) {
   // Linked on both sides: with right unlinking, whether an alpha-memory add
   // beats a relink in the same drain (and so sends a right activation) is
   // up to the schedule, so only linked runs count the same tasks.
-  const obs::ProfileSnapshot serial = profiled_run(0, 0, /*linked=*/true);
+  const obs::ProfileSnapshot serial = profiled_run(1, 0, /*linked=*/true);
   const obs::ProfileSnapshot par = profiled_run(4, 0, /*linked=*/true);
 
   ASSERT_GT(serial.total_activations, 0u);
@@ -111,9 +111,9 @@ TEST(Profiler, ParallelShardMergeMatchesSerialOracle) {
   EXPECT_EQ(serial.total_sampled, serial.total_activations);
 }
 
-TEST(Profiler, SerialSamplingIsExactCeil) {
-  const obs::ProfileSnapshot full = profiled_run(0, 0);
-  const obs::ProfileSnapshot sampled = profiled_run(0, 3);
+TEST(Profiler, OneWorkerSamplingIsExactCeil) {
+  const obs::ProfileSnapshot full = profiled_run(1, 0);
+  const obs::ProfileSnapshot sampled = profiled_run(1, 3);
 
   EXPECT_EQ(sampled.total_activations, full.total_activations)
       << "counts are exact at any shift";
@@ -142,13 +142,13 @@ TEST(Profiler, ParallelSamplingIsBounded) {
 }
 
 /// A load() over a live working memory runs the §5.2 update through the
-/// engine's own executor, so the profiler sees every one of its tasks —
-/// serial and threaded alike. The update's task count comes from a twin
+/// engine's own executor, so the profiler sees every one of its tasks — at
+/// one worker and at four alike. The update's task count comes from a twin
 /// engine adding the same production at run time.
 TEST(Profiler, LiveLoadUpdateIsProfiled) {
   const std::string late =
       "(p late (a ^v <x>) (c ^v <x> ^w <y>) (b ^v <x>) --> (halt))";
-  for (const size_t workers : {0u, 4u}) {
+  for (const size_t workers : {1u, 4u}) {
     EngineOptions opts;
     opts.match_workers = workers;
     opts.profile = true;
@@ -204,7 +204,7 @@ TEST(Profiler, IdleAgentAccumulatesNothing) {
 /// Removal frees a production's node ids and the next production reuses
 /// them; the profiler must not bill the newcomer for its predecessor's work.
 TEST(Profiler, RecycledIdCellStartsAtZero) {
-  for (const size_t workers : {0u, 2u}) {
+  for (const size_t workers : {1u, 2u}) {
     EngineOptions opts;
     opts.match_workers = workers;
     opts.profile = true;

@@ -30,11 +30,12 @@ Production parse_one(Engine& e, std::string_view src) {
 }
 
 /// The §5.2 update of a structurally compiled `cp`, drained through a
-/// serial executor over `e`'s memories.
-UpdateTasks update_serially(Engine& e, const CompiledProduction& cp) {
-  TraceExecutor ex(e.net(), e.state(), /*record_tasks=*/false);
+/// one-worker matcher over `e`'s memories.
+UpdateTasks update_on_one_worker(Engine& e, const CompiledProduction& cp) {
+  ParallelMatcher one(e.net(), 1);
+  one.register_agent(e.state());
   UpdateScratch scratch;
-  return run_update(ex, e.net(), e.state(), cp, e.wm().live(), 0, scratch);
+  return run_update(one, e.net(), e.state(), cp, e.wm().live(), 0, scratch);
 }
 
 TEST(AlphaFrontier, FullySharedAlphaHasNoFrontier) {
@@ -102,7 +103,7 @@ TEST(UpdateSeeds, RightSeedsOnlyForOldAlphaMemories) {
   // The new join's right input is amem(c) — brand new, so phase B has
   // nothing; amem(a) feeds the join's LEFT side, not its right.
   EXPECT_TRUE(rights.empty());
-  update_serially(e, cp);
+  update_on_one_worker(e, cp);
 }
 
 TEST(UpdateSeeds, LeftSeedsReplaySharePointOutputs) {
@@ -120,7 +121,7 @@ TEST(UpdateSeeds, LeftSeedsReplaySharePointOutputs) {
       e, "(p p2 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))")));
   CompiledProduction cp = builder.add_production(*keep.back());
   // Share point: the old (a)(b) join; its outputs are the two [a b] tokens.
-  update_serially(e, cp);
+  update_on_one_worker(e, cp);
   EXPECT_EQ(instantiation_count(e, "p2"), 1);  // only v=1 has a c
 }
 
@@ -230,8 +231,8 @@ TEST(Update, ScratchReplayIsAllocationFlat) {
   // persistent UpdateScratch and executor the replay must stop allocating
   // once their buffers reach high-water capacity — even for spill-length
   // tokens (six CEs, so every full token exceeds the inline cap and lands
-  // in the arena) — through either executor.
-  for (const size_t workers : {0u, 2u}) {
+  // in the arena) — at one worker and at two.
+  for (const size_t workers : {1u, 2u}) {
     Engine e;
     e.load("(p base (a ^v <x>) (b ^v <x>) --> (halt))");
     for (const char* cls : {"a", "b", "c", "d", "e", "f"}) {
@@ -246,13 +247,8 @@ TEST(Update, ScratchReplayIsAllocationFlat) {
     const auto wm = e.wm().live();
     Builder& builder = e.builder();
     static std::vector<std::unique_ptr<Production>> keep;
-    TraceExecutor serial(e.net(), e.state(), /*record_tasks=*/false);
-    std::unique_ptr<ParallelMatcher> matcher;
-    if (workers > 0) {
-      matcher = std::make_unique<ParallelMatcher>(e.net(), workers);
-      matcher->register_agent(e.state());
-    }
-    Drain& drain = matcher ? static_cast<Drain&>(*matcher) : serial;
+    ParallelMatcher drain(e.net(), workers);
+    drain.register_agent(e.state());
     UpdateScratch scratch;
     for (int round = 0; round < 8; ++round) {
       const std::string name = "spill" + std::to_string(round);
@@ -297,20 +293,22 @@ std::multiset<std::vector<uint64_t>> left_tokens(const Engine& e,
   return out;
 }
 
-/// A serial drain without the update's stamp filter (suppress_alpha_left
-/// stays): every seed run_update makes is executed, so the phase-B/C seed
-/// checks alone must pick the new nodes. A seed aimed at an old node would
-/// corrupt that node's state instead of being dropped.
+/// A one-worker drain without the update's stamp filter
+/// (suppress_alpha_left stays): every seed run_update makes is executed, so
+/// the phase-B/C seed checks alone must pick the new nodes. A seed aimed at
+/// an old node would corrupt that node's state instead of being dropped.
 class UnfilteredDrain final : public Drain {
  public:
-  explicit UnfilteredDrain(Engine& e) : ex_(e.net(), e.state(), false) {}
+  explicit UnfilteredDrain(Engine& e) : one_(e.net(), 1) {
+    one_.register_agent(e.state());
+  }
   uint64_t drain(std::vector<Activation>& seeds,
                  const UpdateFilter& f) override {
-    return ex_.drain(seeds, {0, f.suppress_alpha_left});
+    return one_.drain(seeds, {0, f.suppress_alpha_left});
   }
 
  private:
-  TraceExecutor ex_;
+  ParallelMatcher one_;
 };
 
 TEST(Update, RecycledIdsDoNotReadAsOld) {

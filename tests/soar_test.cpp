@@ -177,6 +177,22 @@ TEST(SoarKernel, TracesOnePerElaborationCycle) {
   EXPECT_EQ(stats.match_tasks, total_tasks);
 }
 
+// A default kernel records nothing, so its engine drains every
+// elaboration cycle on its own one-worker matcher.
+TEST(SoarKernel, DefaultRunDrainsOnTheOneWorkerMatcher) {
+  SoarKernel k;
+  setup_micro(k, true);
+  const auto stats = k.run();
+  EXPECT_TRUE(stats.goal_achieved);
+  EXPECT_TRUE(stats.traces.empty());
+  const Engine& e = k.engine();
+  ASSERT_NE(e.parallel_matcher(), nullptr);
+  EXPECT_EQ(e.parallel_matcher()->workers(), 1u);
+  EXPECT_EQ(e.last_parallel_stats().tasks, e.last_match_tasks());
+  EXPECT_EQ(e.parallel_matcher()->lifetime_tasks(),
+            stats.match_tasks + stats.update_tasks);
+}
+
 TEST(SoarKernel, StuckWithoutEvaluationsEndsCleanly) {
   // No eval productions at all: tie cannot resolve; the run must terminate
   // without achieving the goal (not loop forever).
