@@ -42,7 +42,7 @@ void BM_TokenExtend(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(token_extend(t, &w, arena, 0));
     if (++n % 1024 == 0) {
-      arena.begin_drain(1);
+      arena.begin_drain();
       arena.reclaim_at_quiescence();
     }
   }

@@ -47,10 +47,10 @@ void TokenArena::seal(Pool& p) {
   p.current = nullptr;
   if (c == nullptr) return;
   // Stamp with the *current* epoch, then Treiber-push onto the sealed list.
-  // Reclamation frees the chunk only once every worker of a later drain has
-  // entered a strictly greater epoch, so unpinned transient copies made
-  // during this drain (and seed copies carried into the next one) stay
-  // valid through at least one full drain after sealing.
+  // Reclamation frees the chunk only after a later drain has run in a
+  // strictly greater epoch, so unpinned transient copies made during this
+  // drain (and seed copies carried into the next one) stay valid through at
+  // least one full drain after sealing.
   c->sealed_epoch = epoch_.load(std::memory_order_relaxed);
   Chunk* head = sealed_head_.load(std::memory_order_relaxed);
   do {
@@ -78,27 +78,12 @@ void* TokenArena::alloc(size_t worker, uint32_t bytes, Chunk** chunk_out) {
   return out;
 }
 
-void TokenArena::begin_drain(size_t workers_in_drain) {
-  const uint64_t e = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (workers_in_drain > pools_.size()) workers_in_drain = pools_.size();
-  if (workers_in_drain == 0) workers_in_drain = 1;
-  // Only the participating pools are stamped: a pool outside this drain may
-  // hold a stale entered_epoch, but its transients died at its *own* drain's
-  // quiescence, so reclaim() taking the min over just the participants is
-  // exactly the bound that matters.
-  for (size_t i = 0; i < workers_in_drain; ++i) {
-    pools_[i]->entered_epoch = e;
-  }
-  last_drain_workers_ = workers_in_drain;
+void TokenArena::begin_drain() {
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void TokenArena::reclaim_at_quiescence() {
-  uint64_t min_entered = ~0ull;
-  for (size_t i = 0; i < last_drain_workers_ && i < pools_.size(); ++i) {
-    const uint64_t e = pools_[i]->entered_epoch;
-    if (e < min_entered) min_entered = e;
-  }
-  if (min_entered == ~0ull) return;
+  const uint64_t drain_epoch = epoch_.load(std::memory_order_relaxed);
 
   // Single-threaded sweep (all workers parked): detach the whole sealed
   // list, free what is reclaimable, push back the rest. Pins are re-checked
@@ -109,7 +94,7 @@ void TokenArena::reclaim_at_quiescence() {
   uint64_t freed = 0;
   while (c != nullptr) {
     Chunk* next = c->next;
-    if (c->sealed_epoch < min_entered &&
+    if (c->sealed_epoch < drain_epoch &&
         c->pins.load(std::memory_order_acquire) == 0) {
       std::free(c);
       ++freed;

@@ -19,21 +19,20 @@
 //     activations, seeds, scratch) do not pin — they are guaranteed dead by
 //     the next quiescence point.
 //   * Reclamation is epoch-based, pinned to match quiescence: begin_drain()
-//     opens a new epoch and stamps every participating worker into it;
+//     opens a new epoch, which every worker of the drain runs in;
 //     reclaim_at_quiescence() (called after the drain's join/exit cascade —
 //     the same lifecycle hook the ParkingLot exit cascade provides) frees
 //     every sealed chunk whose pin count is zero and whose sealing epoch
-//     precedes the epoch all workers have since entered. A chunk sealed
-//     *during* drain E is therefore never freed before the end of drain E+1,
-//     which is what makes unpinned transient copies safe without any
-//     per-copy bookkeeping.
+//     precedes the current one. A chunk sealed *during* drain E is therefore
+//     never freed before the end of drain E+1, which is what makes unpinned
+//     transient copies safe without any per-copy bookkeeping.
 //
 // Invariants (see DESIGN.md §9):
 //   I1  a spilled payload is immutable after construction;
 //   I2  every stored (cross-drain) Token copy is pinned exactly once and
 //       unpinned exactly once, by the structure that stores it;
 //   I3  a chunk is freed only when sealed ∧ pins == 0 ∧ sealed_epoch <
-//       min(entered epoch over the last drain's workers);
+//       the epoch of the last drain;
 //   I4  begin_drain/reclaim_at_quiescence/ensure_workers are quiescent-only
 //       (no worker is inside a drain when they run).
 #pragma once
@@ -107,14 +106,13 @@ class TokenArena {
   /// (or while globally quiescent, e.g. the node_outputs_into replay).
   void* alloc(size_t worker, uint32_t bytes, Chunk** chunk_out);
 
-  /// Opens a new epoch and stamps workers [0, workers_in_drain) into it.
-  /// Quiescent-only; the matcher calls it immediately before dispatching a
-  /// drain's workers.
-  void begin_drain(size_t workers_in_drain);
+  /// Opens a new epoch. Quiescent-only; the matcher calls it immediately
+  /// before dispatching a drain's workers.
+  void begin_drain();
 
-  /// Frees every sealed chunk with pins == 0 sealed before the epoch all of
-  /// the last drain's workers entered. Quiescent-only: runs after the
-  /// drain's join (ParkingLot exit cascade → WorkerPool::run return).
+  /// Frees every sealed chunk with pins == 0 sealed before the last drain's
+  /// epoch. Quiescent-only: runs after the drain's join (ParkingLot exit
+  /// cascade → WorkerPool::run return).
   void reclaim_at_quiescence();
 
   [[nodiscard]] MatchStats stats() const;
@@ -129,7 +127,6 @@ class TokenArena {
   /// a line with another's.
   struct alignas(64) Pool {
     Chunk* current = nullptr;
-    uint64_t entered_epoch = 0;  // epoch this worker last entered (begin_drain)
     uint64_t spill_allocs = 0;
     uint64_t spill_bytes = 0;
     uint64_t chunks_allocated = 0;
@@ -143,7 +140,6 @@ class TokenArena {
   std::atomic<Chunk*> sealed_head_{nullptr};
   std::atomic<uint64_t> epoch_{1};
   std::atomic<uint64_t> chunks_freed_{0};
-  size_t last_drain_workers_ = 1;
 };
 
 }  // namespace psme

@@ -34,7 +34,7 @@ uint64_t TraceExecutor::drain(std::vector<Activation>& seeds,
     p->ensure_nodes(net_.node_count());
     p->ensure_agents(1 + agent);
   }
-  state->arena.begin_drain(1);
+  state->arena.begin_drain();
   current_parent_ = UINT32_MAX;
   for (auto& s : seeds) emit(std::move(s));
   uint64_t executed = 0;

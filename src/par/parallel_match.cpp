@@ -26,52 +26,6 @@ inline uint64_t backoff_now_ns() {
           .count());
 }
 
-/// ExecContext whose emits land on the worker's private stack. The §5.2
-/// filter is applied at emit time, so dropped tasks are never stacked,
-/// counted or published.
-class StackCtx final : public ExecContext {
- public:
-  StackCtx(Network& net, const UpdateFilter& f) : net_(net) { filter = f; }
-
-  void emit(Activation&& a) override {
-    if (!net_.should_execute(a, *this)) return;
-    stack.push_back(a);
-  }
-
-  std::vector<Activation> stack;
-
- private:
-  Network& net_;
-};
-
-/// Swaps a worker's persistent scratch buffers into its cycle-local
-/// StackCtx (private stack included) and back out on scope exit —
-/// exception-safe, so an aborted cycle still returns the buffers. This is
-/// what makes the per-cycle contexts allocation-free: the vectors live in
-/// the WorkerSlot and keep their high-water capacity for the matcher's
-/// whole lifetime.
-template <typename Slot>
-class ScratchLease {
- public:
-  ScratchLease(StackCtx& ctx, Slot& slot) : ctx_(ctx), slot_(slot) {
-    swap_all();
-  }
-  ~ScratchLease() { swap_all(); }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
- private:
-  void swap_all() {
-    ctx_.scratch_children.swap(slot_.scratch_children);
-    ctx_.scratch_emissions.swap(slot_.scratch_emissions);
-    ctx_.stack.swap(slot_.stack);
-    ctx_.emptied.swap(slot_.emptied);
-  }
-
-  StackCtx& ctx_;
-  Slot& slot_;
-};
-
 }  // namespace
 
 ParallelMatcher::ParallelMatcher(Network& net, size_t n_workers,
@@ -86,7 +40,7 @@ ParallelMatcher::ParallelMatcher(Network& net, size_t n_workers,
   for (size_t i = 0; i < n_workers_; ++i) {
     // Deterministic per-worker seeds: victim choice is randomized but
     // reproducible run to run.
-    slots_.push_back(std::make_unique<WorkerSlot>(0x9e3779b9u + i));
+    slots_.push_back(std::make_unique<WorkerSlot>(net_, i, 0x9e3779b9u + i));
   }
   prewarm();
 }
@@ -105,10 +59,10 @@ void ParallelMatcher::prewarm() {
   constexpr size_t kScratch = 64;
   for (size_t w = 0; w < n_workers_; ++w) {
     WorkerSlot& s = *slots_[w];
-    s.stack.reserve(kScratch);
-    s.scratch_children.reserve(kScratch);
-    s.scratch_emissions.reserve(kScratch);
-    s.emptied.reserve(kScratch);
+    s.ctx.stack.reserve(kScratch);
+    s.ctx.scratch_children.reserve(kScratch);
+    s.ctx.scratch_emissions.reserve(kScratch);
+    s.ctx.emptied.reserve(kScratch);
     // A one-worker matcher never publishes, so it boxes nothing.
     if (n_workers_ > 1) {
       s.box_slabs.push_back(
@@ -143,7 +97,7 @@ uint32_t ParallelMatcher::register_agent(MatchState& st) {
 
 ParallelMatcher::~ParallelMatcher() = default;
 
-void ParallelMatcher::reset_slots() {
+void ParallelMatcher::reset_slots(const UpdateFilter& filter) {
   for (auto& s : slots_) {
     // A previous cycle that aborted on an exception may leave tasks behind;
     // every cycle starts from a clean, balanced state. Runs quiescent on the
@@ -152,7 +106,9 @@ void ParallelMatcher::reset_slots() {
     while (s->deque.pop() != nullptr) {
     }
     s->boxes_used = 0;
-    s->stack.clear();
+    s->ctx.stack.clear();
+    s->ctx.filter = filter;
+    s->ctx.counters = {};
     s->created.store(0, std::memory_order_relaxed);
     s->executed.store(0, std::memory_order_relaxed);
     s->stats = {};
@@ -198,7 +154,7 @@ ParallelStats ParallelMatcher::run_pass(std::span<const Activation> seeds,
   for (MatchState* ms : states_) {
     ms->ensure_alpha(net_.alpha_mem_count());
     ms->ensure_links(net_.node_count());
-    ms->arena.begin_drain(n_workers_);
+    ms->arena.begin_drain();
   }
   if (profiler_ != nullptr) {
     // Quiescent boundary: grow the cells to whatever the network/agent
@@ -207,7 +163,7 @@ ParallelStats ParallelMatcher::run_pass(std::span<const Activation> seeds,
     profiler_->ensure_nodes(net_.node_count());
     profiler_->ensure_agents(states_.empty() ? 1 : states_.size());
   }
-  reset_slots();
+  reset_slots(filter);
 
   // The filtered seeds go onto the caller's private stack (worker 0 runs on
   // the calling thread) as one counted root, last first so the first runs
@@ -216,15 +172,12 @@ ParallelStats ParallelMatcher::run_pass(std::span<const Activation> seeds,
   // stack and counter from here is safe; the pool dispatch publishes both
   // before the first worker looks. Seeds pass through the same §5.2 filter
   // as emitted tasks.
-  {
-    StackCtx seed_ctx(net_, filter);
-    WorkerSlot& caller = *slots_[0];
-    for (auto s = seeds.rbegin(); s != seeds.rend(); ++s) {
-      if (net_.should_execute(*s, seed_ctx)) caller.stack.push_back(*s);
-    }
-    if (!caller.stack.empty()) {
-      caller.created.store(1, std::memory_order_relaxed);
-    }
+  WorkerSlot& caller = *slots_[0];
+  for (auto s = seeds.rbegin(); s != seeds.rend(); ++s) {
+    if (net_.should_execute(*s, caller.ctx)) caller.ctx.stack.push_back(*s);
+  }
+  if (!caller.ctx.stack.empty()) {
+    caller.created.store(1, std::memory_order_relaxed);
   }
 
   std::atomic<bool> abort{false};
@@ -233,13 +186,12 @@ ParallelStats ParallelMatcher::run_pass(std::span<const Activation> seeds,
   // std::function would heap-allocate its closure every cycle.
   struct Job {
     ParallelMatcher* self;
-    const UpdateFilter* filter;
     std::atomic<bool>* abort;
-  } job{this, &filter, &abort};
+  } job{this, &abort};
   pool_.run(
       [](void* arg, size_t worker) {
         auto* j = static_cast<Job*>(arg);
-        j->self->steal_loop(worker, *j->filter, *j->abort);
+        j->self->steal_loop(worker, *j->abort);
       },
       &job);
 
@@ -253,10 +205,10 @@ ParallelStats ParallelMatcher::run_pass(std::span<const Activation> seeds,
   // swept here too: the sweep reads only the state at hand.
   if (sweep) {
     for (const auto& s : slots_) {
-      for (const EmptiedJoin& e : s->emptied) {
+      for (const EmptiedJoin& e : s->ctx.emptied) {
         net_.unlink_if_empty(e.join, *states_[e.agent], st.counters);
       }
-      s->emptied.clear();
+      s->ctx.emptied.clear();
     }
   }
   for (MatchState* ms : states_) ms->arena.reclaim_at_quiescence();
@@ -353,9 +305,8 @@ void ParallelMatcher::publish(size_t worker, std::vector<Activation>& stack,
   }
 }
 
-void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
-                               std::vector<Activation>& stack,
-                               Activation* root, std::atomic<bool>& abort) {
+void ParallelMatcher::run_root(size_t worker, Activation* root,
+                               std::atomic<bool>& abort) {
   // Runs one root — a task taken from a deque, or (root == nullptr) the seed
   // batch already on worker 0's stack — and then the private stack it grows,
   // depth first, each task's children in emission order (reversed on the
@@ -371,6 +322,8 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
   // safety: arena reclamation is pinned to reclaim_at_quiescence() after the
   // pool join, so tokens referenced by stacked or published work stay live.
   WorkerSlot& me = *slots_[worker];
+  StackCtx& ctx = me.ctx;
+  std::vector<Activation>& stack = ctx.stack;
   const bool can_share = n_workers_ > 1;
   auto exec = [&](const Activation& a) {
     const size_t first_child = stack.size();
@@ -409,16 +362,12 @@ void ParallelMatcher::run_root(size_t worker, ExecContext& ctx,
   me.executed.fetch_add(1, std::memory_order_seq_cst);
 }
 
-void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
-                                 std::atomic<bool>& abort) {
+void ParallelMatcher::steal_loop(size_t worker, std::atomic<bool>& abort) {
   WorkerSlot& me = *slots_[worker];
   obs::EventRing* ring =
       tracer_ != nullptr ? &tracer_->ring(1 + worker) : nullptr;
-  StackCtx ctx(net_, filter);
-  ctx.worker = worker;  // child tokens spill into this worker's arena pool
-  ScratchLease lease(ctx, me);
-  // The caller's seed batch is its first root (counted by run_cycle).
-  if (!ctx.stack.empty()) run_root(worker, ctx, ctx.stack, nullptr, abort);
+  // The caller's seed batch is its first root (counted by run_pass).
+  if (!me.ctx.stack.empty()) run_root(worker, nullptr, abort);
   bool hungry = false;  // counted in hungry_ since the last failed sweep
   uint32_t idle = 0;    // consecutive failed whole-pool sweeps
   for (;;) {
@@ -486,11 +435,11 @@ void ParallelMatcher::steal_loop(size_t worker, const UpdateFilter& filter,
       ++me.stats.sweep_hist[sweep_bucket(idle)];
       idle = 0;
     }
-    run_root(worker, ctx, ctx.stack, a, abort);
+    run_root(worker, a, abort);
   }
   // A failed-sweep run still open at drain exit ends here.
   if (idle != 0) ++me.stats.sweep_hist[sweep_bucket(idle)];
-  me.stats.counters.accumulate(ctx.counters);
+  me.stats.counters.accumulate(me.ctx.counters);
   // Cascade the wake so every parked peer re-checks quiescence and exits.
   lot_.unpark_all();
 }

@@ -127,7 +127,7 @@ class ParallelMatcher final : public Drain {
 
   [[nodiscard]] size_t agent_count() const { return states_.size(); }
   /// The instruments the workers record into (null = off). An Engine that
-  /// joins this matcher records its own spans and serial tasks here too.
+  /// joins this matcher records its own spans here too.
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
   [[nodiscard]] obs::MatchProfiler* profiler() const { return profiler_; }
   [[nodiscard]] MatchState& agent_state(uint32_t agent) {
@@ -177,10 +177,34 @@ class ParallelMatcher final : public Drain {
   [[nodiscard]] uint64_t lifetime_cycles() const { return lifetime_cycles_; }
 
  private:
+  /// A worker's ExecContext, owned by its slot for the matcher's whole life,
+  /// so its buffers keep their high-water capacity across every cycle. Emits
+  /// land on the private stack, the worker's unpublished work: a task's
+  /// children are reversed after it so the first emitted is popped next,
+  /// and run_pass puts the seeds on worker 0's the same way. The §5.2 filter
+  /// is applied at emit time, so dropped tasks are never stacked, counted or
+  /// published.
+  class StackCtx final : public ExecContext {
+   public:
+    StackCtx(Network& net, size_t worker_index) : net_(net) {
+      worker = worker_index;  // child tokens spill into this worker's pool
+    }
+
+    void emit(Activation&& a) override {
+      if (net_.should_execute(a, *this)) stack.push_back(a);
+    }
+
+    std::vector<Activation> stack;
+
+   private:
+    Network& net_;
+  };
+
   /// Per-worker scheduler state, one cache line apart so the hot counters
   /// of different workers never share a line.
   struct alignas(64) WorkerSlot {
-    explicit WorkerSlot(uint64_t seed) : rng(seed) {}
+    WorkerSlot(Network& net, size_t worker, uint64_t seed)
+        : rng(seed), ctx(net, worker) {}
 
     WsDeque<Activation> deque;
     // Termination counters: written by the owner, swept by idle workers.
@@ -189,20 +213,11 @@ class ParallelMatcher final : public Drain {
     // Owner-private traffic counters, accumulated at quiescence.
     ParallelStats stats;
     Rng rng;
-    // Persistent per-worker scratch, leased into the worker's ExecContext
-    // for the duration of a cycle (see ScratchLease in parallel_match.cpp):
-    // the private stack and execute()'s under-lock child buffers reuse
-    // their high-water capacity across every cycle this matcher ever runs.
-    // The private stack is the worker's unpublished work: every emitted
-    // activation is pushed here, a task's children are reversed after it so
-    // the first emitted is popped next, and run_cycle puts the seeds on
-    // worker 0's the same way.
-    std::vector<Activation> stack;
-    std::vector<Token> scratch_children;
-    std::vector<std::pair<Token, bool>> scratch_emissions;
-    // Joins this worker's tasks left with an empty left memory, swept by
-    // run_cycle after the pool join (DESIGN.md §16).
-    std::vector<EmptiedJoin> emptied;
+    // Its private stack, its execute() scratch, and the joins its tasks
+    // left with an empty left memory, swept after the pool join (DESIGN.md
+    // §16). reset_slots() sets the filter and clears the stack and counters
+    // each pass; the sweep clears the emptied list.
+    StackCtx ctx;
     // This worker's task spans and profiler shard, bound at prewarm().
     obs::TaskObserver observer;
 
@@ -230,15 +245,12 @@ class ParallelMatcher final : public Drain {
   /// run_cycle, with the closing unlink sweep only when `sweep` is set.
   ParallelStats run_pass(std::span<const Activation> seeds,
                          const UpdateFilter& filter, bool sweep);
-  void steal_loop(size_t worker, const UpdateFilter& filter,
-                  std::atomic<bool>& abort);
-  void run_root(size_t worker, ExecContext& ctx,
-                std::vector<Activation>& stack, Activation* root,
-                std::atomic<bool>& abort);
+  void steal_loop(size_t worker, std::atomic<bool>& abort);
+  void run_root(size_t worker, Activation* root, std::atomic<bool>& abort);
   void publish(size_t worker, std::vector<Activation>& stack, size_t n);
   Activation* take_task(size_t worker);
   [[nodiscard]] bool quiescent() const;
-  void reset_slots();
+  void reset_slots(const UpdateFilter& filter);
   void prewarm();
 
   Network& net_;

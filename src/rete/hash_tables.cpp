@@ -57,7 +57,7 @@ PairedHashTables::PurgeCounts PairedHashTables::purge_nodes(
     }
     counts.right += ln.right.size() - survivors.size();
     ln.right.clear(right_pool_);
-    for (const RightEntry& e : survivors) ln.right.push_back(e, right_pool_);
+    for (const RightEntry& e : survivors) ln.store_right(e, right_pool_);
   }
   return counts;
 }

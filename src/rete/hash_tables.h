@@ -27,10 +27,13 @@
 // cancels against it and also emits nothing (net effect zero, equal to the
 // in-order execution). Anti-entries are invisible to probes and exist only
 // while a cycle is in flight — at quiescence every conjugate has met its
-// partner and no anti-entry remains.
+// partner and no anti-entry remains. Line::insert_left and Line::delete_left
+// are the one home of these rules for every one-token entry (Join, Not,
+// BJoin); an NCC entry keeps its pending anti count on the composite entry.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "base/chunk_list.h"
@@ -84,6 +87,75 @@ class PairedHashTables {
     void erase_left(std::vector<LeftEntry>::iterator it) PSME_REQUIRES(lock) {
       it->token.unpin();
       left.erase(it);
+    }
+
+    // The conjugate-pair rules for an entry holding one token (tag 0 for
+    // Join and Not, 1/2 for a BJoin's left/right side). Neither search
+    // counts as a probe.
+
+    /// Insert half: cancels against a matching anti-entry, erasing it and
+    /// returning nullptr, or else stores a live entry and returns it (valid
+    /// until the line's next store).
+    LeftEntry* insert_left(uint64_t hash, uint32_t node, uint8_t tag,
+                           const Token& token) PSME_REQUIRES(lock) {
+      const auto it = find_left(hash, node, tag, token, /*anti=*/true);
+      if (it != left.end()) {
+        erase_left(it);
+        return nullptr;
+      }
+      store_left(LeftEntry{hash, node, 0, false, false, tag, token});
+      return &left.back();
+    }
+
+    /// Delete half: erases the matching live entry and returns its
+    /// neg_count, or else leaves an anti-entry for the overtaken insert to
+    /// cancel against and returns nullopt.
+    std::optional<int32_t> delete_left(uint64_t hash, uint32_t node,
+                                       uint8_t tag, const Token& token)
+        PSME_REQUIRES(lock) {
+      const auto it = find_left(hash, node, tag, token, /*anti=*/false);
+      if (it == left.end()) {
+        store_left(LeftEntry{hash, node, 0, false, false, tag, token,
+                             /*anti=*/1});
+        return std::nullopt;
+      }
+      const int32_t neg_count = it->neg_count;
+      erase_left(it);
+      return neg_count;
+    }
+
+    // Right entries: one per (node, wme), stored by a right add or a relink
+    // and erased by a right delete or an unlink.
+    void store_right(const RightEntry& e, RightEntryPool& pool)
+        PSME_REQUIRES(lock) {
+      right.push_back(e, pool);
+    }
+    /// Returns whether (node, wme) had an entry to erase.
+    bool erase_right(uint32_t node, const Wme* w, RightEntryPool& pool)
+        PSME_REQUIRES(lock) {
+      for (auto it = right.begin(); it != right.end(); ++it) {
+        if (it->node_id == node && it->wme == w) {
+          right.erase(it, pool);
+          return true;
+        }
+      }
+      return false;
+    }
+
+   private:
+    // A plain loop: lines are short, and std::find_if's unrolled form kept
+    // the two callers from being inlined into the exec_* paths.
+    std::vector<LeftEntry>::iterator find_left(uint64_t hash, uint32_t node,
+                                               uint8_t tag, const Token& token,
+                                               bool anti) PSME_REQUIRES(lock) {
+      auto it = left.begin();
+      for (; it != left.end(); ++it) {
+        if (it->node_id == node && it->tag == tag && (it->anti > 0) == anti &&
+            it->full_hash == hash && it->token == token) {
+          break;
+        }
+      }
+      return it;
     }
   };
 

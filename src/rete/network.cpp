@@ -4,6 +4,32 @@
 #include <cassert>
 
 namespace psme {
+namespace {
+
+/// A task's hold on the one table line it stores into and probes: takes the
+/// line's lock and records the task's line statistics — the spins, which
+/// line on which side, and the task's one memory insert or removal. Every
+/// line-locked exec_* path takes exactly one.
+class PSME_SCOPED_CAPABILITY LineGuard {
+ public:
+  LineGuard(PairedHashTables::Line& line, size_t index, Side side,
+            TaskStats& stats) PSME_ACQUIRE(line.lock)
+      : lock_(line.lock) {
+    stats.lock_spins += static_cast<uint32_t>(lock_.lock());
+    stats.touched_line = true;
+    stats.line = static_cast<uint32_t>(index);
+    stats.line_side = side;
+    ++stats.inserts;
+  }
+  ~LineGuard() PSME_RELEASE() { lock_.unlock(); }
+  LineGuard(const LineGuard&) = delete;
+  LineGuard& operator=(const LineGuard&) = delete;
+
+ private:
+  Spinlock& lock_;
+};
+
+}  // namespace
 
 Network::Network(SymbolTable& syms, ClassSchemas& schemas)
     : syms_(syms), schemas_(schemas) {}
@@ -23,9 +49,7 @@ void Network::inject(const Wme* w, bool add, ExecContext& ctx) {
   if (it == roots_.end()) return;  // no production tests this class
   ++ctx.counters.indirections;
   for (const SuccessorRef& s : jt_.peek(it->second)) {
-    Activation a{s.node, s.side, add, Token{w}};
-    a.agent = ctx.agent;
-    ctx.emit(std::move(a));
+    ctx.emit(Activation{s.node, s.side, add, Token{w}, ctx.agent});
   }
 }
 
@@ -34,9 +58,8 @@ void Network::emit_succs(uint32_t jt_slot, const Token& token, bool add,
   ++ctx.counters.indirections;
   for (const SuccessorRef& s : jt_.peek(jt_slot)) {
     ++ctx.stats.emits;
-    Activation a{s.node, s.side, add, token};
-    a.agent = ctx.agent;  // children stay inside the emitting agent's state
-    ctx.emit(std::move(a));
+    // Children stay inside the emitting agent's state.
+    ctx.emit(Activation{s.node, s.side, add, token, ctx.agent});
   }
 }
 
@@ -122,38 +145,11 @@ void Network::exec_bjoin(const BJoinNode& n, const Activation& a,
   auto& children = ctx.scratch_children;
   children.clear();
   {
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = a.side;
-    ++ctx.stats.inserts;
-    if (a.add) {
-      // Cancel against a conjugate deletion that overtook this insertion.
-      for (auto it = line.left.begin(); it != line.left.end(); ++it) {
-        if (it->node_id == n.id && it->tag == my_tag && it->anti > 0 &&
-            it->full_hash == h && it->token == a.token) {
-          line.erase_left(it);
-          return;
-        }
-      }
-      line.store_left(LeftEntry{h, n.id, 0, false, false, my_tag, a.token});
-    } else {
-      bool found = false;
-      for (auto it = line.left.begin(); it != line.left.end(); ++it) {
-        if (it->node_id == n.id && it->tag == my_tag && it->anti == 0 &&
-            it->full_hash == h && it->token == a.token) {
-          line.erase_left(it);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        LeftEntry anti{h, n.id, 0, false, false, my_tag, a.token};
-        anti.anti = 1;
-        line.store_left(std::move(anti));
-        return;
-      }
+    LineGuard g(line, li, a.side, ctx.stats);
+    // A conjugate pair meeting out of order emits nothing.
+    if (a.add ? line.insert_left(h, n.id, my_tag, a.token) == nullptr
+              : !line.delete_left(h, n.id, my_tag, a.token)) {
+      return;
     }
     for (const LeftEntry& e : line.left) {
       ++ctx.stats.probes;
@@ -210,9 +206,7 @@ void Network::exec_alpha(const AlphaMemNode& n, const Activation& a,
       continue;
     }
     ++ctx.stats.emits;
-    Activation child{s.node, s.side, a.add, a.token};
-    child.agent = ctx.agent;
-    ctx.emit(std::move(child));
+    ctx.emit(Activation{s.node, s.side, a.add, a.token, ctx.agent});
   }
 }
 
@@ -228,7 +222,7 @@ bool Network::relink(const JoinNode& n, MatchState& ms, ExecContext& ctx) {
     auto& line = ms.tables.line_for(h);
     SpinGuard lg(line.lock);
     ctx.stats.lock_spins += static_cast<uint32_t>(lg.spins());
-    line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
+    line.store_right(RightEntry{h, n.id, w}, ms.tables.right_pool());
   }
   ++ctx.counters.relinks;
   ctx.counters.relinked_wmes += am.wmes.size();
@@ -251,13 +245,9 @@ void Network::unlink_if_empty(uint32_t join, MatchState& ms,
   const auto& amn = static_cast<const AlphaMemNode&>(*nodes_[j.alpha_mem]);
   // A linked join holds exactly one right entry per wme of its memory.
   for (const Wme* w : ms.alpha(amn.mem_index).wmes) {
-    auto& line = ms.tables.line_for(j.hash_right(w));
-    for (auto it = line.right.begin(); it != line.right.end(); ++it) {
-      if (it->node_id == join && it->wme == w) {
-        line.right.erase(it, ms.tables.right_pool());
-        ++c.unlinked_entries;
-        break;
-      }
+    if (ms.tables.line_for(j.hash_right(w))
+            .erase_right(join, w, ms.tables.right_pool())) {
+      ++c.unlinked_entries;
     }
   }
   link.linked.store(false, std::memory_order_relaxed);
@@ -279,45 +269,19 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
     const uint64_t h = n.hash_left(a.token);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
+    // A conjugate pair meeting out of order emits nothing (see the
+    // anti-entry note in hash_tables.h).
     if (a.add) {
-      // A conjugate deletion that overtook this insertion cancels it; both
-      // halves emit nothing (see the anti-entry note in hash_tables.h).
-      for (auto it = line.left.begin(); it != line.left.end(); ++it) {
-        if (it->node_id == n.id && it->anti > 0 && it->full_hash == h &&
-            it->token == a.token) {
-          line.erase_left(it);
-          if (relinked) note_emptied(n.id, ms, ctx);
-          return;
-        }
+      if (line.insert_left(h, n.id, 0, a.token) == nullptr) {
+        if (relinked) note_emptied(n.id, ms, ctx);
+        return;
       }
-      line.store_left(LeftEntry{h, n.id, 0, false, false, 0, a.token});
       link.left.fetch_add(1, std::memory_order_relaxed);
     } else {
-      bool found = false;
-      for (auto it = line.left.begin(); it != line.left.end(); ++it) {
-        if (it->node_id == n.id && it->anti == 0 && it->full_hash == h &&
-            it->token == a.token) {
-          line.erase_left(it);
-          if (link.left.fetch_sub(1, std::memory_order_relaxed) == 1) {
-            note_emptied(n.id, ms, ctx);
-          }
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        // Deletion before its conjugate insertion: leave an anti-entry for
-        // the insertion to cancel against, and emit nothing.
-        LeftEntry anti{h, n.id, 0, false, false, 0, a.token};
-        anti.anti = 1;
-        line.store_left(std::move(anti));
-        return;
+      if (!line.delete_left(h, n.id, 0, a.token)) return;
+      if (link.left.fetch_sub(1, std::memory_order_relaxed) == 1) {
+        note_emptied(n.id, ms, ctx);
       }
     }
     for (const RightEntry& r : line.right) {
@@ -332,21 +296,11 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
     const uint64_t h = n.hash_right(w);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Right;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Right, ctx.stats);
     if (a.add) {
-      line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
+      line.store_right(RightEntry{h, n.id, w}, ms.tables.right_pool());
     } else {
-      for (auto it = line.right.begin(); it != line.right.end(); ++it) {
-        if (it->node_id == n.id && it->wme == w) {
-          line.right.erase(it, ms.tables.right_pool());
-          break;
-        }
-      }
+      line.erase_right(n.id, w, ms.tables.right_pool());
     }
     for (const LeftEntry& l : line.left) {
       ++ctx.stats.probes;
@@ -371,63 +325,28 @@ void Network::exec_not(const NotNode& n, const Activation& a,
     const uint64_t h = n.hash_left(a.token);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
+    // A conjugate pair meeting out of order emits nothing.
     if (a.add) {
-      // Cancel against a conjugate deletion that overtook this insertion.
-      bool cancelled = false;
-      for (auto it = line.left.begin(); it != line.left.end(); ++it) {
-        if (it->node_id == n.id && it->anti > 0 && it->full_hash == h &&
-            it->token == a.token) {
-          line.erase_left(it);
-          cancelled = true;
-          break;
-        }
-      }
-      if (!cancelled) {
-        int32_t count = 0;
+      if (LeftEntry* e = line.insert_left(h, n.id, 0, a.token)) {
         for (const RightEntry& r : line.right) {
           ++ctx.stats.probes;
           if (r.node_id != n.id || r.full_hash != h) continue;
-          if (n.tests_pass(a.token, r.wme, &ctx.stats.tests)) ++count;
+          if (n.tests_pass(a.token, r.wme, &ctx.stats.tests)) ++e->neg_count;
         }
-        line.store_left(LeftEntry{h, n.id, count, false, false, 0, a.token});
-        if (count == 0) emissions.emplace_back(a.token, true);
+        if (e->neg_count == 0) emissions.emplace_back(a.token, true);
       }
-    } else {
-      bool found = false;
-      for (auto it = line.left.begin(); it != line.left.end(); ++it) {
-        if (it->node_id == n.id && it->anti == 0 && it->full_hash == h &&
-            it->token == a.token) {
-          if (it->neg_count == 0) emissions.emplace_back(a.token, false);
-          line.erase_left(it);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        LeftEntry anti{h, n.id, 0, false, false, 0, a.token};
-        anti.anti = 1;
-        line.store_left(std::move(anti));
-      }
+    } else if (line.delete_left(h, n.id, 0, a.token) == 0) {
+      emissions.emplace_back(a.token, false);  // it had passed unblocked
     }
   } else {
     const Wme* w = a.token.front();
     const uint64_t h = n.hash_right(w);
     const size_t li = ms.tables.line_index(h);
     auto& line = ms.tables.line_at(li);
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Right;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Right, ctx.stats);
     if (a.add) {
-      line.right.push_back(RightEntry{h, n.id, w}, ms.tables.right_pool());
+      line.store_right(RightEntry{h, n.id, w}, ms.tables.right_pool());
       for (LeftEntry& l : line.left) {
         ++ctx.stats.probes;
         if (l.node_id != n.id || l.anti > 0 || l.full_hash != h) continue;
@@ -436,12 +355,7 @@ void Network::exec_not(const NotNode& n, const Activation& a,
         }
       }
     } else {
-      for (auto it = line.right.begin(); it != line.right.end(); ++it) {
-        if (it->node_id == n.id && it->wme == w) {
-          line.right.erase(it, ms.tables.right_pool());
-          break;
-        }
-      }
+      line.erase_right(n.id, w, ms.tables.right_pool());
       for (LeftEntry& l : line.left) {
         ++ctx.stats.probes;
         if (l.node_id != n.id || l.anti > 0 || l.full_hash != h) continue;
@@ -463,12 +377,7 @@ void Network::exec_ncc(const NccNode& n, const Activation& a,
   auto& emissions = ctx.scratch_emissions;
   emissions.clear();
   {
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
     LeftEntry* entry = nullptr;
     for (LeftEntry& e : line.left) {
       ++ctx.stats.probes;
@@ -530,12 +439,7 @@ void Network::exec_partner(const NccPartnerNode& n, const Activation& a,
   auto& emissions = ctx.scratch_emissions;
   emissions.clear();
   {
-    SpinGuard g(line.lock);
-    ctx.stats.lock_spins += static_cast<uint32_t>(g.spins());
-    ctx.stats.touched_line = true;
-    ctx.stats.line = static_cast<uint32_t>(li);
-    ctx.stats.line_side = Side::Left;
-    ++ctx.stats.inserts;
+    LineGuard g(line, li, Side::Left, ctx.stats);
     LeftEntry* entry = nullptr;
     for (LeftEntry& e : line.left) {
       ++ctx.stats.probes;

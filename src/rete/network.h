@@ -34,8 +34,8 @@ struct Activation {
   bool add = true;
   Token token;  // right-side activations carry a single wme
   // Which agent's MatchState this task runs against. Trails the aggregate so
-  // single-agent call sites can keep the historical four-element braced
-  // init; emit paths stamp it from the emitting context's agent.
+  // a single-agent call site may leave it out; every emit path names the
+  // emitting context's agent in the initializer.
   uint32_t agent = 0;
 };
 

@@ -26,13 +26,6 @@ bool is_new(const Network& net, const CompiledProduction& cp, uint32_t id) {
   return net.node(id)->stamp >= cp.first_new_stamp;
 }
 
-Activation tagged(uint32_t node, Side side, bool add, Token token,
-                  uint32_t agent) {
-  Activation a{node, side, add, token};
-  a.agent = agent;
-  return a;
-}
-
 /// Phase A seeds: for each new alpha-network chain, every wme of the right
 /// class that passes the shared prefix tests is seeded at the chain's entry
 /// node. Evaluating the prefix synthetically is the run-time equivalent of
@@ -45,7 +38,8 @@ void update_alpha_seeds_into(const CompiledProduction& cp,
     for (const Wme* w : wm) {
       if (w->cls != f.cls) continue;
       if (!prefix_passes(f, w)) continue;
-      out.push_back(tagged(f.entry_node, Side::Left, true, Token{w}, agent));
+      out.push_back(
+          Activation{f.entry_node, Side::Left, true, Token{w}, agent});
     }
   }
 }
@@ -63,7 +57,7 @@ void update_left_seeds_into(Network& net, const MatchState& ms,
   for (const SuccessorRef& s : net.jumptable().peek(slot)) {
     if (s.side != Side::Left || !is_new(net, cp, s.node)) continue;
     for (const Token& t : scratch.outputs) {
-      scratch.seeds.push_back(tagged(s.node, Side::Left, true, t, agent));
+      scratch.seeds.push_back(Activation{s.node, Side::Left, true, t, agent});
     }
   }
 }
@@ -83,7 +77,7 @@ void update_right_seeds_into(Network& net, const MatchState& ms,
     if (is_new(net, cp, t->alpha_mem)) continue;  // phase A fed a new amem
     const auto* am = static_cast<const AlphaMemNode*>(net.node(t->alpha_mem));
     for (const Wme* w : ms.alpha(am->mem_index).wmes) {
-      out.push_back(tagged(id, Side::Right, true, Token{w}, agent));
+      out.push_back(Activation{id, Side::Right, true, Token{w}, agent});
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "analysis/verify.h"
 #include "engine/engine.h"
 #include "lang/parser.h"
 #include "psim/report.h"
@@ -139,6 +140,87 @@ TEST(Bilinear, BalancedTreeShorterThanLinearCombine) {
     return critical_path(trace, cm).length;
   };
   EXPECT_LE(run(true), run(false));
+}
+
+// Conjugate pairs at a BJoin (DESIGN.md §8.7), one per side: group 0's
+// tokens arrive Left and store with entry tag 1, group 1's arrive Right with
+// tag 2. The other side's token is matched in first, so an in-order pair
+// joins it; the delivered side's feature wme is only made, never matched.
+struct BJoinPair {
+  Engine e;
+  Production prod;
+  uint32_t bjoin = 0;
+  Side side;
+  Token token;  // prefix ++ the delivered group's feature wme
+
+  explicit BJoinPair(Side delivered) : side(delivered) {
+    Parser parser(e.syms(), e.schemas(), test::test_rhs_arena());
+    prod = parser.parse_production(long_chain_production(2, 1));
+    BilinearOptions opts;
+    opts.prefix_ces = 3;
+    opts.group_size = 1;
+    build_bilinear(e.net(), prod, opts);
+    bjoin = test::only_node(e.net(), NodeType::BJoin);
+    e.state().sink = &e.cs();
+    const Wme* goal = e.add_wme_text("(goal ^ps p1 ^state s1)");
+    const Wme* ps = e.add_wme_text("(ps ^name strips ^id p1)");
+    const char* g0 = "(feat ^state s1 ^group g0 ^slot 0 ^val v00)";
+    const char* g1 = "(feat ^state s1 ^group g1 ^slot 0 ^val v10)";
+    const bool left = side == Side::Left;
+    e.add_wme_text(left ? g1 : g0);
+    e.match();
+    const Wme* made = e.add_wme_text(left ? g0 : g1);
+    TokenArena& arena = e.state().arena;
+    token = token_extend(
+        token_extend(token_extend(Token{goal}, ps, arena, 0), goal, arena, 0),
+        made, arena, 0);
+  }
+
+  [[nodiscard]] int tag() const { return side == Side::Left ? 1 : 2; }
+
+  void expect_clean() {
+    EXPECT_EQ(test::left_entries_of(e.state(), bjoin, tag()), 0u);
+    EXPECT_EQ(test::left_entries_of(e.state(), bjoin, 3 - tag()), 1u);
+    const auto rep = analysis::verify_network(e.net(), &e.state(), {});
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+  }
+
+  void expect_cancels() {
+    test::CollectingCtx ctx(e);
+    ctx.run(bjoin, side, /*add=*/false, token);
+    EXPECT_EQ(test::left_entries_of(e.state(), bjoin, tag()), 1u);  // anti
+    ctx.run(bjoin, side, /*add=*/true, token);
+    EXPECT_TRUE(ctx.emitted.empty());
+    expect_clean();
+  }
+
+  void expect_in_order() {
+    test::CollectingCtx ctx(e);
+    ctx.run(bjoin, side, /*add=*/true, token);
+    ctx.run(bjoin, side, /*add=*/false, token);
+    ASSERT_EQ(ctx.emitted.size(), 2u);
+    EXPECT_TRUE(ctx.emitted[0].add);
+    EXPECT_FALSE(ctx.emitted[1].add);
+    EXPECT_EQ(ctx.emitted[0].token.size(), 5u);
+    EXPECT_EQ(ctx.emitted[0].token, ctx.emitted[1].token);
+    expect_clean();
+  }
+};
+
+TEST(Bilinear, LeftDeleteBeforeInsertCancels) {
+  BJoinPair(Side::Left).expect_cancels();
+}
+
+TEST(Bilinear, RightDeleteBeforeInsertCancels) {
+  BJoinPair(Side::Right).expect_cancels();
+}
+
+TEST(Bilinear, LeftInOrderPairEmitsInsertThenDelete) {
+  BJoinPair(Side::Left).expect_in_order();
+}
+
+TEST(Bilinear, RightInOrderPairEmitsInsertThenDelete) {
+  BJoinPair(Side::Right).expect_in_order();
 }
 
 TEST(Bilinear, RejectsNegatedConditions) {

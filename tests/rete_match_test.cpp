@@ -2,6 +2,7 @@
 // deletion, hashing, sharing.
 #include <gtest/gtest.h>
 
+#include "analysis/verify.h"
 #include "engine/engine.h"
 #include "test_util.h"
 
@@ -208,6 +209,55 @@ TEST(ReteMatch, SameBindingsShareALine) {
   for (const uint32_t line : left) both |= right.count(line) != 0;
   EXPECT_TRUE(both);
   EXPECT_EQ(instantiation_count(e, "j"), 1);
+}
+
+// Conjugate pairs at a join's left input (DESIGN.md §8.7), delivered one
+// activation at a time: (b ^x 1) is matched into the right memory, and the
+// left token (a ^x 1) arrives only by hand, so an in-order pair joins it.
+struct JoinPair {
+  Engine e;
+  uint32_t join = 0;
+  Token left;
+
+  JoinPair() {
+    e.load("(p pair (a ^x <v>) (b ^x <v>) --> (halt))");
+    e.add_wme_text("(b ^x 1)");
+    e.match();
+    left = Token{e.add_wme_text("(a ^x 1)")};
+    join = test::only_node(e.net(), NodeType::Join);
+  }
+
+  void expect_clean() {
+    EXPECT_EQ(test::left_entries_of(e.state(), join), 0u);
+    EXPECT_EQ(e.state().left_count(join), 0u);
+    const auto rep = e.verify_network();
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+  }
+};
+
+TEST(ReteMatch, JoinLeftDeleteBeforeInsertCancels) {
+  JoinPair p;
+  test::CollectingCtx ctx(p.e);
+  ctx.run(p.join, Side::Left, /*add=*/false, p.left);
+  EXPECT_EQ(test::left_entries_of(p.e.state(), p.join), 1u);  // the anti
+  ctx.run(p.join, Side::Left, /*add=*/true, p.left);
+  ctx.sweep();
+  EXPECT_TRUE(ctx.emitted.empty());
+  p.expect_clean();
+}
+
+TEST(ReteMatch, JoinLeftInOrderPairEmitsInsertThenDelete) {
+  JoinPair p;
+  test::CollectingCtx ctx(p.e);
+  ctx.run(p.join, Side::Left, /*add=*/true, p.left);
+  ctx.run(p.join, Side::Left, /*add=*/false, p.left);
+  ctx.sweep();
+  ASSERT_EQ(ctx.emitted.size(), 2u);
+  EXPECT_TRUE(ctx.emitted[0].add);
+  EXPECT_FALSE(ctx.emitted[1].add);
+  EXPECT_EQ(ctx.emitted[0].token.size(), 2u);
+  EXPECT_EQ(ctx.emitted[0].token, ctx.emitted[1].token);
+  p.expect_clean();
 }
 
 TEST(ReteMatch, ModifySemantics) {

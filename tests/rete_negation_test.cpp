@@ -2,6 +2,7 @@
 // (NCC node pairs), including incremental add/delete behaviour.
 #include <gtest/gtest.h>
 
+#include "analysis/verify.h"
 #include "engine/engine.h"
 #include "test_util.h"
 
@@ -151,6 +152,70 @@ TEST(Ncc, DeleteOwnerToken) {
   e.match();
   EXPECT_EQ(instantiation_count(e, "safe"), 0);
   EXPECT_EQ(e.state().tables.total_left_entries(), 0u);
+}
+
+// Conjugate pairs at a not-node's and an NCC owner's left input (DESIGN.md
+// §8.7), delivered one activation at a time. Nothing blocks the token, so
+// an in-order pair passes it through: an insert, then a delete.
+struct ConjugatePair {
+  Engine e;
+  uint32_t node = 0;
+  Token left;
+
+  ConjugatePair(const char* production, NodeType type) {
+    e.load(production);
+    left = Token{e.add_wme_text("(block ^name b1)")};
+    node = test::only_node(e.net(), type);
+  }
+
+  void expect_clean() {
+    EXPECT_EQ(test::left_entries_of(e.state(), node), 0u);
+    const auto rep = e.verify_network();
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+  }
+
+  void expect_cancels() {
+    test::CollectingCtx ctx(e);
+    ctx.run(node, Side::Left, /*add=*/false, left);
+    EXPECT_EQ(test::left_entries_of(e.state(), node), 1u);  // the anti
+    ctx.run(node, Side::Left, /*add=*/true, left);
+    EXPECT_TRUE(ctx.emitted.empty());
+    expect_clean();
+  }
+
+  void expect_in_order() {
+    test::CollectingCtx ctx(e);
+    ctx.run(node, Side::Left, /*add=*/true, left);
+    ctx.run(node, Side::Left, /*add=*/false, left);
+    ASSERT_EQ(ctx.emitted.size(), 2u);
+    EXPECT_TRUE(ctx.emitted[0].add);
+    EXPECT_FALSE(ctx.emitted[1].add);
+    EXPECT_EQ(ctx.emitted[0].token, left);
+    EXPECT_EQ(ctx.emitted[1].token, left);
+    expect_clean();
+  }
+};
+
+constexpr const char* kNotProd =
+    "(p clear (block ^name <b>) -(cover ^on <b>) --> (halt))";
+constexpr const char* kNccProd =
+    "(p safe (block ^name <b>) -{ (cover ^on <b>) (cover-active ^on <b>) } "
+    "--> (halt))";
+
+TEST(Negation, LeftDeleteBeforeInsertCancels) {
+  ConjugatePair(kNotProd, NodeType::Not).expect_cancels();
+}
+
+TEST(Negation, LeftInOrderPairEmitsInsertThenDelete) {
+  ConjugatePair(kNotProd, NodeType::Not).expect_in_order();
+}
+
+TEST(Ncc, OwnerDeleteBeforeInsertCancels) {
+  ConjugatePair(kNccProd, NodeType::Ncc).expect_cancels();
+}
+
+TEST(Ncc, OwnerInOrderPairEmitsInsertThenDelete) {
+  ConjugatePair(kNccProd, NodeType::Ncc).expect_in_order();
 }
 
 TEST(Negation, NotNodePassesThroughLaterJoins) {

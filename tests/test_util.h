@@ -77,6 +77,63 @@ inline EngineOptions recorded() {
   return opts;
 }
 
+/// Id of the one node of `type` in `net` (0 with a test failure when there
+/// is not exactly one).
+inline uint32_t only_node(const Network& net, NodeType type) {
+  uint32_t found = 0;
+  int count = 0;
+  for (uint32_t id = 0; id < net.node_count(); ++id) {
+    const Node* n = net.node(id);
+    if (n != nullptr && n->type == type) {
+      found = id;
+      ++count;
+    }
+  }
+  EXPECT_EQ(count, 1) << "nodes of the requested type";
+  return found;
+}
+
+/// Left-table entries, live or anti, that `ms` holds for `node`; with
+/// `tag` >= 0 only those carrying that entry tag (a BJoin's side).
+inline size_t left_entries_of(const MatchState& ms, uint32_t node,
+                              int tag = -1) {
+  size_t n = 0;
+  ms.tables.for_each_left_of(node, [&](const LeftEntry& e) {
+    if (tag < 0 || e.tag == tag) ++n;
+  });
+  return n;
+}
+
+/// An ExecContext bound to one engine's match state that executes single
+/// activations and collects what they emit instead of running it, so a test
+/// can deliver the halves of a conjugate pair in either order. sweep()
+/// unlinks the joins the activations left empty, as the end of a drain does.
+class CollectingCtx final : public ExecContext {
+ public:
+  explicit CollectingCtx(Engine& e) : net_(e.net()), ms_(e.state()) {
+    state = &ms_;
+    ms_.ensure_alpha(net_.alpha_mem_count());
+    ms_.ensure_links(net_.node_count());
+  }
+  void emit(Activation&& a) override { emitted.push_back(a); }
+
+  void run(uint32_t node, Side side, bool add, const Token& token) {
+    net_.execute(Activation{node, side, add, token}, *this);
+  }
+  void sweep() {
+    for (const EmptiedJoin& j : emptied) {
+      net_.unlink_if_empty(j.join, ms_, counters);
+    }
+    emptied.clear();
+  }
+
+  std::vector<Activation> emitted;
+
+ private:
+  Network& net_;
+  MatchState& ms_;
+};
+
 /// Names of productions with at least one instantiation in the CS.
 inline std::multiset<std::string> matched_productions(Engine& e) {
   std::multiset<std::string> out;

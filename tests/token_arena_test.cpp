@@ -78,7 +78,7 @@ TEST(TokenArena, SealedChunksReclaimOneDrainLater) {
   TokenArena arena(1, 256);
   Wme w;
 
-  arena.begin_drain(1);
+  arena.begin_drain();
   for (int i = 0; i < 13; ++i) spill5(arena, &w);  // seals 2 chunks
   EXPECT_EQ(arena.sealed_pending(), 2u);
   arena.reclaim_at_quiescence();
@@ -87,7 +87,7 @@ TEST(TokenArena, SealedChunksReclaimOneDrainLater) {
   EXPECT_EQ(arena.stats().chunks_freed, 0u);
   EXPECT_EQ(arena.sealed_pending(), 2u);
 
-  arena.begin_drain(1);
+  arena.begin_drain();
   arena.reclaim_at_quiescence();
   EXPECT_EQ(arena.stats().chunks_freed, 2u);
   EXPECT_EQ(arena.sealed_pending(), 0u);
@@ -97,14 +97,14 @@ TEST(TokenArena, PinnedChunksSurviveUntilUnpinned) {
   TokenArena arena(1, 256);
   Wme w;
 
-  arena.begin_drain(1);
+  arena.begin_drain();
   const Token held = spill5(arena, &w);  // lands in chunk 1
   held.pin();
   for (int i = 0; i < 12; ++i) spill5(arena, &w);  // fills chunks 1 and 2
   ASSERT_EQ(arena.sealed_pending(), 2u);
   arena.reclaim_at_quiescence();
 
-  arena.begin_drain(1);
+  arena.begin_drain();
   arena.reclaim_at_quiescence();
   // Chunk 2 is old enough and unpinned; chunk 1 is held by `held`.
   EXPECT_EQ(arena.stats().chunks_freed, 1u);
@@ -112,7 +112,7 @@ TEST(TokenArena, PinnedChunksSurviveUntilUnpinned) {
   EXPECT_EQ(held[0], &w);  // payload still readable through the pin
 
   held.unpin();
-  arena.begin_drain(1);
+  arena.begin_drain();
   arena.reclaim_at_quiescence();
   EXPECT_EQ(arena.stats().chunks_freed, 2u);
   EXPECT_EQ(arena.sealed_pending(), 0u);
@@ -162,7 +162,7 @@ TEST(TokenArena, SteadyStateActivationsAreHeapFree) {
   RingExecutor ex;
   ex.state = &e.state();
   auto cycle = [&] {
-    e.state().arena.begin_drain(1);
+    e.state().arena.begin_drain();
     net.inject(toggle, false, ex);
     ex.drain(net);
     net.inject(toggle, true, ex);
