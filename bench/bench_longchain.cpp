@@ -35,12 +35,6 @@ using namespace psme::bench;
 
 namespace {
 
-class SeedCollector final : public ExecContext {
- public:
-  void emit(Activation&& a) override { seeds.push_back(std::move(a)); }
-  std::vector<Activation> seeds;
-};
-
 const std::vector<int>& chain_depths() {
   static const std::vector<int> d = {31, 47, 63};
   return d;
@@ -146,19 +140,19 @@ ParResult run_parallel(size_t workers, int rounds, int values,
   for (int round = 0; round < rounds; ++round) {
     std::vector<const Wme*> added;
     for (const auto& h : heads) added.push_back(e.add_wme_text(h));
-    SeedCollector sc;
-    for (const Wme* w : added) e.net().inject(w, true, sc);
-    r.stats.accumulate(matcher.run_cycle(sc.seeds));
+    std::vector<Activation> seeds;
+    for (const Wme* w : added) e.net().inject(w, true, 0, seeds);
+    r.stats.accumulate(matcher.run_cycle(seeds));
     e.wm().end_cycle();
     r.cs_peak = e.cs().size();
     r.cs_ok = r.cs_ok && r.cs_peak == expect_cs_peak;
 
-    SeedCollector del;
+    std::vector<Activation> removes;
     for (const Wme* w : added) {
-      e.net().inject(w, false, del);
+      e.net().inject(w, false, 0, removes);
       e.wm().remove(w);
     }
-    matcher.run_cycle(del.seeds);
+    matcher.run_cycle(removes);
     e.wm().end_cycle();
   }
   return r;

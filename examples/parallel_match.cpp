@@ -35,12 +35,6 @@ using namespace psme;
 
 namespace {
 
-class SeedCollector final : public ExecContext {
- public:
-  void emit(Activation&& a) override { seeds.push_back(std::move(a)); }
-  std::vector<Activation> seeds;
-};
-
 void load_workload(Engine& e) {
   e.load(R"(
     (p pair   (item ^v <x>) (slot ^v <x>) --> (halt))
@@ -167,11 +161,11 @@ int main(int argc, char** argv) {
   for (const size_t workers : {1u, 2u, 4u, 8u, 13u}) {
     Engine par;
     load_workload(par);
-    SeedCollector sc;
-    for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+    std::vector<Activation> seeds;
+    for (const Wme* w : par.wm().live()) par.net().inject(w, true, 0, seeds);
     ParallelMatcher matcher(par.net(), workers);
     matcher.register_agent(par.state());
-    const ParallelStats st = matcher.run_cycle(sc.seeds);
+    const ParallelStats st = matcher.run_cycle(seeds);
     std::printf("%-8zu %10llu %8llu %12llu %8llu %10.2f  %s\n", workers,
                 static_cast<unsigned long long>(st.tasks),
                 static_cast<unsigned long long>(st.steals),

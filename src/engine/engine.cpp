@@ -6,20 +6,6 @@
 #include "analysis/verify.h"
 
 namespace psme {
-namespace {
-
-class CollectCtx final : public ExecContext {
- public:
-  CollectCtx(std::vector<Activation>& out, uint32_t agent_tag) : out_(out) {
-    agent = agent_tag;
-  }
-  void emit(Activation&& a) override { out_.push_back(std::move(a)); }
-
- private:
-  std::vector<Activation>& out_;
-};
-
-}  // namespace
 
 Engine::Engine(EngineOptions opts)
     : Engine(std::make_shared<CompiledNetwork>(opts.builder), opts, nullptr) {}
@@ -224,10 +210,10 @@ void Engine::remove_wme(const Wme* w) {
 }
 
 void Engine::collect_seeds(bool adds, std::vector<Activation>& out) {
-  CollectCtx cc(out, agent_);
   const auto& pend = adds ? pending_adds_ : pending_removes_;
-  for (const Wme* w : pend) net().inject(w, adds, cc);
-  counters_.accumulate(cc.counters);
+  for (const Wme* w : pend) {
+    counters_.indirections += net().inject(w, adds, agent_, out);
+  }
 }
 
 void Engine::end_cycle() {
@@ -315,7 +301,7 @@ void Engine::collect_metrics(obs::MetricsRegistry& m) const {
 
 MatchCounters Engine::match_counters() const {
   MatchCounters c = counters_;
-  c.accumulate(recorder_.counters);
+  c.accumulate(recorder_.counters());
   return c;
 }
 

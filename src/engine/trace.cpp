@@ -17,48 +17,45 @@ CycleTrace CycleTrace::split_off(size_t at) {
   return tail;
 }
 
-void TraceExecutor::emit(Activation&& a) {
-  queue_.push_back(QueuedTask{a, current_parent_});
-}
-
 uint64_t TraceExecutor::drain(std::vector<Activation>& seeds,
                               const UpdateFilter& f) {
-  assert(!state->unlinking && "the recorder keeps every join linked");
-  filter = f;
-  queue_.clear();  // residue of a drain an exception cut short
+  MatchState& ms = *ctx_.state;
+  assert(!ms.unlinking && "the recorder keeps every join linked");
+  ctx_.filter = f;
+  std::vector<Activation>& queue = ctx_.out;
+  queue.clear();  // residue of a drain an exception cut short
   // Quiescent drain boundary: alpha state and node ids compiled since the
   // last drain (chunk additions) must exist before any task touches them.
-  state->ensure_alpha(net_.alpha_mem_count());
-  state->ensure_links(net_.node_count());
+  ms.ensure_alpha(net_.alpha_mem_count());
+  ms.ensure_links(net_.node_count());
   if (obs::MatchProfiler* p = observer_.profiler()) {
     p->ensure_nodes(net_.node_count());
-    p->ensure_agents(1 + agent);
+    p->ensure_agents(1 + ctx_.agent);
   }
-  state->arena.begin_drain();
-  current_parent_ = UINT32_MAX;
-  for (auto& s : seeds) emit(std::move(s));
-  uint64_t executed = 0;
-  while (!queue_.empty()) {
-    const QueuedTask task = queue_.front();
-    queue_.pop_front();
-    if (!net_.should_execute(task.act, *this)) continue;
-    ++executed;
-    current_parent_ = static_cast<uint32_t>(trace_.tasks.size());
+  ms.arena.begin_drain();
+  for (const Activation& s : seeds) {
+    if (net_.should_execute(s, ctx_)) queue.push_back(s);
+  }
+  parents_.assign(queue.size(), UINT32_MAX);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const Activation act = queue[head];  // copy: execute appends to queue
+    const auto task = static_cast<uint32_t>(trace_.tasks.size());
     TaskRecord r;
-    r.parent = task.parent;
-    r.node = task.act.node;
-    r.type = net_.node(task.act.node)->type;
-    r.side = task.act.side;
-    r.add = task.act.add;
+    r.parent = parents_[head];
+    r.node = act.node;
+    r.type = net_.node(act.node)->type;
+    r.side = act.side;
+    r.add = act.add;
     trace_.tasks.push_back(std::move(r));
-    stats.reset();
-    observer_.before(stats);
-    net_.execute(task.act, *this);
-    observer_.after(task.act, stats);
-    trace_.tasks[current_parent_].stats = stats;
+    ctx_.stats.reset();
+    observer_.before(ctx_.stats);
+    net_.execute(act, ctx_);
+    observer_.after(act, ctx_.stats);
+    trace_.tasks[task].stats = ctx_.stats;
+    parents_.resize(queue.size(), task);
   }
-  state->arena.reclaim_at_quiescence();
-  return executed;
+  ms.arena.reclaim_at_quiescence();
+  return queue.size();
 }
 
 CycleTrace TraceExecutor::take_trace() {

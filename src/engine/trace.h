@@ -2,18 +2,18 @@
 // engine that records nothing drains on its ParallelMatcher).
 //
 // It drains node activations in FIFO order (like PSM-E's shared task queue,
-// minus the other processes) and notes for every task which task spawned it
-// and how much raw work it did. With every join linked, that trace is the
-// exact task DAG of the cycle at the paper's granularity; the virtual
-// multiprocessor (src/psim) schedules it on P processors to produce the
-// paper's speedup figures, and the matcher's results are checked against
-// this executor's for equivalence.
+// minus the other processes): the queue is its ExecContext's `out`, which
+// every task appends its children to and the drain reads by index. It
+// notes for every task which task spawned it and how much raw work it did.
+// With every join linked, that trace is the exact task DAG of the cycle at
+// the paper's granularity; the virtual multiprocessor (src/psim) schedules
+// it on P processors to produce the paper's speedup figures, and the
+// matcher's results are checked against this executor's for equivalence.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "base/ring.h"
 #include "obs/record.h"
 #include "rete/network.h"
 
@@ -39,17 +39,15 @@ struct CycleTrace {
   CycleTrace split_off(size_t at);
 };
 
-class TraceExecutor final : public ExecContext, public Drain {
+class TraceExecutor final : public Drain {
  public:
   /// `observer` is this executor's per-task instrumentation (task spans,
   /// profiler shard 0), bound for its whole life. `ms` must keep every join
   /// linked (MatchState::unlinking off): the recorder runs no unlink sweep.
   TraceExecutor(Network& net, MatchState& ms, obs::TaskObserver observer = {})
       : net_(net), observer_(observer) {
-    state = &ms;
+    ctx_.state = &ms;
   }
-
-  void emit(Activation&& a) override;
 
   /// Drains `seeds` and everything they spawn under `filter`, as one arena
   /// epoch, and appends the tasks to the DAG that take_trace() hands over;
@@ -60,19 +58,18 @@ class TraceExecutor final : public ExecContext, public Drain {
   /// The DAG recorded since the last take.
   CycleTrace take_trace();
 
- private:
-  // std::pair is not trivially copyable in libstdc++ (its operator= is
-  // user-provided), so the FIFO ring carries this explicit POD instead.
-  struct QueuedTask {
-    Activation act;
-    uint32_t parent = UINT32_MAX;
-  };
-  static_assert(std::is_trivially_copyable_v<QueuedTask>);
+  /// The match counters of every drain so far.
+  [[nodiscard]] const MatchCounters& counters() const { return ctx_.counters; }
 
+ private:
   Network& net_;
   obs::TaskObserver observer_;
-  uint32_t current_parent_ = UINT32_MAX;
-  RingBuffer<QueuedTask> queue_;
+  // ctx_.out is the drain's FIFO queue, grown to its task count: seeds
+  // first, then each task's children in emission order. parents_[i] is the
+  // recorded index of the task that emitted ctx_.out[i] (UINT32_MAX for a
+  // seed).
+  ExecContext ctx_;
+  std::vector<uint32_t> parents_;
   CycleTrace trace_;
 };
 

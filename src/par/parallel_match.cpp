@@ -40,7 +40,7 @@ ParallelMatcher::ParallelMatcher(Network& net, size_t n_workers,
   for (size_t i = 0; i < n_workers_; ++i) {
     // Deterministic per-worker seeds: victim choice is randomized but
     // reproducible run to run.
-    slots_.push_back(std::make_unique<WorkerSlot>(net_, i, 0x9e3779b9u + i));
+    slots_.push_back(std::make_unique<WorkerSlot>(i, 0x9e3779b9u + i));
   }
   prewarm();
 }
@@ -59,9 +59,7 @@ void ParallelMatcher::prewarm() {
   constexpr size_t kScratch = 64;
   for (size_t w = 0; w < n_workers_; ++w) {
     WorkerSlot& s = *slots_[w];
-    s.ctx.stack.reserve(kScratch);
-    s.ctx.scratch_children.reserve(kScratch);
-    s.ctx.scratch_emissions.reserve(kScratch);
+    s.ctx.out.reserve(kScratch);
     s.ctx.emptied.reserve(kScratch);
     // A one-worker matcher never publishes, so it boxes nothing.
     if (n_workers_ > 1) {
@@ -106,7 +104,7 @@ void ParallelMatcher::reset_slots(const UpdateFilter& filter) {
     while (s->deque.pop() != nullptr) {
     }
     s->boxes_used = 0;
-    s->ctx.stack.clear();
+    s->ctx.out.clear();
     s->ctx.filter = filter;
     s->ctx.counters = {};
     s->created.store(0, std::memory_order_relaxed);
@@ -174,9 +172,9 @@ ParallelStats ParallelMatcher::run_pass(std::span<const Activation> seeds,
   // as emitted tasks.
   WorkerSlot& caller = *slots_[0];
   for (auto s = seeds.rbegin(); s != seeds.rend(); ++s) {
-    if (net_.should_execute(*s, caller.ctx)) caller.ctx.stack.push_back(*s);
+    if (net_.should_execute(*s, caller.ctx)) caller.ctx.out.push_back(*s);
   }
-  if (!caller.ctx.stack.empty()) {
+  if (!caller.ctx.out.empty()) {
     caller.created.store(1, std::memory_order_relaxed);
   }
 
@@ -322,8 +320,8 @@ void ParallelMatcher::run_root(size_t worker, Activation* root,
   // safety: arena reclamation is pinned to reclaim_at_quiescence() after the
   // pool join, so tokens referenced by stacked or published work stay live.
   WorkerSlot& me = *slots_[worker];
-  StackCtx& ctx = me.ctx;
-  std::vector<Activation>& stack = ctx.stack;
+  ExecContext& ctx = me.ctx;
+  std::vector<Activation>& stack = ctx.out;
   const bool can_share = n_workers_ > 1;
   auto exec = [&](const Activation& a) {
     const size_t first_child = stack.size();
@@ -367,7 +365,7 @@ void ParallelMatcher::steal_loop(size_t worker, std::atomic<bool>& abort) {
   obs::EventRing* ring =
       tracer_ != nullptr ? &tracer_->ring(1 + worker) : nullptr;
   // The caller's seed batch is its first root (counted by run_pass).
-  if (!me.ctx.stack.empty()) run_root(worker, nullptr, abort);
+  if (!me.ctx.out.empty()) run_root(worker, nullptr, abort);
   bool hungry = false;  // counted in hungry_ since the last failed sweep
   uint32_t idle = 0;    // consecutive failed whole-pool sweeps
   for (;;) {

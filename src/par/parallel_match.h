@@ -2,8 +2,9 @@
 // the scheduler and execute them against the shared network.
 //
 // The scheduler is work-first: every activation a worker emits goes onto
-// that worker's private stack and is run next, touching no shared state; a
-// task's children, like a cycle's seeds, run in the order they were emitted
+// that worker's private stack — the `out` vector of the worker's
+// ExecContext — and is run next, touching no shared state; a task's
+// children, like a cycle's seeds, run in the order they were emitted
 // (DESIGN.md §8.5). Work reaches the worker's lock-free Chase–Lev deque
 // (par/ws_deque.h) only when a peer can take it: once some peer has failed a
 // steal sweep and found nothing since, a busy worker publishes the bottom
@@ -177,34 +178,12 @@ class ParallelMatcher final : public Drain {
   [[nodiscard]] uint64_t lifetime_cycles() const { return lifetime_cycles_; }
 
  private:
-  /// A worker's ExecContext, owned by its slot for the matcher's whole life,
-  /// so its buffers keep their high-water capacity across every cycle. Emits
-  /// land on the private stack, the worker's unpublished work: a task's
-  /// children are reversed after it so the first emitted is popped next,
-  /// and run_pass puts the seeds on worker 0's the same way. The §5.2 filter
-  /// is applied at emit time, so dropped tasks are never stacked, counted or
-  /// published.
-  class StackCtx final : public ExecContext {
-   public:
-    StackCtx(Network& net, size_t worker_index) : net_(net) {
-      worker = worker_index;  // child tokens spill into this worker's pool
-    }
-
-    void emit(Activation&& a) override {
-      if (net_.should_execute(a, *this)) stack.push_back(a);
-    }
-
-    std::vector<Activation> stack;
-
-   private:
-    Network& net_;
-  };
-
   /// Per-worker scheduler state, one cache line apart so the hot counters
   /// of different workers never share a line.
   struct alignas(64) WorkerSlot {
-    WorkerSlot(Network& net, size_t worker, uint64_t seed)
-        : rng(seed), ctx(net, worker) {}
+    WorkerSlot(size_t worker, uint64_t seed) : rng(seed) {
+      ctx.worker = worker;  // child tokens spill into this worker's pool
+    }
 
     WsDeque<Activation> deque;
     // Termination counters: written by the owner, swept by idle workers.
@@ -213,11 +192,15 @@ class ParallelMatcher final : public Drain {
     // Owner-private traffic counters, accumulated at quiescence.
     ParallelStats stats;
     Rng rng;
-    // Its private stack, its execute() scratch, and the joins its tasks
-    // left with an empty left memory, swept after the pool join (DESIGN.md
-    // §16). reset_slots() sets the filter and clears the stack and counters
-    // each pass; the sweep clears the emptied list.
-    StackCtx ctx;
+    // The worker's ExecContext, owned for the matcher's whole life, so its
+    // vectors keep their high-water capacity across every cycle. Its `out`
+    // is the private stack, the worker's unpublished work: a task's
+    // children are reversed after it so the first emitted is popped next,
+    // and run_pass puts the seeds on worker 0's the same way. Its `emptied`
+    // joins are swept after the pool join (DESIGN.md §16). reset_slots()
+    // sets the filter and clears the stack and counters each pass; the
+    // sweep clears the emptied list.
+    ExecContext ctx;
     // This worker's task spans and profiler shard, bound at prewarm().
     obs::TaskObserver observer;
 

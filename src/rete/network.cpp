@@ -44,13 +44,14 @@ uint32_t Network::root_slot(Symbol cls) {
 
 bool Network::has_root(Symbol cls) const { return roots_.count(cls) != 0; }
 
-void Network::inject(const Wme* w, bool add, ExecContext& ctx) {
+uint32_t Network::inject(const Wme* w, bool add, uint32_t agent,
+                         std::vector<Activation>& out) const {
   auto it = roots_.find(w->cls);
-  if (it == roots_.end()) return;  // no production tests this class
-  ++ctx.counters.indirections;
+  if (it == roots_.end()) return 0;  // no production tests this class
   for (const SuccessorRef& s : jt_.peek(it->second)) {
-    ctx.emit(Activation{s.node, s.side, add, Token{w}, ctx.agent});
+    out.push_back(Activation{s.node, s.side, add, Token{w}, agent});
   }
+  return 1;
 }
 
 void Network::emit_succs(uint32_t jt_slot, const Token& token, bool add,
@@ -59,7 +60,7 @@ void Network::emit_succs(uint32_t jt_slot, const Token& token, bool add,
   for (const SuccessorRef& s : jt_.peek(jt_slot)) {
     ++ctx.stats.emits;
     // Children stay inside the emitting agent's state.
-    ctx.emit(Activation{s.node, s.side, add, token, ctx.agent});
+    emit(ctx, Activation{s.node, s.side, add, token, ctx.agent});
   }
 }
 
@@ -142,38 +143,34 @@ void Network::exec_bjoin(const BJoinNode& n, const Activation& a,
   auto& line = ms.tables.line_at(li);
   const uint8_t my_tag = a.side == Side::Left ? 1 : 2;
   const uint8_t other_tag = a.side == Side::Left ? 2 : 1;
-  auto& children = ctx.scratch_children;
-  children.clear();
-  {
-    LineGuard g(line, li, a.side, ctx.stats);
-    // A conjugate pair meeting out of order emits nothing.
-    if (a.add ? line.insert_left(h, n.id, my_tag, a.token) == nullptr
-              : !line.delete_left(h, n.id, my_tag, a.token)) {
-      return;
-    }
-    for (const LeftEntry& e : line.left) {
-      ++ctx.stats.probes;
-      if (e.node_id != n.id || e.tag != other_tag || e.anti > 0 ||
-          e.full_hash != h) {
-        continue;
-      }
-      // Verify the shared prefix is identical (hash collisions).
-      bool same = true;
-      for (uint32_t i = 0; i < n.prefix_len; ++i) {
-        ++ctx.stats.tests;
-        if (e.token[i] != a.token[i]) {
-          same = false;
-          break;
-        }
-      }
-      if (!same) continue;
-      const Token& l = a.side == Side::Left ? a.token : e.token;
-      const Token& r = a.side == Side::Left ? e.token : a.token;
-      children.push_back(
-          token_concat(l, r, n.prefix_len, ms.arena, ctx.worker));
-    }
+  LineGuard g(line, li, a.side, ctx.stats);
+  // A conjugate pair meeting out of order emits nothing.
+  if (a.add ? line.insert_left(h, n.id, my_tag, a.token) == nullptr
+            : !line.delete_left(h, n.id, my_tag, a.token)) {
+    return;
   }
-  for (auto& c : children) emit_succs(n.jt_slot, c, a.add, ctx);
+  for (const LeftEntry& e : line.left) {
+    ++ctx.stats.probes;
+    if (e.node_id != n.id || e.tag != other_tag || e.anti > 0 ||
+        e.full_hash != h) {
+      continue;
+    }
+    // Verify the shared prefix is identical (hash collisions).
+    bool same = true;
+    for (uint32_t i = 0; i < n.prefix_len; ++i) {
+      ++ctx.stats.tests;
+      if (e.token[i] != a.token[i]) {
+        same = false;
+        break;
+      }
+    }
+    if (!same) continue;
+    const Token& l = a.side == Side::Left ? a.token : e.token;
+    const Token& r = a.side == Side::Left ? e.token : a.token;
+    emit_succs(n.jt_slot,
+               token_concat(l, r, n.prefix_len, ms.arena, ctx.worker), a.add,
+               ctx);
+  }
 }
 
 void Network::exec_alpha(const AlphaMemNode& n, const Activation& a,
@@ -206,7 +203,7 @@ void Network::exec_alpha(const AlphaMemNode& n, const Activation& a,
       continue;
     }
     ++ctx.stats.emits;
-    ctx.emit(Activation{s.node, s.side, a.add, a.token, ctx.agent});
+    emit(ctx, Activation{s.node, s.side, a.add, a.token, ctx.agent});
   }
 }
 
@@ -257,8 +254,6 @@ void Network::unlink_if_empty(uint32_t join, MatchState& ms,
 void Network::exec_join(const JoinNode& n, const Activation& a,
                         ExecContext& ctx) {
   MatchState& ms = state_of(ctx);
-  auto& children = ctx.scratch_children;
-  children.clear();
   if (a.side == Side::Left) {
     // An unlinked join is relinked before its first left token is stored,
     // so the token meets every wme of the alpha memory (DESIGN.md §16).
@@ -288,7 +283,9 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
       ++ctx.stats.probes;
       if (r.node_id != n.id || r.full_hash != h) continue;
       if (n.tests_pass(a.token, r.wme, &ctx.stats.tests)) {
-        children.push_back(token_extend(a.token, r.wme, ms.arena, ctx.worker));
+        emit_succs(n.jt_slot,
+                   token_extend(a.token, r.wme, ms.arena, ctx.worker), a.add,
+                   ctx);
       }
     }
   } else {
@@ -306,12 +303,11 @@ void Network::exec_join(const JoinNode& n, const Activation& a,
       ++ctx.stats.probes;
       if (l.node_id != n.id || l.anti > 0 || l.full_hash != h) continue;
       if (n.tests_pass(l.token, w, &ctx.stats.tests)) {
-        children.push_back(token_extend(l.token, w, ms.arena, ctx.worker));
+        emit_succs(n.jt_slot, token_extend(l.token, w, ms.arena, ctx.worker),
+                   a.add, ctx);
       }
     }
   }
-  // Emit outside the line lock: children go to other nodes' lines.
-  for (auto& c : children) emit_succs(n.jt_slot, c, a.add, ctx);
 }
 
 void Network::exec_not(const NotNode& n, const Activation& a,
@@ -319,8 +315,6 @@ void Network::exec_not(const NotNode& n, const Activation& a,
   // A not-node passes its left token through unchanged iff no right wme
   // matches it. Counts live in the left entries.
   MatchState& ms = state_of(ctx);
-  auto& emissions = ctx.scratch_emissions;
-  emissions.clear();
   if (a.side == Side::Left) {
     const uint64_t h = n.hash_left(a.token);
     const size_t li = ms.tables.line_index(h);
@@ -334,10 +328,10 @@ void Network::exec_not(const NotNode& n, const Activation& a,
           if (r.node_id != n.id || r.full_hash != h) continue;
           if (n.tests_pass(a.token, r.wme, &ctx.stats.tests)) ++e->neg_count;
         }
-        if (e->neg_count == 0) emissions.emplace_back(a.token, true);
+        if (e->neg_count == 0) emit_succs(n.jt_slot, a.token, true, ctx);
       }
     } else if (line.delete_left(h, n.id, 0, a.token) == 0) {
-      emissions.emplace_back(a.token, false);  // it had passed unblocked
+      emit_succs(n.jt_slot, a.token, false, ctx);  // it had passed unblocked
     }
   } else {
     const Wme* w = a.token.front();
@@ -351,7 +345,7 @@ void Network::exec_not(const NotNode& n, const Activation& a,
         ++ctx.stats.probes;
         if (l.node_id != n.id || l.anti > 0 || l.full_hash != h) continue;
         if (n.tests_pass(l.token, w, &ctx.stats.tests)) {
-          if (++l.neg_count == 1) emissions.emplace_back(l.token, false);
+          if (++l.neg_count == 1) emit_succs(n.jt_slot, l.token, false, ctx);
         }
       }
     } else {
@@ -360,12 +354,11 @@ void Network::exec_not(const NotNode& n, const Activation& a,
         ++ctx.stats.probes;
         if (l.node_id != n.id || l.anti > 0 || l.full_hash != h) continue;
         if (n.tests_pass(l.token, w, &ctx.stats.tests)) {
-          if (--l.neg_count == 0) emissions.emplace_back(l.token, true);
+          if (--l.neg_count == 0) emit_succs(n.jt_slot, l.token, true, ctx);
         }
       }
     }
   }
-  for (auto& [tok, add] : emissions) emit_succs(n.jt_slot, tok, add, ctx);
 }
 
 void Network::exec_ncc(const NccNode& n, const Activation& a,
@@ -374,57 +367,51 @@ void Network::exec_ncc(const NccNode& n, const Activation& a,
   const uint64_t h = n.hash_prefix(a.token);
   const size_t li = ms.tables.line_index(h);
   auto& line = ms.tables.line_at(li);
-  auto& emissions = ctx.scratch_emissions;
-  emissions.clear();
-  {
-    LineGuard g(line, li, Side::Left, ctx.stats);
-    LeftEntry* entry = nullptr;
-    for (LeftEntry& e : line.left) {
-      ++ctx.stats.probes;
-      if (e.node_id == n.id && e.full_hash == h && e.token == a.token) {
-        entry = &e;
-        break;
-      }
+  LineGuard g(line, li, Side::Left, ctx.stats);
+  LeftEntry* entry = nullptr;
+  for (LeftEntry& e : line.left) {
+    ++ctx.stats.probes;
+    if (e.node_id == n.id && e.full_hash == h && e.token == a.token) {
+      entry = &e;
+      break;
     }
-    if (a.add) {
-      if (entry != nullptr && entry->anti > 0) {
-        // Cancel against a conjugate deletion that overtook this insertion.
-        --entry->anti;
-        if (entry->anti == 0 && !entry->ncc_present &&
-            entry->neg_count == 0) {
-          line.erase_left(line.left.begin() + (entry - line.left.data()));
-        }
-      } else {
-        if (entry == nullptr) {
-          line.store_left(LeftEntry{h, n.id, 0, false, false, 0, a.token});
-          entry = &line.left.back();
-        }
-        entry->ncc_present = true;
-        if (entry->neg_count == 0 && !entry->ncc_emitted) {
-          entry->ncc_emitted = true;
-          emissions.emplace_back(a.token, true);
-        }
+  }
+  if (a.add) {
+    if (entry != nullptr && entry->anti > 0) {
+      // Cancel against a conjugate deletion that overtook this insertion.
+      --entry->anti;
+      if (entry->anti == 0 && !entry->ncc_present && entry->neg_count == 0) {
+        line.erase_left(line.left.begin() + (entry - line.left.data()));
       }
-    } else if (entry == nullptr || !entry->ncc_present) {
-      // Deletion before its conjugate insertion (the entry may exist already
-      // as a partner-created placeholder): hold it as a pending anti.
+    } else {
       if (entry == nullptr) {
         line.store_left(LeftEntry{h, n.id, 0, false, false, 0, a.token});
         entry = &line.left.back();
       }
-      ++entry->anti;
-    } else {
-      entry->ncc_present = false;
-      if (entry->ncc_emitted) {
-        entry->ncc_emitted = false;
-        emissions.emplace_back(a.token, false);
-      }
-      if (entry->neg_count == 0 && entry->anti == 0) {
-        line.erase_left(line.left.begin() + (entry - line.left.data()));
+      entry->ncc_present = true;
+      if (entry->neg_count == 0 && !entry->ncc_emitted) {
+        entry->ncc_emitted = true;
+        emit_succs(n.jt_slot, a.token, true, ctx);
       }
     }
+  } else if (entry == nullptr || !entry->ncc_present) {
+    // Deletion before its conjugate insertion (the entry may exist already
+    // as a partner-created placeholder): hold it as a pending anti.
+    if (entry == nullptr) {
+      line.store_left(LeftEntry{h, n.id, 0, false, false, 0, a.token});
+      entry = &line.left.back();
+    }
+    ++entry->anti;
+  } else {
+    entry->ncc_present = false;
+    if (entry->ncc_emitted) {
+      entry->ncc_emitted = false;
+      emit_succs(n.jt_slot, a.token, false, ctx);
+    }
+    if (entry->neg_count == 0 && entry->anti == 0) {
+      line.erase_left(line.left.begin() + (entry - line.left.data()));
+    }
   }
-  for (auto& [tok, add] : emissions) emit_succs(n.jt_slot, tok, add, ctx);
 }
 
 void Network::exec_partner(const NccPartnerNode& n, const Activation& a,
@@ -436,43 +423,38 @@ void Network::exec_partner(const NccPartnerNode& n, const Activation& a,
   const uint64_t h = owner.hash_prefix(prefix);
   const size_t li = ms.tables.line_index(h);
   auto& line = ms.tables.line_at(li);
-  auto& emissions = ctx.scratch_emissions;
-  emissions.clear();
-  {
-    LineGuard g(line, li, Side::Left, ctx.stats);
-    LeftEntry* entry = nullptr;
-    for (LeftEntry& e : line.left) {
-      ++ctx.stats.probes;
-      if (e.node_id == owner.id && e.full_hash == h && e.token == prefix) {
-        entry = &e;
-        break;
-      }
+  LineGuard g(line, li, Side::Left, ctx.stats);
+  LeftEntry* entry = nullptr;
+  for (LeftEntry& e : line.left) {
+    ++ctx.stats.probes;
+    if (e.node_id == owner.id && e.full_hash == h && e.token == prefix) {
+      entry = &e;
+      break;
     }
-    if (entry == nullptr) {
-      // Subnetwork result arrived before the owner's left activation.
-      line.store_left(LeftEntry{h, owner.id, 0, false, false, 0, prefix});
-      entry = &line.left.back();
+  }
+  if (entry == nullptr) {
+    // Subnetwork result arrived before the owner's left activation.
+    line.store_left(LeftEntry{h, owner.id, 0, false, false, 0, prefix});
+    entry = &line.left.back();
+  }
+  // Emissions flow from the owner NCC node's successors.
+  if (a.add) {
+    ++entry->neg_count;
+    if (entry->ncc_present && entry->neg_count == 1 && entry->ncc_emitted) {
+      entry->ncc_emitted = false;
+      emit_succs(owner.jt_slot, prefix, false, ctx);
     }
-    if (a.add) {
-      ++entry->neg_count;
-      if (entry->ncc_present && entry->neg_count == 1 && entry->ncc_emitted) {
-        entry->ncc_emitted = false;
-        emissions.emplace_back(prefix, false);
-      }
-    } else {
-      --entry->neg_count;
-      if (entry->neg_count == 0) {
-        if (entry->ncc_present && !entry->ncc_emitted) {
-          entry->ncc_emitted = true;
-          emissions.emplace_back(prefix, true);
-        } else if (!entry->ncc_present && entry->anti == 0) {
-          line.erase_left(line.left.begin() + (entry - line.left.data()));
-        }
+  } else {
+    --entry->neg_count;
+    if (entry->neg_count == 0) {
+      if (entry->ncc_present && !entry->ncc_emitted) {
+        entry->ncc_emitted = true;
+        emit_succs(owner.jt_slot, prefix, true, ctx);
+      } else if (!entry->ncc_present && entry->anti == 0) {
+        line.erase_left(line.left.begin() + (entry - line.left.data()));
       }
     }
   }
-  // Emissions flow from the owner NCC node's successors.
-  for (auto& [tok, add] : emissions) emit_succs(owner.jt_slot, tok, add, ctx);
 }
 
 void Network::exec_prod(const ProdNode& n, const Activation& a,

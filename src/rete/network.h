@@ -3,9 +3,10 @@
 //
 // The unit of work is the *activation* — "the address of the code for a node
 // in the RETE network and an input token for that node" (§2.3). Executors
-// (serial trace recorder, threaded worker pool) pop activations, call
-// Network::execute, and push whatever child activations execute() emits into
-// their ExecContext. The network itself never schedules anything.
+// (serial trace recorder, threaded worker pool) pop activations and call
+// Network::execute, which appends every child activation, past the §5.2
+// filter, to the context's `out` vector as it is made; each executor reads
+// `out` after the task. The network itself never schedules anything.
 //
 // The network holds only *compiled, read-mostly structure* — nodes, the
 // jumptable, the class roots. Everything the match mutates (beta hash
@@ -103,12 +104,16 @@ struct UpdateFilter {
   bool suppress_alpha_left = false;
 };
 
-/// Execution context handed to execute(). Concrete executors implement emit()
-/// to enqueue child activations.
-class ExecContext {
- public:
-  virtual ~ExecContext() = default;
-  virtual void emit(Activation&& a) = 0;
+/// Execution context handed to execute(): the bound agent state, the
+/// running task's statistics, and `out`, where its children land.
+struct ExecContext {
+  /// Every child activation the context's tasks emit, appended in emission
+  /// order by Network::emit once it passes `filter`. The executor owns the
+  /// vector: the matcher's private stack, the recorder's FIFO queue, a
+  /// caller's collected emissions. Contract: execute(act, ctx) must never
+  /// receive a reference into ctx.out — an append may reallocate it — so
+  /// an executor copies the activation out before running it.
+  std::vector<Activation> out;
 
   TaskStats stats;
 
@@ -134,13 +139,6 @@ class ExecContext {
   /// Joins whose left memory this context's tasks emptied (DESIGN.md §16).
   /// The executor sweeps them at quiescence; capacity is retained.
   std::vector<EmptiedJoin> emptied;
-
-  // Reusable per-context scratch for execute(): child tokens built under a
-  // line lock, emitted after it is released. Living here (capacity retained
-  // across tasks) instead of as locals keeps the steady-state execute path
-  // free of heap traffic. execute() is not reentrant per context.
-  std::vector<Token> scratch_children;
-  std::vector<std::pair<Token, bool>> scratch_emissions;  // (token, add)
 };
 
 /// An executor as the §5.2 update (rete/update.h) sees it: the trace
@@ -250,13 +248,19 @@ class Network {
     return roots_;
   }
 
-  /// Entry point for a wme change: queues the class-root activations.
-  void inject(const Wme* w, bool add, ExecContext& ctx);
+  /// Entry point for a wme change: appends the class-root activations of
+  /// `w`, tagged with `agent`, to `out` (unfiltered: an executor filters its
+  /// seeds). Returns the jumptable lookups made (0 or 1), which the caller
+  /// adds to its MatchCounters::indirections.
+  uint32_t inject(const Wme* w, bool add, uint32_t agent,
+                  std::vector<Activation>& out) const;
 
-  /// Executes one node activation; emits child activations through ctx.
+  /// Executes one node activation; appends its children to ctx.out. `act`
+  /// must not refer into ctx.out (see ExecContext).
   void execute(const Activation& act, ExecContext& ctx);
 
-  /// The §5.2 task filter, applied by executors (or by emit paths).
+  /// The §5.2 task filter, applied by emit() and by the executors' seed
+  /// loops.
   [[nodiscard]] bool should_execute(const Activation& a,
                                     const ExecContext& ctx) const {
     if (ctx.filter.min_stamp == 0) return true;
@@ -297,6 +301,13 @@ class Network {
   [[nodiscard]] Census census() const;
 
  private:
+  /// The one emit path: appends `a` to ctx.out unless the §5.2 filter drops
+  /// it. Takes no lock, so a task may emit under its line lock; the child
+  /// runs only after the task returns.
+  void emit(ExecContext& ctx, const Activation& a) const {
+    if (should_execute(a, ctx)) ctx.out.push_back(a);
+  }
+  /// Emits one child per successor of `jt_slot`, each carrying `token`.
   void emit_succs(uint32_t jt_slot, const Token& token, bool add,
                   ExecContext& ctx);
 

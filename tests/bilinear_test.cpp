@@ -190,7 +190,7 @@ struct BJoinPair {
     ctx.run(bjoin, side, /*add=*/false, token);
     EXPECT_EQ(test::left_entries_of(e.state(), bjoin, tag()), 1u);  // anti
     ctx.run(bjoin, side, /*add=*/true, token);
-    EXPECT_TRUE(ctx.emitted.empty());
+    EXPECT_TRUE(ctx.emitted().empty());
     expect_clean();
   }
 
@@ -198,11 +198,11 @@ struct BJoinPair {
     test::CollectingCtx ctx(e);
     ctx.run(bjoin, side, /*add=*/true, token);
     ctx.run(bjoin, side, /*add=*/false, token);
-    ASSERT_EQ(ctx.emitted.size(), 2u);
-    EXPECT_TRUE(ctx.emitted[0].add);
-    EXPECT_FALSE(ctx.emitted[1].add);
-    EXPECT_EQ(ctx.emitted[0].token.size(), 5u);
-    EXPECT_EQ(ctx.emitted[0].token, ctx.emitted[1].token);
+    ASSERT_EQ(ctx.emitted().size(), 2u);
+    EXPECT_TRUE(ctx.emitted()[0].add);
+    EXPECT_FALSE(ctx.emitted()[1].add);
+    EXPECT_EQ(ctx.emitted()[0].token.size(), 5u);
+    EXPECT_EQ(ctx.emitted()[0].token, ctx.emitted()[1].token);
     expect_clean();
   }
 };

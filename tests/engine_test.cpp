@@ -163,21 +163,41 @@ TEST(Engine, NanAndInfAtomsMatchAsSymbols) {
 
 TEST(Engine, TraceRecordsTasksAndParents) {
   Engine e(test::recorded());
-  e.load("(p j (a ^v <x>) (b ^v <x>) --> (halt))");
-  e.add_wme_text("(a ^v 1)");
-  e.add_wme_text("(b ^v 1)");
+  // Fan-out: the (a, b) join feeds both j's P-node and k's join with c.
+  e.load("(p j (a ^v <x>) (b ^v <x>) --> (halt))"
+         "(p k (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))");
+  for (const char* w : {"(a ^v 1)", "(b ^v 1)", "(c ^v 1)", "(a ^v 2)",
+                        "(b ^v 2)", "(c ^v 2)"}) {
+    e.add_wme_text(w);
+  }
   const CycleTrace t = e.match();
   ASSERT_GT(t.task_count(), 0u);
   // Seeds have no parent; all parent links point backwards.
   bool saw_seed = false;
+  std::vector<size_t> children(t.tasks.size(), 0);
   for (size_t i = 0; i < t.tasks.size(); ++i) {
     if (t.tasks[i].parent == UINT32_MAX) {
       saw_seed = true;
     } else {
       EXPECT_LT(t.tasks[i].parent, i);
+      ++children[t.tasks[i].parent];
     }
   }
   EXPECT_TRUE(saw_seed);
+  EXPECT_GE(*std::max_element(children.begin(), children.end()), 2u);
+  // FIFO order, which psim and the goldens read: the seeds come first, and
+  // each task's children follow every task recorded before it, so parent
+  // indices never decrease after the seeds. A LIFO queue would interleave.
+  size_t seeds = 0;
+  while (seeds < t.tasks.size() && t.tasks[seeds].parent == UINT32_MAX) {
+    ++seeds;
+  }
+  for (size_t i = seeds; i < t.tasks.size(); ++i) {
+    ASSERT_NE(t.tasks[i].parent, UINT32_MAX) << "seed after a child at " << i;
+    if (i > seeds) {
+      EXPECT_LE(t.tasks[i - 1].parent, t.tasks[i].parent) << "task " << i;
+    }
+  }
   // At least one P-node task fired.
   bool saw_prod = false;
   for (const auto& r : t.tasks) saw_prod |= r.type == NodeType::Prod;

@@ -28,14 +28,6 @@ namespace {
 
 using test::cs_fingerprint;
 
-/// Builds the activation seeds for a batch of wme changes (mirrors
-/// Engine::collect_seeds).
-class SeedCollector final : public ExecContext {
- public:
-  void emit(Activation&& a) override { seeds.push_back(std::move(a)); }
-  std::vector<Activation> seeds;
-};
-
 std::string workload_productions() {
   return "(p j2 (a ^v <x>) (b ^v <x>) --> (halt))"
          "(p j3 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))"
@@ -68,11 +60,11 @@ TEST_P(ParallelEquivalence, MatchesSerialResult) {
   add_workload_wmes(par, 20);
   // Drain the pending changes through the threaded matcher instead of
   // Engine::match().
-  SeedCollector sc;
-  for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+  std::vector<Activation> seeds;
+  for (const Wme* w : par.wm().live()) par.net().inject(w, true, 0, seeds);
   ParallelMatcher matcher(par.net(), workers);
   matcher.register_agent(par.state());
-  const ParallelStats st = matcher.run_cycle(sc.seeds);
+  const ParallelStats st = matcher.run_cycle(seeds);
   EXPECT_GT(st.tasks, 0u);
   // A task runs either from a private stack or as a shared root taken from
   // a deque, and every shared activation runs exactly once.
@@ -104,13 +96,13 @@ TEST(ParallelMatcher, HungryPeersStealPublishedWork) {
       Engine par;
       par.load(workload_productions());
       add_workload_wmes(par, 20);
-      SeedCollector sc;
-      for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+      std::vector<Activation> seeds;
+      for (const Wme* w : par.wm().live()) par.net().inject(w, true, 0, seeds);
       test::YieldingSink yielding(*par.state().sink);
       par.state().sink = &yielding;
       ParallelMatcher matcher(par.net(), workers);
       matcher.register_agent(par.state());
-      const ParallelStats st = matcher.run_cycle(sc.seeds);
+      const ParallelStats st = matcher.run_cycle(seeds);
       ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(par))
           << workers << " workers, cycle " << cycle;
       shares += st.shares;
@@ -135,9 +127,9 @@ TEST(ParallelMatcher, OneWorkerRunsEveryTaskFromItsPrivateStack) {
   add_workload_wmes(par, 20);
   ParallelMatcher matcher(par.net(), 1);
   matcher.register_agent(par.state());
-  SeedCollector sc;
-  for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
-  const ParallelStats st = matcher.run_cycle(sc.seeds);
+  std::vector<Activation> seeds;
+  for (const Wme* w : par.wm().live()) par.net().inject(w, true, 0, seeds);
+  const ParallelStats st = matcher.run_cycle(seeds);
   EXPECT_GT(st.tasks, 0u);
   EXPECT_EQ(st.chain_inline, st.tasks);
   EXPECT_EQ(st.shares, 0u);
@@ -167,12 +159,12 @@ TEST(ParallelMatcher, ThrowingTaskFailsTheCycleAndTheNextStartsClean) {
       add_workload_wmes(par, 20);
       ParallelMatcher matcher(par.net(), workers);
       matcher.register_agent(par.state());
-      SeedCollector sc;
-      for (const Wme* w : par.wm().live()) par.net().inject(w, true, sc);
+      std::vector<Activation> seeds;
+      for (const Wme* w : par.wm().live()) par.net().inject(w, true, 0, seeds);
       ThrowingSink bad;
       MatchSink* const good = par.state().sink;
       par.state().sink = &bad;
-      EXPECT_THROW(matcher.run_cycle(sc.seeds), std::runtime_error);
+      EXPECT_THROW(matcher.run_cycle(seeds), std::runtime_error);
       par.state().sink = good;
       std::vector<Activation> none;
       ASSERT_EQ(matcher.run_cycle(none).tasks, 0u)
@@ -208,13 +200,13 @@ TEST(ParallelMatcher, DeleteHeavyCycleMatchesSerial) {
   serial.match();
 
   const auto pr = remove_some(par);
-  SeedCollector sc;
+  std::vector<Activation> seeds;
   for (const Wme* w : pr) {
-    par.net().inject(w, false, sc);
+    par.net().inject(w, false, 0, seeds);
   }
   ParallelMatcher matcher(par.net(), 4);
   matcher.register_agent(par.state());
-  matcher.run_cycle(sc.seeds);
+  matcher.run_cycle(seeds);
   for (const Wme* w : pr) par.wm().remove(w);
   par.wm().end_cycle();
 
@@ -237,7 +229,7 @@ TEST(ParallelMatcher, PersistentMatcherReusedAcrossCycles) {
 
     std::vector<const Wme*> before = par.wm().live();
     add_workload_wmes(par, 8);
-    SeedCollector sc;
+    std::vector<Activation> seeds;
     for (const Wme* w : par.wm().live()) {
       bool is_new = true;
       for (const Wme* b : before) {
@@ -246,9 +238,9 @@ TEST(ParallelMatcher, PersistentMatcherReusedAcrossCycles) {
           break;
         }
       }
-      if (is_new) par.net().inject(w, true, sc);
+      if (is_new) par.net().inject(w, true, 0, seeds);
     }
-    const ParallelStats st = matcher.run_cycle(sc.seeds);
+    const ParallelStats st = matcher.run_cycle(seeds);
     EXPECT_GT(st.tasks, 0u);
     ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(par))
         << "round " << round;
@@ -305,7 +297,7 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
   auto parallel_wave = [&](Engine& e, ParallelMatcher& m, int n) {
     std::vector<const Wme*> before = e.wm().live();
     add_workload_wmes(e, n);
-    SeedCollector sc;
+    std::vector<Activation> seeds;
     for (const Wme* w : e.wm().live()) {
       bool is_new = true;
       for (const Wme* b : before) {
@@ -314,9 +306,9 @@ TEST(SchedulerEquivalence, StealEqualsSerialThroughRuntimeAdd) {
           break;
         }
       }
-      if (is_new) e.net().inject(w, true, sc);
+      if (is_new) e.net().inject(w, true, 0, seeds);
     }
-    return m.run_cycle(sc.seeds);
+    return m.run_cycle(seeds);
   };
 
   // Wave 1.

@@ -152,18 +152,15 @@ TEST_P(SerialParallelProperty, ParallelMatchesSerial) {
   Engine par;
   par.load(kProductions);
   // Apply the same surviving wmes, then run one big parallel cycle.
-  struct Collector final : ExecContext {
-    void emit(Activation&& a) override { seeds.push_back(std::move(a)); }
-    std::vector<Activation> seeds;
-  } collector;
+  std::vector<Activation> seeds;
   for (const Wme* w : serial.wm().live()) {
     const Wme* nw = par.wm().add(par.syms().intern(serial.syms().name(w->cls)),
                                  w->fields);
-    par.net().inject(nw, true, collector);
+    par.net().inject(nw, true, 0, seeds);
   }
   ParallelMatcher matcher(par.net(), 1 + seed % 6);
   matcher.register_agent(par.state());
-  matcher.run_cycle(collector.seeds);
+  matcher.run_cycle(seeds);
 
   EXPECT_EQ(cs_fingerprint(serial), cs_fingerprint(par)) << "seed " << seed;
   EXPECT_EQ(test::oracle_diff(serial), "") << "seed " << seed;

@@ -44,12 +44,6 @@ using test::cs_fingerprint;
 constexpr int kIters = PSME_SANITIZED_BUILD ? 400 : 3000;
 constexpr size_t kWorkers = 8;
 
-class SeedCollector final : public ExecContext {
- public:
-  void emit(Activation&& a) override { seeds.push_back(std::move(a)); }
-  std::vector<Activation> seeds;
-};
-
 std::string stress_productions() {
   // Same value-skew as the parallel_test workload (v mod 7) so many tokens
   // hash to the same lines, maximizing line-lock contention; plus a negation
@@ -81,15 +75,15 @@ struct RaceCase {
 void parallel_cycle(Engine& e, const std::vector<const Wme*>& adds,
                     const std::vector<const Wme*>& removes, const RaceCase& c,
                     ParallelMatcher* matcher = nullptr) {
-  SeedCollector sc;
-  for (const Wme* w : removes) e.net().inject(w, false, sc);
-  for (const Wme* w : adds) e.net().inject(w, true, sc);
+  std::vector<Activation> seeds;
+  for (const Wme* w : removes) e.net().inject(w, false, 0, seeds);
+  for (const Wme* w : adds) e.net().inject(w, true, 0, seeds);
   if (matcher != nullptr) {
-    matcher->run_cycle(sc.seeds);
+    matcher->run_cycle(seeds);
   } else {
     ParallelMatcher local(e.net(), c.workers);
     local.register_agent(e.state());
-    local.run_cycle(sc.seeds);
+    local.run_cycle(seeds);
   }
 }
 
@@ -319,13 +313,13 @@ TEST(RaceStress, StealParkingUnderUnevenLoad) {
 
     std::vector<const Wme*> before = par.wm().live();
     add_stress_wmes(par, 2, c);
-    SeedCollector sc;
+    std::vector<Activation> seeds;
     for (const Wme* w : par.wm().live()) {
       if (std::find(before.begin(), before.end(), w) == before.end()) {
-        par.net().inject(w, true, sc);
+        par.net().inject(w, true, 0, seeds);
       }
     }
-    const ParallelStats st = matcher.run_cycle(sc.seeds);
+    const ParallelStats st = matcher.run_cycle(seeds);
     parks += st.parks;
     ASSERT_EQ(cs_fingerprint(serial), cs_fingerprint(par)) << "cycle " << c;
   }

@@ -242,7 +242,7 @@ TEST(ReteMatch, JoinLeftDeleteBeforeInsertCancels) {
   EXPECT_EQ(test::left_entries_of(p.e.state(), p.join), 1u);  // the anti
   ctx.run(p.join, Side::Left, /*add=*/true, p.left);
   ctx.sweep();
-  EXPECT_TRUE(ctx.emitted.empty());
+  EXPECT_TRUE(ctx.emitted().empty());
   p.expect_clean();
 }
 
@@ -252,11 +252,11 @@ TEST(ReteMatch, JoinLeftInOrderPairEmitsInsertThenDelete) {
   ctx.run(p.join, Side::Left, /*add=*/true, p.left);
   ctx.run(p.join, Side::Left, /*add=*/false, p.left);
   ctx.sweep();
-  ASSERT_EQ(ctx.emitted.size(), 2u);
-  EXPECT_TRUE(ctx.emitted[0].add);
-  EXPECT_FALSE(ctx.emitted[1].add);
-  EXPECT_EQ(ctx.emitted[0].token.size(), 2u);
-  EXPECT_EQ(ctx.emitted[0].token, ctx.emitted[1].token);
+  ASSERT_EQ(ctx.emitted().size(), 2u);
+  EXPECT_TRUE(ctx.emitted()[0].add);
+  EXPECT_FALSE(ctx.emitted()[1].add);
+  EXPECT_EQ(ctx.emitted()[0].token.size(), 2u);
+  EXPECT_EQ(ctx.emitted()[0].token, ctx.emitted()[1].token);
   p.expect_clean();
 }
 

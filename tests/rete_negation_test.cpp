@@ -179,7 +179,7 @@ struct ConjugatePair {
     ctx.run(node, Side::Left, /*add=*/false, left);
     EXPECT_EQ(test::left_entries_of(e.state(), node), 1u);  // the anti
     ctx.run(node, Side::Left, /*add=*/true, left);
-    EXPECT_TRUE(ctx.emitted.empty());
+    EXPECT_TRUE(ctx.emitted().empty());
     expect_clean();
   }
 
@@ -187,11 +187,11 @@ struct ConjugatePair {
     test::CollectingCtx ctx(e);
     ctx.run(node, Side::Left, /*add=*/true, left);
     ctx.run(node, Side::Left, /*add=*/false, left);
-    ASSERT_EQ(ctx.emitted.size(), 2u);
-    EXPECT_TRUE(ctx.emitted[0].add);
-    EXPECT_FALSE(ctx.emitted[1].add);
-    EXPECT_EQ(ctx.emitted[0].token, left);
-    EXPECT_EQ(ctx.emitted[1].token, left);
+    ASSERT_EQ(ctx.emitted().size(), 2u);
+    EXPECT_TRUE(ctx.emitted()[0].add);
+    EXPECT_FALSE(ctx.emitted()[1].add);
+    EXPECT_EQ(ctx.emitted()[0].token, left);
+    EXPECT_EQ(ctx.emitted()[1].token, left);
     expect_clean();
   }
 };

@@ -293,6 +293,52 @@ std::multiset<std::vector<uint64_t>> left_tokens(const Engine& e,
   return out;
 }
 
+TEST(UpdateFilter, EmitDropsOldStatefulSuccessors) {
+  // p1's chain is ^v 1 then ^w 2; p2 shares the ^v 1 test and hangs its own
+  // alpha memory under it. So the ^v 1 node's successors are p1's ^w 2 test
+  // (stateless, older than p2) and p2's alpha memory (stateful, newer).
+  Engine e;
+  e.load("(p p1 (a ^v 1 ^w 2) --> (halt))");
+  Network& net = e.net();
+  const uint64_t p2_stamp = net.next_stamp();
+  e.load("(p p2 (a ^v 1) --> (halt))");
+  const auto& roots =
+      net.jumptable().peek(net.roots().at(e.syms().intern("a")));
+  ASSERT_EQ(roots.size(), 1u);
+  const Node* v1 = net.node(roots[0].node);
+  ASSERT_EQ(v1->type, NodeType::Const);
+  uint32_t test_w2 = UINT32_MAX;
+  uint32_t mem_p2 = UINT32_MAX;
+  for (const SuccessorRef& s : net.jumptable().peek(v1->jt_slot)) {
+    const Node* n = net.node(s.node);
+    (is_stateless(n->type) ? test_w2 : mem_p2) = s.node;
+  }
+  ASSERT_NE(test_w2, UINT32_MAX);
+  ASSERT_NE(mem_p2, UINT32_MAX);
+  ASSERT_GE(net.node(mem_p2)->stamp, p2_stamp);
+  ASSERT_LT(net.node(test_w2)->stamp, p2_stamp);
+
+  const Wme* w = e.add_wme_text("(a ^v 1 ^w 2)");
+  // The nodes of the children one ^v 1 task appends to a plain context's
+  // `out` under a filter starting at `min_stamp`.
+  auto children = [&](uint64_t min_stamp) {
+    ExecContext ctx;
+    ctx.state = &e.state();
+    ctx.filter.min_stamp = min_stamp;
+    net.execute(Activation{v1->id, Side::Left, true, Token{w}}, ctx);
+    EXPECT_EQ(ctx.stats.emits, 2u);  // counted before the filter
+    std::set<uint32_t> nodes;
+    for (const Activation& a : ctx.out) nodes.insert(a.node);
+    return nodes;
+  };
+  const std::set<uint32_t> both{test_w2, mem_p2};
+  EXPECT_EQ(children(0), both);         // the default filter drops nothing
+  EXPECT_EQ(children(p2_stamp), both);  // the alpha memory is new
+  // Above every stamp the alpha memory is old and stateful: dropped. The
+  // stateless test passes at any stamp.
+  EXPECT_EQ(children(net.next_stamp()), std::set<uint32_t>{test_w2});
+}
+
 /// A one-worker drain without the update's stamp filter
 /// (suppress_alpha_left stays): every seed run_update makes is executed, so
 /// the phase-B/C seed checks alone must pick the new nodes. A seed aimed at

@@ -104,34 +104,36 @@ inline size_t left_entries_of(const MatchState& ms, uint32_t node,
   return n;
 }
 
-/// An ExecContext bound to one engine's match state that executes single
-/// activations and collects what they emit instead of running it, so a test
-/// can deliver the halves of a conjugate pair in either order. sweep()
+/// A plain ExecContext bound to one engine's match state: it executes single
+/// activations and keeps their children (its `out`) instead of running them,
+/// so a test can deliver the halves of a conjugate pair in either order. sweep()
 /// unlinks the joins the activations left empty, as the end of a drain does.
-class CollectingCtx final : public ExecContext {
+class CollectingCtx {
  public:
   explicit CollectingCtx(Engine& e) : net_(e.net()), ms_(e.state()) {
-    state = &ms_;
+    ctx_.state = &ms_;
     ms_.ensure_alpha(net_.alpha_mem_count());
     ms_.ensure_links(net_.node_count());
   }
-  void emit(Activation&& a) override { emitted.push_back(a); }
 
   void run(uint32_t node, Side side, bool add, const Token& token) {
-    net_.execute(Activation{node, side, add, token}, *this);
+    net_.execute(Activation{node, side, add, token}, ctx_);
   }
   void sweep() {
-    for (const EmptiedJoin& j : emptied) {
-      net_.unlink_if_empty(j.join, ms_, counters);
+    for (const EmptiedJoin& j : ctx_.emptied) {
+      net_.unlink_if_empty(j.join, ms_, ctx_.counters);
     }
-    emptied.clear();
+    ctx_.emptied.clear();
   }
 
-  std::vector<Activation> emitted;
+  [[nodiscard]] const std::vector<Activation>& emitted() const {
+    return ctx_.out;
+  }
 
  private:
   Network& net_;
   MatchState& ms_;
+  ExecContext ctx_;
 };
 
 /// Names of productions with at least one instantiation in the CS.

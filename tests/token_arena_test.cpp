@@ -120,25 +120,6 @@ TEST(TokenArena, PinnedChunksSurviveUntilUnpinned) {
 
 // ---- steady-state zero-allocation match ------------------------------------
 
-/// Executor with a reusable flat queue: after warm-up its vector has
-/// capacity and drains allocate nothing (std::deque would allocate a block
-/// per refill).
-class RingExecutor final : public ExecContext {
- public:
-  void emit(Activation&& a) override { q_.push_back(a); }
-
-  void drain(Network& net) {
-    for (size_t head = 0; head < q_.size(); ++head) {
-      const Activation a = q_[head];  // copy: q_ may grow during execute
-      net.execute(a, *this);
-    }
-    q_.clear();
-  }
-
- private:
-  std::vector<Activation> q_;
-};
-
 TEST(TokenArena, SteadyStateActivationsAreHeapFree) {
   Engine e;
   e.load("(p chain (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (halt))");
@@ -159,14 +140,24 @@ TEST(TokenArena, SteadyStateActivationsAreHeapFree) {
   for (const Wme* w : e.wm().live()) toggle = w;  // any live wme
   ASSERT_NE(toggle, nullptr);
 
-  RingExecutor ex;
+  // A FIFO drain of the context's own `out`: after warm-up the vector has
+  // capacity and drains allocate nothing (std::deque would allocate a block
+  // per refill).
+  ExecContext ex;
   ex.state = &e.state();
+  auto drain = [&] {
+    for (size_t head = 0; head < ex.out.size(); ++head) {
+      const Activation a = ex.out[head];  // copy: out grows during execute
+      net.execute(a, ex);
+    }
+    ex.out.clear();
+  };
   auto cycle = [&] {
     e.state().arena.begin_drain();
-    net.inject(toggle, false, ex);
-    ex.drain(net);
-    net.inject(toggle, true, ex);
-    ex.drain(net);
+    net.inject(toggle, false, 0, ex.out);
+    drain();
+    net.inject(toggle, true, 0, ex.out);
+    drain();
     e.state().arena.reclaim_at_quiescence();
   };
 
